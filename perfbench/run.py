@@ -7,13 +7,15 @@ Usage (from the root of a checkout):
                              [--seed N] [--seconds S] [--trace 0|1]
 
 The run computes the workload's references (reference.py, no heunqdot code),
-then runs passes for --seconds seconds, each pass in a fresh interpreter
-(worker.py) so that no pass sees state left by another. Every pass's outputs
-are checked. With --trace 0 it reports setup_s and pass_s (the fastest set-up
-and, operation by operation, the fastest pass of the run; see pass_time) and
-peak_rss_mb (the median over the passes); with --trace 1 it alternates traced and
-untraced passes and reports the per-layer metrics of spans.py, the set-up
-split, the report size and the tracing overhead. The last line of standard
+then runs passes for about --seconds seconds, each in a fresh process forked
+from an interpreter that has only imported the program (worker.py), so that
+no pass sees state left by another. Every pass's outputs are checked. With
+--trace 0 it reports setup_s (the median of at least MIN_SETUPS fresh
+interpreters), pass_s (built segment by segment from the fastest times of the
+run's passes; see pass_time) and peak_rss_mb (the median over the passes);
+with --trace 1 it alternates traced and untraced passes and reports the
+per-layer metrics of spans.py, the set-up split, the report size and the
+tracing overhead. The last line of standard
 output is one JSON object: correct, attempted, failed and metrics.
 
 The BLAS thread count of every process is pinned to BLAS_THREADS. A record of
@@ -31,7 +33,9 @@ import argparse  # noqa: E402
 import ctypes  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import select  # noqa: E402
 import shutil  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -84,34 +88,86 @@ def environment() -> dict:
     }
 
 
-def run_pass(workload, index, trace, details, started, setup_only=False):
-    """Run one pass in a fresh interpreter.
+class Worker:
+    """A worker.py process: its set-up times, then passes forked from it."""
 
-    Returns the worker's result (None if the worker crashed), the problems
-    of each operation, and for each operation whether it raised.
+    def __init__(self, workload, started):
+        self.started = started
+        self.log = tempfile.TemporaryFile("w+", dir=OUT / "tmp")
+        self.proc = subprocess.Popen(
+            [sys.executable, str(HERE / "worker.py"), workload.name],
+            cwd=ROOT, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=self.log, text=True, start_new_session=True)
+        self.setup = self._answer()
+
+    def _answer(self):
+        """The worker's next line, or None if it died or the run's time is up."""
+        limit = max(1.0, HARD_LIMIT_S - (time.perf_counter() - self.started))
+        ready, _, _ = select.select([self.proc.stdout], [], [], limit)
+        line = self.proc.stdout.readline() if ready else ""
+        return json.loads(line) if line else None
+
+    def stderr(self) -> str:
+        self.log.seek(0)
+        return self.log.read()[-2000:]
+
+    def run(self, spec_path, result_path):
+        """Run one pass; returns None, or why the pass gave no result."""
+        try:
+            self.proc.stdin.write(f"{spec_path} {result_path}\n")
+            self.proc.stdin.flush()
+        except OSError:
+            return f"worker died: {self.stderr()}"
+        answer = self._answer()
+        if answer is None:
+            return f"worker died or timed out: {self.stderr()}"
+        if answer["status"] != 0:
+            return f"pass exited {answer['status']}: {self.stderr()}"
+        return None
+
+    def close(self):
+        """End the worker (at once if it does not end when its input does)
+        and wait for it and any pass it still runs."""
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self.proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            pass
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self.proc.wait()
+        self.proc.stdout.close()
+        self.log.close()
+
+
+def setup_sample(workload, started):
+    """The set-up times of a fresh interpreter that runs no pass."""
+    worker = Worker(workload, started)
+    worker.close()
+    return worker.setup
+
+
+def run_pass(worker, workload, index, trace, details):
+    """Run one pass in a process forked from the worker.
+
+    Returns the pass's result (None if it crashed), the problems of each
+    operation, and for each operation whether it raised.
     """
     tmp = Path(tempfile.mkdtemp(prefix=f"pass{index}-", dir=OUT / "tmp"))
     try:
-        ops = [] if setup_only else workload.ops(tmp)
+        ops = workload.ops(tmp)
         request = workload.details if details else None
         spec = {"ops": ops, "trace": trace, "details": request}
         (tmp / "spec.json").write_text(json.dumps(spec))
-        limit = max(1.0, HARD_LIMIT_S - (time.perf_counter() - started))
-        try:
-            proc = subprocess.run(
-                [sys.executable, str(HERE / "worker.py"), workload.name,
-                 str(tmp / "spec.json"), str(tmp / "result.json")],
-                cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                text=True, timeout=limit)
-            crash = (None if proc.returncode == 0 else
-                     f"worker exited {proc.returncode}: {proc.stderr[-2000:]}")
-        except subprocess.TimeoutExpired:
-            crash = f"worker timed out after {limit:.0f} s"
+        crash = worker.run(tmp / "spec.json", tmp / "result.json")
         if crash is not None:
             return None, [[crash]] * len(ops), [True] * len(ops)
         result = json.loads((tmp / "result.json").read_text())
-        if setup_only:
-            return result, [], []
         errors = result["errors"]
         raised = [e is not None for e in errors]
         if all(errors):
@@ -130,19 +186,34 @@ def run_pass(workload, index, trace, details, started, setup_only=False):
 
 
 def pass_time(results) -> float:
-    """The time of one pass: the sum over its operations of each operation's
-    fastest time across the run's passes.
+    """The time of one pass, built from the fastest time of each of its parts.
 
-    The host's speed drifts by tens of percent over seconds to minutes (a
-    fixed pure-Python loop takes 0.35 to 0.60 s from one second to the next),
-    so the median of a run's passes moves by 20 to 50 % from run to run. The
-    fastest time of each operation measures the program rather than its
-    neighbours, and taking it per operation lets a long pass borrow the
-    quiet moments of every pass.
+    Every operation is cut into segments by the start and end of each call of
+    a checkpointed function (spans.py): about 3 000 per dossier, 7 to 9 per
+    exact state. The segments of an operation repeat from pass to pass, and each
+    pass's segments add up to its time. The result is the sum over segments
+    of each segment's fastest time across the run's passes; an operation
+    whose segment count differs between passes counts with its fastest
+    whole time.
+
+    On the 2-core virtual machine where this was built, the host's speed
+    drifts by tens of percent over seconds to minutes (a fixed pure-Python
+    loop took 20 to 35 ms from one ten-second stretch to the next, in CPU
+    time as in wall time), so the median of a run's passes
+    moves by 20 to 50 % from run to run. The fastest time of a short segment
+    measures the program rather than its neighbours, and taking it segment by
+    segment lets a pass borrow the quiet moments of every pass.
     """
     if not results:
         return 0.0
-    return sum(min(times) for times in zip(*(r["op_s"] for r in results)))
+    total = 0.0
+    for i, times in enumerate(zip(*(r["op_s"] for r in results))):
+        segments = [r["op_segments"][i] for r in results]
+        if len({len(s) for s in segments}) == 1:
+            total += sum(min(parts) for parts in zip(*segments))
+        else:
+            total += min(times)
+    return total
 
 
 def main() -> int:
@@ -154,6 +225,8 @@ def main() -> int:
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args()
     started = time.perf_counter()
+    # a terminated run still ends its worker (Worker.close, in a finally)
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
 
     if not (ROOT / "src" / "heunqdot" / "__init__.py").is_file():
         print(f"no heunqdot sources under {ROOT / 'src'}; run from a checkout "
@@ -172,34 +245,49 @@ def main() -> int:
     attempted = failed = 0
     failures = []  # one line per failed operation
     wrong = 0  # operations that did not raise but gave a wrong output
-    t_start = time.perf_counter()
-    index = 0
-    while (index == 0 or time.perf_counter() - t_start < args.seconds
-           or (args.trace and index < 2)):
-        traced = bool(args.trace) and index % 2 == 1
-        result, problems, raised = run_pass(workload, index, traced,
-                                            details=(index == 0), started=started)
-        attempted += len(problems)
-        failed += sum(1 for p in problems if p)
-        for i, (p, r) in enumerate(zip(problems, raised)):
-            if p:
-                failures.append(f"pass {index} op {i}: " + "; ".join(p))
-                print("FAILED " + failures[-1], file=sys.stderr)
-                wrong += not r
-        if result is None:
-            break
-        passes.append((traced, result))
-        index += 1
-    # set-up time is the fastest of at least MIN_SETUPS fresh interpreters
-    # (for the reason given in pass_time); the extra ones import and load
-    # the reference data, and run no operation
-    setups = [r["setup_import_s"] + r["setup_reference_s"] for _, r in passes]
-    while passes and len(setups) < MIN_SETUPS:
-        result, _, _ = run_pass(workload, index, False, False, started, setup_only=True)
-        if result is None:
-            break
-        setups.append(result["setup_import_s"] + result["setup_reference_s"])
-        index += 1
+    worker = Worker(workload, started)
+    setups = [worker.setup] if worker.setup else []
+    if not setups:
+        print(f"the worker did not start: {worker.stderr()}", file=sys.stderr)
+    try:
+        t_start = time.perf_counter()
+        index = 0
+        # the last pass and its set-up samples; the run starts no pass that
+        # would end more than half of one past --seconds
+        cycle = 0.0
+        while setups and (index < 1 + args.trace or time.perf_counter() - t_start
+                          + cycle / 2 < args.seconds):
+            t_cycle = time.perf_counter()
+            traced = bool(args.trace) and index % 2 == 1
+            result, problems, raised = run_pass(worker, workload, index, traced,
+                                                details=(index == 0))
+            attempted += len(problems)
+            failed += sum(1 for p in problems if p)
+            for i, (p, r) in enumerate(zip(problems, raised)):
+                if p:
+                    failures.append(f"pass {index} op {i}: " + "; ".join(p))
+                    print("FAILED " + failures[-1], file=sys.stderr)
+                    wrong += not r
+            if result is None:
+                break
+            passes.append((traced, result))
+            index += 1
+            # set-up samples, fresh interpreters that run no operation, are
+            # spread over the run; at least MIN_SETUPS of them
+            elapsed = time.perf_counter() - t_start
+            while passes and len(setups) < MIN_SETUPS * min(1.0, elapsed / args.seconds):
+                sample = setup_sample(workload, started)
+                if sample is None:
+                    break
+                setups.append(sample)
+            cycle = time.perf_counter() - t_cycle
+        while passes and len(setups) < MIN_SETUPS:
+            sample = setup_sample(workload, started)
+            if sample is None:
+                break
+            setups.append(sample)
+    finally:
+        worker.close()
     shutil.rmtree(OUT / "tmp", ignore_errors=True)
     if not passes:
         print("no pass completed; no metrics to report", file=sys.stderr)
@@ -209,9 +297,10 @@ def main() -> int:
         return statistics.median(values) if values else 0.0
 
     plain = [r for t, r in passes if not t]
+    setup_s = [s["setup_import_s"] + s["setup_reference_s"] for s in setups]
     if not args.trace:
         metrics = {
-            "setup_s": (min(setups), "s"),
+            "setup_s": (median(setup_s), "s"),
             "pass_s": (pass_time(plain), "s"),
             "peak_rss_mb": (median([r["peak_rss_mb"] for r in plain]), "MB"),
         }
@@ -223,8 +312,8 @@ def main() -> int:
         metrics.update({
             "report.json_bytes": (median([r.get("json_bytes", 0) for _, r in passes]),
                                   "bytes"),
-            "setup.import.s": (min(r["setup_import_s"] for _, r in passes), "s"),
-            "setup.reference.s": (min(r["setup_reference_s"] for _, r in passes), "s"),
+            "setup.import.s": (median([s["setup_import_s"] for s in setups]), "s"),
+            "setup.reference.s": (median([s["setup_reference_s"] for s in setups]), "s"),
             "trace.pass_s": (traced_s, "s"),
             "trace.overhead_s": (traced_s - pass_time(plain), "s"),
         })
@@ -233,11 +322,10 @@ def main() -> int:
     tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     record = {
         "args": vars(args), "environment": env,
-        "setup_s": setups,
-        "passes": [{"traced": t, "pass_s": r["pass_s"], "op_s": r["op_s"],
-                    "setup_import_s": r["setup_import_s"],
-                    "setup_reference_s": r["setup_reference_s"],
-                    "peak_rss_mb": r["peak_rss_mb"]} for t, r in passes],
+        "setups": setups,
+        "passes": [{"traced": t, **{k: r[k] for k in (
+            "pass_s", "op_s", "peak_rss_mb", "user_s", "sys_s", "minor_faults")}}
+            for t, r in passes],
         "attempted": attempted, "failed": failed, "problems": failures,
         "metrics": {k: v for k, (v, _) in metrics.items()},
     }

@@ -9,7 +9,10 @@ by a proxy whose eig is wrapped.
 
 Each call records a span [id, parent id, name, start, end, attrs] in memory;
 the worker hands the list back when its pass ends, and layer_metrics() turns
-the spans of one pass into the per-layer metrics.
+the spans of one pass into the per-layer metrics. An untraced pass wraps the
+same functions, and a few more (MARKED), with Marks, which records only the
+start and end time of each call: the boundaries of the segments by which
+run.pass_time takes the fastest time.
 """
 
 from __future__ import annotations
@@ -20,26 +23,58 @@ import sys
 import time
 
 
-class Recorder:
+class Marks:
+    """The times at which checkpointed calls start and end, in call order.
+
+    Every pass, traced or not, records them; they cut each operation into
+    segments that are the same from pass to pass (see run.pass_time).
+    Recording costs two clock reads and two appends per call.
+    """
+
+    def __init__(self):
+        self.marks: list[float] = []
+
+    def mark(self, fn):
+        marks, clock = self.marks, time.perf_counter
+
+        @functools.wraps(fn)
+        def marked(*args, **kwargs):
+            marks.append(clock())
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                marks.append(clock())
+
+        return marked
+
+    def wrap(self, name, fn, attrs=None):
+        return self.mark(fn)
+
+
+class Recorder(Marks):
     """Collects spans in memory; the parent of a span is the innermost open one."""
 
     def __init__(self):
+        super().__init__()
         self.spans: list[list] = []
         self._open: list[int] = []
 
     def wrap(self, name, fn, attrs=None):
         clock = time.perf_counter
+        marks = self.marks
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
             span = [len(self.spans), self._open[-1] if self._open else None,
                     name, clock(), None, None]
+            marks.append(span[3])
             self.spans.append(span)
             self._open.append(span[0])
             try:
                 result = fn(*args, **kwargs)
             finally:
                 span[4] = clock()
+                marks.append(span[4])
                 self._open.pop()
             if attrs is not None:
                 span[5] = attrs(args, kwargs, result)
@@ -88,6 +123,11 @@ TRACED = (
     ("heunqdot.cli", "cmd_report", "report.serialize", None),
 )
 
+# functions that only mark segment boundaries: no span, no metric
+MARKED = (
+    ("heunqdot.ratpoly", "count_roots_open_closed"),
+)
+
 
 class _LinalgProxy:
     """scipy.linalg with eig replaced; every other name passes through."""
@@ -113,19 +153,23 @@ def _rebind(original, wrapper):
                         value[key] = wrapper
 
 
-def install(recorder: Recorder) -> None:
-    """Wrap every traced function whose module the process has imported."""
+def install(recorder: Marks) -> None:
+    """Wrap every traced and marked function whose module the process has
+    imported; a name the program no longer has is skipped."""
     for module_name, fn_name, span_name, attrs in TRACED:
-        module = sys.modules.get(module_name)
-        if module is None:
+        original = getattr(sys.modules.get(module_name), fn_name, None)
+        if original is None:
             continue
-        original = getattr(module, fn_name)
         _rebind(original, recorder.wrap(
             span_name, original, attrs(original) if attrs else None))
+    for module_name, fn_name in MARKED:
+        original = getattr(sys.modules.get(module_name), fn_name, None)
+        if original is not None:
+            _rebind(original, recorder.mark(original))
     oracle = sys.modules.get("heunqdot.oracle")
-    if oracle is not None:
-        oracle.linalg = _LinalgProxy(
-            oracle.linalg, recorder.wrap("oracle.eig", oracle.linalg.eig))
+    eig = getattr(getattr(oracle, "linalg", None), "eig", None)
+    if eig is not None:
+        oracle.linalg = _LinalgProxy(oracle.linalg, recorder.wrap("oracle.eig", eig))
 
 
 LAYER_METRICS = (
