@@ -197,27 +197,25 @@ def cmd_wavefunction(spec: RunSpec) -> list[Path]:
     r0, r1, steps = spec.grid
     r = np.linspace(r0, r1, steps)
     written: list[Path] = []
-    for l in spec.l_range:
-        for n in spec.n_range:
-            states = [(t, is_root) for nn, ll, t, is_root in _states(
-                RunSpec(command="wavefunction", n_range=[n], l_range=[l],
-                        omega_override=spec.omega_override,
-                        convention=spec.convention, precision=spec.precision))]
-            if not states:
-                print(f"no roots for (n={n}, l={l}); nothing to emit")
-                continue
-            for idx, (t, is_root) in enumerate(states):
-                state = normalize(assemble_polynomial(n, l, t,
-                                                      convention=spec.convention))
-                u, R = state.sample(r)
-                tag = f"root{idx}" if is_root else f"omega{spec.omega_override:g}"
-                rows = [{"r": q6(ri), "u": q6(ui), "R": q6(Ri)}
-                        for ri, ui, Ri in zip(r, u, R)]
-                base = Path(spec.output_path) / f"wavefunction_n{n}_l{l}_{tag}"
-                out = write_rows(rows, WAVEFUNCTION_HEADER, base,
-                                 spec.output_format, _meta(spec))
-                written.append(out)
-                print(f"(n={n}, l={l}, {tag}) -> {out}")
+    by_label = {(n, l): [] for l in spec.l_range for n in spec.n_range}
+    for n, l, t, is_root in _states(spec):
+        by_label[(n, l)].append((t, is_root))
+    for (n, l), found in by_label.items():
+        if not found:
+            print(f"no roots for (n={n}, l={l}); nothing to emit")
+            continue
+        for idx, (t, is_root) in enumerate(found):
+            state = normalize(assemble_polynomial(n, l, t,
+                                                  convention=spec.convention))
+            u, R = state.sample(r)
+            tag = f"root{idx}" if is_root else f"omega{spec.omega_override:g}"
+            rows = [{"r": q6(ri), "u": q6(ui), "R": q6(Ri)}
+                    for ri, ui, Ri in zip(r, u, R)]
+            base = Path(spec.output_path) / f"wavefunction_n{n}_l{l}_{tag}"
+            out = write_rows(rows, WAVEFUNCTION_HEADER, base,
+                             spec.output_format, _meta(spec))
+            written.append(out)
+            print(f"(n={n}, l={l}, {tag}) -> {out}")
     if spec.gnuplot and written:
         gp = Path(spec.output_path) / "wavefunction.gp"
         plots = ", ".join(

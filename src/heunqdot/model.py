@@ -59,24 +59,19 @@ class RadialProblem:
     """One instance of the relative-motion radial equation.
 
     coulomb_a multiplies the 2a/r repulsion (1/2 for the quantum-dot case,
-    0 switches the interaction off); linear_b is kept at 0 and quadratic_c
-    is fixed by omega.
+    0 switches the interaction off); the confinement enters through omega
+    alone.
     """
 
     omega: float
     l: int
     coulomb_a: float = 0.5
-    linear_b: float = 0.0
 
     def __post_init__(self):
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.l < 0 or int(self.l) != self.l:
             raise ValueError("l must be a non-negative integer")
-
-    @property
-    def quadratic_c(self) -> float:
-        return self.omega ** 2 / 2
 
     @property
     def ell(self) -> float:

@@ -160,22 +160,6 @@ def poly_gcd(a: Dense, b: Dense) -> Dense:
     return a
 
 
-def poly_primitive(p: Dense) -> Dense:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    p = poly_trim(p)
-    if not p:
-        return p
-    from math import gcd, lcm
-    den = 1
-    for c in p:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return [Fraction(v, g) for v in ints]
-
-
 # ---------------------------------------------------------------------------
 # Sturm chain and root counting
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ The dossier also quantifies the difference between the recurrence coefficient
 chain and the explicitly printed closed-form coefficients, records which
 published entries each reading reproduces, and attaches the independent
 eigensolver's verdict per root.
+
+A report solves each (convention, n, l) state once, at the report's
+precision, and every section renders from that one mapping; the chain state
+at each root and at the fixed omega is likewise normalized once.
 """
 
 from __future__ import annotations
@@ -25,16 +29,20 @@ from .oracle import validate_oscillator, validate_root
 from .reference_data import load_reference
 from .termination import (
     GammaConvention,
+    TerminationResult,
     coefficient_chain,
     printed_series_coefficients,
     solve_termination,
 )
-from .wavefunction import assemble_polynomial, moment, normalize
+from .wavefunction import PolynomialSolution, assemble_polynomial, moment, normalize
 
 FIXED_OMEGA = 0.01          # Hartree; the alternative published reading
 ROOT_MATCH_RTOL = 5e-5      # four significant figures
 ETA_MATCH_ATOL = 5e-5       # four decimal places
 R_MEAN_BRACKET = (1.0, 50.0)  # Bohr; loose sanity bracket for <r>
+PUBLISHED_N = (2, 3, 4, 5)
+PUBLISHED_L = (0, 1)
+PUBLISHED_GRID = tuple((n, l) for l in PUBLISHED_L for n in PUBLISHED_N)
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -67,27 +75,56 @@ def _row(table_id, row_key, paper_value, computed_value, classification):
     }
 
 
-def _solved(convention: GammaConvention):
-    """Cache of termination results for the published (n, l) grid."""
-    out = {}
+Solved = dict[tuple[GammaConvention, int, int], TerminationResult]
+
+
+def _solve_each(keys, precision: float = 1e-13) -> Solved:
+    """Solve every distinct (convention, n, l) of keys once, in first-seen order."""
     ref = load_reference()
-    for l in (0, 1):
-        for n in (2, 3, 4, 5):
-            out[(n, l)] = solve_termination(
-                n, l, convention, asymptotic_flag=ref.asymptotic(n, l))
-    return out
+    return {(conv, n, l): solve_termination(
+                n, l, conv, precision=precision,
+                asymptotic_flag=l in PUBLISHED_L and ref.asymptotic(n, l))
+            for conv, n, l in dict.fromkeys(keys)}
+
+
+Reading = tuple[float, float]  # (N, <r>) of one normalized state
+Readings = dict[tuple[int, int], tuple[list[tuple[float, Reading]], Reading]]
+
+
+def _read(solution: PolynomialSolution) -> Reading:
+    state = normalize(solution)
+    return state.N, moment(state, 1)
+
+
+def _chain_readings(solved: Solved, convention: GammaConvention) -> Readings:
+    """Per published (n, l): the chain state at each root, as (t*, reading)
+    pairs, and the chain state at FIXED_OMEGA."""
+    t_fixed = 1.0 / math.sqrt(FIXED_OMEGA)
+
+    def chain(n, l, t):
+        return _read(assemble_polynomial(n, l, t, convention=convention))
+
+    return {(n, l): ([(r.t_star, chain(n, l, r.t_star))
+                      for r in solved[(convention, n, l)].rootset.roots],
+                     chain(n, l, t_fixed))
+            for n, l in PUBLISHED_GRID}
 
 
 def build_tables(convention: GammaConvention = GammaConvention.TABLE) -> list[dict]:
     """Side-by-side rows for every published table cell."""
+    solved = _solve_each((convention, n, l) for n, l in PUBLISHED_GRID)
+    return _table_rows(solved, _chain_readings(solved, convention), convention)
+
+
+def _table_rows(solved: Solved, readings: Readings,
+                convention: GammaConvention) -> list[dict]:
     ref = load_reference()
-    solved = _solved(convention)
     rows: list[dict] = []
 
     for l, table_id in ((0, "table1"), (1, "table2")):
         published = ref.roots(l)
-        for n in (2, 3, 4, 5):
-            computed = [r.t_star for r in solved[(n, l)].rootset.roots]
+        for n in PUBLISHED_N:
+            computed = [r.t_star for r in solved[(convention, n, l)].rootset.roots]
             for i, pub in enumerate(published[n], start=1):
                 near = _nearest(computed, pub)
                 cls = (MATCH if near is not None
@@ -103,85 +140,71 @@ def build_tables(convention: GammaConvention = GammaConvention.TABLE) -> list[di
 
     energies = ref.energies()
     pub_first_roots = ref.roots(0)
-    for n in (2, 3, 4, 5):
+    for n in PUBLISHED_N:
         row = energies[n]
         rows.append(_row("table3", f"n{n}.eps_prime", row["eps_prime"], None,
                          REFERENCE_ONLY))
         rows.append(_row("table3", f"n{n}.eps_int", row["eps_int"], None,
                          REFERENCE_ONLY))
-        computed_roots = [r.t_star for r in solved[(n, 0)].rootset.roots]
+        computed_roots = [r.t_star for r in solved[(convention, n, 0)].rootset.roots]
         near = _nearest(computed_roots, pub_first_roots[n][0])
         eta = energy_relative(n, 0, 1.0 / near ** 2) if near else None
         cls = (MATCH if eta is not None and abs(eta - row["eta"]) <= ETA_MATCH_ATOL
                else MISMATCH)
         rows.append(_row("table3", f"n{n}.eta", row["eta"], eta, cls))
 
-    for l in (0, 1):
-        for n in (2, 3, 4, 5):
-            pub_n = ref.normalization(n, l)
-            pub_r = ref.r_mean(n, l)
-            for root in solved[(n, l)].rootset.roots:
-                state = normalize(assemble_polynomial(n, l, root.t_star,
-                                                      convention=convention))
-                key = f"n{n}.l{l}.t{root.t_star:.5f}.omega_root"
-                rows.append(_row("table4", key, pub_n, state.N, ATTEMPT))
-                rows.append(_row("table5", key, pub_r, moment(state, 1), ATTEMPT))
-            t_fixed = 1.0 / math.sqrt(FIXED_OMEGA)
-            state = normalize(assemble_polynomial(n, l, t_fixed,
-                                                  convention=convention))
-            key = f"n{n}.l{l}.omega_fixed"
-            rows.append(_row("table4", key, pub_n, state.N, ATTEMPT))
-            rows.append(_row("table5", key, pub_r, moment(state, 1), ATTEMPT))
+    for (n, l), (at_roots, fixed) in readings.items():
+        pub_n = ref.normalization(n, l)
+        pub_r = ref.r_mean(n, l)
+        keyed = [(f"n{n}.l{l}.t{t:.5f}.omega_root", reading)
+                 for t, reading in at_roots]
+        keyed.append((f"n{n}.l{l}.omega_fixed", fixed))
+        for key, (N, r_mean) in keyed:
+            rows.append(_row("table4", key, pub_n, N, ATTEMPT))
+            rows.append(_row("table5", key, pub_r, r_mean, ATTEMPT))
     return rows
 
 
-def _dual_reading_attempts(convention: GammaConvention) -> tuple[list[dict], list[dict]]:
+def _attempt(t: float, chain: float, printed: float, published: float) -> dict:
+    return {
+        "t_star": q6(t),
+        "computed": q6(chain),
+        "abs_delta": q6(abs(chain - published)),
+        "computed_printed_coeffs": q6(printed),
+        "abs_delta_printed": q6(abs(printed - published)),
+    }
+
+
+def _attempt_row(n: int, l: int, published: float, per_root: list[dict],
+                 fixed: float) -> dict:
+    return {"n": n, "l": l, "published": q6(published), "omega_root": per_root,
+            "omega_fixed": {"computed": q6(fixed),
+                            "abs_delta": q6(abs(fixed - published))}}
+
+
+def _dual_reading_attempts(readings: Readings) -> tuple[list[dict], list[dict]]:
     """Tables 4-5 under both omega readings, plus the printed-coefficient value."""
     ref = load_reference()
-    solved = _solved(convention)
-    t_fixed = 1.0 / math.sqrt(FIXED_OMEGA)
     norm_rows, mom_rows = [], []
-    for l in (0, 1):
-        for n in (2, 3, 4, 5):
-            pub_n = ref.normalization(n, l)
-            pub_r = ref.r_mean(n, l)
-            per_root_n, per_root_r = [], []
-            for root in solved[(n, l)].rootset.roots:
-                t = root.t_star
-                chain_state = normalize(assemble_polynomial(n, l, t,
-                                                            convention=convention))
-                printed = printed_series_coefficients(l, t)[:n + 1]
-                printed_state = normalize(assemble_polynomial(n, l, t,
-                                                              A_chain=printed))
-                per_root_n.append({
-                    "t_star": q6(t),
-                    "computed": q6(chain_state.N),
-                    "abs_delta": q6(abs(chain_state.N - pub_n)),
-                    "computed_printed_coeffs": q6(printed_state.N),
-                    "abs_delta_printed": q6(abs(printed_state.N - pub_n)),
-                })
-                per_root_r.append({
-                    "t_star": q6(t),
-                    "computed": q6(moment(chain_state, 1)),
-                    "abs_delta": q6(abs(moment(chain_state, 1) - pub_r)),
-                    "computed_printed_coeffs": q6(moment(printed_state, 1)),
-                    "abs_delta_printed": q6(abs(moment(printed_state, 1) - pub_r)),
-                })
-            fixed_state = normalize(assemble_polynomial(n, l, t_fixed,
-                                                        convention=convention))
-            norm_rows.append({
-                "n": n, "l": l, "published": q6(pub_n),
-                "omega_root": per_root_n,
-                "omega_fixed": {"computed": q6(fixed_state.N),
-                                "abs_delta": q6(abs(fixed_state.N - pub_n))},
-            })
-            mom_rows.append({
-                "n": n, "l": l, "published": q6(pub_r),
-                "omega_root": per_root_r,
-                "omega_fixed": {"computed": q6(moment(fixed_state, 1)),
-                                "abs_delta": q6(abs(moment(fixed_state, 1) - pub_r))},
-            })
+    for (n, l), (at_roots, (N_fixed, r_fixed)) in readings.items():
+        pub_n = ref.normalization(n, l)
+        pub_r = ref.r_mean(n, l)
+        per_root_n, per_root_r = [], []
+        for t, (N, r_mean) in at_roots:
+            N_printed, r_printed = _read(assemble_polynomial(
+                n, l, t, A_chain=printed_series_coefficients(l, t)[:n + 1]))
+            per_root_n.append(_attempt(t, N, N_printed, pub_n))
+            per_root_r.append(_attempt(t, r_mean, r_printed, pub_r))
+        norm_rows.append(_attempt_row(n, l, pub_n, per_root_n, N_fixed))
+        mom_rows.append(_attempt_row(n, l, pub_r, per_root_r, r_fixed))
     return norm_rows, mom_rows
+
+
+def _verdict_row(rec) -> dict:
+    d = asdict(rec)
+    for k in ("t_star", "eta_analytic", "eta_oracle", "abs_delta", "residual"):
+        d[k] = q6(d[k])
+    return d
 
 
 CAVEATS = [
@@ -284,15 +307,18 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
     ref = load_reference()
     n_values = list(n_values)
     l_values = list(l_values)
+    conventions = (GammaConvention.TABLE, GammaConvention.LITERAL)
+    solved = _solve_each([(conv, n, l) for conv in conventions
+                          for l in l_values for n in n_values]
+                         + [(convention, n, l) for n, l in PUBLISHED_GRID],
+                         precision)
 
     roots_section = []
-    for conv in (GammaConvention.TABLE, GammaConvention.LITERAL):
+    for conv in conventions:
         for l in l_values:
             for n in n_values:
-                res = solve_termination(n, l, conv, precision=precision,
-                                        asymptotic_flag=(l in (0, 1) and
-                                                         ref.asymptotic(n, l)))
-                published = ref.roots(l).get(n, ()) if l in (0, 1) else ()
+                res = solved[(conv, n, l)]
+                published = ref.roots(l).get(n, ()) if l in PUBLISHED_L else ()
                 entries = []
                 for root in res.rootset.roots:
                     chain, eff = coefficient_chain(n, l, root.t_star, conv)
@@ -319,10 +345,9 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
     convention_differences = []
     for l in l_values:
         for n in n_values:
-            t_table = [q6(r.t_star) for r in
-                       solve_termination(n, l, GammaConvention.TABLE).rootset.roots]
-            t_literal = [q6(r.t_star) for r in
-                         solve_termination(n, l, GammaConvention.LITERAL).rootset.roots]
+            t_table, t_literal = (
+                [q6(r.t_star) for r in solved[(conv, n, l)].rootset.roots]
+                for conv in conventions)
             convention_differences.append({
                 "n": n, "l": l,
                 "table_roots": t_table,
@@ -330,42 +355,28 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
                 "identical": t_table == t_literal,
             })
 
-    oracle_rows = []
-    for l in l_values:
-        for n in n_values:
-            res = solve_termination(n, l, convention)
-            for root in res.rootset.roots:
-                rec = validate_root(n, l, root.t_star, convention, steps=steps)
-                d = asdict(rec)
-                for k in ("t_star", "eta_analytic", "eta_oracle", "abs_delta",
-                          "residual"):
-                    d[k] = q6(d[k])
-                oracle_rows.append(d)
-
-    calibration = []
-    for k, l in ((0, 0), (1, 0), (1, 1)):
-        rec = validate_oscillator(k, l, steps=steps)
-        d = asdict(rec)
-        for key in ("t_star", "eta_analytic", "eta_oracle", "abs_delta",
-                    "residual"):
-            d[key] = q6(d[key])
-        calibration.append(d)
+    oracle_rows = [
+        _verdict_row(validate_root(n, l, root.t_star, convention, steps=steps))
+        for l in l_values for n in n_values
+        for root in solved[(convention, n, l)].rootset.roots]
+    calibration = [_verdict_row(validate_oscillator(k, l, steps=steps))
+                   for k, l in ((0, 0), (1, 0), (1, 1))]
 
     coeff_rows = []
-    for l in (0, 1):
-        for n in (2, 3, 4, 5):
-            for root in solve_termination(n, l, convention).rootset.roots:
-                chain, _ = coefficient_chain(n, l, root.t_star, convention)
-                printed = printed_series_coefficients(l, root.t_star)[:n + 1]
-                coeff_rows.append({
-                    "n": n, "l": l, "t_star": q6(root.t_star),
-                    "chain": [q6(a) for a in chain],
-                    "printed": [q6(a) for a in printed],
-                    "max_abs_diff": q6(max(abs(a - b)
-                                           for a, b in zip(chain, printed))),
-                })
+    for n, l in PUBLISHED_GRID:
+        for root in solved[(convention, n, l)].rootset.roots:
+            chain, _ = coefficient_chain(n, l, root.t_star, convention)
+            printed = printed_series_coefficients(l, root.t_star)[:n + 1]
+            coeff_rows.append({
+                "n": n, "l": l, "t_star": q6(root.t_star),
+                "chain": [q6(a) for a in chain],
+                "printed": [q6(a) for a in printed],
+                "max_abs_diff": q6(max(abs(a - b)
+                                       for a, b in zip(chain, printed))),
+            })
 
-    norm_rows, mom_rows = _dual_reading_attempts(convention)
+    readings = _chain_readings(solved, convention)
+    norm_rows, mom_rows = _dual_reading_attempts(readings)
     r_all: list[float] = []
     r_paper_roots: list[float] = []
     for row in mom_rows:
@@ -391,7 +402,7 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
          "note": "published 0 entry (omega -> infinity); metadata only, "
                  "not a determinant root"}
         for l in l_values for n in n_values
-        if l in (0, 1) and ref.asymptotic(n, l)
+        if l in PUBLISHED_L and ref.asymptotic(n, l)
     ]
 
     return {
@@ -401,7 +412,7 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
         "convention_differences": convention_differences,
         "oracle": oracle_rows,
         "oscillator_calibration": calibration,
-        "tables": build_tables(convention),
+        "tables": _table_rows(solved, readings, convention),
         "normalization_attempts": norm_rows,
         "moment_attempts": mom_rows,
         "coefficient_formulas": coeff_rows,

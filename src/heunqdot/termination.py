@@ -173,7 +173,7 @@ def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13,
     t = 0 is never a numeric root (the cleared polynomial has a nonzero
     constant term by construction); the published omega -> infinity entries
     are carried as a metadata flag only. Negative and complex roots are
-    discarded and counted.
+    discarded and counted; every count is of distinct roots.
     """
     if not 1e-14 <= precision <= 1e-6:
         raise ValueError("precision must lie in [1e-14, 1e-6]")
@@ -185,6 +185,8 @@ def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13,
     if multiple:
         log.warning("determinant has a repeated root; brackets use the "
                     "square-free part")
+        # an even-multiplicity root changes no sign of dense itself
+        dense = rp.squarefree_part(dense)[0]
     roots: list[Root] = []
     for lo, hi in intervals:
         lo, hi = rp.refine_root_bisect(dense, lo, hi, precision)

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .model import effective_potential_term
-from .termination import GammaConvention, Root, coefficient_chain
+from .termination import GammaConvention, coefficient_chain
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,6 @@ def assemble_polynomial(n: int, l: int, t_star: float,
         A_chain=tuple(A_chain),
         effective_degree=eff,
     )
-
-
-def from_root(n: int, l: int, root: Root,
-              convention: GammaConvention = GammaConvention.TABLE,
-              ) -> PolynomialSolution:
-    return assemble_polynomial(n, l, root.t_star, convention=convention)
 
 
 def gamma_half_integer(z) -> float:
@@ -200,21 +193,26 @@ def moment(state: RadialState, k: int) -> float:
 # Independent quadrature cross-checks (Gauss-Kronrod via scipy)
 # ---------------------------------------------------------------------------
 
-def _r_cut(omega: float) -> float:
-    return 20.0 / math.sqrt(omega)
+def _quad(f, omega: float) -> float:
+    """int_0^(20/sqrt(omega)) f(r) dr.
+
+    scipy.integrate is imported on first use: only the test suite calls the
+    cross-checks, and the import (it pulls in scipy.optimize) would otherwise
+    be a third of the package's start-up time.
+    """
+    from scipy import integrate
+    val, _ = integrate.quad(f, 0.0, 20.0 / math.sqrt(omega),
+                            epsabs=1e-10, epsrel=1e-12, limit=200)
+    return val
+
 
 def norm_integral_quad(solution: PolynomialSolution) -> float:
     state = RadialState(solution=solution, N=1.0)
-    val, _ = integrate.quad(lambda r: state.u(r) ** 2, 0.0, _r_cut(solution.omega),
-                            epsabs=1e-10, epsrel=1e-12, limit=200)
-    return val
+    return _quad(lambda r: state.u(r) ** 2, solution.omega)
 
 
 def moment_quad(state: RadialState, k: int) -> float:
-    val, _ = integrate.quad(lambda r: r ** k * (state.N * state.u(r)) ** 2,
-                            0.0, _r_cut(state.omega),
-                            epsabs=1e-10, epsrel=1e-12, limit=200)
-    return val
+    return _quad(lambda r: r ** k * (state.N * state.u(r)) ** 2, state.omega)
 
 
 # ---------------------------------------------------------------------------

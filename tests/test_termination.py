@@ -5,6 +5,7 @@ import pytest
 
 from heunqdot import ratpoly as rp
 from heunqdot.termination import (
+    ClearedPolynomial,
     GammaConvention,
     build_gamma_factors,
     clear_denominators,
@@ -191,6 +192,32 @@ class TestRootIsolation:
         assert all(r.t_star > 0 for r in res.rootset.roots)
         # t = 0 is not a root of the cleared determinant
         assert res.cleared(0.0) != 0.0
+
+
+class TestRepeatedRoots:
+    """Roots of even multiplicity change no sign of the polynomial itself;
+    their brackets are certified on the square-free part."""
+
+    @pytest.mark.parametrize("coeffs, expected", [
+        ((9, -6, 1), [3]),               # (t - 3)^2
+        ((-18, 21, -8, 1), [2, 3]),      # (t - 3)^2 (t - 2)
+    ])
+    def test_roots_and_certified_brackets(self, coeffs, expected):
+        dense = [F(c) for c in coeffs]
+        precision = 1e-13
+        rootset = isolate_roots(ClearedPolynomial(tuple(dense), 0),
+                                precision=precision)
+        assert [r.t_star for r in rootset.roots] == pytest.approx(
+            expected, abs=precision)
+        sf, multiple = rp.squarefree_part(dense)
+        assert multiple
+        for root in rootset.roots:
+            lo, hi = (F(v) for v in root.bracket)
+            assert hi - lo <= precision
+            assert lo == hi or rp.poly_eval(sf, lo) * rp.poly_eval(sf, hi) < 0
+            assert lo <= F(root.t_star) <= hi
+        assert rootset.negative_root_count == 0
+        assert rootset.complex_root_count == 0
 
 
 class TestCoefficientChain:
