@@ -6,7 +6,7 @@ omega = 0.25, l = 0 with the Coulomb term on, solved repeatedly by
 heunqdot.oracle.solve_eigen in this interpreter. Prints the median and the
 fastest wall time of one solve and the eigenvalues it returns.
 
-Usage: python benchmarks/bench_shooting.py [--steps 20000] [--repeats 20]
+Usage: python benchmarks/bench_shooting.py [--repeats 20]
 """
 
 import argparse
@@ -18,9 +18,9 @@ from heunqdot.model import RadialProblem
 from heunqdot.oracle import ShootingConfig, solve_eigen
 
 
-def run_workload(steps: int, repeats: int) -> dict:
+def run_workload(repeats: int) -> dict:
     problem = RadialProblem(omega=0.25, l=0)
-    config = ShootingConfig(node_target=2, steps=steps)
+    config = ShootingConfig(node_target=2)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -36,12 +36,10 @@ def run_workload(steps: int, repeats: int) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--steps", type=int, default=20000,
-                        help="sampling lattice for the eigenfunctions")
     parser.add_argument("--repeats", type=int, default=20)
     args = parser.parse_args()
 
-    res = run_workload(args.steps, args.repeats)
+    res = run_workload(args.repeats)
     print(f"3-state eigensolve: median {1e3 * res['median_s']:.2f} ms, "
           f"min {1e3 * res['min_s']:.2f} ms over {args.repeats} runs")
     for k, (eta, width) in enumerate(zip(res["etas"], res["widths"])):

@@ -8,8 +8,8 @@ mismatches are report content and exit 0; only internal errors exit nonzero.
 Configuration precedence: command-line flags > config file (plain key=value
 lines, --config or ./heunqdot.conf) > built-in defaults. The single
 environment variable HEUNQDOT_OUT overrides the output directory when --out
-is not given. --steps sets the lattice on which the oracle samples its
-eigenfunctions; the eigenvalues come from a self-converged spectral solve.
+is not given. The oracle's eigenvalues come from a self-converged spectral
+solve; nodes are counted on a fixed 2001-point lattice on [0, 12/sqrt(omega)].
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class RunSpec:
     output_path: str = "."
     grid: tuple[float, float, int] = (0.0, 30.0, 1000)
     moments_k: list[int] = field(default_factory=lambda: [1, 2])
-    steps: int = 20000
     precision: float = 1e-13
     n_R: int = 0
     gnuplot: bool = False
@@ -151,10 +150,9 @@ def _states(spec: RunSpec):
             if spec.omega_override is not None:
                 yield n, l, 1.0 / math.sqrt(spec.omega_override), False
                 continue
-            flag = ref.asymptotic(n, l) if l in (0, 1) and 2 <= n <= 5 else False
             res = solve_termination(n, l, spec.convention,
                                     precision=spec.precision,
-                                    asymptotic_flag=flag)
+                                    asymptotic_flag=ref.asymptotic(n, l))
             for root in res.rootset.roots:
                 yield n, l, root.t_star, True
 
@@ -248,7 +246,7 @@ def cmd_validate(spec: RunSpec) -> list[Path]:
     for n, l, t, is_root in _states(spec):
         if not is_root:
             continue
-        rec = validate_root(n, l, t, spec.convention, steps=spec.steps)
+        rec = validate_root(n, l, t, spec.convention)
         rows.append({"n": n, "l": l, "convention": spec.convention.value,
                      "t_star": q6(t), "eta_analytic": q6(rec.eta_analytic),
                      "eta_oracle": q6(rec.eta_oracle),
@@ -267,7 +265,7 @@ def cmd_validate(spec: RunSpec) -> list[Path]:
 
 
 def cmd_tables(spec: RunSpec) -> list[Path]:
-    rows = build_tables(spec.convention)
+    rows = build_tables(spec.convention, spec.precision)
     out = write_rows(rows, TABLES_HEADER, Path(spec.output_path) / "tables",
                      spec.output_format, _meta(spec))
     n_mismatch = sum(1 for r in rows if r["classification"] == "mismatch")
@@ -278,7 +276,7 @@ def cmd_tables(spec: RunSpec) -> list[Path]:
 
 def cmd_report(spec: RunSpec) -> list[Path]:
     rep = build_report(spec.n_range, spec.l_range, spec.convention,
-                       steps=spec.steps, precision=spec.precision)
+                       precision=spec.precision)
     outdir = Path(spec.output_path)
     outdir.mkdir(parents=True, exist_ok=True)
     jpath = outdir / "report.json"
@@ -342,12 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=None)
     p = sub.add_parser("validate", help="oracle verdict per root")
     common(p)
-    p.add_argument("--steps", type=int, default=None, help="lattice steps")
     p = sub.add_parser("tables", help="published-table reproduction rows")
     common(p, ranges=False)
     p = sub.add_parser("report", help="full validation dossier (json + text)")
     common(p)
-    p.add_argument("--steps", type=int, default=None)
     return parser
 
 
@@ -373,10 +369,6 @@ def spec_from_args(args: argparse.Namespace) -> RunSpec:
                                         else config.get("l", "0..1"))
     if getattr(args, "omega", None) is not None:
         kwargs["omega_override"] = args.omega
-    if getattr(args, "steps", None) is not None:
-        kwargs["steps"] = args.steps
-    elif "steps" in config:
-        kwargs["steps"] = int(config["steps"])
     if hasattr(args, "grid"):
         kwargs["grid"] = parse_grid(args.grid)
     if hasattr(args, "k"):

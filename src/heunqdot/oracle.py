@@ -12,9 +12,9 @@ turns it into the generalized eigenproblem A v = eta B v with B = diag(-2r);
 the collocation row at r = 0, where B vanishes, imposes regularity and gives
 an infinite eigenvalue, which is dropped with any complex spurious modes. The
 collocation size is chosen by self-convergence (N against 1.5N), and node
-counting on a fine lattice orders the states. The solver therefore serves as
-the arbiter for whether an analytically constructed state is a genuine
-eigenstate.
+counting on a fixed uniform lattice of LATTICE + 1 points on [0, L] orders
+the states. The solver therefore serves as the arbiter for whether an
+analytically constructed state is a genuine eigenstate.
 
 The dense determinant check at the bottom is the exact-arithmetic
 counterpart: it expands the termination matrix by fraction-free elimination
@@ -54,6 +54,9 @@ DOMAIN_SCALE = 12.0
 # are accepted once two consecutive sizes agree to SELF_CONVERGENCE_RTOL
 CHEB_SIZES = (40, 60, 90, 135, 202)
 SELF_CONVERGENCE_RTOL = 1e-11
+# intervals of the uniform lattice on [0, L] on which the eigenfunctions are
+# sampled and their nodes counted
+LATTICE = 2000
 # samples below this fraction of max|v| are roundoff, not sign information;
 # v = u/r^(l+1/2) has the nodes of u, without the r^(l+1/2) amplification of
 # the roundoff in the Gaussian tail
@@ -66,26 +69,16 @@ class NoEigenvalueError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Eigensolve request: states with node counts 0..node_target.
+    """Eigensolve request: states with node counts 0..node_target, optionally
+    restricted to eta_bracket.
 
-    r_min, r_max and steps set the uniform lattice on which the returned
-    eigenfunctions are sampled and their nodes counted; an r_max below
-    12/sqrt(omega) also moves the outer wall of the problem inward.
+    The name is historical and kept only because callers construct it.
     """
 
-    r_min: float = 1e-6
-    r_max: float | None = None      # None -> 20/sqrt(omega)
-    steps: int = 20000
     eta_bracket: tuple[float, float] | None = None
     node_target: int = 3
 
     def __post_init__(self):
-        if self.r_min <= 0:
-            raise ValueError("r_min must be positive")
-        if self.r_max is not None and self.r_max <= self.r_min:
-            raise ValueError("r_max must exceed r_min")
-        if self.steps < 1000:
-            raise ValueError("steps must be >= 1000")
         if self.node_target < 0:
             raise ValueError("node_target must be non-negative")
 
@@ -97,11 +90,13 @@ class Eigenvalue:
     eta: float
     nodes: int
     convergence_width: float
-    bracket: tuple[float, float]
 
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The requested states, with the reduced radial functions u normalized
+    on the uniform lattice r of LATTICE + 1 points on [0, 12/sqrt(omega)]."""
+
     problem: RadialProblem
     coulomb_on: bool
     eigenvalues: tuple[Eigenvalue, ...]
@@ -159,16 +154,16 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     Solves the collocation eigenproblem at the sizes in CHEB_SIZES until the
     node_target + 1 lowest eigenvalues agree between consecutive sizes (the
     gap becomes each eigenvalue's convergence_width), samples the
-    eigenfunctions on the configured lattice and checks that the node counts
-    rise with eta. Raises NoEigenvalueError if a requested state lies outside
-    the eta bracket.
+    eigenfunctions on the fixed lattice of LATTICE + 1 points on the
+    collocation interval [0, 12/sqrt(omega)], counts their nodes there and
+    checks that the node counts rise with eta. Raises NoEigenvalueError if a
+    requested state lies outside the eta bracket.
     """
     if config is None:
         config = ShootingConfig()
     w, l = problem.omega, problem.l
     coul2 = 2.0 * problem.coulomb_a if coulomb_on else 0.0
-    r_max = config.r_max if config.r_max is not None else 20.0 / math.sqrt(w)
-    wall = min(r_max, DOMAIN_SCALE / math.sqrt(w))
+    wall = DOMAIN_SCALE / math.sqrt(w)
     count = config.node_target + 1
 
     if config.eta_bracket is not None:
@@ -195,27 +190,23 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         log.warning("collocation not self-converged at N=%d: relative gap %.1e",
                     n, float(np.max(gaps / np.abs(etas))))
 
-    h = (r_max - config.r_min) / config.steps
-    r = config.r_min + h * np.arange(config.steps + 1)
-    inside = r <= wall
-    x = 2.0 * r[inside] / wall - 1.0
+    r = np.linspace(0.0, wall, LATTICE + 1)
+    x = 2.0 * r / wall - 1.0
     # Chebyshev coefficients from values at x_j = cos(pi j/n) (DCT-I)
     k = np.arange(n + 1)
     weights = np.full(n + 1, 2.0 / n)
     weights[[0, -1]] /= 2.0
     coeffs = np.cos(np.pi * np.outer(k, k) / n) @ (weights[:, None] * vecs)
     coeffs[[0, -1]] /= 2.0
-    smooth = np.zeros((count, len(r)))
-    smooth[:, inside] = chebyshev.chebval(x, coeffs)
+    smooth = chebyshev.chebval(x, coeffs)
     funcs = r ** (l + 0.5) * smooth
-    funcs /= np.sqrt(np.trapezoid(funcs * funcs, dx=h, axis=1))[:, None]
+    funcs /= np.sqrt(np.trapezoid(funcs * funcs, r, axis=1))[:, None]
 
     states = []
     for eta, gap, v in zip(etas.tolist(), gaps.tolist(), smooth):
         width = max(gap, 4 * math.ulp(eta))
         states.append(Eigenvalue(eta=eta, nodes=_count_nodes(v[1:-1]),
-                                 convergence_width=width,
-                                 bracket=(eta - width, eta + width)))
+                                 convergence_width=width))
     for a, b in zip(states, states[1:]):
         if b.nodes < a.nodes:
             raise RuntimeError(
@@ -266,9 +257,26 @@ def classify(eta_analytic: float, eta_oracle: float) -> str:
     return DISCREPANT
 
 
+def _record(n: int, l: int, t_star: float, eta_analytic: float,
+            result: OracleResult, state: RadialState,
+            res: float) -> ValidationRecord:
+    """The verdict on one analytic state against the oracle's nearest eta."""
+    best = min(result.eigenvalues, key=lambda e: abs(e.eta - eta_analytic))
+    return ValidationRecord(
+        n=n, l=l, t_star=t_star,
+        eta_analytic=eta_analytic,
+        eta_oracle=best.eta,
+        oracle_nodes=best.nodes,
+        abs_delta=abs(eta_analytic - best.eta),
+        residual=res,
+        effective_degree=state.solution.effective_degree,
+        classification=classify(eta_analytic, best.eta),
+    )
+
+
 def validate_root(n: int, l: int, t_star: float,
                   convention: GammaConvention = GammaConvention.TABLE,
-                  steps: int = 20000) -> ValidationRecord:
+                  ) -> ValidationRecord:
     """Compare the analytic state at a determinant root with the oracle.
 
     eta_analytic = (n+l+1)/t_star^2; the oracle solves the same (omega, l)
@@ -283,23 +291,11 @@ def validate_root(n: int, l: int, t_star: float,
     node_target = 6
     hi = max((2 * node_target + l + 3) * omega + 2.5 * math.sqrt(omega),
              1.3 * eta_analytic + 4 * omega)
-    config = ShootingConfig(steps=steps, node_target=node_target,
+    config = ShootingConfig(node_target=node_target,
                             eta_bracket=(0.2 * (l + 1) * omega, hi))
     result = solve_eigen(problem, config, coulomb_on=True)
-    best = min(result.eigenvalues, key=lambda e: abs(e.eta - eta_analytic))
-
     state = normalize(assemble_polynomial(n, l, t_star, convention=convention))
-    res = residual(state)
-    return ValidationRecord(
-        n=n, l=l, t_star=t_star,
-        eta_analytic=eta_analytic,
-        eta_oracle=best.eta,
-        oracle_nodes=best.nodes,
-        abs_delta=abs(eta_analytic - best.eta),
-        residual=res,
-        effective_degree=state.solution.effective_degree,
-        classification=classify(eta_analytic, best.eta),
-    )
+    return _record(n, l, t_star, eta_analytic, result, state, residual(state))
 
 
 def oscillator_state(k: int, l: int) -> RadialState:
@@ -319,26 +315,16 @@ def oscillator_state(k: int, l: int) -> RadialState:
     return normalize(sol)
 
 
-def validate_oscillator(k: int, l: int, steps: int = 20000) -> ValidationRecord:
+def validate_oscillator(k: int, l: int) -> ValidationRecord:
     """Synthetic cross-check: both solvers on the exactly solvable problem."""
     n = 2 * k
     eta_analytic = float(n + l + 1)
     problem = RadialProblem(omega=1.0, l=l)
-    config = ShootingConfig(steps=steps, node_target=max(3, k))
-    result = solve_eigen(problem, config, coulomb_on=False)
-    best = min(result.eigenvalues, key=lambda e: abs(e.eta - eta_analytic))
+    result = solve_eigen(problem, ShootingConfig(node_target=max(3, k)),
+                         coulomb_on=False)
     state = oscillator_state(k, l)
-    res = residual(state, coulomb_a=0.0)
-    return ValidationRecord(
-        n=n, l=l, t_star=1.0,
-        eta_analytic=eta_analytic,
-        eta_oracle=best.eta,
-        oracle_nodes=best.nodes,
-        abs_delta=abs(eta_analytic - best.eta),
-        residual=res,
-        effective_degree=state.solution.effective_degree,
-        classification=classify(eta_analytic, best.eta),
-    )
+    return _record(n, l, 1.0, eta_analytic, result, state,
+                   residual(state, coulomb_a=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,6 @@ ONE = Fraction(1)
 # Laurent polynomials (sparse, exponents in Z)
 # ---------------------------------------------------------------------------
 
-def lau_const(c) -> Laurent:
-    c = Fraction(c)
-    return {0: c} if c else {}
-
-
 def lau_add(a: Laurent, b: Laurent) -> Laurent:
     out = dict(a)
     for e, c in b.items():

@@ -69,6 +69,10 @@ class ReferenceTables:
         return out
 
     def asymptotic(self, n: int, l: int) -> bool:
+        """Whether the published row for (n, l) lists a 0 entry; False for
+        every (n, l) outside the published tables."""
+        if l not in (0, 1):
+            return False
         table = "table1" if l == 0 else "table2"
         return bool(self.raw.get(f"{table}.n{n}.asymptotic", 0.0))
 

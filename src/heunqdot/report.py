@@ -83,7 +83,7 @@ def _solve_each(keys, precision: float = 1e-13) -> Solved:
     ref = load_reference()
     return {(conv, n, l): solve_termination(
                 n, l, conv, precision=precision,
-                asymptotic_flag=l in PUBLISHED_L and ref.asymptotic(n, l))
+                asymptotic_flag=ref.asymptotic(n, l))
             for conv, n, l in dict.fromkeys(keys)}
 
 
@@ -110,9 +110,11 @@ def _chain_readings(solved: Solved, convention: GammaConvention) -> Readings:
             for n, l in PUBLISHED_GRID}
 
 
-def build_tables(convention: GammaConvention = GammaConvention.TABLE) -> list[dict]:
+def build_tables(convention: GammaConvention = GammaConvention.TABLE,
+                 precision: float = 1e-13) -> list[dict]:
     """Side-by-side rows for every published table cell."""
-    solved = _solve_each((convention, n, l) for n, l in PUBLISHED_GRID)
+    solved = _solve_each(((convention, n, l) for n, l in PUBLISHED_GRID),
+                         precision)
     return _table_rows(solved, _chain_readings(solved, convention), convention)
 
 
@@ -302,7 +304,7 @@ CAVEATS = [
 
 def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
                  convention: GammaConvention = GammaConvention.TABLE,
-                 steps: int = 20000, precision: float = 1e-13) -> dict:
+                 precision: float = 1e-13) -> dict:
     """The full validation dossier as one JSON-ready dict."""
     ref = load_reference()
     n_values = list(n_values)
@@ -356,10 +358,10 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
             })
 
     oracle_rows = [
-        _verdict_row(validate_root(n, l, root.t_star, convention, steps=steps))
+        _verdict_row(validate_root(n, l, root.t_star, convention))
         for l in l_values for n in n_values
         for root in solved[(convention, n, l)].rootset.roots]
-    calibration = [_verdict_row(validate_oscillator(k, l, steps=steps))
+    calibration = [_verdict_row(validate_oscillator(k, l))
                    for k, l in ((0, 0), (1, 0), (1, 1))]
 
     coeff_rows = []
@@ -401,8 +403,7 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
         {"n": n, "l": l,
          "note": "published 0 entry (omega -> infinity); metadata only, "
                  "not a determinant root"}
-        for l in l_values for n in n_values
-        if l in PUBLISHED_L and ref.asymptotic(n, l)
+        for l in l_values for n in n_values if ref.asymptotic(n, l)
     ]
 
     return {

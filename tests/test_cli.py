@@ -141,8 +141,7 @@ class TestTables:
 
 class TestValidateCommand:
     def test_smoke(self, tmp_path):
-        run(["validate", "--n", "2", "--l", "0", "--steps", "4000",
-             "--out", str(tmp_path)])
+        run(["validate", "--n", "2", "--l", "0", "--out", str(tmp_path)])
         lines = (tmp_path / "validate.csv").read_text().splitlines()
         assert lines[0].startswith("n,l,convention,t_star,eta_analytic")
         assert lines[1].split(",")[-1] in ("CONFIRMED", "NEAR", "DISCREPANT")
@@ -150,8 +149,7 @@ class TestValidateCommand:
 
 class TestReportCommand:
     def test_empty_range_is_valid(self, tmp_path):
-        run(["report", "--n", "5..2", "--l", "0", "--steps", "4000",
-             "--out", str(tmp_path)])
+        run(["report", "--n", "5..2", "--l", "0", "--out", str(tmp_path)])
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["roots"] == []
         assert rep["oracle"] == []

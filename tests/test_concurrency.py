@@ -29,7 +29,7 @@ def test_parallel_eigensolves_match_serial():
     problems = [RadialProblem(omega=w, l=l) for w in (0.25, 1.0) for l in (0, 1)]
 
     def solve(p):
-        return solve_eigen(p, ShootingConfig(node_target=1, steps=4000),
+        return solve_eigen(p, ShootingConfig(node_target=1),
                            coulomb_on=False).etas
 
     serial = [solve(p) for p in problems]

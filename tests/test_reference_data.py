@@ -19,7 +19,7 @@ def test_root_tables():
 
 def test_asymptotic_flags():
     ref = load_reference()
-    flagged = {(n, l) for l in (0, 1) for n in (2, 3, 4, 5)
+    flagged = {(n, l) for l in (0, 1, 2) for n in (2, 3, 4, 5)
                if ref.asymptotic(n, l)}
     assert flagged == {(2, 0), (3, 0), (5, 0), (2, 1), (3, 1), (5, 1)}
 
