@@ -6,9 +6,10 @@ identical invocations produce byte-identical files. Published-value
 mismatches are report content and exit 0; only internal errors exit nonzero.
 
 Configuration precedence: command-line flags > config file (plain key=value
-lines, --config or ./heunqdot.conf) > built-in defaults. The single
-environment variable HEUNQDOT_OUT overrides the output directory when --out
-is not given. The oracle's eigenvalues come from a self-converged spectral
+lines, --config or ./heunqdot.conf) > built-in defaults. The config file may
+set convention, format, out, precision, n and l; any other key is an error.
+The single environment variable HEUNQDOT_OUT overrides the output directory
+when --out is not given. The oracle's eigenvalues come from a self-converged spectral
 solve; nodes are counted on a fixed 2001-point lattice on [0, 12/sqrt(omega)].
 """
 
@@ -42,6 +43,8 @@ MOMENTS_HEADER = ["n", "l", "convention", "t_star", "omega", "k", "value"]
 VALIDATE_HEADER = ["n", "l", "convention", "t_star", "eta_analytic",
                    "eta_oracle", "oracle_nodes", "abs_delta", "residual",
                    "effective_degree", "classification"]
+CONFIG_KEYS = frozenset({"convention", "format", "out", "precision", "n", "l"})
+
 TABLES_HEADER = ["table_id", "row_key", "paper_value", "computed_value",
                  "abs_delta", "classification"]
 
@@ -349,6 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def spec_from_args(args: argparse.Namespace) -> RunSpec:
     config = read_config(args.config)
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(sorted(CONFIG_KEYS))}")
     convention = (args.convention or config.get("convention") or "table")
     output_format = (args.output_format or config.get("format") or "csv")
     out = (args.out or os.environ.get("HEUNQDOT_OUT")

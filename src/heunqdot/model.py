@@ -81,15 +81,12 @@ class RadialProblem:
 
 @dataclass(frozen=True)
 class HeunParams:
-    """The four canonical parameters plus the Fluegge-style intermediates."""
+    """The four canonical parameters."""
 
     alpha: float
     beta: float
     gamma: float
     delta: float
-    alpha_F: float
-    beta_F: float
-    eps_F: float
 
 
 def map_to_heun(problem: RadialProblem, eta: float) -> HeunParams:
@@ -109,9 +106,6 @@ def map_to_heun(problem: RadialProblem, eta: float) -> HeunParams:
         beta=0.0,
         gamma=2 * eta / w + tl * (sw - 1),
         delta=-1 / sw,
-        alpha_F=w,
-        beta_F=0.0,
-        eps_F=2 * eta,
     )
 
 

@@ -11,10 +11,22 @@ e^-72. Chebyshev collocation (Trefethen, Spectral Methods in MATLAB, `cheb`)
 turns it into the generalized eigenproblem A v = eta B v with B = diag(-2r);
 the collocation row at r = 0, where B vanishes, imposes regularity and gives
 an infinite eigenvalue, which is dropped with any complex spurious modes. The
-collocation size is chosen by self-convergence (N against 1.5N), and node
-counting on a fixed uniform lattice of LATTICE + 1 points on [0, L] orders
-the states. The solver therefore serves as the arbiter for whether an
-analytically constructed state is a genuine eigenstate.
+collocation size is chosen by self-convergence (N against 1.5N), computing
+eigenvalues only (QZ without eigenvectors) at each size. At the accepted size
+each requested eigenvector comes from one inverse-iteration solve with that
+size's pencil, and all of them are sampled on a fixed uniform lattice of
+LATTICE + 1 points on [0, L] by one product with the Chebyshev-Vandermonde
+matrix of the lattice; node counting there orders the states. The solver
+therefore serves as the arbiter for whether an analytically constructed state
+is a genuine eigenstate.
+
+Checked range: for l <= 2 and node_target <= 8 the solver self-converged to
+1e-11 relative at each of 600 random omega in [1e-4, 1e2]. Up to l = 6 (node_target <= 20) the solver
+either converges or logs that it has not, since roundoff in the collocation
+matrix grows with N and l. At l = 10 the node counts of the upper states come
+out wrong and it raises NoEigenvalueError: over omega in {1e-4, 3e-3, 0.3, 30,
+100}, at every omega for node_target >= 16, at all but 1e-4 for
+node_target = 12, and at omega >= 30 already for node_target = 8.
 
 The dense determinant check at the bottom is the exact-arithmetic
 counterpart: it expands the termination matrix by fraction-free elimination
@@ -120,26 +132,47 @@ def _cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
     return d, x
 
 
-def _lowest_states(problem: RadialProblem, coul2: float, wall: float,
-                   n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `count` lowest eigenvalues at collocation size n, ascending.
+def _pencil(problem: RadialProblem, coul2: float, wall: float,
+            n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The collocation pencil (A, B) at size n, B = diag(-2r).
 
-    Returns the eigenvalues and the matching eigenvectors v at the n + 1
-    Chebyshev points (columns, v(L) = 0 included, v(0) > 0).
+    The row and column of r = L, where v(L) = 0, are dropped; the remaining
+    n unknowns are v at the Chebyshev points r_1 > ... > r_n = 0.
     """
     d, x = _cheb(n)
     r = 0.5 * wall * (1.0 + x)
     d *= 2.0 / wall
     a = (r[:, None] * (d @ d) + (2 * problem.l + 1) * d
          - np.diag(coul2 + problem.omega ** 2 * r ** 3))
-    # drop the row and column of r = L, where v(L) = 0
-    w, vecs = linalg.eig(a[1:, 1:], np.diag(-2.0 * r[1:]))
+    return a[1:, 1:], np.diag(-2.0 * r[1:])
+
+
+def _lowest_etas(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
+    """The `count` lowest eigenvalues of A v = eta B v, ascending; QZ without
+    eigenvectors, dropping the infinite and complex spurious modes."""
+    w = linalg.eig(a, b, right=False, check_finite=False)
     finite = np.isfinite(w) & (np.abs(w.imag) <= 1e-8 * np.abs(w.real))
-    w, vecs = w.real[finite], vecs.real[:, finite]
-    order = np.argsort(w)[:count]
-    vecs = np.vstack([np.zeros(len(order)), vecs[:, order]])
+    return np.sort(w.real[finite])[:count]
+
+
+def _eigenvectors(a: np.ndarray, b: np.ndarray,
+                  etas: np.ndarray) -> np.ndarray:
+    """Eigenvectors v at the n + 1 Chebyshev points, one column per eta
+    (v(L) = 0 included, v(0) > 0).
+
+    Each comes from one inverse-iteration solve (A - eta B) v = diag(B): eta
+    is an eigenvalue of this very pencil to roundoff, so a single solve
+    amplifies its eigenvector over every other mode by the ratio of the
+    eigenvalue gap to that roundoff.
+    """
+    rhs = np.diag(b)
+    vecs = np.empty((len(rhs) + 1, len(etas)))
+    vecs[0] = 0.0
+    for j, eta in enumerate(etas):
+        lu = linalg.lu_factor(a - eta * b, overwrite_a=True, check_finite=False)
+        vecs[1:, j] = linalg.lu_solve(lu, rhs, check_finite=False)
     vecs *= np.sign(vecs[-1])
-    return w[order], vecs
+    return vecs
 
 
 def _count_nodes(v: np.ndarray) -> int:
@@ -151,13 +184,15 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
                 coulomb_on: bool = True) -> OracleResult:
     """Lowest eigenvalues (node counts 0..node_target) of the radial problem.
 
-    Solves the collocation eigenproblem at the sizes in CHEB_SIZES until the
-    node_target + 1 lowest eigenvalues agree between consecutive sizes (the
-    gap becomes each eigenvalue's convergence_width), samples the
-    eigenfunctions on the fixed lattice of LATTICE + 1 points on the
-    collocation interval [0, 12/sqrt(omega)], counts their nodes there and
-    checks that the node counts rise with eta. Raises NoEigenvalueError if a
-    requested state lies outside the eta bracket.
+    Computes the eigenvalues alone of the collocation pencil at the sizes in
+    CHEB_SIZES until the node_target + 1 lowest agree between consecutive
+    sizes (the gap becomes each eigenvalue's convergence_width). At the
+    accepted size it gets each eigenvector from one inverse-iteration solve,
+    (A - eta B) v = diag(B), samples the eigenfunctions on the fixed lattice
+    of LATTICE + 1 points on the collocation interval [0, 12/sqrt(omega)],
+    counts their nodes there and checks that the node counts rise with eta.
+    Raises NoEigenvalueError if a requested state lies outside the eta
+    bracket.
     """
     if config is None:
         config = ShootingConfig()
@@ -174,7 +209,8 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
 
     prev = None
     for n in CHEB_SIZES:
-        etas, vecs = _lowest_states(problem, coul2, wall, n, count)
+        a, b = _pencil(problem, coul2, wall, n)
+        etas = _lowest_etas(a, b, count)
         if prev is not None and len(prev) == len(etas):
             gaps = np.abs(etas - prev)
         else:
@@ -190,15 +226,16 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         log.warning("collocation not self-converged at N=%d: relative gap %.1e",
                     n, float(np.max(gaps / np.abs(etas))))
 
+    vecs = _eigenvectors(a, b, etas)
     r = np.linspace(0.0, wall, LATTICE + 1)
-    x = 2.0 * r / wall - 1.0
     # Chebyshev coefficients from values at x_j = cos(pi j/n) (DCT-I)
     k = np.arange(n + 1)
     weights = np.full(n + 1, 2.0 / n)
     weights[[0, -1]] /= 2.0
     coeffs = np.cos(np.pi * np.outer(k, k) / n) @ (weights[:, None] * vecs)
     coeffs[[0, -1]] /= 2.0
-    smooth = chebyshev.chebval(x, coeffs)
+    lattice = chebyshev.chebvander(np.linspace(-1.0, 1.0, LATTICE + 1), n)
+    smooth = (lattice @ coeffs).T
     funcs = r ** (l + 0.5) * smooth
     funcs /= np.sqrt(np.trapezoid(funcs * funcs, r, axis=1))[:, None]
 

@@ -172,6 +172,15 @@ class TestConfigPrecedence:
         row = (tmp_path / "roots.csv").read_text().splitlines()[1]
         assert row.split(",")[2] == "table"
 
+    @pytest.mark.parametrize("line", ["precison = 1e-9", "steps = 4000"])
+    def test_unknown_config_key_rejected(self, tmp_path, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"out = {tmp_path}\n{line}\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ValueError, match=key):
+            main(["roots", "--n", "3", "--l", "0", "--config", str(conf)])
+        assert not (tmp_path / "roots.csv").exists()
+
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEUNQDOT_OUT", str(tmp_path / "envdir"))
         run(["roots", "--n", "2", "--l", "0"])

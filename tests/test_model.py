@@ -34,12 +34,6 @@ class TestHeunMapping:
         assert p.alpha == pytest.approx(1 / t - 1, abs=1e-9)
         assert p.delta == pytest.approx(-t, abs=1e-9)
 
-    def test_intermediates(self):
-        p = map_to_heun(RadialProblem(omega=0.3, l=2), eta=1.1)
-        assert p.alpha_F == 0.3
-        assert p.beta_F == 0.0
-        assert p.eps_F == pytest.approx(2.2)
-
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             RadialProblem(omega=0.0, l=0)

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from heunqdot import oracle
 from heunqdot.model import RadialProblem
 from heunqdot.oracle import (
     CONFIRMED,
@@ -103,6 +105,74 @@ class TestCoulombOn:
                     for e in res.eigenvalues:
                         # gap between collocation sizes N and 1.5N
                         assert e.convergence_width <= 1e-10 * e.eta, (n, l, e)
+
+
+class _CountingLinalg:
+    """scipy.linalg that records the name and keyword arguments of each call."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(self._module, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append((name, kwargs))
+            return fn(*args, **kwargs)
+        return counted
+
+
+class TestEigenvectorStep:
+    """Eigenvalues only while climbing the collocation sizes; eigenvectors by
+    one inverse-iteration solve per state at the accepted size."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-4.0, 2.0), st.sampled_from([0, 1, 2]),
+           st.integers(0, 8))
+    def test_states_over_omega_and_l(self, log10_omega, l, node_target):
+        res = solve_eigen(RadialProblem(omega=10.0 ** log10_omega, l=l),
+                          ShootingConfig(node_target=node_target))
+        assert [e.nodes for e in res.eigenvalues] == list(range(node_target + 1))
+        for e in res.eigenvalues:
+            assert e.convergence_width <= 1e-10 * e.eta, e
+        assert np.all(np.isfinite(res.eigenfunctions))
+        norms = np.trapezoid(res.eigenfunctions ** 2, res.r, axis=1)
+        assert norms == pytest.approx(np.ones(node_target + 1), abs=1e-12)
+
+    def test_pencil_residual_at_report_roots(self, monkeypatch):
+        seen = []
+
+        def spy(a, b, etas):
+            vecs = eigenvectors(a, b, etas)
+            seen.append((a, b, etas, vecs))
+            return vecs
+        eigenvectors = oracle._eigenvectors
+        monkeypatch.setattr(oracle, "_eigenvectors", spy)
+        roots = 0
+        for l in (0, 1):
+            for n in (2, 3, 4, 5):
+                for root in solve_termination(n, l).rootset.roots:
+                    seen.clear()
+                    solve_eigen(RadialProblem(omega=root.omega, l=l),
+                                ShootingConfig(node_target=6))
+                    (a, b, etas, vecs), = seen
+                    norm_a = np.linalg.norm(a, 2)
+                    for eta, v in zip(etas, vecs[1:].T):  # row 0 is v(L) = 0
+                        res = np.linalg.norm((a - eta * b) @ v)
+                        assert res <= 1e-10 * norm_a * np.linalg.norm(v)
+                    roots += 1
+        assert roots == 12
+
+    def test_eigenvalue_ladder_and_one_factorization_per_state(
+            self, monkeypatch):
+        counting = _CountingLinalg(oracle.linalg)
+        monkeypatch.setattr(oracle, "linalg", counting)
+        solve_eigen(RadialProblem(omega=0.1, l=1), ShootingConfig(node_target=4))
+        eig_calls = [kw for name, kw in counting.calls if name == "eig"]
+        assert len(eig_calls) >= 2
+        assert all(kw.get("right") is False for kw in eig_calls)
+        assert [name for name, _ in counting.calls].count("lu_factor") == 5
 
 
 class TestOracleRobustness:
