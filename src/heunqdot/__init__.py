@@ -2,7 +2,7 @@
 
 Pipeline: map the relative-motion radial equation onto the biconfluent Heun
 form, locate the trap frequencies where the series solution terminates
-(exact-rational determinant recurrence + Sturm root isolation), assemble and
+(exact-rational determinant recurrence + Descartes root isolation), assemble and
 normalize the resulting wavefunctions, and cross-check every analytic state
 against an independent spectral (Chebyshev collocation) eigensolver.
 """

@@ -92,8 +92,12 @@ def parse_range(text: str) -> list[int]:
 
 
 def parse_grid(text: str) -> tuple[float, float, int]:
-    r0, r1, steps = text.split(":")
-    r0, r1, steps = float(r0), float(r1), int(steps)
+    """'r0:r1:steps' with r1 > r0 >= 0 and steps >= 2."""
+    try:
+        r0, r1, steps = text.split(":")
+        r0, r1, steps = float(r0), float(r1), int(steps)
+    except ValueError:
+        raise ValueError(f"bad grid {text!r}: expected r0:r1:steps") from None
     if not (r1 > r0 >= 0 and steps >= 2):
         raise ValueError(f"bad grid {text!r}")
     return r0, r1, steps
@@ -389,8 +393,12 @@ def spec_from_args(args: argparse.Namespace) -> RunSpec:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    spec = spec_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = spec_from_args(args)
+    except ValueError as exc:  # bad config, range, grid or option value
+        parser.error(str(exc))
     _DISPATCH[spec.command](spec)
     return 0
 

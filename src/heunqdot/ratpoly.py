@@ -1,24 +1,32 @@
-"""Exact-rational Laurent/dense polynomial arithmetic and certified root isolation.
+"""Exact polynomial arithmetic and certified root isolation.
 
 Laurent polynomials in a single variable t are sparse dicts {exponent: Fraction}
-(exponents may be negative); dense polynomials are Fraction coefficient lists in
-ascending powers of t. Positive real roots are isolated with a Sturm chain over
-the rationals and refined by exact bisection, so every returned root carries a
-bracket certified by an exact sign change.
+(exponents may be negative); dense polynomials are coefficient lists in
+ascending powers of t, of Fractions or ints.
 
-Degrees stay small here (the termination determinants have degree <= n + n - 1
-for state label n <= ~10), so no coefficient-growth countermeasures are needed.
+Roots are isolated in plain Python integers. A polynomial is reduced to its
+primitive integer square-free part without the factor t**k, scaled so that
+its Cauchy root bound B maps to 1, and its roots in (0, 1) are isolated by
+Descartes' rule of signs on dyadic subintervals (the Vincent-Collins-Akritas
+method in the integer form of Rouillier and Zimmermann, J. Comput. Appl.
+Math. 162, 33 (2004)). Brackets are then refined by bisection, each midpoint's
+sign taken by integer Horner evaluation. Every returned root carries a
+rational bracket certified by an exact sign change, or is an exact rational
+root. Unlike Fraction arithmetic, the integer arithmetic takes no gcd after
+every operation.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from fractions import Fraction
 
 log = logging.getLogger(__name__)
 
 Laurent = dict[int, Fraction]
-Dense = list[Fraction]
+Dense = list[Fraction]  # or list[int]
+IntPoly = list[int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -96,7 +104,7 @@ def lau_to_dense(a: Laurent) -> tuple[Dense, int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomials (ascending Fraction coefficients)
+# Dense polynomials (ascending coefficients)
 # ---------------------------------------------------------------------------
 
 def poly_trim(p: Dense) -> Dense:
@@ -122,164 +130,204 @@ def poly_deriv(p: Dense) -> Dense:
     return [c * k for k, c in enumerate(p)][1:]
 
 
-def poly_divmod(a: Dense, b: Dense) -> tuple[Dense, Dense]:
-    a = poly_trim(list(a))
-    b = poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
+# ---------------------------------------------------------------------------
+# Integer polynomials: primitive and square-free parts
+# ---------------------------------------------------------------------------
+
+def _primitive(p: IntPoly) -> IntPoly:
+    """p divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*p)
+    return [c // (-g if p[-1] < 0 else g) for c in p]
+
+
+def primitive_part(p: Dense) -> IntPoly:
+    """The primitive integer polynomial with the nonzero roots of p.
+
+    Clears denominators, strips the factor t**k (t = 0 is never reported as a
+    root) and divides by the content; the leading coefficient is positive.
+    Every other root keeps its multiplicity.
+    """
+    p = poly_trim(list(p))
+    if not p:
+        raise ValueError("the zero polynomial has no primitive part")
+    while not p[0]:
+        p = p[1:]
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    return _primitive([int(c * den) for c in p])
+
+
+def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive part of the pseudo-remainder of a by b, deg a >= deg b."""
     r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(r) - 1 >= db and poly_trim(r):
-        dr = len(poly_trim(r)) - 1
-        if dr < db:
-            break
-        r = poly_trim(r)
-        coef = r[-1] / lead
-        q[dr - db] = coef
-        for i in range(db + 1):
-            r[dr - db + i] -= coef * b[i]
-        r = poly_trim(r)
-    return poly_trim(q), poly_trim(r)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) > db:
+        g = math.gcd(r[-1], lb)
+        scale, factor = lb // g, r[-1] // g
+        shift = len(r) - 1 - db
+        r = [c * scale for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r) if r else r
 
 
-def poly_gcd(a: Dense, b: Dense) -> Dense:
-    """Monic gcd over Q."""
-    a, b = poly_trim(list(a)), poly_trim(list(b))
+def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd of primitive a and b, deg a >= deg b, by the primitive
+    pseudo-remainder sequence."""
     while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        a, b = b, _pseudo_remainder(a, b)
     return a
 
 
-# ---------------------------------------------------------------------------
-# Sturm chain and root counting
-# ---------------------------------------------------------------------------
-
-def sturm_chain(p: Dense) -> list[Dense]:
-    """Sturm sequence of a square-free p (caller ensures square-freeness)."""
-    chain = [poly_trim(list(p)), poly_deriv(p)]
-    while poly_trim(chain[-1]):
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        chain.append([-c for c in rem])
-    return chain[:-1]
-
-
-def sign_variations(chain: list[Dense], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = poly_eval(q, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _divide_exact(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b for a primitive b that divides a (the quotient is integral)."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for i in reversed(range(len(q))):
+        c = q[i] = r[i + db] // lb
+        for j, bj in enumerate(b):
+            r[i + j] -= c * bj
+    return q
 
 
-def count_roots_open_closed(chain: list[Dense], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b]."""
-    return sign_variations(chain, a) - sign_variations(chain, b)
+def squarefree_part(p: Dense) -> tuple[IntPoly, bool]:
+    """Return (primitive square-free part of p / t**k, had_multiple_roots)."""
+    p = primitive_part(p)
+    if len(p) == 1:
+        return p, False
+    g = _gcd(p, _primitive(poly_deriv(p)))
+    if len(g) == 1:
+        return p, False
+    return _divide_exact(p, g), True
 
 
 def cauchy_root_bound(p: Dense) -> Fraction:
-    """All real roots lie in (-B, B) with B = 1 + max |a_i / a_n|."""
-    p = poly_trim(p)
-    lead = abs(p[-1])
-    if len(p) == 1:
-        return ONE
-    return ONE + max(abs(c) / lead for c in p[:-1])
+    """All real roots of p (degree >= 1, no trailing zero) lie in (-B, B)
+    with B = 1 + max |a_i / a_n|."""
+    return ONE + max(abs(c) for c in p[:-1]) / Fraction(abs(p[-1]))
 
 
-def squarefree_part(p: Dense) -> tuple[Dense, bool]:
-    """Return (p / gcd(p, p'), had_multiple_roots)."""
-    g = poly_gcd(p, poly_deriv(p))
-    if poly_degree(g) <= 0:
-        return poly_trim(list(p)), False
-    q, r = poly_divmod(p, g)
-    assert not r
-    return q, True
+# ---------------------------------------------------------------------------
+# Root isolation: Descartes' rule on dyadic intervals
+# ---------------------------------------------------------------------------
+
+def _taylor_shift(p: IntPoly) -> IntPoly:
+    """Coefficients of p(x + 1)."""
+    a = list(p)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _descartes_bound(p: IntPoly) -> int:
+    """Sign variations of (1 + x)^d p(1 / (1 + x)): an upper bound, of the
+    same parity, on the number of roots of p in (0, 1)."""
+    signs = [c > 0 for c in _taylor_shift(p[::-1]) if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _dyadic_isolation(q: IntPoly) -> list[tuple[int, int, int]]:
+    """Isolate the roots in (0, 1) of the square-free integer polynomial q.
+
+    The node (k, c) stands for the interval (c/2^k, (c+1)/2^k) and holds
+    p = 2^(kd) q((x + c)/2^k), whose roots in (0, 1) are q's roots in that
+    interval. A node with no sign variation is dropped; one with a single
+    variation and no root at either end is an isolating interval. Any other
+    node splits into 2^d p(x/2) and its shift by 1. A zero constant term in
+    the right half is a root exactly at the midpoint: it is recorded, and
+    Descartes' rule, which counts only roots inside (0, 1), leaves it out of
+    both halves.
+
+    Returns (k, c, w) for each root: the root lies in (c/2^k, (c+1)/2^k)
+    when w = 1 and is c/2^k when w = 0.
+    """
+    d = len(q) - 1
+    found: list[tuple[int, int, int]] = []
+    stack = [(0, 0, q)]
+    while stack:
+        k, c, p = stack.pop()
+        variations = _descartes_bound(p)
+        if variations == 0:
+            continue
+        if variations == 1 and p[0] and sum(p):
+            found.append((k, c, 1))
+            continue
+        left = [a << (d - i) for i, a in enumerate(p)]
+        right = _taylor_shift(left)
+        if not right[0]:
+            found.append((k + 1, 2 * c + 1, 0))
+        stack.append((k + 1, 2 * c + 1, right))
+        stack.append((k + 1, 2 * c, left))
+    return found
 
 
 def isolate_positive_roots(p: Dense) -> tuple[list[tuple[Fraction, Fraction]], int, bool]:
     """Isolating intervals for every positive real root of p.
 
     Returns (intervals, negative_root_count, had_multiple_roots). Each interval
-    (lo, hi) with 0 <= lo < hi contains exactly one root and p changes sign
-    across it; a degenerate (r, r) interval marks an exact rational root.
-    p must have a nonzero constant term (t = 0 is never a root here).
+    (lo, hi) with 0 <= lo < hi contains exactly one root and the square-free
+    part of p changes sign across it; a degenerate (r, r) interval marks an
+    exact rational root. Roots at t = 0 are stripped, never reported; counts
+    are of distinct roots. The endpoints are B*m/2^k for the Cauchy bound B of
+    the square-free part, the points an interval bisection of (0, B) visits.
     """
-    p = poly_trim(list(p))
     if poly_degree(p) <= 0:
         return [], 0, False
-    while p and not p[0]:  # strip t = 0 roots; never reported as numeric roots
-        p = p[1:]
-    if poly_degree(p) <= 0:
-        return [], 0, False
-
     sf, multiple = squarefree_part(p)
+    if len(sf) == 1:
+        return [], 0, multiple
     if multiple:
         log.warning("repeated roots detected; isolating on the square-free part")
-    chain = sturm_chain(sf)
     bound = cauchy_root_bound(sf)
-
-    n_neg = count_roots_open_closed(chain, -bound, ZERO)
-    if poly_eval(sf, ZERO) == 0:  # unreachable given the constant-term check
-        n_neg -= 1
-
-    intervals: list[tuple[Fraction, Fraction]] = []
-    width_floor = bound / 2 ** 300
-    stack = [(ZERO, bound)]
-    while stack:
-        lo, hi = stack.pop()
-        n = count_roots_open_closed(chain, lo, hi)
-        if n == 0:
-            continue
-        if hi - lo < width_floor:
-            raise RuntimeError("root isolation failed to separate roots; "
-                               "pathological clustering")
-        if n == 1 and poly_eval(sf, lo) * poly_eval(sf, hi) < 0:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if poly_eval(sf, mid) == 0:
-            intervals.append((mid, mid))
-            # exclude the exact root from both halves by a tiny margin
-            eps = (hi - lo) / 2 ** 20
-            stack.append((lo, mid - eps))
-            stack.append((mid + eps, hi))
-        else:
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    # every positive root must be accounted for (the exclusion margins above
-    # cannot be allowed to swallow one silently)
-    if len(intervals) != count_roots_open_closed(chain, ZERO, bound):
-        raise RuntimeError("root isolation lost a root to an exclusion margin")
-    intervals.sort()
+    d = len(sf) - 1
+    # q(x) = Q^d sf(B x) for B = P/Q: its roots in (0, 1) are sf's in (0, B)
+    q = _primitive([c * bound.numerator ** i * bound.denominator ** (d - i)
+                    for i, c in enumerate(sf)])
+    n_neg = len(_dyadic_isolation([-c if i % 2 else c for i, c in enumerate(q)]))
+    intervals = sorted((bound * Fraction(c, 1 << k),
+                        bound * Fraction(c + w, 1 << k))
+                       for k, c, w in _dyadic_isolation(q))
     return intervals, n_neg, multiple
+
+
+def _sign_at(p: IntPoly, m: int, den: int) -> int:
+    """Sign of p(m/den), den > 0: that of sum_i p_i m^i den^(d-i)."""
+    acc, scale = p[-1], 1
+    for c in reversed(p[:-1]):
+        scale *= den
+        acc = acc * m + c * scale
+    return (acc > 0) - (acc < 0)
 
 
 def refine_root_bisect(p: Dense, lo: Fraction, hi: Fraction,
                        width: float) -> tuple[Fraction, Fraction]:
     """Shrink a sign-change bracket by exact bisection until hi - lo <= width.
 
-    Evaluation stays in exact rational arithmetic, so the final bracket is a
-    certificate: p(lo) and p(hi) have strictly opposite signs.
+    With lo = a/D and hi = b/D over a common denominator, each midpoint is
+    (a + b)/(2D), and its sign is taken by integer Horner evaluation, so the
+    final bracket is a certificate: p(lo) and p(hi) have strictly opposite
+    signs, or lo == hi is an exact root.
     """
-    flo = poly_eval(p, lo)
-    fhi = poly_eval(p, hi)
     if lo == hi:
         return lo, hi
-    if flo * fhi >= 0:
+    p = primitive_part(p)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    s_lo = _sign_at(p, a, den)
+    if s_lo * _sign_at(p, b, den) >= 0:
         raise ValueError("bracket does not straddle a sign change")
     w = Fraction(width).limit_denominator(10 ** 18)
-    while hi - lo > w:
-        mid = (lo + hi) / 2
-        fm = poly_eval(p, mid)
-        if fm == 0:
-            return mid, mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
+    while (b - a) * w.denominator > w.numerator * den:
+        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        s_mid = _sign_at(p, m, den)
+        if s_mid == 0:
+            return Fraction(m, den), Fraction(m, den)
+        if s_lo * s_mid < 0:
+            b = m
         else:
-            lo, flo = mid, fm
-    return lo, hi
+            a = m
+    return Fraction(a, den), Fraction(b, den)

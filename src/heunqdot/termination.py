@@ -6,8 +6,10 @@ variable), the truncation condition is the vanishing of an n x n tridiagonal
 determinant with diagonal delta' = t/2, superdiagonal 1 and subdiagonal gamma
 factors that are affine in 1/t. The determinant follows the three-term
 recurrence d_k = delta' d_{k-1} - gamma_{k-1} d_{k-2}, is a Laurent polynomial
-in t with exact rational coefficients, and after clearing the minimal power of
-t its positive real roots are isolated with Sturm brackets.
+in t with exact rational coefficients. After clearing the minimal power of t,
+its positive real roots are isolated in integer arithmetic (ratpoly: Descartes'
+rule on dyadic intervals, then bisection), each with a rational bracket
+certified by an exact sign change.
 
 Two gamma-factor conventions are implemented. The published closed form for
 the factors and the published recurrence disagree by an index shift, so:
@@ -170,33 +172,35 @@ def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13,
                   asymptotic_flag: bool = False) -> RootSet:
     """All positive real roots of the cleared determinant, certified brackets.
 
-    t = 0 is never a numeric root (the cleared polynomial has a nonzero
-    constant term by construction); the published omega -> infinity entries
-    are carried as a metadata flag only. Negative and complex roots are
-    discarded and counted; every count is of distinct roots.
+    t = 0 is never a numeric root. The cleared polynomial can carry a factor
+    t**k (a zero constant term); it is stripped, and isolation and refinement
+    both run on the same stripped polynomial, or on its square-free part when
+    it has a repeated root. The published omega -> infinity entries are
+    carried as a metadata flag only. Negative and complex roots are discarded
+    and counted; every count is of distinct roots.
     """
     if not 1e-14 <= precision <= 1e-6:
         raise ValueError("precision must lie in [1e-14, 1e-6]")
-    dense = list(p.coefficients)
-    if rp.poly_degree(dense) <= 0:
+    if rp.poly_degree(p.coefficients) <= 0:
         return RootSet(roots=(), asymptotic_flag=asymptotic_flag)
 
-    intervals, n_neg, multiple = rp.isolate_positive_roots(dense)
+    poly = rp.primitive_part(p.coefficients)
+    intervals, n_neg, multiple = rp.isolate_positive_roots(poly)
     if multiple:
         log.warning("determinant has a repeated root; brackets use the "
                     "square-free part")
-        # an even-multiplicity root changes no sign of dense itself
-        dense = rp.squarefree_part(dense)[0]
+        # an even-multiplicity root changes no sign of the polynomial itself
+        poly = rp.squarefree_part(poly)[0]
     roots: list[Root] = []
     for lo, hi in intervals:
-        lo, hi = rp.refine_root_bisect(dense, lo, hi, precision)
+        lo, hi = rp.refine_root_bisect(poly, lo, hi, precision)
         t_star = float((lo + hi) / 2)
         roots.append(Root(t_star=t_star,
                           omega=1.0 / (t_star * t_star),
                           refinement_width=float(hi - lo),
                           bracket=(float(lo), float(hi))))
     roots.sort(key=lambda r: r.t_star)
-    n_complex = rp.poly_degree(dense) - len(roots) - n_neg
+    n_complex = rp.poly_degree(poly) - len(roots) - n_neg
     if n_neg or n_complex:
         log.info("discarded %d negative and %d complex roots", n_neg, n_complex)
     return RootSet(roots=tuple(roots), asymptotic_flag=asymptotic_flag,

@@ -27,6 +27,8 @@ class TestParsers:
         assert parse_grid("0:30:1000") == (0.0, 30.0, 1000)
         with pytest.raises(ValueError):
             parse_grid("5:1:100")
+        with pytest.raises(ValueError, match="bad grid 'foo'"):
+            parse_grid("foo")
 
 
 class TestRoots:
@@ -173,13 +175,31 @@ class TestConfigPrecedence:
         assert row.split(",")[2] == "table"
 
     @pytest.mark.parametrize("line", ["precison = 1e-9", "steps = 4000"])
-    def test_unknown_config_key_rejected(self, tmp_path, line):
+    def test_unknown_config_key_rejected(self, tmp_path, line, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text(f"out = {tmp_path}\n{line}\n")
         key = line.split("=")[0].strip()
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(SystemExit) as stop:
             main(["roots", "--n", "3", "--l", "0", "--config", str(conf)])
+        assert stop.value.code == 2
+        assert f"error: unknown config key(s) '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "roots.csv").exists()
+
+    @pytest.mark.parametrize("line, args, message", [
+        ("format = xml", ["roots", "--n", "3", "--l", "0"],
+         "format must be csv or json"),
+        ("", ["wavefunction", "--n", "2", "--l", "0", "--grid", "foo"],
+         "bad grid 'foo'"),
+    ], ids=["format = xml", "--grid foo"])
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, line, args,
+                                        message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"out = {tmp_path}\n{line}\n")
+        with pytest.raises(SystemExit) as stop:
+            main(args + ["--config", str(conf)])
+        assert stop.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEUNQDOT_OUT", str(tmp_path / "envdir"))

@@ -30,22 +30,16 @@ def test_zero_polynomial_rejected():
         rp.lau_to_dense({})
 
 
-def test_divmod_and_gcd():
-    # (t - 1)(t - 2) = t^2 - 3t + 2
-    p = [F(2), F(-3), F(1)]
-    q, r = rp.poly_divmod(p, [F(-1), F(1)])
-    assert r == []
-    assert q == [F(-2), F(1)]
-    g = rp.poly_gcd(p, [F(-1), F(1)])
-    assert g == [F(-1), F(1)]
-
-
-def test_sturm_counts_roots():
-    # roots at 1, 2, 3
-    p = [F(-6), F(11), F(-6), F(1)]
-    chain = rp.sturm_chain(p)
-    assert rp.count_roots_open_closed(chain, F(0), F(4)) == 3
-    assert rp.count_roots_open_closed(chain, F(3, 2), F(5, 2)) == 1
+def test_descartes_counts_roots():
+    # roots at 1, 2, 3; the bound counts the roots in (0, 1) of its argument
+    on_0_4 = [-6, 44, -96, 64]          # p(4x): t in (0, 4)
+    assert rp._descartes_bound(on_0_4) == 3
+    assert rp._descartes_bound(rp._taylor_shift(on_0_4)) == 0  # t in (4, 8)
+    # 8 p(3/2 + x) = 8x^3 - 12x^2 - 2x + 3: only t = 2 lies in (3/2, 5/2)
+    assert rp._descartes_bound([3, -2, -12, 8]) == 1
+    # on the dyadic grid of (0, 4) each root is found exactly at a midpoint
+    assert sorted(rp._dyadic_isolation(on_0_4)) == [
+        (1, 1, 0), (2, 1, 0), (2, 3, 0)]
 
 
 def test_isolate_positive_roots_simple_cubic():

@@ -186,6 +186,20 @@ class TestRootIsolation:
         res = solve_termination(1, 0)
         assert res.rootset.roots == ()
 
+    def test_zero_constant_term_is_stripped(self):
+        # t^3/8 - 3t/2 = t (t^2 - 12) / 8: isolation and refinement both run
+        # on the polynomial without its factor t
+        rootset = isolate_roots(ClearedPolynomial(
+            (F(0), F(-3, 2), F(0), F(1, 8)), 0))
+        (root,) = rootset.roots
+        assert root.t_star == pytest.approx(12 ** 0.5, abs=1e-13)
+        lo, hi = (F(v) for v in root.bracket)
+        assert lo < F(root.t_star) < hi and hi - lo <= 1e-13
+        assert (rootset.negative_root_count, rootset.complex_root_count) == (1, 0)
+        # d_1 = t/2: its one root, t = 0, is neither negative nor complex
+        n1 = solve_termination(1, 0).rootset
+        assert (n1.negative_root_count, n1.complex_root_count) == (0, 0)
+
     def test_asymptotic_flag_is_metadata_only(self):
         res = solve_termination(2, 0, asymptotic_flag=True)
         assert res.rootset.asymptotic_flag
