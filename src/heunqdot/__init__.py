@@ -4,7 +4,8 @@ Pipeline: map the relative-motion radial equation onto the biconfluent Heun
 form, locate the trap frequencies where the series solution terminates
 (exact-rational determinant recurrence + Descartes root isolation), assemble and
 normalize the resulting wavefunctions, and cross-check every analytic state
-against an independent spectral (Chebyshev collocation) eigensolver.
+against an independent spectral (Jacobi-Galerkin) eigensolver of the
+self-adjoint radial equation.
 """
 
 from .model import (

@@ -27,7 +27,7 @@ from . import __version__
 from .model import SystemConfig, energy_center_of_mass, energy_relative
 from .oracle import validate_root
 from .report import build_report, build_tables, q6, render_text
-from .termination import GammaConvention, solve_termination
+from .termination import GammaConvention, check_precision, solve_termination
 from .reference_data import load_reference
 from .wavefunction import assemble_polynomial, moment, normalize
 
@@ -71,6 +71,7 @@ class RunSpec:
             raise ValueError("omega override must be positive")
         if self.output_format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        check_precision(self.precision)
         if self.command not in ("tables", "report") and (
                 not self.n_range or not self.l_range):
             raise ValueError(f"{self.command} requires non-empty n and l ranges")
@@ -109,8 +110,13 @@ def read_config(path: str | None) -> dict[str, str]:
         path = "heunqdot.conf"
         if not Path(path).exists():
             return {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: "
+                         f"{exc.strerror or exc}") from None
     out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

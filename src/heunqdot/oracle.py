@@ -2,31 +2,36 @@
 
 This module never touches the termination machinery: it solves the radial
 equation directly. With u = r^(l+1/2) v the regular solution v is smooth at
-the origin and satisfies
+the origin and satisfies the self-adjoint equation
 
-    r v'' + (2l+1) v' + (2 eta r - 2a - omega^2 r^3) v = 0,    v(L) = 0,
+    (r^(2l+1) v')' + r^(2l) (2 eta r - 2a - omega^2 r^3) v = 0,    v(L) = 0,
 
 on [0, L] with L = 12/sqrt(omega), where the Gaussian tail has fallen below
-e^-72. Chebyshev collocation (Trefethen, Spectral Methods in MATLAB, `cheb`)
-turns it into the generalized eigenproblem A v = eta B v with B = diag(-2r);
-the collocation row at r = 0, where B vanishes, imposes regularity and gives
-an infinite eigenvalue, which is dropped with any complex spurious modes. The
-collocation size is chosen by self-convergence (N against 1.5N), computing
-eigenvalues only (QZ without eigenvectors) at each size. At the accepted size
-each requested eigenvector comes from one inverse-iteration solve with that
-size's pencil, and all of them are sampled on a fixed uniform lattice of
-LATTICE + 1 points on [0, L] by one product with the Chebyshev-Vandermonde
-matrix of the lattice; node counting there orders the states. The solver
-therefore serves as the arbiter for whether an analytically constructed state
-is a genuine eigenstate.
+e^-72. Its weak form
 
-Checked range: for l <= 2 and node_target <= 8 the solver self-converged to
-1e-11 relative at each of 600 random omega in [1e-4, 1e2]. Up to l = 6 (node_target <= 20) the solver
-either converges or logs that it has not, since roundoff in the collocation
-matrix grows with N and l. At l = 10 the node counts of the upper states come
-out wrong and it raises NoEigenvalueError: over omega in {1e-4, 3e-3, 0.3, 30,
-100}, at every omega for node_target >= 16, at all but 1e-4 for
-node_target = 12, and at omega >= 30 already for node_target = 8.
+    int r^(2l+1) v' w' + int (2a r^(2l) + omega^2 r^(2l+3)) v w
+        = eta int 2 r^(2l+1) v w
+
+is discretized by a Jacobi-Galerkin method (Shen, Tang & Wang, Spectral
+Methods, Springer 2011, ch. 3) on r = (L/2)(1 + s): the basis
+phi_j = (1 - s) p_j(s), with p_j orthonormal under the Jacobi weight
+(1 - s)^2 (1 + s)^(2l+1), meets v(L) = 0 and makes the mass matrix a multiple
+of the identity, so the eigenvalues are those of one symmetric matrix. The
+Galerkin size is chosen by self-convergence (N against 1.5N), computing
+only the lowest eigenvalues (a partial symmetric eigensolve) at each size. At
+the accepted size one more partial eigensolve gives the requested
+eigenvectors, which are sampled on a fixed uniform lattice of LATTICE + 1
+points on [0, L]; node counting there orders the states. The solver therefore
+serves as the arbiter for whether an analytically constructed state is a
+genuine eigenstate.
+
+Checked range: l <= 15 with node_target <= 12. With the Coulomb term off,
+300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
+node_target <= 12 reproduce eta = omega (2k + l + 1) to 5.1e-12 relative with
+node counts 0..node_target and never log a failure to self-converge, and the
+168 exact Coulomb-on states of the radial equation with l in {3, 6, 10, 15}
+and 1 <= N <= 12 (node_target = N) come out to 2.9e-13 with the right node
+counts (tests/test_oracle.py holds a sample of both).
 
 The dense determinant check at the bottom is the exact-arithmetic
 counterpart: it expands the termination matrix by fraction-free elimination
@@ -35,13 +40,14 @@ and must agree with the three-term recurrence identically.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import chebyshev
+from numpy.polynomial import legendre
 from scipy import linalg
 
 from .model import RadialProblem
@@ -60,18 +66,19 @@ from .wavefunction import (
 
 log = logging.getLogger(__name__)
 
-# collocation domain [0, DOMAIN_SCALE/sqrt(omega)]
+# domain [0, DOMAIN_SCALE/sqrt(omega)]
 DOMAIN_SCALE = 12.0
-# collocation sizes tried in turn, each 1.5 times the last; the eigenvalues
-# are accepted once two consecutive sizes agree to SELF_CONVERGENCE_RTOL
-CHEB_SIZES = (40, 60, 90, 135, 202)
+# Galerkin sizes (highest degree of p_j) tried in turn, each 1.5 times the
+# last; the eigenvalues are accepted once two consecutive sizes agree to
+# SELF_CONVERGENCE_RTOL
+GALERKIN_SIZES = (40, 60, 90, 135, 202)
 SELF_CONVERGENCE_RTOL = 1e-11
 # intervals of the uniform lattice on [0, L] on which the eigenfunctions are
 # sampled and their nodes counted
 LATTICE = 2000
-# samples below this fraction of max|v| are roundoff, not sign information;
-# v = u/r^(l+1/2) has the nodes of u, without the r^(l+1/2) amplification of
-# the roundoff in the Gaussian tail
+# samples of u below this fraction of max|u| are roundoff, not sign
+# information; u rather than v, because near r = 0 the roundoff of v at high l
+# changes sign where u is already below the floor
 NODE_FLOOR = 1e-8
 
 
@@ -120,63 +127,66 @@ class OracleResult:
         return [e.eta for e in self.eigenvalues]
 
 
-def _cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev differentiation matrix and points x_j = cos(pi j/n)."""
-    x = np.cos(np.pi * np.arange(n + 1) / n)
-    c = np.ones(n + 1)
-    c[0] = c[-1] = 2.0
-    c *= (-1.0) ** np.arange(n + 1)
-    dx = x[:, None] - x[None, :]
-    d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
-    d -= np.diag(d.sum(axis=1))
-    return d, x
+def _jacobi(n: int, alpha: int, beta: int, s: np.ndarray) -> np.ndarray:
+    """Rows p_0..p_n at the points s of the polynomials orthonormal under the
+    weight (1 - s)^alpha (1 + s)^beta on [-1, 1].
 
-
-def _pencil(problem: RadialProblem, coul2: float, wall: float,
-            n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The collocation pencil (A, B) at size n, B = diag(-2r).
-
-    The row and column of r = L, where v(L) = 0, are dropped; the remaining
-    n unknowns are v at the Chebyshev points r_1 > ... > r_n = 0.
+    Filled in place by the three-term recurrence
+    s p_j = b_{j+1} p_{j+1} + a_j p_j + b_j p_{j-1} with the Jacobi
+    coefficients (Golub & Welsch, Math. Comp. 23, 221 (1969)).
     """
-    d, x = _cheb(n)
-    r = 0.5 * wall * (1.0 + x)
-    d *= 2.0 / wall
-    a = (r[:, None] * (d @ d) + (2 * problem.l + 1) * d
-         - np.diag(coul2 + problem.omega ** 2 * r ** 3))
-    return a[1:, 1:], np.diag(-2.0 * r[1:])
+    j = np.arange(n + 1)
+    k = 2.0 * j + alpha + beta
+    a = (beta * beta - alpha * alpha) / (k * (k + 2))
+    b = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + alpha + beta)
+                / (k * k * (k + 1) * (k - 1)))
+    p = np.empty((n + 1, len(s)))
+    p[0] = math.sqrt(math.factorial(alpha + beta + 1)
+                     / (2.0 ** (alpha + beta + 1) * math.factorial(alpha)
+                        * math.factorial(beta)))
+    prev = np.zeros_like(s)
+    for i in range(n):
+        row = p[i + 1]
+        np.subtract(s, a[i], out=row)
+        row *= p[i]
+        row -= b[i] * prev
+        row /= b[i + 1]
+        prev = p[i]
+    return p
 
 
-def _lowest_etas(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
-    """The `count` lowest eigenvalues of A v = eta B v, ascending; QZ without
-    eigenvectors, dropping the infinite and complex spurious modes."""
-    w = linalg.eig(a, b, right=False, check_finite=False)
-    finite = np.isfinite(w) & (np.abs(w.imag) <= 1e-8 * np.abs(w.real))
-    return np.sort(w.real[finite])[:count]
+@functools.lru_cache
+def _galerkin(n: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The omega-independent matrices of the basis phi_j = (1 - s) p_j,
+    j = 0..n, with p_j orthonormal under (1 - s)^2 (1 + s)^(2l+1):
 
+        K = int (1+s)^(2l+1) phi_i' phi_j',  C = int (1+s)^(2l) phi_i phi_j,
+        Q = int (1+s)^(2l+3) phi_i phi_j      over [-1, 1].
 
-def _eigenvectors(a: np.ndarray, b: np.ndarray,
-                  etas: np.ndarray) -> np.ndarray:
-    """Eigenvectors v at the n + 1 Chebyshev points, one column per eta
-    (v(L) = 0 included, v(0) > 0).
-
-    Each comes from one inverse-iteration solve (A - eta B) v = diag(B): eta
-    is an eigenvalue of this very pencil to roundoff, so a single solve
-    amplifies its eigenvector over every other mode by the ratio of the
-    eigenvalue gap to that roundoff.
+    Each integrand is (1+s)^(2l) times a polynomial of degree at most
+    2n + 5, so n + l + 3 Gauss-Legendre nodes integrate it exactly. The
+    matrices are read-only because the cache hands them to every caller.
     """
-    rhs = np.diag(b)
-    vecs = np.empty((len(rhs) + 1, len(etas)))
-    vecs[0] = 0.0
-    for j, eta in enumerate(etas):
-        lu = linalg.lu_factor(a - eta * b, overwrite_a=True, check_finite=False)
-        vecs[1:, j] = linalg.lu_solve(lu, rhs, check_finite=False)
-    vecs *= np.sign(vecs[-1])
-    return vecs
+    x, w = legendre.leggauss(n + l + 3)
+    w *= (1.0 + x) ** (2 * l)
+    p = _jacobi(n, 2, 2 * l + 1, x)
+    # p_j' = sqrt(j (j + 2l + 4)) q_{j-1}, q orthonormal under the weight
+    # with both exponents raised by one
+    dp = np.zeros_like(p)
+    j = np.arange(1, n + 1)
+    dp[1:] = np.sqrt(j * (j + 2 * l + 4.0))[:, None] * _jacobi(
+        n - 1, 3, 2 * l + 2, x)
+    phi = (1.0 - x) * p
+    dphi = (1.0 - x) * dp - p
+    mats = ((dphi * (w * (1.0 + x))) @ dphi.T, (phi * w) @ phi.T,
+            (phi * (w * (1.0 + x) ** 3)) @ phi.T)
+    for m in mats:
+        m.setflags(write=False)
+    return mats
 
 
-def _count_nodes(v: np.ndarray) -> int:
-    s = np.sign(v[np.abs(v) > NODE_FLOOR * np.abs(v).max()])
+def _count_nodes(u: np.ndarray) -> int:
+    s = np.sign(u[np.abs(u) > NODE_FLOOR * np.abs(u).max()])
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
@@ -184,21 +194,23 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
                 coulomb_on: bool = True) -> OracleResult:
     """Lowest eigenvalues (node counts 0..node_target) of the radial problem.
 
-    Computes the eigenvalues alone of the collocation pencil at the sizes in
-    CHEB_SIZES until the node_target + 1 lowest agree between consecutive
-    sizes (the gap becomes each eigenvalue's convergence_width). At the
-    accepted size it gets each eigenvector from one inverse-iteration solve,
-    (A - eta B) v = diag(B), samples the eigenfunctions on the fixed lattice
-    of LATTICE + 1 points on the collocation interval [0, 12/sqrt(omega)],
-    counts their nodes there and checks that the node counts rise with eta.
-    Raises NoEigenvalueError if a requested state lies outside the eta
-    bracket.
+    Computes the node_target + 1 lowest eigenvalues alone of the symmetric
+    Galerkin matrix at the sizes in GALERKIN_SIZES until they agree between
+    consecutive sizes (the gap becomes each eigenvalue's convergence_width).
+    At the accepted size one more partial eigh gets their coefficient
+    vectors; the eigenfunctions are sampled on the fixed lattice of
+    LATTICE + 1 points on [0, 12/sqrt(omega)], where their nodes are counted
+    and checked to rise with eta. Raises NoEigenvalueError if a requested
+    state lies outside the eta bracket.
+
+    Checked range: l <= 15 with node_target <= 12 (see the module docstring).
     """
     if config is None:
         config = ShootingConfig()
     w, l = problem.omega, problem.l
     coul2 = 2.0 * problem.coulomb_a if coulomb_on else 0.0
     wall = DOMAIN_SCALE / math.sqrt(w)
+    h = 0.5 * wall
     count = config.node_target + 1
 
     if config.eta_bracket is not None:
@@ -208,9 +220,14 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         hi = (2 * config.node_target + l + 3) * w + 2.5 * math.sqrt(w)
 
     prev = None
-    for n in CHEB_SIZES:
-        a, b = _pencil(problem, coul2, wall, n)
-        etas = _lowest_etas(a, b, count)
+    for n in GALERKIN_SIZES:
+        stiff, coul, trap = _galerkin(n, l)
+        # with r = h (1 + s) the weak form is h^(2l) [K + 2a h C + omega^2 h^4 Q]
+        # against the mass matrix h^(2l) 2 h^2 I; divide by the latter
+        a = (stiff / (2 * h * h) + (coul2 / (2 * h)) * coul
+             + (0.5 * (w * h) ** 2) * trap)
+        etas = linalg.eigh(a, subset_by_index=[0, min(count, n + 1) - 1],
+                           eigvals_only=True, check_finite=False)
         if prev is not None and len(prev) == len(etas):
             gaps = np.abs(etas - prev)
         else:
@@ -222,27 +239,23 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     else:
         if len(etas) < count:
             raise NoEigenvalueError(
-                f"only {len(etas)} real eigenvalues at collocation size {n}")
-        log.warning("collocation not self-converged at N=%d: relative gap %.1e",
+                f"only {len(etas)} eigenvalues at Galerkin size {n}")
+        log.warning("Galerkin not self-converged at N=%d: relative gap %.1e",
                     n, float(np.max(gaps / np.abs(etas))))
 
-    vecs = _eigenvectors(a, b, etas)
+    _, coeffs = linalg.eigh(a, subset_by_index=[0, count - 1],
+                            check_finite=False)
     r = np.linspace(0.0, wall, LATTICE + 1)
-    # Chebyshev coefficients from values at x_j = cos(pi j/n) (DCT-I)
-    k = np.arange(n + 1)
-    weights = np.full(n + 1, 2.0 / n)
-    weights[[0, -1]] /= 2.0
-    coeffs = np.cos(np.pi * np.outer(k, k) / n) @ (weights[:, None] * vecs)
-    coeffs[[0, -1]] /= 2.0
-    lattice = chebyshev.chebvander(np.linspace(-1.0, 1.0, LATTICE + 1), n)
-    smooth = (lattice @ coeffs).T
+    s = np.linspace(-1.0, 1.0, LATTICE + 1)
+    smooth = (1.0 - s) * (coeffs.T @ _jacobi(n, 2, 2 * l + 1, s))
+    smooth *= np.sign(smooth[:, :1])  # v(0) > 0
     funcs = r ** (l + 0.5) * smooth
     funcs /= np.sqrt(np.trapezoid(funcs * funcs, r, axis=1))[:, None]
 
     states = []
-    for eta, gap, v in zip(etas.tolist(), gaps.tolist(), smooth):
+    for eta, gap, u in zip(etas.tolist(), gaps.tolist(), funcs):
         width = max(gap, 4 * math.ulp(eta))
-        states.append(Eigenvalue(eta=eta, nodes=_count_nodes(v[1:-1]),
+        states.append(Eigenvalue(eta=eta, nodes=_count_nodes(u[1:-1]),
                                  convergence_width=width))
     for a, b in zip(states, states[1:]):
         if b.nodes < a.nodes:

@@ -286,13 +286,16 @@ CAVEATS = [
     {
         "id": "oracle-verdict",
         "description": (
-            "The independent spectral eigensolver (Chebyshev collocation, "
-            "self-converged between collocation sizes N and 1.5N) confirms "
-            "the exactly solvable oscillator limit to better than 1e-6 "
-            "relative, and with the Coulomb term on it reproduces the "
-            "closed-form states eta = 1 (omega = 1/2, l = 0), 1/4 "
-            "(omega = 1/12, l = 0) and 1/2 (omega = 1/6, l = 1) to 1e-10 "
-            "(pinned in tests/test_oracle.py), "
+            "The independent spectral eigensolver (a Jacobi-Galerkin solve "
+            "of the self-adjoint radial equation, self-converged between "
+            "basis sizes N and 1.5N) confirms the exactly solvable "
+            "oscillator limit to better than 1e-6 relative, and with the "
+            "Coulomb term on it reproduces the closed-form states eta = 1 "
+            "(omega = 1/2, l = 0), 1/4 (omega = 1/12, l = 0) and 1/2 "
+            "(omega = 1/6, l = 1), and the exact states of the radial "
+            "equation's own polynomial condition at l = 3, 6, 10 and 15 "
+            "with degree up to 12, to 1e-10 with their node counts (pinned "
+            "in tests/test_oracle.py), "
             "but it classifies every analytic root state as DISCREPANT "
             "(few-percent energy offsets, order-one ODE residuals). The "
             "termination machinery is internally consistent (exact "

@@ -168,6 +168,18 @@ class RootSet:
     complex_root_count: int = 0
 
 
+# the absolute bracket widths in t that root refinement accepts
+PRECISION_RANGE = (1e-14, 1e-6)
+
+
+def check_precision(precision: float) -> None:
+    """Raise ValueError unless precision lies in PRECISION_RANGE."""
+    lo, hi = PRECISION_RANGE
+    if not lo <= precision <= hi:
+        raise ValueError(f"precision must lie in [{lo:g}, {hi:g}], "
+                         f"got {precision:g}")
+
+
 def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13,
                   asymptotic_flag: bool = False) -> RootSet:
     """All positive real roots of the cleared determinant, certified brackets.
@@ -179,8 +191,7 @@ def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13,
     carried as a metadata flag only. Negative and complex roots are discarded
     and counted; every count is of distinct roots.
     """
-    if not 1e-14 <= precision <= 1e-6:
-        raise ValueError("precision must lie in [1e-14, 1e-6]")
+    check_precision(precision)
     if rp.poly_degree(p.coefficients) <= 0:
         return RootSet(roots=(), asymptotic_flag=asymptotic_flag)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,7 +194,12 @@ class TestConfigPrecedence:
          "format must be csv or json"),
         ("", ["wavefunction", "--n", "2", "--l", "0", "--grid", "foo"],
          "bad grid 'foo'"),
-    ], ids=["format = xml", "--grid foo"])
+        ("", ["roots", "--n", "2", "--l", "0", "--precision", "1e-3"],
+         "precision must lie in [1e-14, 1e-06], got 0.001"),
+        ("precision = 1e-15", ["tables"],
+         "precision must lie in [1e-14, 1e-06], got 1e-15"),
+    ], ids=["format = xml", "--grid foo", "--precision 1e-3",
+            "precision = 1e-15"])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, line, args,
                                         message):
         conf = tmp_path / "run.conf"
@@ -199,6 +208,17 @@ class TestConfigPrecedence:
             main(args + ["--config", str(conf)])
         assert stop.value.code == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.conf"
+        with pytest.raises(SystemExit) as stop:
+            main(["roots", "--n", "2", "--l", "0", "--config", str(missing),
+                  "--out", str(tmp_path)])
+        assert stop.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"heunqdot: error: cannot read config file "
+                               f"'{missing}'")
         assert not list(tmp_path.glob("*.csv"))
 
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
@@ -211,3 +231,18 @@ class TestConfigPrecedence:
         run(["roots", "--n", "2", "--l", "0", "--out", str(tmp_path / "cli")])
         assert (tmp_path / "cli" / "roots.csv").exists()
         assert not (tmp_path / "envdir").exists()
+
+
+def test_cli_import_loads_no_heavy_scipy_modules():
+    """Importing the CLI must not pull in scipy.special or scipy.integrate,
+    whose imports would add to every command's start-up time."""
+    code = ("import sys, heunqdot.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.integrate') "
+            "if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

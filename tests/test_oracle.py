@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from heunqdot import oracle
@@ -103,12 +104,12 @@ class TestCoulombOn:
                                       coulomb_on=True)
                     assert [e.nodes for e in res.eigenvalues] == list(range(7))
                     for e in res.eigenvalues:
-                        # gap between collocation sizes N and 1.5N
+                        # gap between Galerkin sizes N and 1.5N
                         assert e.convergence_width <= 1e-10 * e.eta, (n, l, e)
 
 
 class _CountingLinalg:
-    """scipy.linalg that records the name and keyword arguments of each call."""
+    """scipy.linalg that records the name, arguments and result of each call."""
 
     def __init__(self, module):
         self._module = module
@@ -118,14 +119,15 @@ class _CountingLinalg:
         fn = getattr(self._module, name)
 
         def counted(*args, **kwargs):
-            self.calls.append((name, kwargs))
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            self.calls.append((name, args, kwargs, result))
+            return result
         return counted
 
 
 class TestEigenvectorStep:
-    """Eigenvalues only while climbing the collocation sizes; eigenvectors by
-    one inverse-iteration solve per state at the accepted size."""
+    """Eigenvalues only while climbing the Galerkin sizes; one partial
+    eigensolve with eigenvectors at the accepted size."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-4.0, 2.0), st.sampled_from([0, 1, 2]),
@@ -140,39 +142,80 @@ class TestEigenvectorStep:
         norms = np.trapezoid(res.eigenfunctions ** 2, res.r, axis=1)
         assert norms == pytest.approx(np.ones(node_target + 1), abs=1e-12)
 
-    def test_pencil_residual_at_report_roots(self, monkeypatch):
-        seen = []
-
-        def spy(a, b, etas):
-            vecs = eigenvectors(a, b, etas)
-            seen.append((a, b, etas, vecs))
-            return vecs
-        eigenvectors = oracle._eigenvectors
-        monkeypatch.setattr(oracle, "_eigenvectors", spy)
+    def test_matrix_residual_at_report_roots(self, monkeypatch):
+        counting = _CountingLinalg(oracle.linalg)
+        monkeypatch.setattr(oracle, "linalg", counting)
         roots = 0
         for l in (0, 1):
             for n in (2, 3, 4, 5):
                 for root in solve_termination(n, l).rootset.roots:
-                    seen.clear()
-                    solve_eigen(RadialProblem(omega=root.omega, l=l),
-                                ShootingConfig(node_target=6))
-                    (a, b, etas, vecs), = seen
+                    counting.calls.clear()
+                    res = solve_eigen(RadialProblem(omega=root.omega, l=l),
+                                      ShootingConfig(node_target=6))
+                    # the last call: eigenvectors at the accepted size
+                    name, (a,), kwargs, (_, vecs) = counting.calls[-1]
+                    assert name == "eigh" and not kwargs.get("eigvals_only")
+                    assert len(res.etas) == vecs.shape[1] == 7
                     norm_a = np.linalg.norm(a, 2)
-                    for eta, v in zip(etas, vecs[1:].T):  # row 0 is v(L) = 0
-                        res = np.linalg.norm((a - eta * b) @ v)
-                        assert res <= 1e-10 * norm_a * np.linalg.norm(v)
+                    for eta, v in zip(res.etas, vecs.T):
+                        assert (np.linalg.norm(a @ v - eta * v)
+                                <= 1e-10 * norm_a * np.linalg.norm(v))
                     roots += 1
         assert roots == 12
 
-    def test_eigenvalue_ladder_and_one_factorization_per_state(
-            self, monkeypatch):
+    def test_eigenvalue_ladder_and_one_eigenvector_solve(self, monkeypatch):
         counting = _CountingLinalg(oracle.linalg)
         monkeypatch.setattr(oracle, "linalg", counting)
         solve_eigen(RadialProblem(omega=0.1, l=1), ShootingConfig(node_target=4))
-        eig_calls = [kw for name, kw in counting.calls if name == "eig"]
-        assert len(eig_calls) >= 2
-        assert all(kw.get("right") is False for kw in eig_calls)
-        assert [name for name, _ in counting.calls].count("lu_factor") == 5
+        names = [name for name, *_ in counting.calls]
+        assert set(names) == {"eigh"}
+        only = [kw.get("eigvals_only", False) for _, _, kw, _ in counting.calls]
+        assert only.count(True) >= 2
+        assert only.count(False) == 1
+
+
+class TestHighL:
+    """The oracle at l up to 15, beyond the l <= 2 of the report."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-4.0, 2.0), st.integers(0, 10), st.integers(0, 12))
+    def test_oscillator_spectrum(self, log10_omega, l, node_target):
+        omega = 10.0 ** log10_omega
+        res = solve_eigen(RadialProblem(omega=omega, l=l),
+                          ShootingConfig(node_target=node_target),
+                          coulomb_on=False)
+        assert [e.nodes for e in res.eigenvalues] == list(range(node_target + 1))
+        for k, e in enumerate(res.eigenvalues):
+            exact = omega * (2 * k + l + 1)
+            assert abs(e.eta - exact) <= 1e-10 * exact, (k, e)
+
+    @pytest.mark.parametrize("l", [3, 6, 10, 15])
+    @pytest.mark.parametrize("N", [2, 5, 8, 12])
+    def test_exact_coulomb_states(self, l, N):
+        """u = r^(l+1/2) e^(-omega r^2/2) sum_k b_k (r/t)^k with
+        b_{k+1}(k+1)(k+2l+1) = t b_k - 2(N+1-k) b_{k-1} solves the radial
+        equation with eta = (N+l+1) omega, omega = 1/t^2, at each positive
+        root t of b_{N+1}; its nodes are the positive zeros of the sum."""
+        t = sp.Symbol("t")
+        # b_-1 = 0 and b_0 = 1, then b_1 .. b_{N+1}; the slice drops b_-1
+        b = [sp.Poly(0, t, domain="QQ"), sp.Poly(1, t, domain="QQ")]
+        for k in range(N + 1):
+            b.append((sp.Poly(t, t) * b[-1] - 2 * (N + 1 - k) * b[-2])
+                     * sp.Rational(1, (k + 1) * (k + 2 * l + 1)))
+        b = b[1:]
+        roots = [r for r in b[N + 1].nroots(n=30) if r.is_real and r > 0]
+        assert len(roots) == (N + 1) // 2
+        y = sp.Symbol("y")
+        for t_star in roots:
+            zeros = sp.Poly([bk.as_expr().subs(t, t_star) for bk in b[N::-1]],
+                            y).nroots(n=30)
+            nodes = sum(1 for z in zeros if z.is_real and z > 0)
+            omega = 1.0 / float(t_star) ** 2
+            eta = (N + l + 1) * omega
+            res = solve_eigen(RadialProblem(omega=omega, l=l),
+                              ShootingConfig(node_target=N), coulomb_on=True)
+            assert [e.nodes for e in res.eigenvalues] == list(range(N + 1))
+            assert abs(res.etas[nodes] - eta) <= 1e-10 * eta, (t_star, nodes)
 
 
 class TestOracleRobustness:
