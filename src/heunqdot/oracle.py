@@ -17,20 +17,23 @@ Methods, Springer 2011, ch. 3) on r = (L/2)(1 + s): the basis
 phi_j = (1 - s) p_j(s), with p_j orthonormal under the Jacobi weight
 (1 - s)^2 (1 + s)^(2l+1), meets v(L) = 0 and makes the mass matrix a multiple
 of the identity, so the eigenvalues are those of one symmetric matrix. The
-Galerkin size is chosen by self-convergence (N against 1.5N), computing
-only the lowest eigenvalues (a partial symmetric eigensolve) at each size. At
-the accepted size one more partial eigensolve gives the requested
-eigenvectors, which are sampled on a fixed uniform lattice of LATTICE + 1
-points on [0, L]; node counting there orders the states. The solver therefore
-serves as the arbiter for whether an analytically constructed state is a
-genuine eigenstate.
+Galerkin size is chosen by self-convergence (N against 1.5N). Each size costs
+one partial symmetric eigensolve for the lowest eigenvalues and their
+eigenvectors; the vectors of the accepted size are sampled on a fixed uniform
+lattice of LATTICE + 1 points on [0, L], and node counting there orders the
+states. The matrices are integrated exactly by a Gauss-Legendre rule built
+from the Legendre three-term recurrence. The solver therefore serves as the
+arbiter for whether an analytically constructed state is a genuine
+eigenstate.
 
 Checked range: l <= 15 with node_target <= 12. With the Coulomb term off,
-300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
-node_target <= 12 reproduce eta = omega (2k + l + 1) to 5.1e-12 relative with
-node counts 0..node_target and never log a failure to self-converge, and the
-168 exact Coulomb-on states of the radial equation with l in {3, 6, 10, 15}
-and 1 <= N <= 12 (node_target = N) come out to 2.9e-13 with the right node
+4300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
+node_target <= 12 reproduce eta = omega (2k + l + 1) with node counts
+0..node_target, all but two to 1e-11 relative. Those two have l = 0, where
+the roundoff of the eigensolve grows fastest with N: they climb to N = 202,
+log a failure to self-converge and are off by up to 3.0e-11. The 168 exact
+Coulomb-on states of the radial equation with l in {3, 6, 10, 15} and
+1 <= N <= 12 (node_target = N) come out to 2.7e-13 with the right node
 counts (tests/test_oracle.py holds a sample of both).
 
 The dense determinant check at the bottom is the exact-arithmetic
@@ -47,7 +50,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import legendre
 from scipy import linalg
 
 from .model import RadialProblem
@@ -135,11 +137,16 @@ def _jacobi(n: int, alpha: int, beta: int, s: np.ndarray) -> np.ndarray:
     s p_j = b_{j+1} p_{j+1} + a_j p_j + b_j p_{j-1} with the Jacobi
     coefficients (Golub & Welsch, Math. Comp. 23, 221 (1969)).
     """
-    j = np.arange(n + 1)
+    # a_0 and b_0 = 0 on their own: at j = 0 the general formulas are 0/0
+    # when alpha + beta = 0
+    a = np.empty(n + 1)
+    b = np.zeros(n + 1)
+    a[0] = (beta - alpha) / (alpha + beta + 2.0)
+    j = np.arange(1, n + 1)
     k = 2.0 * j + alpha + beta
-    a = (beta * beta - alpha * alpha) / (k * (k + 2))
-    b = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + alpha + beta)
-                / (k * k * (k + 1) * (k - 1)))
+    a[1:] = (beta * beta - alpha * alpha) / (k * (k + 2))
+    b[1:] = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + alpha + beta)
+                    / (k * k * (k + 1) * (k - 1)))
     p = np.empty((n + 1, len(s)))
     p[0] = math.sqrt(math.factorial(alpha + beta + 1)
                      / (2.0 ** (alpha + beta + 1) * math.factorial(alpha)
@@ -155,6 +162,22 @@ def _jacobi(n: int, alpha: int, beta: int, s: np.ndarray) -> np.ndarray:
     return p
 
 
+def _gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [-1, 1] (Golub & Welsch).
+
+    The nodes are the eigenvalues of the Jacobi matrix of the orthonormal
+    Legendre polynomials, averaged with their mirror images because the exact
+    rule is symmetric; the weights are the Christoffel numbers
+    1 / sum_j p_j(x)^2, j = 0..m-1.
+    """
+    j = np.arange(1, m)
+    x = linalg.eigvalsh_tridiagonal(np.zeros(m), j / np.sqrt(4.0 * j * j - 1),
+                                    check_finite=False)
+    x = 0.5 * (x - x[::-1])
+    p = _jacobi(m - 1, 0, 0, x)
+    return x, 1.0 / np.einsum("ij,ij->j", p, p)
+
+
 @functools.lru_cache
 def _galerkin(n: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The omega-independent matrices of the basis phi_j = (1 - s) p_j,
@@ -164,10 +187,11 @@ def _galerkin(n: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         Q = int (1+s)^(2l+3) phi_i phi_j      over [-1, 1].
 
     Each integrand is (1+s)^(2l) times a polynomial of degree at most
-    2n + 5, so n + l + 3 Gauss-Legendre nodes integrate it exactly. The
-    matrices are read-only because the cache hands them to every caller.
+    2n + 5, so the n + l + 3 point Gauss-Legendre rule of _gauss integrates
+    it exactly. The matrices are read-only because the cache hands them to
+    every caller.
     """
-    x, w = legendre.leggauss(n + l + 3)
+    x, w = _gauss(n + l + 3)
     w *= (1.0 + x) ** (2 * l)
     p = _jacobi(n, 2, 2 * l + 1, x)
     # p_j' = sqrt(j (j + 2l + 4)) q_{j-1}, q orthonormal under the weight
@@ -194,11 +218,11 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
                 coulomb_on: bool = True) -> OracleResult:
     """Lowest eigenvalues (node counts 0..node_target) of the radial problem.
 
-    Computes the node_target + 1 lowest eigenvalues alone of the symmetric
-    Galerkin matrix at the sizes in GALERKIN_SIZES until they agree between
-    consecutive sizes (the gap becomes each eigenvalue's convergence_width).
-    At the accepted size one more partial eigh gets their coefficient
-    vectors; the eigenfunctions are sampled on the fixed lattice of
+    Computes the node_target + 1 lowest eigenpairs of the symmetric Galerkin
+    matrix, one partial eigh per size in GALERKIN_SIZES, until the
+    eigenvalues agree between consecutive sizes (the gap becomes each
+    eigenvalue's convergence_width). The coefficient vectors of the accepted
+    size give the eigenfunctions, sampled on the fixed lattice of
     LATTICE + 1 points on [0, 12/sqrt(omega)], where their nodes are counted
     and checked to rise with eta. Raises NoEigenvalueError if a requested
     state lies outside the eta bracket.
@@ -226,8 +250,8 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         # against the mass matrix h^(2l) 2 h^2 I; divide by the latter
         a = (stiff / (2 * h * h) + (coul2 / (2 * h)) * coul
              + (0.5 * (w * h) ** 2) * trap)
-        etas = linalg.eigh(a, subset_by_index=[0, min(count, n + 1) - 1],
-                           eigvals_only=True, check_finite=False)
+        etas, coeffs = linalg.eigh(
+            a, subset_by_index=[0, min(count, n + 1) - 1], check_finite=False)
         if prev is not None and len(prev) == len(etas):
             gaps = np.abs(etas - prev)
         else:
@@ -243,8 +267,6 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         log.warning("Galerkin not self-converged at N=%d: relative gap %.1e",
                     n, float(np.max(gaps / np.abs(etas))))
 
-    _, coeffs = linalg.eigh(a, subset_by_index=[0, count - 1],
-                            check_finite=False)
     r = np.linspace(0.0, wall, LATTICE + 1)
     s = np.linspace(-1.0, 1.0, LATTICE + 1)
     smooth = (1.0 - s) * (coeffs.T @ _jacobi(n, 2, 2 * l + 1, s))

@@ -1,5 +1,7 @@
+import functools
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -126,8 +128,8 @@ class _CountingLinalg:
 
 
 class TestEigenvectorStep:
-    """Eigenvalues only while climbing the Galerkin sizes; one partial
-    eigensolve with eigenvectors at the accepted size."""
+    """One partial eigensolve, eigenvalues with eigenvectors, per Galerkin
+    size; the vectors of the accepted size give the returned states."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-4.0, 2.0), st.sampled_from([0, 1, 2]),
@@ -163,15 +165,81 @@ class TestEigenvectorStep:
                     roots += 1
         assert roots == 12
 
-    def test_eigenvalue_ladder_and_one_eigenvector_solve(self, monkeypatch):
+    def test_one_eigensolve_per_size(self, monkeypatch):
         counting = _CountingLinalg(oracle.linalg)
         monkeypatch.setattr(oracle, "linalg", counting)
-        solve_eigen(RadialProblem(omega=0.1, l=1), ShootingConfig(node_target=4))
-        names = [name for name, *_ in counting.calls]
-        assert set(names) == {"eigh"}
-        only = [kw.get("eigvals_only", False) for _, _, kw, _ in counting.calls]
-        assert only.count(True) >= 2
-        assert only.count(False) == 1
+        l = 1
+        res = solve_eigen(RadialProblem(omega=0.1, l=l),
+                          ShootingConfig(node_target=4))
+        calls = [c for c in counting.calls if c[0] == "eigh"]
+        assert len(calls) >= 2
+        for *_, result in calls:
+            assert isinstance(result, tuple) and len(result) == 2
+        sizes = [a.shape[0] for _, (a,), _, _ in calls]
+        assert sizes == [n + 1 for n in oracle.GALERKIN_SIZES[:len(sizes)]]
+        *_, (etas, vecs) = calls[-1]
+        assert etas.tolist() == res.etas
+        s = np.linspace(-1.0, 1.0, oracle.LATTICE + 1)
+        u = res.r ** (l + 0.5) * (1.0 - s) * (
+            vecs.T @ oracle._jacobi(sizes[-1] - 1, 2, 2 * l + 1, s))
+        u /= np.sqrt(np.trapezoid(u * u, res.r, axis=1))[:, None]
+        u *= np.sign(u[:, 1:2])
+        assert np.max(np.abs(u - res.eigenfunctions)) <= 1e-12
+
+
+@functools.lru_cache
+def _mp_gauss(m):
+    """The m-point Gauss-Legendre rule at 40 digits: Newton's method on P_m
+    from Tricomi's initial guesses, rounded to float."""
+    with mpmath.workdps(40):
+        half = []
+        for i in range(1, m // 2 + 1):
+            x = mpmath.cos(mpmath.pi * (4 * i - 1) / (4 * m + 2))
+            for _ in range(30):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(2, m + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = m * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+                if abs(p1 / dp) < mpmath.mpf(10) ** -35:
+                    break
+            half.append((x, 2 / ((1 - x * x) * dp * dp)))
+        if m % 2:
+            p = mpmath.legendre(m - 1, 0)
+            half.append((mpmath.mpf(0), 2 / (m * p) ** 2))
+        rule = ([(-x, w) for x, w in half]
+                + [(x, w) for x, w in reversed(half[:m // 2])])
+        rule = np.array([(float(x), float(w)) for x, w in rule])
+    return rule[:, 0], rule[:, 1]
+
+
+class TestQuadrature:
+    """The Gauss-Legendre rule built from the recurrence, and the matrices it
+    integrates."""
+
+    @pytest.mark.parametrize("m", [43, 95, 140])
+    def test_gauss_against_mpmath(self, m):
+        x, w = oracle._gauss(m)
+        x_ref, w_ref = _mp_gauss(m)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15
+        assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [43, 95, 140])
+    def test_legendre_orthonormal(self, m):
+        x, w = _mp_gauss(m)
+        p = oracle._jacobi(m - 1, 0, 0, x)
+        assert np.all(np.isfinite(p))
+        assert np.max(np.abs((p * w) @ p.T - np.eye(m))) <= 1e-13
+
+    @pytest.mark.parametrize("l", [0, 2, 15])
+    def test_galerkin_blocks_nest(self, l):
+        """The basis is hierarchical, so with an exact rule the matrices of a
+        smaller size are the leading blocks of those of a larger one."""
+        small = oracle._galerkin(40, l)
+        for n in (60, 90):
+            for a, b in zip(small, oracle._galerkin(n, l)):
+                assert (np.max(np.abs(a - b[:41, :41]))
+                        <= 2e-13 * np.max(np.abs(b))), (n, l)
 
 
 class TestHighL:
