@@ -18,8 +18,9 @@ phi_j = (1 - s) p_j(s), with p_j orthonormal under the Jacobi weight
 (1 - s)^2 (1 + s)^(2l+1), meets v(L) = 0 and makes the mass matrix a multiple
 of the identity, so the eigenvalues are those of one symmetric matrix. The
 Galerkin size is chosen by self-convergence (N against 1.5N). Each size costs
-one partial symmetric eigensolve for the lowest eigenvalues and their
-eigenvectors; the vectors of the accepted size are sampled on a fixed uniform
+one symmetric eigensolve (numpy.linalg): eigenvalues alone at the first size,
+which is never accepted, and eigenvalues with eigenvectors from the second
+on. The leading vectors of the accepted size are sampled on a fixed uniform
 lattice of LATTICE + 1 points on [0, L], and node counting there orders the
 states. The matrices are integrated exactly by a Gauss-Legendre rule built
 from the Legendre three-term recurrence. The solver therefore serves as the
@@ -29,11 +30,11 @@ eigenstate.
 Checked range: l <= 15 with node_target <= 12. With the Coulomb term off,
 4300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
 node_target <= 12 reproduce eta = omega (2k + l + 1) with node counts
-0..node_target, all but two to 1e-11 relative. Those two have l = 0, where
+0..node_target, all but four to 1e-11 relative. Those four have l = 0, where
 the roundoff of the eigensolve grows fastest with N: they climb to N = 202,
-log a failure to self-converge and are off by up to 3.0e-11. The 168 exact
+log a failure to self-converge and are off by up to 1.2e-10. The 168 exact
 Coulomb-on states of the radial equation with l in {3, 6, 10, 15} and
-1 <= N <= 12 (node_target = N) come out to 2.7e-13 with the right node
+1 <= N <= 12 (node_target = N) come out to 2.3e-13 with the right node
 counts (tests/test_oracle.py holds a sample of both).
 
 The dense determinant check at the bottom is the exact-arithmetic
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import linalg
+from numpy import linalg
 
 from .model import RadialProblem
 from .termination import (
@@ -171,8 +172,7 @@ def _gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
     1 / sum_j p_j(x)^2, j = 0..m-1.
     """
     j = np.arange(1, m)
-    x = linalg.eigvalsh_tridiagonal(np.zeros(m), j / np.sqrt(4.0 * j * j - 1),
-                                    check_finite=False)
+    x = linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1), -1))
     x = 0.5 * (x - x[::-1])
     p = _jacobi(m - 1, 0, 0, x)
     return x, 1.0 / np.einsum("ij,ij->j", p, p)
@@ -209,6 +209,20 @@ def _galerkin(n: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mats
 
 
+@functools.lru_cache(maxsize=32)
+def _lattice(n: int, l: int) -> np.ndarray:
+    """The basis phi_j = (1 - s) p_j, j = 0..n, of _galerkin sampled on the
+    uniform lattice of LATTICE + 1 points on [-1, 1], one row per j.
+
+    Read-only, because the cache hands it to every caller. At most 32 entries
+    of at most 3.3 MB each (n = 202) are kept.
+    """
+    s = np.linspace(-1.0, 1.0, LATTICE + 1)
+    phi = (1.0 - s) * _jacobi(n, 2, 2 * l + 1, s)
+    phi.setflags(write=False)
+    return phi
+
+
 def _count_nodes(u: np.ndarray) -> int:
     s = np.sign(u[np.abs(u) > NODE_FLOOR * np.abs(u).max()])
     return int(np.count_nonzero(s[1:] != s[:-1]))
@@ -219,7 +233,7 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     """Lowest eigenvalues (node counts 0..node_target) of the radial problem.
 
     Computes the node_target + 1 lowest eigenpairs of the symmetric Galerkin
-    matrix, one partial eigh per size in GALERKIN_SIZES, until the
+    matrix, one eigensolve per size in GALERKIN_SIZES, until the
     eigenvalues agree between consecutive sizes (the gap becomes each
     eigenvalue's convergence_width). The coefficient vectors of the accepted
     size give the eigenfunctions, sampled on the fixed lattice of
@@ -250,8 +264,12 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         # against the mass matrix h^(2l) 2 h^2 I; divide by the latter
         a = (stiff / (2 * h * h) + (coul2 / (2 * h)) * coul
              + (0.5 * (w * h) ** 2) * trap)
-        etas, coeffs = linalg.eigh(
-            a, subset_by_index=[0, min(count, n + 1) - 1], check_finite=False)
+        if prev is None:
+            # the first size is never accepted, so its vectors are not needed
+            etas = linalg.eigvalsh(a)[:count]
+        else:
+            etas, coeffs = linalg.eigh(a)
+            etas, coeffs = etas[:count], coeffs[:, :count]
         if prev is not None and len(prev) == len(etas):
             gaps = np.abs(etas - prev)
         else:
@@ -268,8 +286,7 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
                     n, float(np.max(gaps / np.abs(etas))))
 
     r = np.linspace(0.0, wall, LATTICE + 1)
-    s = np.linspace(-1.0, 1.0, LATTICE + 1)
-    smooth = (1.0 - s) * (coeffs.T @ _jacobi(n, 2, 2 * l + 1, s))
+    smooth = coeffs.T @ _lattice(n, l)
     smooth *= np.sign(smooth[:, :1])  # v(0) > 0
     funcs = r ** (l + 0.5) * smooth
     funcs /= np.sqrt(np.trapezoid(funcs * funcs, r, axis=1))[:, None]

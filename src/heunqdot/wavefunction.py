@@ -197,8 +197,8 @@ def _quad(f, omega: float) -> float:
     """int_0^(20/sqrt(omega)) f(r) dr.
 
     scipy.integrate is imported on first use: only the test suite calls the
-    cross-checks, and the import (it pulls in scipy.optimize) would otherwise
-    be a third of the package's start-up time.
+    cross-checks, so scipy is a test dependency (the `test` extra), not a
+    run-time one, and no command imports it.
     """
     from scipy import integrate
     val, _ = integrate.quad(f, 0.0, 20.0 / math.sqrt(omega),

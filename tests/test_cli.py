@@ -246,3 +246,43 @@ def test_cli_import_loads_no_heavy_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_NO_SCIPY = """
+import sys
+
+attempts = []
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            attempts.append(name)
+            raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import heunqdot.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+for cmd in ("roots", "validate", "report"):
+    code = heunqdot.cli.main([cmd, "--n", "2..3", "--l", "0..1",
+                              "--out", sys.argv[1]])
+    assert code == 0, (cmd, code)
+print(attempts)
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """The commands run, oracle included, in an interpreter that cannot
+    import scipy, and none of them tries to."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    lines = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
+                           env=env, check=True, capture_output=True,
+                           text=True).stdout.splitlines()
+    assert lines[0] == "[]"  # loaded by the import
+    assert lines[-1] == "[]"  # imports tried by the commands
+    assert (tmp_path / "report.json").exists()

@@ -111,7 +111,8 @@ class TestCoulombOn:
 
 
 class _CountingLinalg:
-    """scipy.linalg that records the name, arguments and result of each call."""
+    """A linalg module that records the name, arguments and result of each
+    call."""
 
     def __init__(self, module):
         self._module = module
@@ -128,8 +129,9 @@ class _CountingLinalg:
 
 
 class TestEigenvectorStep:
-    """One partial eigensolve, eigenvalues with eigenvectors, per Galerkin
-    size; the vectors of the accepted size give the returned states."""
+    """One eigensolve per Galerkin size: eigenvalues alone at the first size,
+    which is never accepted, and eigenvalues with eigenvectors from the second
+    on; the leading vectors of the accepted size give the returned states."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-4.0, 2.0), st.sampled_from([0, 1, 2]),
@@ -155,30 +157,36 @@ class TestEigenvectorStep:
                     res = solve_eigen(RadialProblem(omega=root.omega, l=l),
                                       ShootingConfig(node_target=6))
                     # the last call: eigenvectors at the accepted size
-                    name, (a,), kwargs, (_, vecs) = counting.calls[-1]
-                    assert name == "eigh" and not kwargs.get("eigvals_only")
-                    assert len(res.etas) == vecs.shape[1] == 7
+                    name, (a,), _, (_, vecs) = counting.calls[-1]
+                    assert name == "eigh"
+                    assert len(res.etas) == 7
                     norm_a = np.linalg.norm(a, 2)
-                    for eta, v in zip(res.etas, vecs.T):
+                    for eta, v in zip(res.etas, vecs.T[:7]):
                         assert (np.linalg.norm(a @ v - eta * v)
                                 <= 1e-10 * norm_a * np.linalg.norm(v))
                     roots += 1
         assert roots == 12
 
     def test_one_eigensolve_per_size(self, monkeypatch):
+        l = 1
+        problem = RadialProblem(omega=0.1, l=l)
+        config = ShootingConfig(node_target=4)
+        # with the matrices cached, no Gauss rule is built during the count
+        solve_eigen(problem, config)
         counting = _CountingLinalg(oracle.linalg)
         monkeypatch.setattr(oracle, "linalg", counting)
-        l = 1
-        res = solve_eigen(RadialProblem(omega=0.1, l=l),
-                          ShootingConfig(node_target=4))
-        calls = [c for c in counting.calls if c[0] == "eigh"]
+        res = solve_eigen(problem, config)
+        calls = counting.calls
         assert len(calls) >= 2
-        for *_, result in calls:
+        names = [c[0] for c in calls]
+        assert names == ["eigvalsh"] + ["eigh"] * (len(calls) - 1)
+        for *_, result in calls[1:]:
             assert isinstance(result, tuple) and len(result) == 2
         sizes = [a.shape[0] for _, (a,), _, _ in calls]
         assert sizes == [n + 1 for n in oracle.GALERKIN_SIZES[:len(sizes)]]
         *_, (etas, vecs) = calls[-1]
-        assert etas.tolist() == res.etas
+        vecs = vecs[:, :len(res.etas)]
+        assert etas[:len(res.etas)].tolist() == res.etas
         s = np.linspace(-1.0, 1.0, oracle.LATTICE + 1)
         u = res.r ** (l + 0.5) * (1.0 - s) * (
             vecs.T @ oracle._jacobi(sizes[-1] - 1, 2, 2 * l + 1, s))
@@ -242,6 +250,68 @@ class TestQuadrature:
                         <= 2e-13 * np.max(np.abs(b))), (n, l)
 
 
+def _exact_states(N, l):
+    """(omega, eta, nodes) of each closed-form Coulomb-on state of degree N.
+
+    u = r^(l+1/2) e^(-omega r^2/2) sum_k b_k (r/t)^k with
+    b_{k+1}(k+1)(k+2l+1) = t b_k - 2(N+1-k) b_{k-1} solves the radial
+    equation with eta = (N+l+1) omega, omega = 1/t^2, at each positive root t
+    of b_{N+1}; its nodes are the positive zeros of the sum.
+    """
+    t = sp.Symbol("t")
+    # b_-1 = 0 and b_0 = 1, then b_1 .. b_{N+1}; the slice drops b_-1
+    b = [sp.Poly(0, t, domain="QQ"), sp.Poly(1, t, domain="QQ")]
+    for k in range(N + 1):
+        b.append((sp.Poly(t, t) * b[-1] - 2 * (N + 1 - k) * b[-2])
+                 * sp.Rational(1, (k + 1) * (k + 2 * l + 1)))
+    b = b[1:]
+    y = sp.Symbol("y")
+    states = []
+    for t_star in b[N + 1].nroots(n=30):
+        if not (t_star.is_real and t_star > 0):
+            continue
+        zeros = sp.Poly([bk.as_expr().subs(t, t_star) for bk in b[N::-1]],
+                        y).nroots(n=30)
+        omega = 1.0 / float(t_star) ** 2
+        states.append((omega, (N + l + 1) * omega,
+                       sum(1 for z in zeros if z.is_real and z > 0)))
+    return states
+
+
+class TestLattice:
+    """The cached samples of the basis on the eigenfunction lattice."""
+
+    @pytest.mark.parametrize("n, l", [(40, 0), (90, 2), (135, 15)])
+    def test_read_only_and_exact(self, n, l):
+        phi = oracle._lattice(n, l)
+        assert not phi.flags.writeable
+        s = np.linspace(-1.0, 1.0, oracle.LATTICE + 1)
+        assert np.array_equal(
+            phi, (1.0 - s) * oracle._jacobi(n, 2, 2 * l + 1, s))
+
+    def test_one_build_per_accepted_size_and_l(self, monkeypatch):
+        """Over the 60 exact states with N <= 8 and l <= 2, the lattice is
+        built once for each distinct (accepted size, l)."""
+        counting = _CountingLinalg(oracle.linalg)
+        monkeypatch.setattr(oracle, "linalg", counting)
+        oracle._lattice.cache_clear()
+        accepted = set()
+        solves = 0
+        for l in range(3):
+            for N in range(1, 9):
+                for omega, _, _ in _exact_states(N, l):
+                    counting.calls.clear()
+                    solve_eigen(RadialProblem(omega=omega, l=l),
+                                ShootingConfig(node_target=N))
+                    _, (a,), _, _ = counting.calls[-1]
+                    accepted.add((a.shape[0] - 1, l))
+                    solves += 1
+        assert solves == 60
+        info = oracle._lattice.cache_info()
+        assert info.misses == len(accepted)
+        assert info.hits == solves - len(accepted)
+
+
 class TestHighL:
     """The oracle at l up to 15, beyond the l <= 2 of the report."""
 
@@ -260,30 +330,13 @@ class TestHighL:
     @pytest.mark.parametrize("l", [3, 6, 10, 15])
     @pytest.mark.parametrize("N", [2, 5, 8, 12])
     def test_exact_coulomb_states(self, l, N):
-        """u = r^(l+1/2) e^(-omega r^2/2) sum_k b_k (r/t)^k with
-        b_{k+1}(k+1)(k+2l+1) = t b_k - 2(N+1-k) b_{k-1} solves the radial
-        equation with eta = (N+l+1) omega, omega = 1/t^2, at each positive
-        root t of b_{N+1}; its nodes are the positive zeros of the sum."""
-        t = sp.Symbol("t")
-        # b_-1 = 0 and b_0 = 1, then b_1 .. b_{N+1}; the slice drops b_-1
-        b = [sp.Poly(0, t, domain="QQ"), sp.Poly(1, t, domain="QQ")]
-        for k in range(N + 1):
-            b.append((sp.Poly(t, t) * b[-1] - 2 * (N + 1 - k) * b[-2])
-                     * sp.Rational(1, (k + 1) * (k + 2 * l + 1)))
-        b = b[1:]
-        roots = [r for r in b[N + 1].nroots(n=30) if r.is_real and r > 0]
-        assert len(roots) == (N + 1) // 2
-        y = sp.Symbol("y")
-        for t_star in roots:
-            zeros = sp.Poly([bk.as_expr().subs(t, t_star) for bk in b[N::-1]],
-                            y).nroots(n=30)
-            nodes = sum(1 for z in zeros if z.is_real and z > 0)
-            omega = 1.0 / float(t_star) ** 2
-            eta = (N + l + 1) * omega
+        states = _exact_states(N, l)
+        assert len(states) == (N + 1) // 2
+        for omega, eta, nodes in states:
             res = solve_eigen(RadialProblem(omega=omega, l=l),
                               ShootingConfig(node_target=N), coulomb_on=True)
             assert [e.nodes for e in res.eigenvalues] == list(range(N + 1))
-            assert abs(res.etas[nodes] - eta) <= 1e-10 * eta, (t_star, nodes)
+            assert abs(res.etas[nodes] - eta) <= 1e-10 * eta, (omega, nodes)
 
 
 class TestOracleRobustness:
