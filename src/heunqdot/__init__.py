@@ -4,8 +4,9 @@ Pipeline: map the relative-motion radial equation onto the biconfluent Heun
 form, locate the trap frequencies where the series solution terminates
 (exact-rational determinant recurrence + Descartes root isolation), assemble and
 normalize the resulting wavefunctions, and cross-check every analytic state
-against an independent spectral (Jacobi-Galerkin) eigensolver of the
-self-adjoint radial equation.
+against an independent spectral eigensolver of the self-adjoint radial
+equation (a Galerkin solve in a Gaussian-weighted half-range polynomial
+basis).
 """
 
 from .model import (

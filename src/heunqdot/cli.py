@@ -9,8 +9,9 @@ Configuration precedence: command-line flags > config file (plain key=value
 lines, --config or ./heunqdot.conf) > built-in defaults. The config file may
 set convention, format, out, precision, n and l; any other key is an error.
 The single environment variable HEUNQDOT_OUT overrides the output directory
-when --out is not given. The oracle's eigenvalues come from a self-converged spectral
-solve; nodes are counted on a fixed 2001-point lattice on [0, 12/sqrt(omega)].
+when --out is not given. The oracle's eigenvalues come from a self-converged
+Galerkin solve in a Gaussian-weighted half-range polynomial basis; nodes are
+counted on a fixed 2001-point lattice on [0, 12/sqrt(omega)].
 """
 
 from __future__ import annotations

@@ -4,38 +4,48 @@ This module never touches the termination machinery: it solves the radial
 equation directly. With u = r^(l+1/2) v the regular solution v is smooth at
 the origin and satisfies the self-adjoint equation
 
-    (r^(2l+1) v')' + r^(2l) (2 eta r - 2a - omega^2 r^3) v = 0,    v(L) = 0,
+    (r^(2l+1) v')' + r^(2l) (2 eta r - 2a - omega^2 r^3) v = 0.
 
-on [0, L] with L = 12/sqrt(omega), where the Gaussian tail has fallen below
-e^-72. Its weak form
+In x = sqrt(omega) r its weak form on [0, inf) is
 
-    int r^(2l+1) v' w' + int (2a r^(2l) + omega^2 r^(2l+3)) v w
-        = eta int 2 r^(2l+1) v w
+    int x^(2l+1) v' w' + int (x^(2l+3) + 2 (a/sqrt(omega)) x^(2l)) v w
+        = 2 (eta/omega) int x^(2l+1) v w.
 
-is discretized by a Jacobi-Galerkin method (Shen, Tang & Wang, Spectral
-Methods, Springer 2011, ch. 3) on r = (L/2)(1 + s): the basis
-phi_j = (1 - s) p_j(s), with p_j orthonormal under the Jacobi weight
-(1 - s)^2 (1 + s)^(2l+1), meets v(L) = 0 and makes the mass matrix a multiple
-of the identity, so the eigenvalues are those of one symmetric matrix. The
-Galerkin size is chosen by self-convergence (N against 1.5N). Each size costs
-one symmetric eigensolve (numpy.linalg): eigenvalues alone at the first size,
-which is never accepted, and eigenvalues with eigenvectors from the second
-on. The leading vectors of the accepted size are sampled on a fixed uniform
-lattice of LATTICE + 1 points on [0, L], and node counting there orders the
-states. The matrices are integrated exactly by a Gauss-Legendre rule built
-from the Legendre three-term recurrence. The solver therefore serves as the
+The trial functions carry the Gaussian of the closed-form states
+(Taut, J. Phys. A 27, 1045 (1994)): v = e^(-x^2/2) g, with g spanned by the
+polynomials p_0..p_n orthonormal under the half-range weight
+x^(2l+1) e^(-x^2). Integrating by parts (the ground-state transform) cancels
+the trap term and leaves one symmetric matrix with the identity as mass
+matrix,
+
+    eta = omega eig[(l + 1) I + S/2 + (a/sqrt(omega)) C],
+    S_ij = int x^(2l+1) e^(-x^2) p_i' p_j',
+    C_ij = int x^(2l) e^(-x^2) p_i p_j,
+
+so there is no wall and no truncated domain. With the Coulomb term off the
+functions g are Laguerre polynomials in x^2, which the basis holds exactly
+once n >= 2 node_target, so the solve is exact. The
+p_j have no closed form: their recurrence comes from the discretized
+Stieltjes procedure (Gautschi, Orthogonal Polynomials: Computation and
+Approximation, OUP 2004, 2.2) on a Gauss-Legendre rule mapped to a window
+[0, X_n] that grows with the size, and the same discrete measure integrates
+S and C. The size is chosen by self-convergence (n against 1.5n). Each size
+costs one symmetric eigensolve (numpy.linalg): eigenvalues alone at the
+first size, which is never accepted, and eigenvalues with eigenvectors from
+the second on. The leading vectors of the accepted size are sampled on a
+fixed uniform lattice of LATTICE + 1 points on [0, 12/sqrt(omega)], and
+node counting there orders the states. The solver therefore serves as the
 arbiter for whether an analytically constructed state is a genuine
 eigenstate.
 
 Checked range: l <= 15 with node_target <= 12. With the Coulomb term off,
 4300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
-node_target <= 12 reproduce eta = omega (2k + l + 1) with node counts
-0..node_target, all but four to 1e-11 relative. Those four have l = 0, where
-the roundoff of the eigensolve grows fastest with N: they climb to N = 202,
-log a failure to self-converge and are off by up to 1.2e-10. The 168 exact
-Coulomb-on states of the radial equation with l in {3, 6, 10, 15} and
-1 <= N <= 12 (node_target = N) come out to 2.3e-13 with the right node
-counts (tests/test_oracle.py holds a sample of both).
+node_target <= 12, and 1500 more with l <= 15, reproduce
+eta = omega (2k + l + 1) with node counts 0..node_target to 4.4e-13 relative,
+and none fails to self-converge. The 168 exact Coulomb-on states of the
+radial equation with l in {3, 6, 10, 15} and 1 <= N <= 12
+(node_target = N) come out to 1.8e-14 with the right node counts
+(tests/test_oracle.py holds a sample of both).
 
 The dense determinant check at the bottom is the exact-arithmetic
 counterpart: it expands the termination matrix by fraction-free elimination
@@ -69,15 +79,16 @@ from .wavefunction import (
 
 log = logging.getLogger(__name__)
 
-# domain [0, DOMAIN_SCALE/sqrt(omega)]
+# the eigenfunctions are sampled on x in [0, DOMAIN_SCALE], that is on
+# r in [0, DOMAIN_SCALE/sqrt(omega)]
 DOMAIN_SCALE = 12.0
-# Galerkin sizes (highest degree of p_j) tried in turn, each 1.5 times the
-# last; the eigenvalues are accepted once two consecutive sizes agree to
-# SELF_CONVERGENCE_RTOL
-GALERKIN_SIZES = (40, 60, 90, 135, 202)
+# Galerkin sizes (highest degree n of p_j) tried in turn, each about 1.5
+# times the last; the eigenvalues are accepted once two consecutive sizes
+# agree to SELF_CONVERGENCE_RTOL
+GALERKIN_SIZES = (12, 18, 27, 40, 60, 90, 135)
 SELF_CONVERGENCE_RTOL = 1e-11
-# intervals of the uniform lattice on [0, L] on which the eigenfunctions are
-# sampled and their nodes counted
+# intervals of the uniform lattice on which the eigenfunctions are sampled
+# and their nodes counted
 LATTICE = 2000
 # samples of u below this fraction of max|u| are roundoff, not sign
 # information; u rather than v, because near r = 0 the roundoff of v at high l
@@ -130,80 +141,124 @@ class OracleResult:
         return [e.eta for e in self.eigenvalues]
 
 
-def _jacobi(n: int, alpha: int, beta: int, s: np.ndarray) -> np.ndarray:
-    """Rows p_0..p_n at the points s of the polynomials orthonormal under the
-    weight (1 - s)^alpha (1 + s)^beta on [-1, 1].
-
-    Filled in place by the three-term recurrence
-    s p_j = b_{j+1} p_{j+1} + a_j p_j + b_j p_{j-1} with the Jacobi
-    coefficients (Golub & Welsch, Math. Comp. 23, 221 (1969)).
+def _orthonormal(a: np.ndarray, b: np.ndarray, x: np.ndarray,
+                 derivative: bool = False):
+    """Rows p_0..p_n at the points x of the orthonormal polynomials with the
+    three-term recurrence x p_j = b_{j+1} p_{j+1} + a_j p_j + b_j p_{j-1},
+    p_0 = 1/b_0, where a = a_0..a_{n-1} and b = b_0..b_n (b_0^2 is the total
+    mass of the weight). With derivative, also the rows p_0'..p_n', from the
+    derivative of the recurrence.
     """
-    # a_0 and b_0 = 0 on their own: at j = 0 the general formulas are 0/0
-    # when alpha + beta = 0
-    a = np.empty(n + 1)
-    b = np.zeros(n + 1)
-    a[0] = (beta - alpha) / (alpha + beta + 2.0)
-    j = np.arange(1, n + 1)
-    k = 2.0 * j + alpha + beta
-    a[1:] = (beta * beta - alpha * alpha) / (k * (k + 2))
-    b[1:] = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + alpha + beta)
-                    / (k * k * (k + 1) * (k - 1)))
-    p = np.empty((n + 1, len(s)))
-    p[0] = math.sqrt(math.factorial(alpha + beta + 1)
-                     / (2.0 ** (alpha + beta + 1) * math.factorial(alpha)
-                        * math.factorial(beta)))
-    prev = np.zeros_like(s)
-    for i in range(n):
-        row = p[i + 1]
-        np.subtract(s, a[i], out=row)
-        row *= p[i]
-        row -= b[i] * prev
-        row /= b[i + 1]
-        prev = p[i]
-    return p
+    n = len(a)
+    p = np.empty((n + 1, len(x)))
+    p[0] = 1.0 / b[0]
+    dp = np.zeros_like(p) if derivative else None
+    for j in range(n):
+        row = p[j + 1]
+        np.subtract(x, a[j], out=row)
+        row *= p[j]
+        if j:
+            row -= b[j] * p[j - 1]
+        row /= b[j + 1]
+        if derivative:
+            drow = dp[j + 1]
+            np.subtract(x, a[j], out=drow)
+            drow *= dp[j]
+            drow += p[j]
+            if j:
+                drow -= b[j] * dp[j - 1]
+            drow /= b[j + 1]
+    return (p, dp) if derivative else p
 
 
 def _gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-point Gauss-Legendre rule on [-1, 1] (Golub & Welsch).
 
     The nodes are the eigenvalues of the Jacobi matrix of the orthonormal
-    Legendre polynomials, averaged with their mirror images because the exact
-    rule is symmetric; the weights are the Christoffel numbers
-    1 / sum_j p_j(x)^2, j = 0..m-1.
+    Legendre polynomials, each polished by one Newton step on p_m and then
+    averaged with its mirror image because the exact rule is symmetric; the
+    weights are the Christoffel numbers 1 / sum_j p_j(x)^2, j = 0..m-1.
+    Without the Newton step the weights next to +-1, where the Christoffel
+    function is steepest, are off by up to 1e-11 relative at m = 350.
     """
-    j = np.arange(1, m)
-    x = linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1), -1))
+    j = np.arange(1, m + 1)
+    a = np.zeros(m)
+    b = np.concatenate(([math.sqrt(2.0)], j / np.sqrt(4.0 * j * j - 1)))
+    x = linalg.eigvalsh(np.diag(b[1:m], -1))
+    p, dp = _orthonormal(a, b, x, derivative=True)
+    x -= p[m] / dp[m]
     x = 0.5 * (x - x[::-1])
-    p = _jacobi(m - 1, 0, 0, x)
+    p = _orthonormal(a[:-1], b[:-1], x)
     return x, 1.0 / np.einsum("ij,ij->j", p, p)
 
 
 @functools.lru_cache
-def _galerkin(n: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The omega-independent matrices of the basis phi_j = (1 - s) p_j,
-    j = 0..n, with p_j orthonormal under (1 - s)^2 (1 + s)^(2l+1):
+def _measure(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w of the discrete measure for size n: the
+    3n + 80 point Gauss-Legendre rule on [0, X], X = sqrt(4n + 68) + 8, with
+    the weights multiplied by e^(-x^2).
 
-        K = int (1+s)^(2l+1) phi_i' phi_j',  C = int (1+s)^(2l) phi_i phi_j,
-        Q = int (1+s)^(2l+3) phi_i phi_j      over [-1, 1].
-
-    Each integrand is (1+s)^(2l) times a polynomial of degree at most
-    2n + 5, so the n + l + 3 point Gauss-Legendre rule of _gauss integrates
-    it exactly. The matrices are read-only because the cache hands them to
-    every caller.
+    Every integral the size-n recurrence and matrices need is
+    int_0^inf x^k e^(-x^2) times a constant, k <= 2n + 2l + 1. For l <= 15 its
+    integrand peaks at x = sqrt(k/2) < X - 8 and is below e^-100 of its peak
+    by X; the rule reproduces Gamma((k + 1)/2)/2 to roundoff. Read-only,
+    because the cache hands it to every caller.
     """
-    x, w = _gauss(n + l + 3)
-    w *= (1.0 + x) ** (2 * l)
-    p = _jacobi(n, 2, 2 * l + 1, x)
-    # p_j' = sqrt(j (j + 2l + 4)) q_{j-1}, q orthonormal under the weight
-    # with both exponents raised by one
-    dp = np.zeros_like(p)
-    j = np.arange(1, n + 1)
-    dp[1:] = np.sqrt(j * (j + 2 * l + 4.0))[:, None] * _jacobi(
-        n - 1, 3, 2 * l + 2, x)
-    phi = (1.0 - x) * p
-    dphi = (1.0 - x) * dp - p
-    mats = ((dphi * (w * (1.0 + x))) @ dphi.T, (phi * w) @ phi.T,
-            (phi * (w * (1.0 + x) ** 3)) @ phi.T)
+    x, w = _gauss(3 * n + 80)
+    half = 0.5 * (math.sqrt(4.0 * n + 68.0) + 8.0)
+    x = half * (1.0 + x)
+    w *= half * np.exp(-x * x)
+    for v in (x, w):
+        v.setflags(write=False)
+    return x, w
+
+
+@functools.lru_cache
+def _stieltjes(n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence coefficients a_0..a_{n-1}, b_0..b_n (see _orthonormal) of
+    the polynomials orthonormal under x^(2l+1) e^(-x^2) on [0, inf).
+
+    They have no closed form. The discretized Stieltjes procedure (Gautschi,
+    Orthogonal Polynomials: Computation and Approximation, OUP 2004, 2.2)
+    computes them on the discrete measure of _measure(n), carrying the
+    polynomials as vectors q_j = sqrt(weight) p_j at its nodes, each
+    orthogonalized twice against all earlier ones so that roundoff does not
+    accumulate.
+    """
+    x, w = _measure(n)
+    lam = w * x ** (2 * l + 1)
+    a = np.empty(n)
+    b = np.empty(n + 1)
+    q = np.empty((n + 1, len(x)))
+    b[0] = math.sqrt(lam.sum())
+    q[0] = np.sqrt(lam) / b[0]
+    for j in range(n):
+        z = x * q[j]
+        a[j] = q[j] @ z
+        for _ in range(2):
+            z -= q[:j + 1].T @ (q[:j + 1] @ z)
+        b[j + 1] = math.sqrt(z @ z)
+        q[j + 1] = z / b[j + 1]
+    for v in (a, b):
+        v.setflags(write=False)
+    return a, b
+
+
+@functools.lru_cache
+def _galerkin(n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The omega-independent matrices of the basis p_j, j = 0..n, orthonormal
+    under x^(2l+1) e^(-x^2):
+
+        S = int x^(2l+1) e^(-x^2) p_i' p_j',  C = int x^(2l) e^(-x^2) p_i p_j
+        over [0, inf),
+
+    both integrated by the discrete measure of _measure(n). They are read-only
+    because the cache hands them to every caller.
+    """
+    x, w = _measure(n)
+    p, dp = _orthonormal(*_stieltjes(n, l), x, derivative=True)
+    w = w * x ** (2 * l)
+    mats = ((dp * (w * x)) @ dp.T, (p * w) @ p.T)
     for m in mats:
         m.setflags(write=False)
     return mats
@@ -211,14 +266,15 @@ def _galerkin(n: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=32)
 def _lattice(n: int, l: int) -> np.ndarray:
-    """The basis phi_j = (1 - s) p_j, j = 0..n, of _galerkin sampled on the
-    uniform lattice of LATTICE + 1 points on [-1, 1], one row per j.
+    """The functions e^(-x^2/2) p_j(x), j = 0..n, of the basis of _galerkin
+    sampled on the uniform lattice of LATTICE + 1 points on
+    [0, DOMAIN_SCALE], one row per j.
 
     Read-only, because the cache hands it to every caller. At most 32 entries
-    of at most 3.3 MB each (n = 202) are kept.
+    of at most 2.2 MB each (n = 135) are kept.
     """
-    s = np.linspace(-1.0, 1.0, LATTICE + 1)
-    phi = (1.0 - s) * _jacobi(n, 2, 2 * l + 1, s)
+    x = np.linspace(0.0, DOMAIN_SCALE, LATTICE + 1)
+    phi = _orthonormal(*_stieltjes(n, l), x) * np.exp(-0.5 * x * x)
     phi.setflags(write=False)
     return phi
 
@@ -233,22 +289,22 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     """Lowest eigenvalues (node counts 0..node_target) of the radial problem.
 
     Computes the node_target + 1 lowest eigenpairs of the symmetric Galerkin
-    matrix, one eigensolve per size in GALERKIN_SIZES, until the
-    eigenvalues agree between consecutive sizes (the gap becomes each
-    eigenvalue's convergence_width). The coefficient vectors of the accepted
-    size give the eigenfunctions, sampled on the fixed lattice of
-    LATTICE + 1 points on [0, 12/sqrt(omega)], where their nodes are counted
-    and checked to rise with eta. Raises NoEigenvalueError if a requested
-    state lies outside the eta bracket.
+    matrix omega [(l + 1) I + S/2] + a sqrt(omega) C in the Gaussian-weighted
+    half-range basis (see the module docstring), one eigensolve per size in
+    GALERKIN_SIZES, until the eigenvalues agree between consecutive sizes
+    (the gap becomes each eigenvalue's convergence_width). The coefficient
+    vectors of the accepted size give the eigenfunctions, sampled on the
+    fixed lattice of LATTICE + 1 points on [0, 12/sqrt(omega)], where their
+    nodes are counted and checked to rise with eta. Raises NoEigenvalueError
+    if a requested state lies outside the eta bracket.
 
     Checked range: l <= 15 with node_target <= 12 (see the module docstring).
     """
     if config is None:
         config = ShootingConfig()
     w, l = problem.omega, problem.l
-    coul2 = 2.0 * problem.coulomb_a if coulomb_on else 0.0
+    coul_scale = problem.coulomb_a * math.sqrt(w) if coulomb_on else 0.0
     wall = DOMAIN_SCALE / math.sqrt(w)
-    h = 0.5 * wall
     count = config.node_target + 1
 
     if config.eta_bracket is not None:
@@ -259,11 +315,10 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
 
     prev = None
     for n in GALERKIN_SIZES:
-        stiff, coul, trap = _galerkin(n, l)
-        # with r = h (1 + s) the weak form is h^(2l) [K + 2a h C + omega^2 h^4 Q]
-        # against the mass matrix h^(2l) 2 h^2 I; divide by the latter
-        a = (stiff / (2 * h * h) + (coul2 / (2 * h)) * coul
-             + (0.5 * (w * h) ** 2) * trap)
+        stiff, coulomb = _galerkin(n, l)
+        # eta = omega [(l + 1) I + S/2 + (a/sqrt(omega)) C]
+        a = (0.5 * w) * stiff + coul_scale * coulomb
+        a.flat[::n + 2] += (l + 1) * w
         if prev is None:
             # the first size is never accepted, so its vectors are not needed
             etas = linalg.eigvalsh(a)[:count]

@@ -286,9 +286,10 @@ CAVEATS = [
     {
         "id": "oracle-verdict",
         "description": (
-            "The independent spectral eigensolver (a Jacobi-Galerkin solve "
-            "of the self-adjoint radial equation, self-converged between "
-            "basis sizes N and 1.5N) confirms the exactly solvable "
+            "The independent spectral eigensolver (a Galerkin solve of the "
+            "self-adjoint radial equation in a Gaussian-weighted half-range "
+            "polynomial basis, self-converged between basis sizes N and "
+            "1.5N) confirms the exactly solvable "
             "oscillator limit to better than 1e-6 relative, and with the "
             "Coulomb term on it reproduces the closed-form states eta = 1 "
             "(omega = 1/2, l = 0), 1/4 (omega = 1/12, l = 0) and 1/2 "

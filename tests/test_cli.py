@@ -269,13 +269,23 @@ for cmd in ("roots", "validate", "report"):
     code = heunqdot.cli.main([cmd, "--n", "2..3", "--l", "0..1",
                               "--out", sys.argv[1]])
     assert code == 0, (cmd, code)
+from heunqdot import wavefunction
+from heunqdot.termination import solve_termination
+root = solve_termination(3, 1).rootset.roots[0]
+solution = wavefunction.assemble_polynomial(3, 1, root.t_star)
+state = wavefunction.normalize(solution)
+assert abs(wavefunction.norm_integral_quad(solution)
+           / wavefunction.norm_integral_closed(solution) - 1) < 1e-12
+assert abs(wavefunction.moment_quad(state, 2)
+           / wavefunction.moment(state, 2) - 1) < 1e-12
 print(attempts)
 """
 
 
 def test_cli_runs_without_scipy(tmp_path):
     """The commands run, oracle included, in an interpreter that cannot
-    import scipy, and none of them tries to."""
+    import scipy, and none of them tries to; nor do the quadrature
+    cross-checks of wavefunction."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(

@@ -1,4 +1,5 @@
 import functools
+import logging
 from fractions import Fraction
 
 import mpmath
@@ -187,9 +188,9 @@ class TestEigenvectorStep:
         *_, (etas, vecs) = calls[-1]
         vecs = vecs[:, :len(res.etas)]
         assert etas[:len(res.etas)].tolist() == res.etas
-        s = np.linspace(-1.0, 1.0, oracle.LATTICE + 1)
-        u = res.r ** (l + 0.5) * (1.0 - s) * (
-            vecs.T @ oracle._jacobi(sizes[-1] - 1, 2, 2 * l + 1, s))
+        x = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)
+        basis = oracle._orthonormal(*oracle._stieltjes(sizes[-1] - 1, l), x)
+        u = res.r ** (l + 0.5) * np.exp(-0.5 * x * x) * (vecs.T @ basis)
         u /= np.sqrt(np.trapezoid(u * u, res.r, axis=1))[:, None]
         u *= np.sign(u[:, 1:2])
         assert np.max(np.abs(u - res.eigenfunctions)) <= 1e-12
@@ -221,9 +222,43 @@ def _mp_gauss(m):
     return rule[:, 0], rule[:, 1]
 
 
+@functools.lru_cache
+def _mp_recurrence(n, l):
+    """a_0..a_{n-1} and b_0..b_n (see oracle._orthonormal) of the polynomials
+    orthonormal under x^(2l+1) e^(-x^2) on [0, inf), rounded to float.
+
+    The Stieltjes procedure on the exact moments
+    int_0^inf x^k x^(2l+1) e^(-x^2) dx = Gamma((k + 2l + 2)/2) / 2. That form
+    loses up to 55 digits to cancellation at n = 40, l = 15, so it runs at
+    130 digits to leave more than 40.
+    """
+    with mpmath.workdps(130):
+        mu = [mpmath.gamma(mpmath.mpf(k + 2 * l + 2) / 2) / 2
+              for k in range(2 * n + 2)]
+
+        def inner(f, g):
+            return mpmath.fsum(fi * gk * mu[i + k] for i, fi in enumerate(f)
+                               for k, gk in enumerate(g))
+
+        b = [mpmath.sqrt(mu[0])]
+        a = []
+        p = [[], [1 / b[0]]]  # p_-1 = 0 and p_0, ascending coefficients
+        for j in range(n):
+            z = [mpmath.mpf(0)] + p[-1]
+            a.append(inner(z, p[-1]))
+            for c, q in ((a[j], p[-1]), (b[j], p[-2])):
+                for i, qi in enumerate(q):
+                    z[i] -= c * qi
+            b.append(mpmath.sqrt(inner(z, z)))
+            p.append([c / b[-1] for c in z])
+        return (np.array([float(v) for v in a]),
+                np.array([float(v) for v in b]))
+
+
 class TestQuadrature:
-    """The Gauss-Legendre rule built from the recurrence, and the matrices it
-    integrates."""
+    """The Gauss-Legendre rule built from the recurrence, the discrete
+    measure mapped from it, the recurrence of the basis computed on that
+    measure, and the matrices it integrates."""
 
     @pytest.mark.parametrize("m", [43, 95, 140])
     def test_gauss_against_mpmath(self, m):
@@ -235,18 +270,56 @@ class TestQuadrature:
     @pytest.mark.parametrize("m", [43, 95, 140])
     def test_legendre_orthonormal(self, m):
         x, w = _mp_gauss(m)
-        p = oracle._jacobi(m - 1, 0, 0, x)
+        j = np.arange(1, m)
+        b = np.concatenate(([np.sqrt(2.0)], j / np.sqrt(4.0 * j * j - 1)))
+        p = oracle._orthonormal(np.zeros(m - 1), b, x)
         assert np.all(np.isfinite(p))
         assert np.max(np.abs((p * w) @ p.T - np.eye(m))) <= 1e-13
+
+    @pytest.mark.parametrize("l", [0, 2, 15])
+    def test_measure_moments(self, l):
+        """At each size n, the discrete measure integrates x^k e^(-x^2) for
+        every k the size-n matrices and recurrence need: from 2l (C_00) to
+        2l + 2n + 1 (the last Stieltjes step)."""
+        with mpmath.workdps(30):
+            for n in oracle.GALERKIN_SIZES:
+                x, w = oracle._measure(n)
+                for k in range(2 * l, 2 * l + 2 * n + 2):
+                    # divide x by the power of two nearest the peak of the
+                    # integrand, sqrt(k/2), exactly, so x^k cannot overflow
+                    e = max(0, round(0.5 * np.log2(max(k, 1) / 2)))
+                    exact = (mpmath.gamma(mpmath.mpf(k + 1) / 2) / 2
+                             / mpmath.mpf(2) ** (e * k))
+                    value = np.sum(w * (x / 2.0 ** e) ** k)
+                    assert abs(value / float(exact) - 1) <= 1e-13, (n, k)
+
+    @pytest.mark.parametrize("l", [0, 3, 15])
+    def test_stieltjes_against_mpmath(self, l):
+        a_ref, b_ref = _mp_recurrence(40, l)
+        for n in (12, 18, 27, 40):
+            a, b = oracle._stieltjes(n, l)
+            assert not a.flags.writeable and not b.flags.writeable
+            assert np.max(np.abs(a / a_ref[:n] - 1)) <= 1e-13, n
+            assert np.max(np.abs(b / b_ref[:n + 1] - 1)) <= 1e-13, n
+
+    @pytest.mark.parametrize("l", [0, 2, 15])
+    def test_mass_matrix_is_identity(self, l):
+        """The basis is orthonormal under the discrete measure of its size,
+        which is what lets the eigenproblem drop the mass matrix."""
+        for n in oracle.GALERKIN_SIZES:
+            x, w = oracle._measure(n)
+            p = oracle._orthonormal(*oracle._stieltjes(n, l), x)
+            gram = (p * (w * x ** (2 * l + 1))) @ p.T
+            assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-13, n
 
     @pytest.mark.parametrize("l", [0, 2, 15])
     def test_galerkin_blocks_nest(self, l):
         """The basis is hierarchical, so with an exact rule the matrices of a
         smaller size are the leading blocks of those of a larger one."""
-        small = oracle._galerkin(40, l)
-        for n in (60, 90):
+        small = oracle._galerkin(18, l)
+        for n in oracle.GALERKIN_SIZES[2:]:
             for a, b in zip(small, oracle._galerkin(n, l)):
-                assert (np.max(np.abs(a - b[:41, :41]))
+                assert (np.max(np.abs(a - b[:19, :19]))
                         <= 2e-13 * np.max(np.abs(b))), (n, l)
 
 
@@ -285,9 +358,10 @@ class TestLattice:
     def test_read_only_and_exact(self, n, l):
         phi = oracle._lattice(n, l)
         assert not phi.flags.writeable
-        s = np.linspace(-1.0, 1.0, oracle.LATTICE + 1)
+        x = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)
         assert np.array_equal(
-            phi, (1.0 - s) * oracle._jacobi(n, 2, 2 * l + 1, s))
+            phi, oracle._orthonormal(*oracle._stieltjes(n, l), x)
+            * np.exp(-0.5 * x * x))
 
     def test_one_build_per_accepted_size_and_l(self, monkeypatch):
         """Over the 60 exact states with N <= 8 and l <= 2, the lattice is
@@ -316,7 +390,7 @@ class TestHighL:
     """The oracle at l up to 15, beyond the l <= 2 of the report."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.floats(-4.0, 2.0), st.integers(0, 10), st.integers(0, 12))
+    @given(st.floats(-4.0, 2.0), st.integers(0, 15), st.integers(0, 12))
     def test_oscillator_spectrum(self, log10_omega, l, node_target):
         omega = 10.0 ** log10_omega
         res = solve_eigen(RadialProblem(omega=omega, l=l),
@@ -326,6 +400,25 @@ class TestHighL:
         for k, e in enumerate(res.eigenvalues):
             exact = omega * (2 * k + l + 1)
             assert abs(e.eta - exact) <= 1e-10 * exact, (k, e)
+
+    @pytest.mark.parametrize("omega, node_target", [
+        (18.192771205186894, 9), (79.7985484355881, 5),
+        (0.006301949587185644, 11), (0.00028008992560490053, 11)])
+    def test_self_convergence_gate_at_l0(self, omega, node_target, caplog):
+        """The four cases of a 4 300-case random sweep (log10 omega uniform in
+        [-4, 2], l <= 10, node_target <= 12) at which a size ladder whose
+        eigenvalue roundoff grew with the size to 1e-10 never met the 1e-11
+        gate, logged "not self-converged" and missed the spectrum by up to
+        1.2e-10."""
+        with caplog.at_level(logging.WARNING, logger="heunqdot.oracle"):
+            res = solve_eigen(RadialProblem(omega=omega, l=0),
+                              ShootingConfig(node_target=node_target),
+                              coulomb_on=False)
+        assert not caplog.records
+        assert [e.nodes for e in res.eigenvalues] == list(range(node_target + 1))
+        for k, e in enumerate(res.eigenvalues):
+            exact = omega * (2 * k + 1)
+            assert abs(e.eta - exact) <= 1e-11 * exact, (k, e)
 
     @pytest.mark.parametrize("l", [3, 6, 10, 15])
     @pytest.mark.parametrize("N", [2, 5, 8, 12])
