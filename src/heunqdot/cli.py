@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .model import SystemConfig, energy_center_of_mass, energy_relative
+from .model import (
+    SystemConfig,
+    energy_center_of_mass,
+    energy_relative,
+    total_energy,
+)
 from .oracle import validate_root
 from .report import build_report, build_tables, q6, render_text
 from .termination import GammaConvention, check_precision, solve_termination
@@ -196,7 +201,7 @@ def cmd_spectrum(spec: RunSpec) -> list[Path]:
                      "t_star": q6(t), "omega": q6(omega), "eta": q6(eta),
                      "Omega": q6(2 * omega), "omega_R": q6(config.omega_R),
                      "n_R": spec.n_R, "epsilon_cm": q6(eps),
-                     "E_total": q6(eps + eta)})
+                     "E_total": q6(total_energy(eps, eta))})
     out = write_rows(rows, SPECTRUM_HEADER, Path(spec.output_path) / "spectrum",
                      spec.output_format, _meta(spec))
     print(f"{len(rows)} spectrum rows -> {out}")

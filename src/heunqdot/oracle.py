@@ -1,8 +1,10 @@
 """Independent spectral eigensolver for the radial problem.
 
-This module never touches the termination machinery: it solves the radial
-equation directly. With u = r^(l+1/2) v the regular solution v is smooth at
-the origin and satisfies the self-adjoint equation
+The eigensolve does not use the termination machinery: it solves the radial
+equation directly. (The verdict layer at the bottom imports termination and
+wavefunction, to build the analytic state it compares with.) With
+u = r^(l+1/2) v the regular solution v is smooth at the origin and satisfies
+the self-adjoint equation
 
     (r^(2l+1) v')' + r^(2l) (2 eta r - 2a - omega^2 r^3) v = 0.
 
@@ -28,15 +30,25 @@ once n >= 2 node_target, so the solve is exact. The
 p_j have no closed form: their recurrence comes from the discretized
 Stieltjes procedure (Gautschi, Orthogonal Polynomials: Computation and
 Approximation, OUP 2004, 2.2) on a Gauss-Legendre rule mapped to a window
-[0, X_n] that grows with the size, and the same discrete measure integrates
-S and C. The size is chosen by self-convergence (n against 1.5n). Each size
-costs one symmetric eigensolve (numpy.linalg): eigenvalues alone at the
-first size, which is never accepted, and eigenvalues with eigenvectors from
-the second on. The leading vectors of the accepted size are sampled on a
-fixed uniform lattice of LATTICE + 1 points on [0, 12/sqrt(omega)], and
-node counting there orders the states. The solver therefore serves as the
-arbiter for whether an analytically constructed state is a genuine
-eigenstate.
+[0, X] that grows with the highest degree, and the same discrete measure
+integrates S and C. The size n is chosen by self-convergence (n against
+1.5n).
+
+The p_j do not depend on where the basis is cut, so the basis is nested:
+the matrices of size n are the leading (n+1) x (n+1) blocks of those of any
+larger size. The sizes therefore come in groups, each served by one basis
+per l built at the group's top (BASIS_TOPS): one Gauss rule, recurrence,
+pair (S, C) and lattice, of which every size of the group reads the leading
+block. Within a group the eigenvalues can only fall from one size to the
+next (Cauchy interlacing), so the self-convergence gap is a one-sided bound.
+
+Each size costs one symmetric eigensolve (numpy.linalg): eigenvalues alone
+at the first size, which is never accepted, and eigenvalues with
+eigenvectors from the second on. The leading vectors of the accepted size
+give u, sampled on a fixed uniform lattice of LATTICE + 1 points on
+[0, 12/sqrt(omega)], and node counting there orders the states. The solver
+therefore serves as the arbiter for whether an analytically constructed
+state is a genuine eigenstate.
 
 Checked range: l <= 15 with node_target <= 12. With the Coulomb term off,
 4300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
@@ -87,6 +99,10 @@ DOMAIN_SCALE = 12.0
 # agree to SELF_CONVERGENCE_RTOL
 GALERKIN_SIZES = (12, 18, 27, 40, 60, 90, 135)
 SELF_CONVERGENCE_RTOL = 1e-11
+# the sizes come in groups, each served by the basis of its top: the 60
+# exact states and the report accept by 40, and about 1 solve in 200 of the
+# checked range climbs to 60
+BASIS_TOPS = (40, 135)
 # intervals of the uniform lattice on which the eigenfunctions are sampled
 # and their nodes counted
 LATTICE = 2000
@@ -193,19 +209,19 @@ def _gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache
-def _measure(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and weights w of the discrete measure for size n: the
-    3n + 80 point Gauss-Legendre rule on [0, X], X = sqrt(4n + 68) + 8, with
-    the weights multiplied by e^(-x^2).
+def _measure(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w of the discrete measure for the basis of degree
+    up to top: the 3 top + 80 point Gauss-Legendre rule on [0, X],
+    X = sqrt(4 top + 68) + 8, with the weights multiplied by e^(-x^2).
 
-    Every integral the size-n recurrence and matrices need is
-    int_0^inf x^k e^(-x^2) times a constant, k <= 2n + 2l + 1. For l <= 15 its
-    integrand peaks at x = sqrt(k/2) < X - 8 and is below e^-100 of its peak
-    by X; the rule reproduces Gamma((k + 1)/2)/2 to roundoff. Read-only,
+    Every integral the recurrence and matrices up to degree top need is
+    int_0^inf x^k e^(-x^2) times a constant, k <= 2 top + 2l + 1. For l <= 15
+    its integrand peaks at x = sqrt(k/2) < X - 8 and is below e^-100 of its
+    peak by X; the rule reproduces Gamma((k + 1)/2)/2 to roundoff. Read-only,
     because the cache hands it to every caller.
     """
-    x, w = _gauss(3 * n + 80)
-    half = 0.5 * (math.sqrt(4.0 * n + 68.0) + 8.0)
+    x, w = _gauss(3 * top + 80)
+    half = 0.5 * (math.sqrt(4.0 * top + 68.0) + 8.0)
     x = half * (1.0 + x)
     w *= half * np.exp(-x * x)
     for v in (x, w):
@@ -214,25 +230,26 @@ def _measure(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache
-def _stieltjes(n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence coefficients a_0..a_{n-1}, b_0..b_n (see _orthonormal) of
-    the polynomials orthonormal under x^(2l+1) e^(-x^2) on [0, inf).
+def _stieltjes(top: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence coefficients a_0..a_{top-1}, b_0..b_top (see _orthonormal)
+    of the polynomials orthonormal under x^(2l+1) e^(-x^2) on [0, inf).
 
     They have no closed form. The discretized Stieltjes procedure (Gautschi,
     Orthogonal Polynomials: Computation and Approximation, OUP 2004, 2.2)
-    computes them on the discrete measure of _measure(n), carrying the
+    computes them on the discrete measure of _measure(top), carrying the
     polynomials as vectors q_j = sqrt(weight) p_j at its nodes, each
     orthogonalized twice against all earlier ones so that roundoff does not
-    accumulate.
+    accumulate. The first n and n + 1 of them give the basis of any size
+    n <= top.
     """
-    x, w = _measure(n)
+    x, w = _measure(top)
     lam = w * x ** (2 * l + 1)
-    a = np.empty(n)
-    b = np.empty(n + 1)
-    q = np.empty((n + 1, len(x)))
+    a = np.empty(top)
+    b = np.empty(top + 1)
+    q = np.empty((top + 1, len(x)))
     b[0] = math.sqrt(lam.sum())
     q[0] = np.sqrt(lam) / b[0]
-    for j in range(n):
+    for j in range(top):
         z = x * q[j]
         a[j] = q[j] @ z
         for _ in range(2):
@@ -245,18 +262,19 @@ def _stieltjes(n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache
-def _galerkin(n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The omega-independent matrices of the basis p_j, j = 0..n, orthonormal
-    under x^(2l+1) e^(-x^2):
+def _galerkin(top: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The omega-independent matrices of the basis p_j, j = 0..top,
+    orthonormal under x^(2l+1) e^(-x^2):
 
         S = int x^(2l+1) e^(-x^2) p_i' p_j',  C = int x^(2l) e^(-x^2) p_i p_j
         over [0, inf),
 
-    both integrated by the discrete measure of _measure(n). They are read-only
+    both integrated by the discrete measure of _measure(top). Their leading
+    (n+1) x (n+1) blocks are the matrices of size n. They are read-only
     because the cache hands them to every caller.
     """
-    x, w = _measure(n)
-    p, dp = _orthonormal(*_stieltjes(n, l), x, derivative=True)
+    x, w = _measure(top)
+    p, dp = _orthonormal(*_stieltjes(top, l), x, derivative=True)
     w = w * x ** (2 * l)
     mats = ((dp * (w * x)) @ dp.T, (p * w) @ p.T)
     for m in mats:
@@ -265,23 +283,47 @@ def _galerkin(n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _lattice(n: int, l: int) -> np.ndarray:
-    """The functions e^(-x^2/2) p_j(x), j = 0..n, of the basis of _galerkin
-    sampled on the uniform lattice of LATTICE + 1 points on
-    [0, DOMAIN_SCALE], one row per j.
+def _lattice(top: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The functions x^(l+1/2) e^(-x^2/2) p_j(x), j = 0..top, of the basis of
+    _galerkin sampled on the uniform lattice of LATTICE + 1 points on
+    [0, DOMAIN_SCALE], one row per j, and the values p_j(0).
 
-    Read-only, because the cache hands it to every caller. At most 32 entries
-    of at most 2.2 MB each (n = 135) are kept.
+    A coefficient vector times the first n + 1 rows is u up to a constant
+    factor, and times the first n + 1 values is the sign of v(0). Read-only,
+    because the cache hands them to every caller. At most 32 entries of at
+    most 2.2 MB each (top = 135) are kept.
     """
     x = np.linspace(0.0, DOMAIN_SCALE, LATTICE + 1)
-    phi = _orthonormal(*_stieltjes(n, l), x) * np.exp(-0.5 * x * x)
-    phi.setflags(write=False)
-    return phi
+    phi = _orthonormal(*_stieltjes(top, l), x)
+    at_zero = phi[:, 0].copy()
+    phi *= x ** (l + 0.5) * np.exp(-0.5 * x * x)
+    for v in (phi, at_zero):
+        v.setflags(write=False)
+    return phi, at_zero
 
 
-def _count_nodes(u: np.ndarray) -> int:
-    s = np.sign(u[np.abs(u) > NODE_FLOOR * np.abs(u).max()])
-    return int(np.count_nonzero(s[1:] != s[:-1]))
+def _top(n: int) -> int:
+    """The top of the group of size n, whose basis serves it."""
+    return next(t for t in BASIS_TOPS if t >= n)
+
+
+# trapezoid weights of the lattice for unit spacing
+_TRAPEZOID = np.ones(LATTICE + 1)
+_TRAPEZOID[[0, -1]] = 0.5
+_TRAPEZOID.setflags(write=False)
+
+
+def _count_nodes(u: np.ndarray) -> np.ndarray:
+    """Sign changes along each row of u, among the samples above NODE_FLOOR
+    of the row's max|u|."""
+    size = np.abs(u)
+    keep = size > NODE_FLOOR * size.max(axis=1, keepdims=True)
+    # the kept signs, row after row; flip p is between samples p and p + 1
+    neg = np.signbit(u[keep])
+    flips = np.flatnonzero(neg[1:] != neg[:-1])
+    ends = np.cumsum(np.count_nonzero(keep, axis=1))
+    starts = np.concatenate(([0], ends[:-1]))
+    return np.searchsorted(flips, ends - 1) - np.searchsorted(flips, starts)
 
 
 def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
@@ -292,11 +334,13 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     matrix omega [(l + 1) I + S/2] + a sqrt(omega) C in the Gaussian-weighted
     half-range basis (see the module docstring), one eigensolve per size in
     GALERKIN_SIZES, until the eigenvalues agree between consecutive sizes
-    (the gap becomes each eigenvalue's convergence_width). The coefficient
-    vectors of the accepted size give the eigenfunctions, sampled on the
-    fixed lattice of LATTICE + 1 points on [0, 12/sqrt(omega)], where their
-    nodes are counted and checked to rise with eta. Raises NoEigenvalueError
-    if a requested state lies outside the eta bracket.
+    (the gap becomes each eigenvalue's convergence_width). Each size reads
+    the leading blocks of the basis built at the top of its group
+    (BASIS_TOPS). The coefficient vectors of the accepted size give the
+    eigenfunctions, sampled on the fixed lattice of LATTICE + 1 points on
+    [0, 12/sqrt(omega)], where their nodes are counted and checked to rise
+    with eta. Raises NoEigenvalueError if a requested state lies outside the
+    eta bracket.
 
     Checked range: l <= 15 with node_target <= 12 (see the module docstring).
     """
@@ -315,9 +359,11 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
 
     prev = None
     for n in GALERKIN_SIZES:
-        stiff, coulomb = _galerkin(n, l)
+        top = _top(n)
+        stiff, coulomb = _galerkin(top, l)
         # eta = omega [(l + 1) I + S/2 + (a/sqrt(omega)) C]
-        a = (0.5 * w) * stiff + coul_scale * coulomb
+        block = np.s_[:n + 1, :n + 1]
+        a = (0.5 * w) * stiff[block] + coul_scale * coulomb[block]
         a.flat[::n + 2] += (l + 1) * w
         if prev is None:
             # the first size is never accepted, so its vectors are not needed
@@ -341,16 +387,17 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
                     n, float(np.max(gaps / np.abs(etas))))
 
     r = np.linspace(0.0, wall, LATTICE + 1)
-    smooth = coeffs.T @ _lattice(n, l)
-    smooth *= np.sign(smooth[:, :1])  # v(0) > 0
-    funcs = r ** (l + 0.5) * smooth
-    funcs /= np.sqrt(np.trapezoid(funcs * funcs, r, axis=1))[:, None]
+    phi, at_zero = _lattice(top, l)
+    funcs = coeffs.T @ phi[:n + 1]
+    # v(0) > 0, and unit norm under the trapezoid rule on r
+    scale = np.sign(coeffs.T @ at_zero[:n + 1]) / np.sqrt(
+        (wall / LATTICE) * np.einsum("ij,ij,j->i", funcs, funcs, _TRAPEZOID))
+    funcs *= scale[:, None]
 
-    states = []
-    for eta, gap, u in zip(etas.tolist(), gaps.tolist(), funcs):
-        width = max(gap, 4 * math.ulp(eta))
-        states.append(Eigenvalue(eta=eta, nodes=_count_nodes(u[1:-1]),
-                                 convergence_width=width))
+    nodes = _count_nodes(funcs[:, 1:-1]).tolist()
+    states = [Eigenvalue(eta=eta, nodes=k,
+                         convergence_width=max(gap, 4 * math.ulp(eta)))
+              for eta, gap, k in zip(etas.tolist(), gaps.tolist(), nodes)]
     for a, b in zip(states, states[1:]):
         if b.nodes < a.nodes:
             raise RuntimeError(

@@ -248,6 +248,26 @@ def test_cli_import_loads_no_heavy_scipy_modules():
     assert out.strip() == "[]"
 
 
+
+def test_cli_import_builds_no_oracle_basis():
+    """Importing the CLI leaves every oracle cache empty: Gauss rules,
+    recurrences, matrices and lattices are built by the first solve that
+    needs them, never at start-up."""
+    code = ("import heunqdot.cli\n"
+            "from heunqdot import oracle\n"
+            "print(sorted((name, f.cache_info().currsize)\n"
+            "             for name, f in vars(oracle).items()\n"
+            "             if hasattr(f, 'cache_info')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str([(name, 0) for name in
+                               ("_galerkin", "_lattice", "_measure",
+                                "_stieltjes")])
+
 _NO_SCIPY = """
 import sys
 

@@ -22,6 +22,7 @@ from heunqdot.oracle import (
     validate_oscillator,
     validate_root,
 )
+from heunqdot.report import build_report
 from heunqdot.termination import GammaConvention, solve_termination
 
 F = Fraction
@@ -278,11 +279,11 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("l", [0, 2, 15])
     def test_measure_moments(self, l):
-        """At each size n, the discrete measure integrates x^k e^(-x^2) for
-        every k the size-n matrices and recurrence need: from 2l (C_00) to
-        2l + 2n + 1 (the last Stieltjes step)."""
+        """At each group top n, the discrete measure integrates x^k e^(-x^2)
+        for every k the matrices and recurrence up to degree n need: from 2l
+        (C_00) to 2l + 2n + 1 (the last Stieltjes step)."""
         with mpmath.workdps(30):
-            for n in oracle.GALERKIN_SIZES:
+            for n in oracle.BASIS_TOPS:
                 x, w = oracle._measure(n)
                 for k in range(2 * l, 2 * l + 2 * n + 2):
                     # divide x by the power of two nearest the peak of the
@@ -304,9 +305,9 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("l", [0, 2, 15])
     def test_mass_matrix_is_identity(self, l):
-        """The basis is orthonormal under the discrete measure of its size,
-        which is what lets the eigenproblem drop the mass matrix."""
-        for n in oracle.GALERKIN_SIZES:
+        """The basis is orthonormal under the discrete measure of its group
+        top, which is what lets the eigenproblem drop the mass matrix."""
+        for n in oracle.BASIS_TOPS:
             x, w = oracle._measure(n)
             p = oracle._orthonormal(*oracle._stieltjes(n, l), x)
             gram = (p * (w * x ** (2 * l + 1))) @ p.T
@@ -315,12 +316,15 @@ class TestQuadrature:
     @pytest.mark.parametrize("l", [0, 2, 15])
     def test_galerkin_blocks_nest(self, l):
         """The basis is hierarchical, so with an exact rule the matrices of a
-        smaller size are the leading blocks of those of a larger one."""
-        small = oracle._galerkin(18, l)
-        for n in oracle.GALERKIN_SIZES[2:]:
-            for a, b in zip(small, oracle._galerkin(n, l)):
-                assert (np.max(np.abs(a - b[:19, :19]))
-                        <= 2e-13 * np.max(np.abs(b))), (n, l)
+        smaller size are the leading blocks of those of a larger one. Within
+        a group they are by construction; across the two groups, whose
+        measures differ, the size-18 blocks agree to roundoff. (At l = 0 the
+        full size-40 block of C is 3e-13 off, from the end weights of the
+        larger rule.)"""
+        small, large = (oracle._galerkin(top, l) for top in oracle.BASIS_TOPS)
+        for a, b in zip(small, large):
+            assert (np.max(np.abs(a[:19, :19] - b[:19, :19]))
+                    <= 2e-13 * np.max(np.abs(b))), l
 
 
 def _exact_states(N, l):
@@ -351,39 +355,140 @@ def _exact_states(N, l):
     return states
 
 
+def _count_gauss_rules(monkeypatch) -> list:
+    """The sizes of the Gauss rules built from now on, with every oracle
+    cache emptied first."""
+    for f in vars(oracle).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    built = []
+    gauss = oracle._gauss
+
+    def counted(m):
+        built.append(m)
+        return gauss(m)
+    monkeypatch.setattr(oracle, "_gauss", counted)
+    return built
+
+
 class TestLattice:
-    """The cached samples of the basis on the eigenfunction lattice."""
+    """The cached basis on the eigenfunction lattice, and the builds of the
+    basis: one per l and group top."""
 
     @pytest.mark.parametrize("n, l", [(40, 0), (90, 2), (135, 15)])
     def test_read_only_and_exact(self, n, l):
-        phi = oracle._lattice(n, l)
-        assert not phi.flags.writeable
+        """The first n + 1 rows of the lattice of size n's group top are the
+        size-n basis, evaluated afresh from its own n recurrence steps."""
+        phi, at_zero = oracle._lattice(oracle._top(n), l)
+        assert not phi.flags.writeable and not at_zero.flags.writeable
         x = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)
+        a, b = oracle._stieltjes(oracle._top(n), l)
+        p = oracle._orthonormal(a[:n], b[:n + 1], x)
+        assert np.array_equal(at_zero[:n + 1], p[:, 0])
         assert np.array_equal(
-            phi, oracle._orthonormal(*oracle._stieltjes(n, l), x)
-            * np.exp(-0.5 * x * x))
+            phi[:n + 1], p * (x ** (l + 0.5) * np.exp(-0.5 * x * x)))
 
-    def test_one_build_per_accepted_size_and_l(self, monkeypatch):
-        """Over the 60 exact states with N <= 8 and l <= 2, the lattice is
-        built once for each distinct (accepted size, l)."""
-        counting = _CountingLinalg(oracle.linalg)
-        monkeypatch.setattr(oracle, "linalg", counting)
-        oracle._lattice.cache_clear()
-        accepted = set()
+    def test_one_basis_per_l(self, monkeypatch):
+        """Over the 60 exact states with N <= 8 and l <= 2, which accept at
+        sizes 18 to 40, one Gauss rule is built, and the basis once per l."""
+        built = _count_gauss_rules(monkeypatch)
         solves = 0
         for l in range(3):
             for N in range(1, 9):
                 for omega, _, _ in _exact_states(N, l):
-                    counting.calls.clear()
                     solve_eigen(RadialProblem(omega=omega, l=l),
                                 ShootingConfig(node_target=N))
-                    _, (a,), _, _ = counting.calls[-1]
-                    accepted.add((a.shape[0] - 1, l))
                     solves += 1
         assert solves == 60
+        assert built == [3 * oracle.BASIS_TOPS[0] + 80]
+        assert oracle._measure.cache_info().misses == 1
+        for cache in (oracle._stieltjes, oracle._galerkin):
+            assert cache.cache_info().misses == 3
         info = oracle._lattice.cache_info()
-        assert info.misses == len(accepted)
-        assert info.hits == solves - len(accepted)
+        assert (info.misses, info.hits) == (3, solves - 3)
+
+    def test_dossier_builds_one_gauss_rule(self, monkeypatch):
+        """The report, at l = 0 and 1, builds one Gauss rule and two bases."""
+        built = _count_gauss_rules(monkeypatch)
+        build_report()
+        assert built == [3 * oracle.BASIS_TOPS[0] + 80]
+        assert oracle._stieltjes.cache_info().misses == 2
+
+
+def _count_nodes_by_row(u):
+    """The per-row count that oracle._count_nodes vectorizes."""
+    counts = []
+    for row in u:
+        s = np.sign(row[np.abs(row) > oracle.NODE_FLOOR * np.abs(row).max()])
+        counts.append(int(np.count_nonzero(s[1:] != s[:-1])))
+    return counts
+
+
+class TestNodeCount:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
+    def test_matches_row_by_row_count(self, rows, cols, seed):
+        """Equal to the row-by-row count, also with samples below the floor
+        (or exactly zero) between two kept samples."""
+        rng = np.random.default_rng(seed)
+        u = (rng.standard_normal((rows, cols))
+             * 10.0 ** rng.integers(-12, 1, size=(rows, cols)))
+        u[rng.random((rows, cols)) < 0.1] = 0.0
+        u[:, 0] = rng.choice([-1.0, 1.0], size=rows)  # no all-zero row
+        assert oracle._count_nodes(u).tolist() == _count_nodes_by_row(u)
+
+
+class TestNestedBasis:
+    """Every size reads the leading blocks of its group's basis, so within a
+    group the Ritz values can only fall; the second group (sizes 60 to 135)
+    serves the rare solves that climb past 40."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-4.0, 2.0), st.integers(0, 15), st.integers(0, 12),
+           st.booleans())
+    def test_ritz_values_never_rise_within_a_group(
+            self, log10_omega, l, node_target, coulomb_on):
+        problem = RadialProblem(omega=10.0 ** log10_omega, l=l)
+        config = ShootingConfig(node_target=node_target,
+                                eta_bracket=(0.0, np.inf))
+        # with the basis cached, the proxy sees only the Galerkin ladder
+        solve_eigen(problem, config, coulomb_on=coulomb_on)
+        counting = _CountingLinalg(oracle.linalg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "linalg", counting)
+            solve_eigen(problem, config, coulomb_on=coulomb_on)
+        count = node_target + 1
+        ladder = [(a.shape[0] - 1,
+                   (res if name == "eigvalsh" else res[0])[:count],
+                   np.linalg.norm(a, 2))
+                  for name, (a,), _, res in counting.calls]
+        for (n0, etas0, _), (n1, etas1, norm) in zip(ladder, ladder[1:]):
+            if oracle._top(n0) == oracle._top(n1):
+                rise = np.max(etas1 - etas0)
+                assert rise <= 8 * np.finfo(float).eps * norm, (n0, n1, rise)
+
+    def test_oscillator_climbs_to_90(self, monkeypatch):
+        counting = _CountingLinalg(oracle.linalg)
+        monkeypatch.setattr(oracle, "linalg", counting)
+        res = solve_eigen(RadialProblem(omega=1.0, l=2),
+                          ShootingConfig(node_target=30), coulomb_on=False)
+        assert counting.calls[-1][1][0].shape[0] == 91
+        assert [e.nodes for e in res.eigenvalues] == list(range(31))
+        for k, e in enumerate(res.eigenvalues):
+            assert abs(e.eta - (2 * k + 3)) <= 1e-11 * (2 * k + 3), (k, e)
+
+    def test_exact_state_accepted_at_60(self, monkeypatch):
+        """The nodeless N = 12, l = 0 state at omega = 4.72e-4, one of the 10
+        exact states with N in {11, 12} and l <= 2 that accept at size 60."""
+        omega, eta, nodes = min(_exact_states(12, 0))
+        assert omega == pytest.approx(4.7186e-4, rel=1e-4) and nodes == 0
+        counting = _CountingLinalg(oracle.linalg)
+        monkeypatch.setattr(oracle, "linalg", counting)
+        res = solve_eigen(RadialProblem(omega=omega, l=0),
+                          ShootingConfig(node_target=12), coulomb_on=True)
+        assert counting.calls[-1][1][0].shape[0] == 61
+        assert [e.nodes for e in res.eigenvalues] == list(range(13))
+        assert abs(res.etas[nodes] - eta) <= 1e-10 * eta
 
 
 class TestHighL:
