@@ -81,6 +81,13 @@ class RunSpec:
         if self.command not in ("tables", "report") and (
                 not self.n_range or not self.l_range):
             raise ValueError(f"{self.command} requires non-empty n and l ranges")
+        for name, values, low in (("n", self.n_range, 1),
+                                  ("l", self.l_range, 0),
+                                  ("moment power k", self.moments_k, 0),
+                                  ("n_R", [self.n_R], 0)):
+            if any(v < low for v in values):
+                raise ValueError(
+                    f"{name} must be at least {low}, got {min(values)}")
 
 
 def parse_range(text: str) -> list[int]:
@@ -337,8 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=float, default=None,
                        help="root refinement width (default 1e-13)")
         if ranges:
-            p.add_argument("--n", default="2..5", help="state labels, e.g. 2..5")
-            p.add_argument("--l", default="0..1", help="angular momenta, e.g. 0..1")
+            p.add_argument("--n", default=None,
+                           help="state labels, e.g. 2..5 (default 2..5)")
+            p.add_argument("--l", default=None,
+                           help="angular momenta, e.g. 0..1 (default 0..1)")
 
     p = sub.add_parser("roots", help="determinant roots per (n, l)")
     common(p)

@@ -42,13 +42,15 @@ pair (S, C) and lattice, of which every size of the group reads the leading
 block. Within a group the eigenvalues can only fall from one size to the
 next (Cauchy interlacing), so the self-convergence gap is a one-sided bound.
 
-Each size costs one symmetric eigensolve (numpy.linalg): eigenvalues alone
-at the first size, which is never accepted, and eigenvalues with
-eigenvectors from the second on. The leading vectors of the accepted size
-give u, sampled on a fixed uniform lattice of LATTICE + 1 points on
-[0, 12/sqrt(omega)], and node counting there orders the states. The solver
-therefore serves as the arbiter for whether an analytically constructed
-state is a genuine eigenstate.
+Each size costs one symmetric eigensolve (numpy.linalg.eigh). The basis is
+conforming, so by min-max each Ritz value is an upper bound on its
+eigenvalue: the node_target + 1 lowest Ritz pairs are the states asked for,
+with no eta window to find them in. Their vectors at the accepted size give
+u, sampled on a fixed uniform lattice of LATTICE + 1 points on
+[0, 12/sqrt(omega)], and the states are returned only if their node counts
+there are exactly 0..node_target. The solver therefore serves as the
+arbiter for whether an analytically constructed state is a genuine
+eigenstate.
 
 Checked range: l <= 15 with node_target <= 12. With the Coulomb term off,
 4300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
@@ -113,18 +115,17 @@ NODE_FLOOR = 1e-8
 
 
 class NoEigenvalueError(RuntimeError):
-    """A requested state does not lie in the eta bracket."""
+    """The lowest Ritz states do not have node counts 0..node_target."""
 
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Eigensolve request: states with node counts 0..node_target, optionally
-    restricted to eta_bracket.
+    """Eigensolve request: the node_target + 1 lowest states, with node
+    counts 0..node_target.
 
     The name is historical and kept only because callers construct it.
     """
 
-    eta_bracket: tuple[float, float] | None = None
     node_target: int = 3
 
     def __post_init__(self):
@@ -338,9 +339,8 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     the leading blocks of the basis built at the top of its group
     (BASIS_TOPS). The coefficient vectors of the accepted size give the
     eigenfunctions, sampled on the fixed lattice of LATTICE + 1 points on
-    [0, 12/sqrt(omega)], where their nodes are counted and checked to rise
-    with eta. Raises NoEigenvalueError if a requested state lies outside the
-    eta bracket.
+    [0, 12/sqrt(omega)], where their nodes are counted. Raises
+    NoEigenvalueError unless the node counts are exactly 0..node_target.
 
     Checked range: l <= 15 with node_target <= 12 (see the module docstring).
     """
@@ -351,12 +351,6 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     wall = DOMAIN_SCALE / math.sqrt(w)
     count = config.node_target + 1
 
-    if config.eta_bracket is not None:
-        lo, hi = config.eta_bracket
-    else:
-        lo = 0.2 * (l + 1) * w
-        hi = (2 * config.node_target + l + 3) * w + 2.5 * math.sqrt(w)
-
     prev = None
     for n in GALERKIN_SIZES:
         top = _top(n)
@@ -365,24 +359,18 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         block = np.s_[:n + 1, :n + 1]
         a = (0.5 * w) * stiff[block] + coul_scale * coulomb[block]
         a.flat[::n + 2] += (l + 1) * w
-        if prev is None:
-            # the first size is never accepted, so its vectors are not needed
-            etas = linalg.eigvalsh(a)[:count]
-        else:
-            etas, coeffs = linalg.eigh(a)
-            etas, coeffs = etas[:count], coeffs[:, :count]
+        etas, coeffs = linalg.eigh(a)
+        etas, coeffs = etas[:count], coeffs[:, :count]
+        # consecutive sizes keep the same number of values only once both
+        # hold all count of them
         if prev is not None and len(prev) == len(etas):
             gaps = np.abs(etas - prev)
         else:
             gaps = np.full(len(etas), np.inf)
-        converged = np.all(gaps <= SELF_CONVERGENCE_RTOL * np.abs(etas))
-        if len(etas) == count and converged:
+        if np.all(gaps <= SELF_CONVERGENCE_RTOL * np.abs(etas)):
             break
         prev = etas
     else:
-        if len(etas) < count:
-            raise NoEigenvalueError(
-                f"only {len(etas)} eigenvalues at Galerkin size {n}")
         log.warning("Galerkin not self-converged at N=%d: relative gap %.1e",
                     n, float(np.max(gaps / np.abs(etas))))
 
@@ -395,25 +383,15 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     funcs *= scale[:, None]
 
     nodes = _count_nodes(funcs[:, 1:-1]).tolist()
-    states = [Eigenvalue(eta=eta, nodes=k,
-                         convergence_width=max(gap, 4 * math.ulp(eta)))
-              for eta, gap, k in zip(etas.tolist(), gaps.tolist(), nodes)]
-    for a, b in zip(states, states[1:]):
-        if b.nodes < a.nodes:
-            raise RuntimeError(
-                f"node ordering violated: eta={a.eta:g} has {a.nodes} nodes, "
-                f"eta={b.eta:g} has {b.nodes}")
-
-    keep = [i for i, e in enumerate(states)
-            if lo <= e.eta <= hi and e.nodes <= config.node_target]
-    missing = set(range(count)) - {states[i].nodes for i in keep}
-    if missing:
+    if nodes != list(range(count)):
         raise NoEigenvalueError(
-            f"states with node counts {sorted(missing)} not found in "
-            f"eta=({lo:g}, {hi:g}); widen the bracket")
+            f"the {len(nodes)} lowest Ritz states at Galerkin size {n} have "
+            f"node counts {nodes}, not 0..{config.node_target}")
+    states = tuple(Eigenvalue(eta=eta, nodes=k,
+                              convergence_width=max(gap, 4 * math.ulp(eta)))
+                   for eta, gap, k in zip(etas.tolist(), gaps.tolist(), nodes))
     return OracleResult(problem=problem, coulomb_on=coulomb_on,
-                        eigenvalues=tuple(states[i] for i in keep),
-                        r=r, eigenfunctions=funcs[keep])
+                        eigenvalues=states, r=r, eigenfunctions=funcs)
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +457,8 @@ def validate_root(n: int, l: int, t_star: float,
     omega = 1.0 / (t_star * t_star)
     eta_analytic = (n + l + 1) * omega
     problem = RadialProblem(omega=omega, l=l)
-    node_target = 6
-    hi = max((2 * node_target + l + 3) * omega + 2.5 * math.sqrt(omega),
-             1.3 * eta_analytic + 4 * omega)
-    config = ShootingConfig(node_target=node_target,
-                            eta_bracket=(0.2 * (l + 1) * omega, hi))
-    result = solve_eigen(problem, config, coulomb_on=True)
+    result = solve_eigen(problem, ShootingConfig(node_target=6),
+                         coulomb_on=True)
     state = normalize(assemble_polynomial(n, l, t_star, convention=convention))
     return _record(n, l, t_star, eta_analytic, result, state, residual(state))
 

@@ -218,44 +218,35 @@ def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13,
                    negative_root_count=n_neg, complex_root_count=n_complex)
 
 
-def coefficient_chain(n: int, l: int, t_star: float,
+def coefficient_chain(n: int, l: int, t_star: float | Fraction,
                       convention: GammaConvention = GammaConvention.TABLE,
-                      ) -> tuple[list[float], int]:
+                      ) -> tuple[list, int]:
     """Series coefficients A_0..A_n at a fixed t and their effective degree.
 
     A_0 = 1, A_1 = -t/2, A_{p+2} = -delta' A_{p+1} - gamma_{p+1} A_p with the
-    system's gamma factors evaluated at t. The effective degree is the highest
-    index whose coefficient survives the 1e-9 * max|A| cutoff (at a determinant
-    root the trailing coefficient vanishes and the polynomial degenerates).
+    system's gamma factors evaluated at t: in floats, or exactly for a
+    Fraction t. The effective degree is as in effective_degree (at a
+    determinant root the trailing coefficient vanishes and the polynomial
+    degenerates).
     """
     if t_star <= 0:
         raise ValueError("t_star must be positive")
+    if not isinstance(t_star, Fraction):
+        t_star = float(t_star)
     system = build_gamma_factors(n, l, convention)
-    dp = t_star / 2.0
-    a = [1.0, -dp]
+    dp = t_star / 2
+    a = [type(t_star)(1), -dp]
     for p in range(n - 1):
-        gamma = float(system.gamma_factors[p].const) + \
-            float(system.gamma_factors[p].inv_t) / t_star
-        a.append(-dp * a[p + 1] - gamma * a[p])
+        a.append(-dp * a[p + 1] - system.gamma_factors[p](t_star) * a[p])
     a = a[:n + 1]
-    amax = max(abs(v) for v in a)
-    eff = 0
-    for p, v in enumerate(a):
-        if abs(v) >= 1e-9 * amax:
-            eff = p
-    return a, eff
+    return a, effective_degree(a)
 
 
-def coefficient_chain_exact(system: TerminationSystem, t: Fraction) -> list[Fraction]:
-    """Exact-rational A_0..A_n at rational t (testing and cross-checks)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    dp = t / 2
-    a = [Fraction(1), -dp]
-    for p in range(system.n - 1):
-        gamma = system.gamma_factors[p](t)
-        a.append(-dp * a[p + 1] - gamma * a[p])
-    return a[:system.n + 1]
+def effective_degree(chain) -> int:
+    """The highest index whose coefficient survives the 1e-9 * max|A|
+    cutoff."""
+    amax = max(abs(v) for v in chain)
+    return max(p for p, v in enumerate(chain) if abs(v) >= 1e-9 * amax)
 
 
 @dataclass(frozen=True)

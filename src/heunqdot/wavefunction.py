@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import effective_potential_term
-from .termination import GammaConvention, coefficient_chain
+from .termination import GammaConvention, coefficient_chain, effective_degree
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,7 @@ def assemble_polynomial(n: int, l: int, t_star: float,
         A_chain, eff = coefficient_chain(n, l, t_star, convention)
     else:
         A_chain = list(A_chain)
-        amax = max(abs(v) for v in A_chain)
-        eff = 0
-        for p, v in enumerate(A_chain):
-            if abs(v) >= 1e-9 * amax:
-                eff = p
+        eff = effective_degree(A_chain)
     omega = 1.0 / (t_star * t_star)
     sw = 1.0 / t_star  # sqrt(omega)
     one_alpha = (2 * l + 1) * sw
@@ -153,15 +149,22 @@ class RadialState:
         return self.N * self.u(r), self.R(r)
 
 
-def norm_integral_closed(solution: PolynomialSolution) -> float:
-    """I = int_0^inf u^2 dr = (1/2) sum_k c_k t^(2(l+1)+k) Gamma(l+1+k/2)."""
+def _gamma_sum(solution: PolynomialSolution, k: int) -> float:
+    """int_0^inf r^k u^2 dr = (1/2) sum_j c_j t^(2(l+1)+j+k) Gamma(l+1+(j+k)/2),
+    with c_j the coefficients of y^2."""
     c = square_coefficients(solution.y_coeffs)
     t = solution.t_star
     l = solution.l
     acc = 0.0
-    for k, ck in enumerate(c):
-        acc += ck * t ** (2 * (l + 1) + k) * gamma_half_integer(Fraction(2 * l + 2 + k, 2))
+    for j, cj in enumerate(c):
+        nu = Fraction(2 * l + 2 + j + k, 2)  # l+1+(j+k)/2
+        acc += cj * t ** (2 * (l + 1) + j + k) * gamma_half_integer(nu)
     return acc / 2
+
+
+def norm_integral_closed(solution: PolynomialSolution) -> float:
+    """I = int_0^inf u^2 dr = (1/2) sum_k c_k t^(2(l+1)+k) Gamma(l+1+k/2)."""
+    return _gamma_sum(solution, 0)
 
 
 def normalize(solution: PolynomialSolution) -> RadialState:
@@ -178,15 +181,7 @@ def moment(state: RadialState, k: int) -> float:
     """<r^k> with weight (N u)^2 dr (the 2D radial measure R^2 r dr)."""
     if k < 0:
         raise ValueError("moment power must be non-negative")
-    sol = state.solution
-    c = square_coefficients(sol.y_coeffs)
-    t = sol.t_star
-    l = sol.l
-    acc = 0.0
-    for j, cj in enumerate(c):
-        nu = Fraction(2 * l + 2 + j + k, 2)  # l+1+(j+k)/2
-        acc += cj * t ** (2 * (l + 1) + j + k) * gamma_half_integer(nu)
-    return state.N ** 2 * acc / 2
+    return state.N ** 2 * _gamma_sum(state.solution, k)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,17 @@ class TestConfigPrecedence:
         row = (tmp_path / "roots.csv").read_text().splitlines()[1]
         assert row.split(",")[2] == "table"
 
+    def test_config_file_supplies_ranges(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"out = {tmp_path}\nn = 3\nl = 0\n")
+        run(["roots", "--config", str(conf)])
+        rows = (tmp_path / "roots.csv").read_text().splitlines()[1:]
+        assert rows
+        assert {tuple(row.split(",")[:2]) for row in rows} == {("3", "0")}
+        run(["roots", "--config", str(conf), "--n", "2"])
+        rows = (tmp_path / "roots.csv").read_text().splitlines()[1:]
+        assert {tuple(row.split(",")[:2]) for row in rows} == {("2", "0")}
+
     @pytest.mark.parametrize("line", ["precison = 1e-9", "steps = 4000"])
     def test_unknown_config_key_rejected(self, tmp_path, line, capsys):
         conf = tmp_path / "run.conf"
@@ -198,8 +209,14 @@ class TestConfigPrecedence:
          "precision must lie in [1e-14, 1e-06], got 0.001"),
         ("precision = 1e-15", ["tables"],
          "precision must lie in [1e-14, 1e-06], got 1e-15"),
+        ("", ["roots", "--n", "0", "--l", "0"], "n must be at least 1, got 0"),
+        ("", ["roots", "--n", "2", "--l=-1"], "l must be at least 0, got -1"),
+        ("", ["moments", "--n", "2", "--l", "0", "--k=-1"],
+         "moment power k must be at least 0, got -1"),
+        ("", ["spectrum", "--n", "2", "--l", "0", "--nr=-1"],
+         "n_R must be at least 0, got -1"),
     ], ids=["format = xml", "--grid foo", "--precision 1e-3",
-            "precision = 1e-15"])
+            "precision = 1e-15", "--n 0", "--l=-1", "--k=-1", "--nr=-1"])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, line, args,
                                         message):
         conf = tmp_path / "run.conf"

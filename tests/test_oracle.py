@@ -32,7 +32,6 @@ class TestShootingConfig:
     def test_defaults_valid(self):
         cfg = ShootingConfig()
         assert cfg.node_target == 3
-        assert cfg.eta_bracket is None
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -131,9 +130,8 @@ class _CountingLinalg:
 
 
 class TestEigenvectorStep:
-    """One eigensolve per Galerkin size: eigenvalues alone at the first size,
-    which is never accepted, and eigenvalues with eigenvectors from the second
-    on; the leading vectors of the accepted size give the returned states."""
+    """One eigensolve (eigenvalues and eigenvectors) per Galerkin size; the
+    leading vectors of the accepted size give the returned states."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-4.0, 2.0), st.sampled_from([0, 1, 2]),
@@ -181,8 +179,8 @@ class TestEigenvectorStep:
         calls = counting.calls
         assert len(calls) >= 2
         names = [c[0] for c in calls]
-        assert names == ["eigvalsh"] + ["eigh"] * (len(calls) - 1)
-        for *_, result in calls[1:]:
+        assert names == ["eigh"] * len(calls)
+        for *_, result in calls:
             assert isinstance(result, tuple) and len(result) == 2
         sizes = [a.shape[0] for _, (a,), _, _ in calls]
         assert sizes == [n + 1 for n in oracle.GALERKIN_SIZES[:len(sizes)]]
@@ -449,8 +447,7 @@ class TestNestedBasis:
     def test_ritz_values_never_rise_within_a_group(
             self, log10_omega, l, node_target, coulomb_on):
         problem = RadialProblem(omega=10.0 ** log10_omega, l=l)
-        config = ShootingConfig(node_target=node_target,
-                                eta_bracket=(0.0, np.inf))
+        config = ShootingConfig(node_target=node_target)
         # with the basis cached, the proxy sees only the Galerkin ladder
         solve_eigen(problem, config, coulomb_on=coulomb_on)
         counting = _CountingLinalg(oracle.linalg)
@@ -458,10 +455,8 @@ class TestNestedBasis:
             mp.setattr(oracle, "linalg", counting)
             solve_eigen(problem, config, coulomb_on=coulomb_on)
         count = node_target + 1
-        ladder = [(a.shape[0] - 1,
-                   (res if name == "eigvalsh" else res[0])[:count],
-                   np.linalg.norm(a, 2))
-                  for name, (a,), _, res in counting.calls]
+        ladder = [(a.shape[0] - 1, etas[:count], np.linalg.norm(a, 2))
+                  for _, (a,), _, (etas, _) in counting.calls]
         for (n0, etas0, _), (n1, etas1, norm) in zip(ladder, ladder[1:]):
             if oracle._top(n0) == oracle._top(n1):
                 rise = np.max(etas1 - etas0)
@@ -549,12 +544,28 @@ class TestOracleRobustness:
                 for e_off, e_on in zip(off.etas, on.etas):
                     assert e_on > e_off
 
-    def test_empty_bracket_raises(self):
-        p = RadialProblem(omega=1.0, l=0)
-        with pytest.raises(NoEigenvalueError):
-            solve_eigen(p, ShootingConfig(node_target=0,
-                                          eta_bracket=(1.7, 1.9)),
-                        coulomb_on=False)
+    def test_wrong_node_counts_raise(self):
+        # the state with 40 nodes turns at x = sqrt(166) > 12.6, so its
+        # outer node lies past the sampling window x <= DOMAIN_SCALE and the
+        # 41 lowest Ritz states count 0..39, 39 nodes
+        p = RadialProblem(omega=1.0, l=2)
+        with pytest.raises(NoEigenvalueError, match="node counts"):
+            solve_eigen(p, ShootingConfig(node_target=40), coulomb_on=False)
+
+    @pytest.mark.parametrize("a, omega, l, node_target", [
+        (10.0, 1.0, 0, 2), (25.0, 1.0, 1, 4), (50.0, 4.0, 2, 6),
+        (40.0, 1.0, 5, 6)])
+    def test_coulomb_strength_scaling(self, a, omega, l, node_target):
+        """eta depends on a and omega through a/sqrt(omega) alone, so
+        eta(omega, a) = 4 a^2 eta(omega/4a^2, 1/2): no eta window may assume
+        the a = 1/2 scale."""
+        config = ShootingConfig(node_target=node_target)
+        res = solve_eigen(RadialProblem(omega=omega, l=l, coulomb_a=a), config)
+        ref = solve_eigen(RadialProblem(omega=omega / (4 * a * a), l=l), config)
+        assert ([e.nodes for e in res.eigenvalues]
+                == list(range(node_target + 1)))
+        for eta, eta_half in zip(res.etas, ref.etas, strict=True):
+            assert abs(eta - 4 * a * a * eta_half) <= 1e-13 * eta
 
     def test_eigenvalues_bracketed(self):
         res = solve_eigen(RadialProblem(omega=1.0, l=2),
