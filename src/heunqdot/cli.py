@@ -7,7 +7,8 @@ mismatches are report content and exit 0; only internal errors exit nonzero.
 
 Configuration precedence: command-line flags > config file (plain key=value
 lines, --config or ./heunqdot.conf) > built-in defaults. The config file may
-set convention, format, out, precision, n and l; any other key is an error.
+set convention, format, out, precision, n and l; any other key, or an empty
+value, is an error.
 The single environment variable HEUNQDOT_OUT overrides the output directory
 when --out is not given. The oracle's eigenvalues come from a self-converged
 Galerkin solve in a Gaussian-weighted half-range polynomial basis; nodes are
@@ -25,17 +26,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .model import (
-    SystemConfig,
-    energy_center_of_mass,
-    energy_relative,
-    total_energy,
-)
+from .model import SystemConfig, energy_center_of_mass, total_energy
 from .oracle import validate_root
-from .report import build_report, build_tables, q6, render_text
-from .termination import GammaConvention, check_precision, solve_termination
-from .reference_data import load_reference
-from .wavefunction import assemble_polynomial, moment, normalize
+from .report import (build_report, build_tables, q6, render_text, solve_states,
+                     verdict_row)
+from .termination import GammaConvention, check_precision
+from .wavefunction import PolynomialSolution, assemble_polynomial, moment, normalize
 
 COMMANDS = ("roots", "spectrum", "wavefunction", "moments", "validate",
             "tables", "report")
@@ -73,8 +69,10 @@ class RunSpec:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.omega_override is not None and self.omega_override <= 0:
-            raise ValueError("omega override must be positive")
+        if self.omega_override is not None and not (
+                0 < self.omega_override < math.inf):
+            raise ValueError("omega override must be finite and positive, "
+                             f"got {self.omega_override:g}")
         if self.output_format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         check_precision(self.precision)
@@ -158,7 +156,8 @@ def write_rows(rows: list[dict], header: list[str], path: Path,
         out.write_text("\n".join(lines) + "\n")
     else:
         out = path.parent / (path.name + ".json")
-        payload = {"meta": meta, "rows": rows}
+        payload = {"meta": meta,
+                   "rows": [{h: row[h] for h in header} for row in rows]}
         out.write_text(json.dumps(payload, indent=2) + "\n")
     return out
 
@@ -168,29 +167,36 @@ def _meta(spec: RunSpec) -> dict:
             "precision": spec.precision}
 
 
-def _states(spec: RunSpec):
-    """(n, l, t_star, is_root) tuples honoring the omega override."""
-    ref = load_reference()
-    for l in spec.l_range:
-        for n in spec.n_range:
-            if spec.omega_override is not None:
-                yield n, l, 1.0 / math.sqrt(spec.omega_override), False
-                continue
-            res = solve_termination(n, l, spec.convention,
-                                    precision=spec.precision,
-                                    asymptotic_flag=ref.asymptotic(n, l))
-            for root in res.rootset.roots:
-                yield n, l, root.t_star, True
+def _states(spec: RunSpec) -> dict[tuple[int, int],
+                                   tuple[PolynomialSolution, ...]]:
+    """Per (n, l), l outer: the chain state at each root, or the one state
+    at the omega override."""
+    grid = [(n, l) for l in spec.l_range for n in spec.n_range]
+    if spec.omega_override is not None:
+        t = 1.0 / math.sqrt(spec.omega_override)
+        return {(n, l): (assemble_polynomial(n, l, t,
+                                             convention=spec.convention),)
+                for n, l in grid}
+    solved = solve_states(((spec.convention, n, l) for n, l in grid),
+                          spec.precision)
+    return {(n, l): solved[(spec.convention, n, l)].solutions
+            for n, l in grid}
+
+
+def _each_state(spec: RunSpec) -> list[PolynomialSolution]:
+    return [sol for found in _states(spec).values() for sol in found]
+
+
+def _state_columns(spec: RunSpec, sol: PolynomialSolution) -> dict:
+    """The n, l, convention, t_star and omega columns of a per-state row."""
+    return {"n": sol.n, "l": sol.l, "convention": spec.convention.value,
+            "t_star": q6(sol.t_star), "omega": q6(sol.omega)}
 
 
 def cmd_roots(spec: RunSpec) -> list[Path]:
-    rows = []
-    for n, l, t, _ in _states(spec):
-        sol = assemble_polynomial(n, l, t, convention=spec.convention)
-        rows.append({"n": n, "l": l, "convention": spec.convention.value,
-                     "t_star": q6(t), "omega": q6(sol.omega),
-                     "eta": q6(sol.eta),
-                     "effective_degree": sol.effective_degree})
+    rows = [{**_state_columns(spec, sol), "eta": q6(sol.eta),
+             "effective_degree": sol.effective_degree}
+            for sol in _each_state(spec)]
     out = write_rows(rows, ROOTS_HEADER, Path(spec.output_path) / "roots",
                      spec.output_format, _meta(spec))
     print(f"{len(rows)} roots -> {out}")
@@ -199,16 +205,14 @@ def cmd_roots(spec: RunSpec) -> list[Path]:
 
 def cmd_spectrum(spec: RunSpec) -> list[Path]:
     rows = []
-    for n, l, t, _ in _states(spec):
-        omega = 1.0 / (t * t)
-        eta = energy_relative(n, l, omega)
-        config = SystemConfig(trap_frequency_Omega=2 * omega, n_R=spec.n_R)
+    for sol in _each_state(spec):
+        config = SystemConfig(trap_frequency_Omega=2 * sol.omega,
+                              n_R=spec.n_R)
         eps = energy_center_of_mass(spec.n_R, config)
-        rows.append({"n": n, "l": l, "convention": spec.convention.value,
-                     "t_star": q6(t), "omega": q6(omega), "eta": q6(eta),
-                     "Omega": q6(2 * omega), "omega_R": q6(config.omega_R),
+        rows.append({**_state_columns(spec, sol), "eta": q6(sol.eta),
+                     "Omega": q6(2 * sol.omega), "omega_R": q6(config.omega_R),
                      "n_R": spec.n_R, "epsilon_cm": q6(eps),
-                     "E_total": q6(total_energy(eps, eta))})
+                     "E_total": q6(total_energy(eps, sol.eta))})
     out = write_rows(rows, SPECTRUM_HEADER, Path(spec.output_path) / "spectrum",
                      spec.output_format, _meta(spec))
     print(f"{len(rows)} spectrum rows -> {out}")
@@ -221,18 +225,14 @@ def cmd_wavefunction(spec: RunSpec) -> list[Path]:
     r0, r1, steps = spec.grid
     r = np.linspace(r0, r1, steps)
     written: list[Path] = []
-    by_label = {(n, l): [] for l in spec.l_range for n in spec.n_range}
-    for n, l, t, is_root in _states(spec):
-        by_label[(n, l)].append((t, is_root))
-    for (n, l), found in by_label.items():
+    for (n, l), found in _states(spec).items():
         if not found:
             print(f"no roots for (n={n}, l={l}); nothing to emit")
             continue
-        for idx, (t, is_root) in enumerate(found):
-            state = normalize(assemble_polynomial(n, l, t,
-                                                  convention=spec.convention))
-            u, R = state.sample(r)
-            tag = f"root{idx}" if is_root else f"omega{spec.omega_override:g}"
+        for idx, sol in enumerate(found):
+            u, R = normalize(sol).sample(r)
+            tag = (f"root{idx}" if spec.omega_override is None
+                   else f"omega{spec.omega_override:g}")
             rows = [{"r": q6(ri), "u": q6(ui), "R": q6(Ri)}
                     for ri, ui, Ri in zip(r, u, R)]
             base = Path(spec.output_path) / f"wavefunction_n{n}_l{l}_{tag}"
@@ -254,13 +254,10 @@ def cmd_wavefunction(spec: RunSpec) -> list[Path]:
 
 def cmd_moments(spec: RunSpec) -> list[Path]:
     rows = []
-    for n, l, t, _ in _states(spec):
-        state = normalize(assemble_polynomial(n, l, t,
-                                              convention=spec.convention))
-        for k in spec.moments_k:
-            rows.append({"n": n, "l": l, "convention": spec.convention.value,
-                         "t_star": q6(t), "omega": q6(state.omega), "k": k,
-                         "value": q6(moment(state, k))})
+    for sol in _each_state(spec):
+        state = normalize(sol)
+        rows += [{**_state_columns(spec, sol), "k": k,
+                  "value": q6(moment(state, k))} for k in spec.moments_k]
     out = write_rows(rows, MOMENTS_HEADER, Path(spec.output_path) / "moments",
                      spec.output_format, _meta(spec))
     print(f"{len(rows)} moments -> {out}")
@@ -268,19 +265,9 @@ def cmd_moments(spec: RunSpec) -> list[Path]:
 
 
 def cmd_validate(spec: RunSpec) -> list[Path]:
-    rows = []
-    for n, l, t, is_root in _states(spec):
-        if not is_root:
-            continue
-        rec = validate_root(n, l, t, spec.convention)
-        rows.append({"n": n, "l": l, "convention": spec.convention.value,
-                     "t_star": q6(t), "eta_analytic": q6(rec.eta_analytic),
-                     "eta_oracle": q6(rec.eta_oracle),
-                     "oracle_nodes": rec.oracle_nodes,
-                     "abs_delta": q6(rec.abs_delta),
-                     "residual": q6(rec.residual),
-                     "effective_degree": rec.effective_degree,
-                     "classification": rec.classification})
+    rows = [{**verdict_row(validate_root(normalize(sol))),
+             "convention": spec.convention.value}
+            for sol in _each_state(spec)]
     out = write_rows(rows, VALIDATE_HEADER, Path(spec.output_path) / "validate",
                      spec.output_format, _meta(spec))
     print(f"{len(rows)} validations -> {out}")
@@ -359,13 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wavefunction", help="u(r), R(r) samples per root")
     common(p)
     p.add_argument("--grid", default="0:30:1000", help="r0:r1:steps")
-    p.add_argument("--omega", type=float, default=None)
+    p.add_argument("--omega", type=float, default=None,
+                   help="fixed omega instead of the roots")
     p.add_argument("--gnuplot", action="store_true",
                    help="also emit a gnuplot script")
     p = sub.add_parser("moments", help="<r^k> for constructed states")
     common(p)
     p.add_argument("--k", default="1,2", help="comma list of powers")
-    p.add_argument("--omega", type=float, default=None)
+    p.add_argument("--omega", type=float, default=None,
+                   help="fixed omega instead of the roots")
     p = sub.add_parser("validate", help="oracle verdict per root")
     common(p)
     p = sub.add_parser("tables", help="published-table reproduction rows")
@@ -382,10 +371,14 @@ def spec_from_args(args: argparse.Namespace) -> RunSpec:
         raise ValueError(
             f"unknown config key(s) {', '.join(map(repr, unknown))}; "
             f"known keys: {', '.join(sorted(CONFIG_KEYS))}")
-    convention = (args.convention or config.get("convention") or "table")
-    output_format = (args.output_format or config.get("format") or "csv")
+    empty = sorted(key for key, value in config.items() if not value)
+    if empty:
+        raise ValueError(
+            f"empty value for config key(s) {', '.join(map(repr, empty))}")
+    convention = args.convention or config.get("convention", "table")
+    output_format = args.output_format or config.get("format", "csv")
     out = (args.out or os.environ.get("HEUNQDOT_OUT")
-           or config.get("out") or ".")
+           or config.get("out", "."))
     precision = (args.precision if args.precision is not None
                  else float(config.get("precision", 1e-13)))
     kwargs = dict(

@@ -38,8 +38,8 @@ class SystemConfig:
     n_R: int = 0
 
     def __post_init__(self):
-        if self.trap_frequency_Omega <= 0:
-            raise ValueError("trap frequency Omega must be positive")
+        if not 0 < self.trap_frequency_Omega < math.inf:
+            raise ValueError("trap frequency Omega must be finite and positive")
         if self.n_R < 0 or int(self.n_R) != self.n_R:
             raise ValueError("n_R must be a non-negative integer")
 
@@ -68,8 +68,8 @@ class RadialProblem:
     coulomb_a: float = 0.5
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be finite and positive")
         if self.l < 0 or int(self.l) != self.l:
             raise ValueError("l must be a non-negative integer")
 
@@ -96,9 +96,7 @@ def map_to_heun(problem: RadialProblem, eta: float) -> HeunParams:
     gamma = 2 eta / omega + (2l+1)(sqrt(omega) - 1), delta = -1/sqrt(omega).
     The combination gamma - alpha - 2 collapses to 2 eta/omega - 2l - 2.
     """
-    w = problem.omega
-    if w <= 0:
-        raise ValueError("omega must be positive")
+    w = problem.omega  # finite and positive: RadialProblem checks it
     sw = math.sqrt(w)
     tl = 2 * problem.l + 1
     return HeunParams(

@@ -1,8 +1,9 @@
 """Independent spectral eigensolver for the radial problem.
 
 The eigensolve does not use the termination machinery: it solves the radial
-equation directly. (The verdict layer at the bottom imports termination and
-wavefunction, to build the analytic state it compares with.) With
+equation directly. (The verdict layer at the bottom imports wavefunction,
+to check the analytic states it is handed and to build the oscillator
+states, and termination, for the dense determinant check.) With
 u = r^(l+1/2) v the regular solution v is smooth at the origin and satisfies
 the self-adjoint equation
 
@@ -426,41 +427,35 @@ def classify(eta_analytic: float, eta_oracle: float) -> str:
     return DISCREPANT
 
 
-def _record(n: int, l: int, t_star: float, eta_analytic: float,
-            result: OracleResult, state: RadialState,
+def _record(state: RadialState, result: OracleResult,
             res: float) -> ValidationRecord:
     """The verdict on one analytic state against the oracle's nearest eta."""
-    best = min(result.eigenvalues, key=lambda e: abs(e.eta - eta_analytic))
+    sol = state.solution
+    best = min(result.eigenvalues, key=lambda e: abs(e.eta - sol.eta))
     return ValidationRecord(
-        n=n, l=l, t_star=t_star,
-        eta_analytic=eta_analytic,
+        n=sol.n, l=sol.l, t_star=sol.t_star,
+        eta_analytic=sol.eta,
         eta_oracle=best.eta,
         oracle_nodes=best.nodes,
-        abs_delta=abs(eta_analytic - best.eta),
+        abs_delta=abs(sol.eta - best.eta),
         residual=res,
-        effective_degree=state.solution.effective_degree,
-        classification=classify(eta_analytic, best.eta),
+        effective_degree=sol.effective_degree,
+        classification=classify(sol.eta, best.eta),
     )
 
 
-def validate_root(n: int, l: int, t_star: float,
-                  convention: GammaConvention = GammaConvention.TABLE,
-                  ) -> ValidationRecord:
-    """Compare the analytic state at a determinant root with the oracle.
+def validate_root(state: RadialState) -> ValidationRecord:
+    """Compare a normalized analytic state at a determinant root with the oracle.
 
-    eta_analytic = (n+l+1)/t_star^2; the oracle solves the same (omega, l)
-    problem with the Coulomb term on and reports its nearest eigenvalue. The
-    classification thresholds (1e-6 / 1e-2 relative) separate machine-level
-    agreement from structural disagreement; they are solver policy, not
-    physics.
+    eta_analytic = (n+l+1)/t_star^2 is the state's own eta; the oracle solves
+    the same (omega, l) problem with the Coulomb term on and reports its
+    nearest eigenvalue. The classification thresholds (1e-6 / 1e-2 relative)
+    separate machine-level agreement from structural disagreement; they are
+    solver policy, not physics.
     """
-    omega = 1.0 / (t_star * t_star)
-    eta_analytic = (n + l + 1) * omega
-    problem = RadialProblem(omega=omega, l=l)
-    result = solve_eigen(problem, ShootingConfig(node_target=6),
-                         coulomb_on=True)
-    state = normalize(assemble_polynomial(n, l, t_star, convention=convention))
-    return _record(n, l, t_star, eta_analytic, result, state, residual(state))
+    result = solve_eigen(RadialProblem(omega=state.omega, l=state.l),
+                         ShootingConfig(node_target=6), coulomb_on=True)
+    return _record(state, result, residual(state))
 
 
 def oscillator_state(k: int, l: int) -> RadialState:
@@ -482,14 +477,11 @@ def oscillator_state(k: int, l: int) -> RadialState:
 
 def validate_oscillator(k: int, l: int) -> ValidationRecord:
     """Synthetic cross-check: both solvers on the exactly solvable problem."""
-    n = 2 * k
-    eta_analytic = float(n + l + 1)
-    problem = RadialProblem(omega=1.0, l=l)
-    result = solve_eigen(problem, ShootingConfig(node_target=max(3, k)),
+    result = solve_eigen(RadialProblem(omega=1.0, l=l),
+                         ShootingConfig(node_target=max(3, k)),
                          coulomb_on=False)
     state = oscillator_state(k, l)
-    return _record(n, l, 1.0, eta_analytic, result, state,
-                   residual(state, coulomb_a=0.0))
+    return _record(state, result, residual(state, coulomb_a=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,18 @@ chain and the explicitly printed closed-form coefficients, records which
 published entries each reading reproduces, and attaches the independent
 eigensolver's verdict per root.
 
-A report solves each (convention, n, l) state once, at the report's
-precision, and every section renders from that one mapping; the chain state
-at each root and at the fixed omega is likewise normalized once.
+A report solves each (convention, n, l) once, at the report's precision, and
+assembles the chain state at each of its roots once (solve_states, which the
+command line shares). Every section reads those states: the roots section
+and the coefficient formulas their chains, and the table 4-5 readings and
+the oracle verdicts the report convention's states, each normalized once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict
+from typing import NamedTuple
 
 from . import __version__
 from .model import energy_relative
@@ -29,12 +32,12 @@ from .oracle import validate_oscillator, validate_root
 from .reference_data import load_reference
 from .termination import (
     GammaConvention,
-    TerminationResult,
-    coefficient_chain,
+    RootSet,
     printed_series_coefficients,
     solve_termination,
 )
-from .wavefunction import PolynomialSolution, assemble_polynomial, moment, normalize
+from .wavefunction import (PolynomialSolution, RadialState, assemble_polynomial,
+                           moment, normalize)
 
 FIXED_OMEGA = 0.01          # Hartree; the alternative published reading
 ROOT_MATCH_RTOL = 5e-5      # four significant figures
@@ -75,47 +78,60 @@ def _row(table_id, row_key, paper_value, computed_value, classification):
     }
 
 
-Solved = dict[tuple[GammaConvention, int, int], TerminationResult]
+class RootStates(NamedTuple):
+    """The roots of one (convention, n, l) and the chain state at each."""
+
+    rootset: RootSet
+    solutions: tuple[PolynomialSolution, ...]
 
 
-def _solve_each(keys, precision: float = 1e-13) -> Solved:
-    """Solve every distinct (convention, n, l) of keys once, in first-seen order."""
-    ref = load_reference()
-    return {(conv, n, l): solve_termination(
-                n, l, conv, precision=precision,
-                asymptotic_flag=ref.asymptotic(n, l))
-            for conv, n, l in dict.fromkeys(keys)}
+Solved = dict[tuple[GammaConvention, int, int], RootStates]
+States = dict[tuple[int, int], tuple[RadialState, ...]]  # normalized, per (n, l)
+
+
+def solve_states(keys, precision: float = 1e-13) -> Solved:
+    """Solve every distinct (convention, n, l) of keys once, in first-seen
+    order, and assemble the chain state at each of its roots."""
+    solved: Solved = {}
+    for conv, n, l in dict.fromkeys(keys):
+        rootset = solve_termination(n, l, conv, precision=precision).rootset
+        solved[(conv, n, l)] = RootStates(rootset, tuple(
+            assemble_polynomial(n, l, root.t_star, convention=conv)
+            for root in rootset.roots))
+    return solved
+
+
+def _normalized(solved: Solved, convention: GammaConvention) -> States:
+    """Per (n, l) of the convention: its root states, each normalized once."""
+    return {(n, l): tuple(map(normalize, states.solutions))
+            for (conv, n, l), states in solved.items() if conv == convention}
 
 
 Reading = tuple[float, float]  # (N, <r>) of one normalized state
 Readings = dict[tuple[int, int], tuple[list[tuple[float, Reading]], Reading]]
 
 
-def _read(solution: PolynomialSolution) -> Reading:
-    state = normalize(solution)
+def _read(state: RadialState) -> Reading:
     return state.N, moment(state, 1)
 
 
-def _chain_readings(solved: Solved, convention: GammaConvention) -> Readings:
+def _chain_readings(states: States, convention: GammaConvention) -> Readings:
     """Per published (n, l): the chain state at each root, as (t*, reading)
     pairs, and the chain state at FIXED_OMEGA."""
     t_fixed = 1.0 / math.sqrt(FIXED_OMEGA)
-
-    def chain(n, l, t):
-        return _read(assemble_polynomial(n, l, t, convention=convention))
-
-    return {(n, l): ([(r.t_star, chain(n, l, r.t_star))
-                      for r in solved[(convention, n, l)].rootset.roots],
-                     chain(n, l, t_fixed))
+    return {(n, l): ([(st.solution.t_star, _read(st)) for st in states[(n, l)]],
+                     _read(normalize(assemble_polynomial(
+                         n, l, t_fixed, convention=convention))))
             for n, l in PUBLISHED_GRID}
 
 
 def build_tables(convention: GammaConvention = GammaConvention.TABLE,
                  precision: float = 1e-13) -> list[dict]:
     """Side-by-side rows for every published table cell."""
-    solved = _solve_each(((convention, n, l) for n, l in PUBLISHED_GRID),
-                         precision)
-    return _table_rows(solved, _chain_readings(solved, convention), convention)
+    solved = solve_states(((convention, n, l) for n, l in PUBLISHED_GRID),
+                          precision)
+    readings = _chain_readings(_normalized(solved, convention), convention)
+    return _table_rows(solved, readings, convention)
 
 
 def _table_rows(solved: Solved, readings: Readings,
@@ -126,7 +142,7 @@ def _table_rows(solved: Solved, readings: Readings,
     for l, table_id in ((0, "table1"), (1, "table2")):
         published = ref.roots(l)
         for n in PUBLISHED_N:
-            computed = [r.t_star for r in solved[(convention, n, l)].rootset.roots]
+            computed = [s.t_star for s in solved[(convention, n, l)].solutions]
             for i, pub in enumerate(published[n], start=1):
                 near = _nearest(computed, pub)
                 cls = (MATCH if near is not None
@@ -148,7 +164,7 @@ def _table_rows(solved: Solved, readings: Readings,
                          REFERENCE_ONLY))
         rows.append(_row("table3", f"n{n}.eps_int", row["eps_int"], None,
                          REFERENCE_ONLY))
-        computed_roots = [r.t_star for r in solved[(convention, n, 0)].rootset.roots]
+        computed_roots = [s.t_star for s in solved[(convention, n, 0)].solutions]
         near = _nearest(computed_roots, pub_first_roots[n][0])
         eta = energy_relative(n, 0, 1.0 / near ** 2) if near else None
         cls = (MATCH if eta is not None and abs(eta - row["eta"]) <= ETA_MATCH_ATOL
@@ -193,8 +209,8 @@ def _dual_reading_attempts(readings: Readings) -> tuple[list[dict], list[dict]]:
         pub_r = ref.r_mean(n, l)
         per_root_n, per_root_r = [], []
         for t, (N, r_mean) in at_roots:
-            N_printed, r_printed = _read(assemble_polynomial(
-                n, l, t, A_chain=printed_series_coefficients(l, t)[:n + 1]))
+            N_printed, r_printed = _read(normalize(assemble_polynomial(
+                n, l, t, A_chain=printed_series_coefficients(l, t)[:n + 1])))
             per_root_n.append(_attempt(t, N, N_printed, pub_n))
             per_root_r.append(_attempt(t, r_mean, r_printed, pub_r))
         norm_rows.append(_attempt_row(n, l, pub_n, per_root_n, N_fixed))
@@ -202,7 +218,8 @@ def _dual_reading_attempts(readings: Readings) -> tuple[list[dict], list[dict]]:
     return norm_rows, mom_rows
 
 
-def _verdict_row(rec) -> dict:
+def verdict_row(rec) -> dict:
+    """A ValidationRecord as a row, its floats quantized to the output."""
     d = asdict(rec)
     for k in ("t_star", "eta_analytic", "eta_oracle", "abs_delta", "residual"):
         d[k] = q6(d[k])
@@ -314,37 +331,37 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
     n_values = list(n_values)
     l_values = list(l_values)
     conventions = (GammaConvention.TABLE, GammaConvention.LITERAL)
-    solved = _solve_each([(conv, n, l) for conv in conventions
-                          for l in l_values for n in n_values]
-                         + [(convention, n, l) for n, l in PUBLISHED_GRID],
-                         precision)
+    solved = solve_states([(conv, n, l) for conv in conventions
+                           for l in l_values for n in n_values]
+                          + [(convention, n, l) for n, l in PUBLISHED_GRID],
+                          precision)
+    states = _normalized(solved, convention)
 
     roots_section = []
     for conv in conventions:
         for l in l_values:
             for n in n_values:
-                res = solved[(conv, n, l)]
+                rootset, solutions = solved[(conv, n, l)]
                 published = ref.roots(l).get(n, ()) if l in PUBLISHED_L else ()
                 entries = []
-                for root in res.rootset.roots:
-                    chain, eff = coefficient_chain(n, l, root.t_star, conv)
+                for root, sol in zip(rootset.roots, solutions):
                     near = _nearest(list(published), root.t_star)
                     entries.append({
                         "t_star": q6(root.t_star),
                         "omega": q6(root.omega),
                         "eta": q6(energy_relative(n, l, root.omega)),
                         "refinement_width": q6(root.refinement_width),
-                        "effective_degree": eff,
-                        "trailing_coefficient": q6(chain[-1]),
+                        "effective_degree": sol.effective_degree,
+                        "trailing_coefficient": q6(sol.A_chain[-1]),
                         "nearest_published": q6(near) if near is not None else None,
                         "delta_published": q6(abs(near - root.t_star))
                         if near is not None else None,
                     })
                 roots_section.append({
                     "n": n, "l": l, "convention": conv.value,
-                    "asymptotic_flag": res.rootset.asymptotic_flag,
-                    "negative_roots_discarded": res.rootset.negative_root_count,
-                    "complex_roots_discarded": res.rootset.complex_root_count,
+                    ASYMPTOTIC_FLAG: ref.asymptotic(n, l),
+                    "negative_roots_discarded": rootset.negative_root_count,
+                    "complex_roots_discarded": rootset.complex_root_count,
                     "roots": entries,
                 })
 
@@ -352,7 +369,7 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
     for l in l_values:
         for n in n_values:
             t_table, t_literal = (
-                [q6(r.t_star) for r in solved[(conv, n, l)].rootset.roots]
+                [q6(s.t_star) for s in solved[(conv, n, l)].solutions]
                 for conv in conventions)
             convention_differences.append({
                 "n": n, "l": l,
@@ -361,27 +378,24 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
                 "identical": t_table == t_literal,
             })
 
-    oracle_rows = [
-        _verdict_row(validate_root(n, l, root.t_star, convention))
-        for l in l_values for n in n_values
-        for root in solved[(convention, n, l)].rootset.roots]
-    calibration = [_verdict_row(validate_oscillator(k, l))
+    oracle_rows = [verdict_row(validate_root(st))
+                   for l in l_values for n in n_values for st in states[(n, l)]]
+    calibration = [verdict_row(validate_oscillator(k, l))
                    for k, l in ((0, 0), (1, 0), (1, 1))]
 
     coeff_rows = []
     for n, l in PUBLISHED_GRID:
-        for root in solved[(convention, n, l)].rootset.roots:
-            chain, _ = coefficient_chain(n, l, root.t_star, convention)
-            printed = printed_series_coefficients(l, root.t_star)[:n + 1]
+        for sol in solved[(convention, n, l)].solutions:
+            printed = printed_series_coefficients(l, sol.t_star)[:n + 1]
             coeff_rows.append({
-                "n": n, "l": l, "t_star": q6(root.t_star),
-                "chain": [q6(a) for a in chain],
+                "n": n, "l": l, "t_star": q6(sol.t_star),
+                "chain": [q6(a) for a in sol.A_chain],
                 "printed": [q6(a) for a in printed],
                 "max_abs_diff": q6(max(abs(a - b)
-                                       for a, b in zip(chain, printed))),
+                                       for a, b in zip(sol.A_chain, printed))),
             })
 
-    readings = _chain_readings(solved, convention)
+    readings = _chain_readings(states, convention)
     norm_rows, mom_rows = _dual_reading_attempts(readings)
     r_all: list[float] = []
     r_paper_roots: list[float] = []
@@ -438,7 +452,7 @@ def render_text(report: dict) -> str:
     lines.append("== determinant roots (t = 1/sqrt(omega)) ==")
     for block in report["roots"]:
         head = (f"n={block['n']} l={block['l']} [{block['convention']}]"
-                + ("  [asymptotic 0 entry flagged]" if block["asymptotic_flag"] else ""))
+                + ("  [asymptotic 0 entry flagged]" if block[ASYMPTOTIC_FLAG] else ""))
         lines.append(head)
         if not block["roots"]:
             lines.append("  no positive roots")

@@ -163,7 +163,6 @@ class Root:
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple[Root, ...]
-    asymptotic_flag: bool = False
     negative_root_count: int = 0
     complex_root_count: int = 0
 
@@ -180,20 +179,18 @@ def check_precision(precision: float) -> None:
                          f"got {precision:g}")
 
 
-def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13,
-                  asymptotic_flag: bool = False) -> RootSet:
+def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13) -> RootSet:
     """All positive real roots of the cleared determinant, certified brackets.
 
     t = 0 is never a numeric root. The cleared polynomial can carry a factor
     t**k (a zero constant term); it is stripped, and isolation and refinement
     both run on the same stripped polynomial, or on its square-free part when
-    it has a repeated root. The published omega -> infinity entries are
-    carried as a metadata flag only. Negative and complex roots are discarded
-    and counted; every count is of distinct roots.
+    it has a repeated root. Negative and complex roots are discarded and
+    counted; every count is of distinct roots.
     """
     check_precision(precision)
     if rp.poly_degree(p.coefficients) <= 0:
-        return RootSet(roots=(), asymptotic_flag=asymptotic_flag)
+        return RootSet(roots=())
 
     poly = rp.primitive_part(p.coefficients)
     intervals, n_neg, multiple = rp.isolate_positive_roots(poly)
@@ -214,8 +211,8 @@ def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13,
     n_complex = rp.poly_degree(poly) - len(roots) - n_neg
     if n_neg or n_complex:
         log.info("discarded %d negative and %d complex roots", n_neg, n_complex)
-    return RootSet(roots=tuple(roots), asymptotic_flag=asymptotic_flag,
-                   negative_root_count=n_neg, complex_root_count=n_complex)
+    return RootSet(roots=tuple(roots), negative_root_count=n_neg,
+                   complex_root_count=n_complex)
 
 
 def coefficient_chain(n: int, l: int, t_star: float | Fraction,
@@ -261,14 +258,12 @@ class TerminationResult:
 
 def solve_termination(n: int, l: int,
                       convention: GammaConvention = GammaConvention.TABLE,
-                      precision: float = 1e-13,
-                      asymptotic_flag: bool = False) -> TerminationResult:
+                      precision: float = 1e-13) -> TerminationResult:
     """Build the system, run the recurrence, clear and isolate in one call."""
     system = build_gamma_factors(n, l, convention)
     dets = determinant_sequence(system)
     cleared = clear_denominators(dets.final)
-    rootset = isolate_roots(cleared, precision=precision,
-                            asymptotic_flag=asymptotic_flag)
+    rootset = isolate_roots(cleared, precision=precision)
     return TerminationResult(system=system, determinants=dets,
                              cleared=cleared, rootset=rootset)
 

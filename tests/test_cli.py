@@ -74,6 +74,16 @@ class TestRoots:
         assert (a / "tables.csv").read_bytes() == (b / "tables.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["roots", "tables", "moments", "validate"])
+def test_default_grid_matches_golden_file(tmp_path, command):
+    # tests/golden holds the default-grid files written before the states
+    # were shared between sections; any byte that moves is a change in the
+    # results, not in the plumbing
+    run([command, "--out", str(tmp_path)])
+    golden = Path(__file__).parent / "golden" / f"{command}.csv"
+    assert (tmp_path / f"{command}.csv").read_bytes() == golden.read_bytes()
+
+
 class TestSpectrum:
     def test_total_energy_column(self, tmp_path):
         run(["spectrum", "--n", "2", "--l", "0", "--nr", "0",
@@ -215,8 +225,17 @@ class TestConfigPrecedence:
          "moment power k must be at least 0, got -1"),
         ("", ["spectrum", "--n", "2", "--l", "0", "--nr=-1"],
          "n_R must be at least 0, got -1"),
+        ("", ["moments", "--omega", "nan"],
+         "omega override must be finite and positive, got nan"),
+        ("", ["spectrum", "--omega", "inf"],
+         "omega override must be finite and positive, got inf"),
+        ("convention =", ["roots", "--n", "3", "--l", "0"],
+         "empty value for config key(s) 'convention'"),
+        ("format =", ["roots", "--n", "3", "--l", "0"],
+         "empty value for config key(s) 'format'"),
     ], ids=["format = xml", "--grid foo", "--precision 1e-3",
-            "precision = 1e-15", "--n 0", "--l=-1", "--k=-1", "--nr=-1"])
+            "precision = 1e-15", "--n 0", "--l=-1", "--k=-1", "--nr=-1",
+            "--omega nan", "--omega inf", "convention =", "format ="])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, line, args,
                                         message):
         conf = tmp_path / "run.conf"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +41,11 @@ class TestHeunMapping:
             RadialProblem(omega=0.0, l=0)
         with pytest.raises(ValueError):
             RadialProblem(omega=-1.0, l=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                RadialProblem(omega=bad, l=0)
+            with pytest.raises(ValueError, match="finite and positive"):
+                SystemConfig(bad)
 
     @given(st.floats(1e-4, 10.0), st.integers(0, 4),
            st.floats(1e-6, 10.0))

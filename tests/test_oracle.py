@@ -24,6 +24,7 @@ from heunqdot.oracle import (
 )
 from heunqdot.report import build_report
 from heunqdot.termination import GammaConvention, solve_termination
+from heunqdot.wavefunction import assemble_polynomial, normalize
 
 F = Fraction
 
@@ -589,7 +590,7 @@ class TestSyntheticOscillatorCheck:
 class TestValidateRoot:
     def test_record_fields_populated(self):
         root = solve_termination(2, 0).rootset.roots[0]
-        rec = validate_root(2, 0, root.t_star)
+        rec = validate_root(normalize(assemble_polynomial(2, 0, root.t_star)))
         assert rec.eta_analytic == pytest.approx(3 * root.omega)
         assert rec.classification in (CONFIRMED, NEAR, DISCREPANT)
         assert rec.abs_delta == abs(rec.eta_analytic - rec.eta_oracle)
@@ -598,7 +599,8 @@ class TestValidateRoot:
 
     def test_n4_large_root_classified(self):
         roots = solve_termination(4, 0).rootset.roots
-        rec = validate_root(4, 0, roots[1].t_star)
+        rec = validate_root(normalize(assemble_polynomial(4, 0,
+                                                          roots[1].t_star)))
         assert rec.classification in (CONFIRMED, NEAR, DISCREPANT)
         assert rec.oracle_nodes >= 0
 

@@ -1,11 +1,17 @@
-"""The dossier solves each (convention, n, l) state once, at its precision."""
+"""The dossier solves each (convention, n, l) state once, at its precision,
+and builds and normalizes each state it reads once."""
 
 import inspect
 
 import pytest
 
-from heunqdot import cli, report
-from heunqdot.termination import GammaConvention, solve_termination
+from heunqdot import cli, oracle, report, wavefunction
+from heunqdot.termination import (
+    GammaConvention,
+    coefficient_chain,
+    solve_termination,
+)
+from heunqdot.wavefunction import normalize
 
 
 @pytest.fixture
@@ -57,3 +63,28 @@ def test_tables_command_solves_at_its_precision(solve_calls, tmp_path):
     cli.main(["tables", "--precision", "1e-9", "--out", str(tmp_path)])
     assert len(solve_calls) == 8
     assert {c["precision"] for c in solve_calls} == {1e-9}
+
+
+def test_report_builds_and_normalizes_each_state_once(monkeypatch):
+    chains, normalized = [], []
+
+    def counting_chain(n, l, t_star, convention=GammaConvention.TABLE):
+        chains.append((convention, n, l, t_star))
+        return coefficient_chain(n, l, t_star, convention)
+
+    def counting_normalize(solution):
+        normalized.append(solution)
+        return normalize(solution)
+
+    assert not hasattr(report, "coefficient_chain")
+    monkeypatch.setattr(wavefunction, "coefficient_chain", counting_chain)
+    for module in (report, oracle):
+        monkeypatch.setattr(module, "normalize", counting_normalize)
+    report.build_report()
+    # one chain per (convention, n, l, root): 12 roots in each convention,
+    # and one per fixed-omega state: 8 published (n, l)
+    assert len(set(chains)) == len(chains) <= 32
+    # 12 table roots, 8 fixed-omega, 12 printed-coefficient and 3 oscillator
+    # states (at n = 2 the printed and chain coefficients agree, so two
+    # distinct solutions compare equal: count them by identity)
+    assert len({id(s) for s in normalized}) == len(normalized) <= 35

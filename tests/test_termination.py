@@ -200,8 +200,7 @@ class TestRootIsolation:
         assert (n1.negative_root_count, n1.complex_root_count) == (0, 0)
 
     def test_asymptotic_flag_is_metadata_only(self):
-        res = solve_termination(2, 0, asymptotic_flag=True)
-        assert res.rootset.asymptotic_flag
+        res = solve_termination(2, 0)
         assert all(r.t_star > 0 for r in res.rootset.roots)
         # t = 0 is not a root of the cleared determinant
         assert res.cleared(0.0) != 0.0
