@@ -2,7 +2,7 @@
 
 Pipeline: map the relative-motion radial equation onto the biconfluent Heun
 form, locate the trap frequencies where the series solution terminates
-(exact-rational determinant recurrence + Descartes root isolation), assemble and
+(integer determinant recurrence + Descartes root isolation), assemble and
 normalize the resulting wavefunctions, and cross-check every analytic state
 against an independent spectral eigensolver of the self-adjoint radial
 equation (a Galerkin solve in a Gaussian-weighted half-range polynomial
@@ -26,7 +26,6 @@ from .termination import (
     RootSet,
     TerminationSystem,
     build_gamma_factors,
-    clear_denominators,
     coefficient_chain,
     determinant_sequence,
     isolate_roots,
@@ -50,7 +49,6 @@ __all__ = [
     "RootSet",
     "TerminationSystem",
     "build_gamma_factors",
-    "clear_denominators",
     "coefficient_chain",
     "determinant_sequence",
     "isolate_roots",

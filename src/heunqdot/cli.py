@@ -31,7 +31,8 @@ from .oracle import validate_root
 from .report import (build_report, build_tables, q6, render_text, solve_states,
                      verdict_row)
 from .termination import GammaConvention, check_precision
-from .wavefunction import PolynomialSolution, assemble_polynomial, moment, normalize
+from .wavefunction import (FloatRangeError, PolynomialSolution,
+                           assemble_polynomial, moment, normalize)
 
 COMMANDS = ("roots", "spectrum", "wavefunction", "moments", "validate",
             "tables", "report")
@@ -224,13 +225,16 @@ def cmd_wavefunction(spec: RunSpec) -> list[Path]:
 
     r0, r1, steps = spec.grid
     r = np.linspace(r0, r1, steps)
+    # every state is normalized before any file is written
+    states = {key: tuple(map(normalize, found))
+              for key, found in _states(spec).items()}
     written: list[Path] = []
-    for (n, l), found in _states(spec).items():
+    for (n, l), found in states.items():
         if not found:
             print(f"no roots for (n={n}, l={l}); nothing to emit")
             continue
-        for idx, sol in enumerate(found):
-            u, R = normalize(sol).sample(r)
+        for idx, state in enumerate(found):
+            u, R = state.sample(r)
             tag = (f"root{idx}" if spec.omega_override is None
                    else f"omega{spec.omega_override:g}")
             rows = [{"r": q6(ri), "u": q6(ui), "R": q6(Ri)}
@@ -413,7 +417,10 @@ def main(argv: list[str] | None = None) -> int:
         spec = spec_from_args(args)
     except ValueError as exc:  # bad config, range, grid or option value
         parser.error(str(exc))
-    _DISPATCH[spec.command](spec)
+    try:
+        _DISPATCH[spec.command](spec)
+    except FloatRangeError as exc:  # a state the floats cannot hold
+        parser.error(str(exc))
     return 0
 
 

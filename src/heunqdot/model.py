@@ -73,11 +73,6 @@ class RadialProblem:
         if self.l < 0 or int(self.l) != self.l:
             raise ValueError("l must be a non-negative integer")
 
-    @property
-    def ell(self) -> float:
-        """Effective exponent parameter: ell + 1 = l + 1/2 (regular branch)."""
-        return self.l - 0.5
-
 
 @dataclass(frozen=True)
 class HeunParams:

@@ -79,12 +79,12 @@ import numpy as np
 from numpy import linalg
 
 from .model import RadialProblem
+from .ratpoly import poly_eval
 from .termination import (
     GammaConvention,
     build_gamma_factors,
     determinant_sequence,
 )
-from .ratpoly import lau_eval
 from .wavefunction import (
     RadialState,
     assemble_polynomial,
@@ -148,8 +148,6 @@ class OracleResult:
     """The requested states, with the reduced radial functions u normalized
     on the uniform lattice r of LATTICE + 1 points on [0, 12/sqrt(omega)]."""
 
-    problem: RadialProblem
-    coulomb_on: bool
     eigenvalues: tuple[Eigenvalue, ...]
     r: np.ndarray = field(repr=False)
     eigenfunctions: np.ndarray = field(repr=False)  # shape (n_eigen, len(r))
@@ -391,8 +389,7 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     states = tuple(Eigenvalue(eta=eta, nodes=k,
                               convergence_width=max(gap, 4 * math.ulp(eta)))
                    for eta, gap, k in zip(etas.tolist(), gaps.tolist(), nodes))
-    return OracleResult(problem=problem, coulomb_on=coulomb_on,
-                        eigenvalues=states, r=r, eigenfunctions=funcs)
+    return OracleResult(eigenvalues=states, r=r, eigenfunctions=funcs)
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +488,12 @@ def validate_oscillator(k: int, l: int) -> ValidationRecord:
 def dense_determinant_check(n: int, l: int, t: Fraction,
                             convention: GammaConvention = GammaConvention.TABLE,
                             ) -> bool:
-    """Expand the n x n tridiagonal matrix directly and compare with d_n.
+    """Expand the n x n tridiagonal matrix directly and compare with D_n.
 
     Bareiss elimination on the dense matrix (row-swap pivoting on a zero
-    pivot; every division is exact over Q) must reproduce the recurrence
-    value identically in exact rational arithmetic.
+    pivot; every division is exact over Q) gives d_n, and the integer
+    recurrence must reproduce D_n(t) = 2^n t^floor(n/2) d_n identically in
+    exact rational arithmetic.
     """
     if n > 8:
         raise ValueError("dense check is intended for n <= 8")
@@ -509,8 +507,8 @@ def dense_determinant_check(n: int, l: int, t: Fraction,
             m[i][i + 1] = Fraction(1)
             m[i + 1][i] = system.gamma_factors[i](t)
     direct = _det_bareiss(m)
-    recurrence = lau_eval(determinant_sequence(system).final, t)
-    return direct == recurrence
+    recurrence = poly_eval(determinant_sequence(system)[n], t)
+    return recurrence == 2 ** n * t ** (n // 2) * direct
 
 
 def _det_bareiss(m: list[list[Fraction]]) -> Fraction:

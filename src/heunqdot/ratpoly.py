@@ -1,106 +1,31 @@
 """Exact polynomial arithmetic and certified root isolation.
 
-Laurent polynomials in a single variable t are sparse dicts {exponent: Fraction}
-(exponents may be negative); dense polynomials are coefficient lists in
-ascending powers of t, of Fractions or ints.
+Dense polynomials in a single variable t are coefficient lists in ascending
+powers of t, of ints or Fractions; an IntPoly holds ints only.
 
-Roots are isolated in plain Python integers. A polynomial is reduced to its
-primitive integer square-free part without the factor t**k, scaled so that
-its Cauchy root bound B maps to 1, and its roots in (0, 1) are isolated by
-Descartes' rule of signs on dyadic subintervals (the Vincent-Collins-Akritas
-method in the integer form of Rouillier and Zimmermann, J. Comput. Appl.
-Math. 162, 33 (2004)). Brackets are then refined by bisection, each midpoint's
-sign taken by integer Horner evaluation. Every returned root carries a
-rational bracket certified by an exact sign change, or is an exact rational
-root. Unlike Fraction arithmetic, the integer arithmetic takes no gcd after
-every operation.
+Roots are isolated in plain Python integers. A polynomial is reduced once to
+its primitive integer part without the factor t**k (primitive_part) and then,
+if it has a repeated root, to its square-free part (squarefree_part). The
+isolator takes that square-free IntPoly, scales it so that its Cauchy root
+bound B maps to 1, and isolates its roots in (0, 1) by Descartes' rule of
+signs on dyadic subintervals (the Vincent-Collins-Akritas method in the
+integer form of Rouillier and Zimmermann, J. Comput. Appl. Math. 162, 33
+(2004)). Brackets are then refined on the same IntPoly by bisection, each
+midpoint's sign taken by integer Horner evaluation. Every returned root
+carries a rational bracket certified by an exact sign change, or is an exact
+rational root. Unlike Fraction arithmetic, the integer arithmetic takes no
+gcd after every operation.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from fractions import Fraction
 
-log = logging.getLogger(__name__)
-
-Laurent = dict[int, Fraction]
 Dense = list[Fraction]  # or list[int]
 IntPoly = list[int]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials (sparse, exponents in Z)
-# ---------------------------------------------------------------------------
-
-def lau_add(a: Laurent, b: Laurent) -> Laurent:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, ZERO) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return out
-
-
-def lau_sub(a: Laurent, b: Laurent) -> Laurent:
-    return lau_add(a, {e: -c for e, c in b.items()})
-
-
-def lau_mul(a: Laurent, b: Laurent) -> Laurent:
-    out: Laurent = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            s = out.get(e, ZERO) + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
-
-def lau_eval(a: Laurent, t) -> Fraction | float:
-    """Evaluate at t; exact if t is a Fraction, float otherwise. Requires t != 0."""
-    if isinstance(t, Fraction):
-        acc = Fraction(0)
-    else:
-        acc = 0.0
-    for e, c in a.items():
-        acc += c * t ** e
-    return acc
-
-
-def lau_min_exp(a: Laurent) -> int:
-    if not a:
-        raise ValueError("zero Laurent polynomial has no exponent range")
-    return min(a)
-
-
-def lau_max_exp(a: Laurent) -> int:
-    if not a:
-        raise ValueError("zero Laurent polynomial has no exponent range")
-    return max(a)
-
-
-def lau_to_dense(a: Laurent) -> tuple[Dense, int]:
-    """Multiply by the minimal power of t making all exponents >= 0.
-
-    Returns (dense ascending coefficients, clearing power e) with
-    dense(t) == a(t) * t**e for t != 0.
-    """
-    if not a:
-        raise ValueError("cannot clear the zero polynomial")
-    e = max(0, -lau_min_exp(a))
-    deg = lau_max_exp(a) + e
-    coeffs = [ZERO] * (deg + 1)
-    for k, c in a.items():
-        coeffs[k + e] = c
-    return coeffs, e
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +36,6 @@ def poly_trim(p: Dense) -> Dense:
     while p and not p[-1]:
         p = p[:-1]
     return p
-
-
-def poly_degree(p: Dense) -> int:
-    p = poly_trim(p)
-    return len(p) - 1 if p else -1
 
 
 def poly_eval(p: Dense, x) -> Fraction | float:
@@ -192,9 +112,9 @@ def _divide_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     return q
 
 
-def squarefree_part(p: Dense) -> tuple[IntPoly, bool]:
-    """Return (primitive square-free part of p / t**k, had_multiple_roots)."""
-    p = primitive_part(p)
+def squarefree_part(p: IntPoly) -> tuple[IntPoly, bool]:
+    """Return (primitive square-free part of p, had_multiple_roots) for a
+    primitive p, such as primitive_part returns."""
     if len(p) == 1:
         return p, False
     g = _gcd(p, _primitive(poly_deriv(p)))
@@ -264,23 +184,18 @@ def _dyadic_isolation(q: IntPoly) -> list[tuple[int, int, int]]:
     return found
 
 
-def isolate_positive_roots(p: Dense) -> tuple[list[tuple[Fraction, Fraction]], int, bool]:
-    """Isolating intervals for every positive real root of p.
+def isolate_positive_roots(sf: IntPoly) -> tuple[list[tuple[Fraction, Fraction]], int]:
+    """Isolating intervals for every positive real root of sf, a square-free
+    primitive polynomial with a nonzero constant term.
 
-    Returns (intervals, negative_root_count, had_multiple_roots). Each interval
-    (lo, hi) with 0 <= lo < hi contains exactly one root and the square-free
-    part of p changes sign across it; a degenerate (r, r) interval marks an
-    exact rational root. Roots at t = 0 are stripped, never reported; counts
-    are of distinct roots. The endpoints are B*m/2^k for the Cauchy bound B of
-    the square-free part, the points an interval bisection of (0, B) visits.
+    Returns (intervals, negative_root_count). Each interval (lo, hi) with
+    0 <= lo < hi contains exactly one root and sf changes sign across it; a
+    degenerate (r, r) interval marks an exact rational root. The endpoints
+    are B*m/2^k for the Cauchy bound B of sf, the points an interval
+    bisection of (0, B) visits.
     """
-    if poly_degree(p) <= 0:
-        return [], 0, False
-    sf, multiple = squarefree_part(p)
     if len(sf) == 1:
-        return [], 0, multiple
-    if multiple:
-        log.warning("repeated roots detected; isolating on the square-free part")
+        return [], 0
     bound = cauchy_root_bound(sf)
     d = len(sf) - 1
     # q(x) = Q^d sf(B x) for B = P/Q: its roots in (0, 1) are sf's in (0, B)
@@ -290,7 +205,7 @@ def isolate_positive_roots(p: Dense) -> tuple[list[tuple[Fraction, Fraction]], i
     intervals = sorted((bound * Fraction(c, 1 << k),
                         bound * Fraction(c + w, 1 << k))
                        for k, c, w in _dyadic_isolation(q))
-    return intervals, n_neg, multiple
+    return intervals, n_neg
 
 
 def _sign_at(p: IntPoly, m: int, den: int) -> int:
@@ -302,9 +217,10 @@ def _sign_at(p: IntPoly, m: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def refine_root_bisect(p: Dense, lo: Fraction, hi: Fraction,
+def refine_root_bisect(p: IntPoly, lo: Fraction, hi: Fraction,
                        width: float) -> tuple[Fraction, Fraction]:
-    """Shrink a sign-change bracket by exact bisection until hi - lo <= width.
+    """Shrink a sign-change bracket of the integer polynomial p by exact
+    bisection until hi - lo <= width.
 
     With lo = a/D and hi = b/D over a common denominator, each midpoint is
     (a + b)/(2D), and its sign is taken by integer Horner evaluation, so the
@@ -313,7 +229,6 @@ def refine_root_bisect(p: Dense, lo: Fraction, hi: Fraction,
     """
     if lo == hi:
         return lo, hi
-    p = primitive_part(p)
     den = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     b = hi.numerator * (den // hi.denominator)

@@ -4,12 +4,22 @@ For the state label n the series solution truncates only at special trap
 frequencies. Working in t = 1/sqrt(omega) (= 2*delta', the tabulated
 variable), the truncation condition is the vanishing of an n x n tridiagonal
 determinant with diagonal delta' = t/2, superdiagonal 1 and subdiagonal gamma
-factors that are affine in 1/t. The determinant follows the three-term
-recurrence d_k = delta' d_{k-1} - gamma_{k-1} d_{k-2}, is a Laurent polynomial
-in t with exact rational coefficients. After clearing the minimal power of t,
-its positive real roots are isolated in integer arithmetic (ratpoly: Descartes'
-rule on dyadic intervals, then bisection), each with a rational bracket
-certified by an exact sign change.
+factors gamma = c + e/t that are affine in 1/t. Its leading minors follow the
+three-term recurrence d_k = (t/2) d_{k-1} - gamma_{k-1} d_{k-2}, which carries
+powers of 1/2 and of 1/t. The scaled minors D_k = 2^k t^floor(k/2) d_k carry
+neither:
+
+    D_0 = 1,  D_1 = t,
+    D_k = t^(1 + [k even]) D_{k-1} - 4 (c t + e) D_{k-2},
+
+because 2^k t^floor(k/2) (t/2) = t^(1 + [k even]) 2^(k-1) t^floor((k-1)/2)
+and 2^k t^floor(k/2) gamma = 4 (c t + e) 2^(k-2) t^floor((k-2)/2). With
+integer c and e every D_k is an integer polynomial, so the recurrence runs in
+plain Python integers; its positive roots are those of d_n. The primitive
+part of D_n, without its factor t^k, is reduced once to its square-free part
+and its positive real roots are isolated and refined on that part in integer
+arithmetic (ratpoly: Descartes' rule on dyadic intervals, then bisection),
+each with a rational bracket certified by an exact sign change.
 
 Two gamma-factor conventions are implemented. The published closed form for
 the factors and the published recurrence disagree by an index shift, so:
@@ -43,35 +53,23 @@ class GammaConvention(str, enum.Enum):
 
 @dataclass(frozen=True)
 class AffineInvT:
-    """An affine function  const + inv_t / t  with exact rational coefficients."""
+    """An affine function  const + inv_t / t  with exact coefficients."""
 
-    const: Fraction
-    inv_t: Fraction
+    const: int | Fraction
+    inv_t: int | Fraction
 
     def __call__(self, t):
         return self.const + self.inv_t / t
 
-    def as_laurent(self) -> rp.Laurent:
-        out: rp.Laurent = {}
-        if self.const:
-            out[0] = self.const
-        if self.inv_t:
-            out[-1] = self.inv_t
-        return out
-
 
 @dataclass(frozen=True)
 class TerminationSystem:
-    """Gamma factors and delta' for one (n, l) under a chosen convention."""
+    """The gamma factors for one (n, l) under a chosen convention."""
 
     n: int
     l: int
     convention: GammaConvention
     gamma_factors: tuple[AffineInvT, ...]
-
-    @property
-    def delta_prime(self) -> rp.Laurent:
-        return {1: Fraction(1, 2)}
 
 
 def build_gamma_factors(n: int, l: int,
@@ -82,19 +80,19 @@ def build_gamma_factors(n: int, l: int,
         raise ValueError("n must be >= 1")
     if l < 0:
         raise ValueError("l must be >= 0")
-    tl = Fraction(2 * l + 1)
+    tl = 2 * l + 1
     factors: list[AffineInvT] = []
     if convention == GammaConvention.TABLE:
         for p in range(1, n):
             if p == 1:
-                factors.append(AffineInvT(Fraction(0), 2 * n * tl))
+                factors.append(AffineInvT(0, 2 * n * tl))
             else:
-                c = Fraction(2 * (n - p) * (p + 1))
+                c = 2 * (n - p) * (p + 1)
                 # p + 1 + alpha = p + (2l+1)/t
                 factors.append(AffineInvT(c * p, c * tl))
     elif convention == GammaConvention.LITERAL:
         for p in range(0, n - 1):
-            c = Fraction(2 * (n - p) * (p + 1))
+            c = 2 * (n - p) * (p + 1)
             factors.append(AffineInvT(c * p, c * tl))
     else:
         raise ValueError(f"unknown convention {convention!r}")
@@ -102,54 +100,36 @@ def build_gamma_factors(n: int, l: int,
                              gamma_factors=tuple(factors))
 
 
-@dataclass(frozen=True)
-class DeterminantSequence:
-    """d_1..d_n as exact Laurent polynomials in t (d_n is the determinant)."""
-
-    system: TerminationSystem
-    d: tuple[rp.Laurent, ...]
-
-    @property
-    def final(self) -> rp.Laurent:
-        return self.d[-1]
-
-
-def determinant_sequence(system: TerminationSystem) -> DeterminantSequence:
-    """Run d_k = delta' d_{k-1} - gamma_{k-1} d_{k-2} with d_0 = 1, d_1 = t/2."""
-    dp = system.delta_prime
-    seq: list[rp.Laurent] = []
-    d_prev: rp.Laurent = {0: Fraction(1)}  # d_0
-    d_cur: rp.Laurent = dict(dp)           # d_1
-    seq.append(dict(d_cur))
+def determinant_sequence(system: TerminationSystem) -> list[rp.IntPoly]:
+    """D_0..D_n (ascending coefficients in t), D_k = 2^k t^floor(k/2) d_k:
+    D_0 = 1, D_1 = t, D_k = t^(1 + [k even]) D_{k-1} - 4 (c t + e) D_{k-2}
+    for gamma_{k-1} = c + e/t."""
+    seq = [[1], [0, 1]]
     for k in range(2, system.n + 1):
-        gamma = system.gamma_factors[k - 2].as_laurent()
-        d_next = rp.lau_sub(rp.lau_mul(dp, d_cur), rp.lau_mul(gamma, d_prev))
-        seq.append(dict(d_next))
-        d_prev, d_cur = d_cur, d_next
-    return DeterminantSequence(system=system, d=tuple(seq))
+        gamma = system.gamma_factors[k - 2]
+        c, e = 4 * gamma.const, 4 * gamma.inv_t
+        d = [0] * (2 - k % 2) + seq[k - 1]
+        for i, a in enumerate(seq[k - 2]):
+            d[i] -= e * a
+            d[i + 1] -= c * a
+        seq.append(d)
+    return seq
 
 
 @dataclass(frozen=True)
 class ClearedPolynomial:
-    """The determinant times t**clearing_power: an ordinary polynomial in t."""
+    """The primitive integer polynomial (ascending powers of t, positive
+    leading coefficient, nonzero constant term) with the nonzero roots of the
+    determinant d_n, each with its multiplicity."""
 
-    coefficients: tuple[Fraction, ...]  # ascending powers of t
-    clearing_power: int
+    coefficients: tuple[int, ...]
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def __call__(self, t):
-        return rp.poly_eval(list(self.coefficients), t)
-
-
-def clear_denominators(d_n: rp.Laurent) -> ClearedPolynomial:
-    """Multiply by the minimal power of t making every exponent non-negative."""
-    if not d_n:
-        raise ValueError("cannot clear the zero polynomial")
-    dense, power = rp.lau_to_dense(d_n)
-    return ClearedPolynomial(coefficients=tuple(dense), clearing_power=power)
+        return rp.poly_eval(self.coefficients, t)
 
 
 @dataclass(frozen=True)
@@ -182,23 +162,18 @@ def check_precision(precision: float) -> None:
 def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13) -> RootSet:
     """All positive real roots of the cleared determinant, certified brackets.
 
-    t = 0 is never a numeric root. The cleared polynomial can carry a factor
-    t**k (a zero constant term); it is stripped, and isolation and refinement
-    both run on the same stripped polynomial, or on its square-free part when
-    it has a repeated root. Negative and complex roots are discarded and
-    counted; every count is of distinct roots.
+    The polynomial is made square-free once, if it has a repeated root, and
+    isolation and refinement both run on that square-free part. Negative and
+    complex roots are discarded and counted; every count is of distinct
+    roots.
     """
     check_precision(precision)
-    if rp.poly_degree(p.coefficients) <= 0:
-        return RootSet(roots=())
-
-    poly = rp.primitive_part(p.coefficients)
-    intervals, n_neg, multiple = rp.isolate_positive_roots(poly)
+    poly, multiple = rp.squarefree_part(list(p.coefficients))
     if multiple:
+        # an even-multiplicity root changes no sign of the polynomial itself
         log.warning("determinant has a repeated root; brackets use the "
                     "square-free part")
-        # an even-multiplicity root changes no sign of the polynomial itself
-        poly = rp.squarefree_part(poly)[0]
+    intervals, n_neg = rp.isolate_positive_roots(poly)
     roots: list[Root] = []
     for lo, hi in intervals:
         lo, hi = rp.refine_root_bisect(poly, lo, hi, precision)
@@ -208,7 +183,7 @@ def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13) -> RootSet:
                           refinement_width=float(hi - lo),
                           bracket=(float(lo), float(hi))))
     roots.sort(key=lambda r: r.t_star)
-    n_complex = rp.poly_degree(poly) - len(roots) - n_neg
+    n_complex = len(poly) - 1 - len(roots) - n_neg
     if n_neg or n_complex:
         log.info("discarded %d negative and %d complex roots", n_neg, n_complex)
     return RootSet(roots=tuple(roots), negative_root_count=n_neg,
@@ -250,8 +225,6 @@ def effective_degree(chain) -> int:
 class TerminationResult:
     """End-to-end product for one (n, l, convention)."""
 
-    system: TerminationSystem
-    determinants: DeterminantSequence
     cleared: ClearedPolynomial
     rootset: RootSet
 
@@ -259,13 +232,12 @@ class TerminationResult:
 def solve_termination(n: int, l: int,
                       convention: GammaConvention = GammaConvention.TABLE,
                       precision: float = 1e-13) -> TerminationResult:
-    """Build the system, run the recurrence, clear and isolate in one call."""
-    system = build_gamma_factors(n, l, convention)
-    dets = determinant_sequence(system)
-    cleared = clear_denominators(dets.final)
+    """Build the system, run the recurrence, take the primitive part of D_n
+    and isolate its roots in one call."""
+    d_n = determinant_sequence(build_gamma_factors(n, l, convention))[n]
+    cleared = ClearedPolynomial(tuple(rp.primitive_part(d_n)))
     rootset = isolate_roots(cleared, precision=precision)
-    return TerminationResult(system=system, determinants=dets,
-                             cleared=cleared, rootset=rootset)
+    return TerminationResult(cleared=cleared, rootset=rootset)
 
 
 def printed_series_coefficients(l: int, t: float) -> list[float]:

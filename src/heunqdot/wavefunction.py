@@ -29,6 +29,14 @@ from .model import effective_potential_term
 from .termination import GammaConvention, coefficient_chain, effective_degree
 
 
+class FloatRangeError(ValueError):
+    """A state whose coefficients or integrals lie outside the float range."""
+
+    def __init__(self, n: int, l: int, omega: float, what: str):
+        super().__init__(f"n={n}, l={l}, omega={omega:g}: {what} "
+                         "outside the float range")
+
+
 @dataclass(frozen=True)
 class PolynomialSolution:
     """A terminated solution at fixed (n, l, t_star)."""
@@ -60,6 +68,8 @@ def assemble_polynomial(n: int, l: int, t_star: float,
     The Pochhammer denominators (1+alpha)_p with 1+alpha = (2l+1)/t are
     strictly positive for omega > 0, l >= 0; a vanishing denominator would
     mean alpha hit a negative integer, which cannot happen on this branch.
+    Raises FloatRangeError when a coefficient, or the chain behind it, is not
+    a finite float (for example at omega = 0.02 and l = 0 from n = 118 on).
     """
     if t_star <= 0:
         raise ValueError("t_star must be positive")
@@ -72,12 +82,17 @@ def assemble_polynomial(n: int, l: int, t_star: float,
     sw = 1.0 / t_star  # sqrt(omega)
     one_alpha = (2 * l + 1) * sw
     coeffs = []
-    for p, a in enumerate(A_chain):
-        poch = rising_factorial(one_alpha, p)
-        if poch == 0.0:
-            raise ValueError("Pochhammer denominator vanished: alpha is a "
-                             "negative integer (impossible for omega > 0)")
-        coeffs.append(a * sw ** p / (math.factorial(p) * poch))
+    try:
+        for p, a in enumerate(A_chain):
+            poch = rising_factorial(one_alpha, p)
+            if poch == 0.0:
+                raise ValueError("Pochhammer denominator vanished: alpha is a "
+                                 "negative integer (impossible for omega > 0)")
+            coeffs.append(a * sw ** p / (math.factorial(p) * poch))
+    except OverflowError:  # p! beyond the float range
+        coeffs.append(math.nan)
+    if not all(map(math.isfinite, coeffs)):
+        raise FloatRangeError(n, l, omega, "the polynomial coefficients are")
     return PolynomialSolution(
         n=n, l=l, t_star=t_star, omega=omega,
         eta=(n + l + 1) * omega,
@@ -151,14 +166,21 @@ class RadialState:
 
 def _gamma_sum(solution: PolynomialSolution, k: int) -> float:
     """int_0^inf r^k u^2 dr = (1/2) sum_j c_j t^(2(l+1)+j+k) Gamma(l+1+(j+k)/2),
-    with c_j the coefficients of y^2."""
+    with c_j the coefficients of y^2. Raises FloatRangeError when the sum is
+    not a finite float."""
     c = square_coefficients(solution.y_coeffs)
     t = solution.t_star
     l = solution.l
     acc = 0.0
-    for j, cj in enumerate(c):
-        nu = Fraction(2 * l + 2 + j + k, 2)  # l+1+(j+k)/2
-        acc += cj * t ** (2 * (l + 1) + j + k) * gamma_half_integer(nu)
+    try:
+        for j, cj in enumerate(c):
+            nu = Fraction(2 * l + 2 + j + k, 2)  # l+1+(j+k)/2
+            acc += cj * t ** (2 * (l + 1) + j + k) * gamma_half_integer(nu)
+    except OverflowError:  # a power of t or Gamma value past the float range
+        acc = math.nan
+    if not math.isfinite(acc):
+        raise FloatRangeError(solution.n, l, solution.omega,
+                              f"int r^{k} u^2 dr is")
     return acc / 2
 
 

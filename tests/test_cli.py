@@ -233,9 +233,26 @@ class TestConfigPrecedence:
          "empty value for config key(s) 'convention'"),
         ("format =", ["roots", "--n", "3", "--l", "0"],
          "empty value for config key(s) 'format'"),
+        # states whose float chain, coefficients or integrals overflow
+        ("", ["moments", "--n", "120", "--l", "0", "--omega", "0.02"],
+         "n=120, l=0, omega=0.02: the polynomial coefficients are outside "
+         "the float range"),
+        ("", ["wavefunction", "--n", "120", "--l", "0", "--omega", "0.02"],
+         "n=120, l=0, omega=0.02: the polynomial coefficients are outside "
+         "the float range"),
+        ("", ["moments", "--n", "60", "--l", "0", "--omega", "1e-6"],
+         "n=60, l=0, omega=1e-06: int r^0 u^2 dr is outside the float range"),
+        ("", ["moments", "--n", "2", "--l", "0", "--k", "400"],
+         "n=2, l=0, omega=0.15749: int r^400 u^2 dr is outside the float "
+         "range"),
+        ("", ["spectrum", "--n", "171", "--l", "0", "--omega", "0.02"],
+         "n=171, l=0, omega=0.02: the polynomial coefficients are outside "
+         "the float range"),
     ], ids=["format = xml", "--grid foo", "--precision 1e-3",
             "precision = 1e-15", "--n 0", "--l=-1", "--k=-1", "--nr=-1",
-            "--omega nan", "--omega inf", "convention =", "format ="])
+            "--omega nan", "--omega inf", "convention =", "format =",
+            "moments --n 120", "wavefunction --n 120", "--omega 1e-6",
+            "--k 400", "spectrum --n 171"])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, line, args,
                                         message):
         conf = tmp_path / "run.conf"

@@ -58,11 +58,6 @@ class TestHeunMapping:
                                                     + 2 * l + 2 + abs(p.gamma)))
         assert abs(lhs - rhs) <= tol
 
-    def test_regularity_branch(self):
-        for l in range(5):
-            p = RadialProblem(omega=0.5, l=l)
-            assert p.ell + 1 == pytest.approx(l + 0.5)
-
 
 class TestEnergies:
     def test_relative_energy_at_table_roots(self):

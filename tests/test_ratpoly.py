@@ -1,33 +1,8 @@
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, strategies as st
-
 from heunqdot import ratpoly as rp
 
 F = Fraction
-
-
-def test_laurent_arithmetic_roundtrip():
-    a = {2: F(1, 4), -1: F(-4)}          # t^2/4 - 4/t
-    b = {1: F(1, 2)}                     # t/2
-    prod = rp.lau_mul(a, b)
-    assert prod == {3: F(1, 8), 0: F(-2)}
-    assert rp.lau_sub(rp.lau_add(a, b), b) == a
-    assert rp.lau_eval(a, F(2)) == F(1) - F(2)
-
-
-def test_lau_to_dense_clears_minimal_power():
-    dense, power = rp.lau_to_dense({2: F(1, 4), -1: F(-4)})
-    assert power == 1
-    assert dense == [F(-4), F(0), F(0), F(1, 4)]
-    dense, power = rp.lau_to_dense({3: F(1, 8), 1: F(-6), 0: F(-6)})
-    assert power == 0
-
-
-def test_zero_polynomial_rejected():
-    with pytest.raises(ValueError):
-        rp.lau_to_dense({})
 
 
 def test_descartes_counts_roots():
@@ -44,9 +19,9 @@ def test_descartes_counts_roots():
 
 def test_isolate_positive_roots_simple_cubic():
     # t^3 - 16: single positive root 16^(1/3)
-    p = [F(-16), F(0), F(0), F(1)]
-    intervals, n_neg, multiple = rp.isolate_positive_roots(p)
-    assert len(intervals) == 1 and n_neg == 0 and not multiple
+    p = [-16, 0, 0, 1]
+    intervals, n_neg = rp.isolate_positive_roots(p)
+    assert len(intervals) == 1 and n_neg == 0
     lo, hi = rp.refine_root_bisect(p, *intervals[0], 1e-13)
     mid = float((lo + hi) / 2)
     assert abs(mid - 16 ** (1 / 3)) < 1e-12
@@ -56,16 +31,17 @@ def test_isolate_positive_roots_simple_cubic():
 
 def test_isolate_detects_exact_rational_root():
     # (t-1)(t-2)(t-3): the Cauchy bound is 12, so subdivision midpoints hit 3
-    p = [F(-6), F(11), F(-6), F(1)]
-    intervals, _, _ = rp.isolate_positive_roots(p)
+    p = [-6, 11, -6, 1]
+    intervals, _ = rp.isolate_positive_roots(p)
     assert (F(3), F(3)) in intervals
     assert len(intervals) == 3
 
 
 def test_isolate_strips_zero_roots():
-    # t * (t - 2)
-    p = [F(0), F(-2), F(1)]
-    intervals, _, _ = rp.isolate_positive_roots(p)
+    # t * (t - 2): primitive_part strips the factor t
+    p = rp.primitive_part([F(0), F(-2), F(1)])
+    assert p == [-2, 1]
+    intervals, _ = rp.isolate_positive_roots(p)
     assert len(intervals) == 1
     lo, hi = intervals[0]
     assert lo < 2 < hi
@@ -73,27 +49,15 @@ def test_isolate_strips_zero_roots():
 
 def test_isolate_counts_negative_roots():
     # (t-1)(t+2)(t+3) = t^3 + 4t^2 + t - 6
-    p = [F(-6), F(1), F(4), F(1)]
-    intervals, n_neg, _ = rp.isolate_positive_roots(p)
+    p = [-6, 1, 4, 1]
+    intervals, n_neg = rp.isolate_positive_roots(p)
     assert len(intervals) == 1
     assert n_neg == 2
 
 
 def test_repeated_root_flagged():
     # (t - 1)^2 (t - 3)
-    p = [F(-3), F(7), F(-5), F(1)]
-    intervals, _, multiple = rp.isolate_positive_roots(p)
-    assert multiple
+    sf, multiple = rp.squarefree_part([-3, 7, -5, 1])
+    assert multiple and sf == [3, -4, 1]
+    intervals, _ = rp.isolate_positive_roots(sf)
     assert len(intervals) == 2  # distinct roots 1 and 3
-
-
-@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
-       st.integers(1, 40), st.integers(1, 97))
-def test_dense_eval_matches_laurent_eval(a, b, c, num, den):
-    lau = {2: F(a, 4), 0: F(b), -2: F(c, 3)}
-    lau = {k: v for k, v in lau.items() if v}
-    if not lau:
-        return
-    dense, power = rp.lau_to_dense(lau)
-    t = F(num, den)
-    assert rp.poly_eval(dense, t) == rp.lau_eval(lau, t) * t ** power

@@ -22,15 +22,16 @@ def check_against_sympy(coefficients):
     real = squarefree.real_roots()  # distinct, ascending, exact
     positive = [r for r in real if r.is_positive]
 
-    rootset = isolate_roots(ClearedPolynomial(tuple(coefficients), 0),
+    primitive = rp.primitive_part(coefficients)
+    rootset = isolate_roots(ClearedPolynomial(tuple(primitive)),
                             precision=PRECISION)
     assert len(rootset.roots) == len(positive)
     assert rootset.negative_root_count == sum(r.is_negative for r in real)
     assert rootset.complex_root_count == squarefree.degree() - len(real)
 
     # the exact brackets behind the float ones: the same ratpoly steps
-    sf = rp.squarefree_part(coefficients)[0]
-    intervals = rp.isolate_positive_roots(coefficients)[0]
+    sf = rp.squarefree_part(primitive)[0]
+    intervals = rp.isolate_positive_roots(sf)[0]
     for root, exact, (lo, hi) in zip(rootset.roots, positive, intervals):
         lo, hi = rp.refine_root_bisect(sf, lo, hi, PRECISION)
         assert root.bracket == (float(lo), float(hi))

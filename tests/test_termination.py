@@ -1,14 +1,15 @@
+import logging
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heunqdot import ratpoly as rp
 from heunqdot.termination import (
     ClearedPolynomial,
     GammaConvention,
     build_gamma_factors,
-    clear_denominators,
     coefficient_chain,
     determinant_sequence,
     isolate_roots,
@@ -55,63 +56,73 @@ class TestGammaFactors:
             build_gamma_factors(2, -1)
 
 
+def d_seq(n, l, convention=TABLE):
+    return determinant_sequence(build_gamma_factors(n, l, convention))
+
+
 class TestDeterminantSequence:
+    """D_k = 2^k t^floor(k/2) d_k, in ascending powers of t."""
+
     def test_d1_base_case(self):
-        seq = determinant_sequence(build_gamma_factors(1, 3, TABLE))
-        assert seq.final == {1: F(1, 2)}
+        assert d_seq(1, 3) == [[1], [0, 1]]  # D_1 = 2 d_1 = t
 
     def test_d2_l0(self):
-        seq = determinant_sequence(build_gamma_factors(2, 0, TABLE))
-        assert seq.final == {2: F(1, 4), -1: F(-4)}  # t^2/4 - 4/t
+        assert d_seq(2, 0)[2] == [-16, 0, 0, 1]  # 4t (t^2/4 - 4/t)
 
     def test_d3_l0(self):
-        seq = determinant_sequence(build_gamma_factors(3, 0, TABLE))
-        assert seq.final == {3: F(1, 8), 1: F(-6), 0: F(-6)}  # t^3/8 - 6t - 6
+        # 8t (t^3/8 - 6t - 6)
+        assert d_seq(3, 0)[3] == [0, -48, -48, 0, 1]
 
     def test_denominator_exponent_bounded(self):
+        # 2^k t^floor(k/2) clears every denominator of d_k: D_k is a monic
+        # integer polynomial of degree k + floor(k/2)
         for n in range(1, 9):
             for l in (0, 1, 3):
-                seq = determinant_sequence(build_gamma_factors(n, l, TABLE))
-                for k, d in enumerate(seq.d, start=1):
-                    assert -rp.lau_min_exp(d) <= k - 1
+                for conv in (TABLE, LITERAL):
+                    for k, d in enumerate(d_seq(n, l, conv)):
+                        assert all(type(c) is int for c in d)
+                        assert len(d) - 1 == k + k // 2 and d[-1] == 1
 
     def test_cleared_degree_is_n_plus_power(self):
-        # degree of the cleared polynomial equals n + clearing_power
-        for n in range(1, 9):
+        # n plus the power of t that clears d_n: floor(n/2), less the factor
+        # t that D_n carries at odd n
+        for n in range(2, 11):
             for l in (0, 2):
-                seq = determinant_sequence(build_gamma_factors(n, l, TABLE))
-                cleared = clear_denominators(seq.final)
-                assert cleared.degree == n + cleared.clearing_power
+                for conv in (TABLE, LITERAL):
+                    cleared = solve_termination(n, l, conv).cleared
+                    assert cleared.degree == n + n // 2 - n % 2
 
 
 class TestClearDenominators:
+    """The cleared polynomial is the primitive part of D_n without t^k."""
+
     def test_d2_example(self):
-        cleared = clear_denominators({2: F(1, 4), -1: F(-4)})
-        assert cleared.clearing_power == 1
-        assert list(cleared.coefficients) == [F(-4), F(0), F(0), F(1, 4)]
+        assert solve_termination(2, 0).cleared.coefficients == (-16, 0, 0, 1)
 
     def test_d3_example(self):
-        cleared = clear_denominators({3: F(1, 8), 1: F(-6), 0: F(-6)})
-        assert cleared.clearing_power == 0
-        assert list(cleared.coefficients) == [F(-6), F(-6), F(0), F(1, 8)]
+        cleared = solve_termination(3, 0).cleared
+        assert cleared.coefficients == (-48, -48, 0, 1)
 
     def test_d1_untouched(self):
-        cleared = clear_denominators({1: F(1, 2)})
-        assert cleared.clearing_power == 0
-        assert list(cleared.coefficients) == [F(0), F(1, 2)]
+        # D_1 = t: its one root, t = 0, is stripped
+        assert solve_termination(1, 0).cleared.coefficients == (1,)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            clear_denominators({})
+            rp.primitive_part([0, 0])
 
     def test_cleared_reproduces_laurent(self):
+        # cleared(t) = D_5(t) / (content t) and D_5 = 2^5 t^2 d_5, with the
+        # Laurent polynomial d_5 = -A_5 evaluated by the coefficient chain
         rng = random.Random(7)
-        seq = determinant_sequence(build_gamma_factors(5, 1, TABLE))
-        cleared = clear_denominators(seq.final)
+        d5 = d_seq(5, 1)[5]
+        cleared = solve_termination(5, 1).cleared
+        content = d5[-1] // cleared.coefficients[-1]
+        assert [content * c for c in cleared.coefficients] == d5[1:]
         for _ in range(100):
             t = rng.uniform(0.05, 20.0)
-            lhs = cleared(t) / t ** cleared.clearing_power
-            rhs = rp.lau_eval(seq.final, t)
+            lhs = content * cleared(t) / (32 * t)
+            rhs = -coefficient_chain(5, 1, t)[0][5]
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -188,8 +199,8 @@ class TestRootIsolation:
     def test_zero_constant_term_is_stripped(self):
         # t^3/8 - 3t/2 = t (t^2 - 12) / 8: isolation and refinement both run
         # on the polynomial without its factor t
-        rootset = isolate_roots(ClearedPolynomial(
-            (F(0), F(-3, 2), F(0), F(1, 8)), 0))
+        rootset = isolate_roots(ClearedPolynomial(tuple(rp.primitive_part(
+            [F(0), F(-3, 2), F(0), F(1, 8)]))))
         (root,) = rootset.roots
         assert root.t_star == pytest.approx(12 ** 0.5, abs=1e-13)
         lo, hi = (F(v) for v in root.bracket)
@@ -215,13 +226,11 @@ class TestRepeatedRoots:
         ((-18, 21, -8, 1), [2, 3]),      # (t - 3)^2 (t - 2)
     ])
     def test_roots_and_certified_brackets(self, coeffs, expected):
-        dense = [F(c) for c in coeffs]
         precision = 1e-13
-        rootset = isolate_roots(ClearedPolynomial(tuple(dense), 0),
-                                precision=precision)
+        rootset = isolate_roots(ClearedPolynomial(coeffs), precision=precision)
         assert [r.t_star for r in rootset.roots] == pytest.approx(
             expected, abs=precision)
-        sf, multiple = rp.squarefree_part(dense)
+        sf, multiple = rp.squarefree_part(list(coeffs))
         assert multiple
         for root in rootset.roots:
             lo, hi = (F(v) for v in root.bracket)
@@ -230,6 +239,12 @@ class TestRepeatedRoots:
             assert lo <= F(root.t_star) <= hi
         assert rootset.negative_root_count == 0
         assert rootset.complex_root_count == 0
+
+    def test_made_square_free_once_with_one_warning(self, caplog):
+        # (t - 3)^2 (t - 2)
+        with caplog.at_level(logging.WARNING):
+            isolate_roots(ClearedPolynomial((-18, 21, -8, 1)))
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
 
 
 class TestCoefficientChain:
@@ -252,15 +267,18 @@ class TestCoefficientChain:
         assert abs(a[2]) < 1e-12
         assert eff == 1
 
-    def test_trailing_coefficient_tracks_determinant(self):
-        # A_k = (-1)^k d_k when the same factors drive both recurrences
-        sys_ = build_gamma_factors(5, 1, TABLE)
-        seq = determinant_sequence(sys_)
-        t = F(7, 3)
-        chain, _ = coefficient_chain(5, 1, t, TABLE)
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 4),
+           st.sampled_from([TABLE, LITERAL]),
+           st.fractions(min_value=F(1, 1000), max_value=1000,
+                        max_denominator=1000))
+    def test_trailing_coefficient_tracks_determinant(self, n, l, conv, t):
+        # A_k = (-1)^k d_k when the same factors drive both recurrences, so
+        # D_k = 2^k t^floor(k/2) d_k = (-2)^k t^floor(k/2) A_k
+        chain, _ = coefficient_chain(n, l, t, conv)
         assert all(isinstance(v, F) for v in chain)
-        for k in range(1, 6):
-            assert chain[k] == (-1) ** k * rp.lau_eval(seq.d[k - 1], t)
+        for k, d in enumerate(d_seq(n, l, conv)):
+            assert rp.poly_eval(d, t) == (-2) ** k * t ** (k // 2) * chain[k]
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
