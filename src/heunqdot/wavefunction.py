@@ -29,12 +29,17 @@ from .model import effective_potential_term
 from .termination import GammaConvention, coefficient_chain, effective_degree
 
 
+# the roundoff of a Gamma sum, about 2^-53 sum|term|, may be at most this
+# fraction of the sum; past it the printed %.6e digits cannot be trusted
+GAMMA_SUM_MAX_ERROR = 1e-8
+
+
 class FloatRangeError(ValueError):
-    """A state whose coefficients or integrals lie outside the float range."""
+    """A state whose coefficients or integrals floats cannot hold: outside
+    the float range, or lost to cancellation."""
 
     def __init__(self, n: int, l: int, omega: float, what: str):
-        super().__init__(f"n={n}, l={l}, omega={omega:g}: {what} "
-                         "outside the float range")
+        super().__init__(f"n={n}, l={l}, omega={omega:g}: {what}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,8 @@ def assemble_polynomial(n: int, l: int, t_star: float,
     except OverflowError:  # p! beyond the float range
         coeffs.append(math.nan)
     if not all(map(math.isfinite, coeffs)):
-        raise FloatRangeError(n, l, omega, "the polynomial coefficients are")
+        raise FloatRangeError(n, l, omega, "the polynomial coefficients are "
+                              "outside the float range")
     return PolynomialSolution(
         n=n, l=l, t_star=t_star, omega=omega,
         eta=(n + l + 1) * omega,
@@ -166,21 +172,32 @@ class RadialState:
 
 def _gamma_sum(solution: PolynomialSolution, k: int) -> float:
     """int_0^inf r^k u^2 dr = (1/2) sum_j c_j t^(2(l+1)+j+k) Gamma(l+1+(j+k)/2),
-    with c_j the coefficients of y^2. Raises FloatRangeError when the sum is
-    not a finite float."""
+    with c_j the coefficients of y^2.
+
+    The terms alternate in sign and can grow far past their sum, so the sum
+    carries a roundoff of about 2^-53 sum_j |term_j|. Raises
+    FloatRangeError when the sum is not a finite float, or when that
+    roundoff exceeds GAMMA_SUM_MAX_ERROR of the sum (at omega = 0.02 and
+    l = 0 from n = 27 on).
+    """
     c = square_coefficients(solution.y_coeffs)
     t = solution.t_star
     l = solution.l
-    acc = 0.0
+    acc = size = 0.0
     try:
         for j, cj in enumerate(c):
             nu = Fraction(2 * l + 2 + j + k, 2)  # l+1+(j+k)/2
-            acc += cj * t ** (2 * (l + 1) + j + k) * gamma_half_integer(nu)
+            term = cj * t ** (2 * (l + 1) + j + k) * gamma_half_integer(nu)
+            acc += term
+            size += abs(term)
     except OverflowError:  # a power of t or Gamma value past the float range
         acc = math.nan
     if not math.isfinite(acc):
         raise FloatRangeError(solution.n, l, solution.omega,
-                              f"int r^{k} u^2 dr is")
+                              f"int r^{k} u^2 dr is outside the float range")
+    if not 2.0 ** -53 * size <= GAMMA_SUM_MAX_ERROR * abs(acc):
+        raise FloatRangeError(solution.n, l, solution.omega,
+                              f"int r^{k} u^2 dr is lost to cancellation")
     return acc / 2
 
 

@@ -248,11 +248,17 @@ class TestConfigPrecedence:
         ("", ["spectrum", "--n", "171", "--l", "0", "--omega", "0.02"],
          "n=171, l=0, omega=0.02: the polynomial coefficients are outside "
          "the float range"),
+        # a finite norm integral whose alternating terms cancel
+        ("", ["moments", "--n", "60", "--l", "0", "--omega", "1e-3"],
+         "n=60, l=0, omega=0.001: int r^0 u^2 dr is lost to cancellation"),
+        ("", ["wavefunction", "--n", "60", "--l", "0", "--omega", "1e-3"],
+         "n=60, l=0, omega=0.001: int r^0 u^2 dr is lost to cancellation"),
     ], ids=["format = xml", "--grid foo", "--precision 1e-3",
             "precision = 1e-15", "--n 0", "--l=-1", "--k=-1", "--nr=-1",
             "--omega nan", "--omega inf", "convention =", "format =",
             "moments --n 120", "wavefunction --n 120", "--omega 1e-6",
-            "--k 400", "spectrum --n 171"])
+            "--k 400", "spectrum --n 171", "moments cancellation",
+            "wavefunction cancellation"])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, line, args,
                                         message):
         conf = tmp_path / "run.conf"

@@ -256,16 +256,42 @@ def _mp_recurrence(n, l):
 
 
 class TestQuadrature:
-    """The Gauss-Legendre rule built from the recurrence, the discrete
-    measure mapped from it, the recurrence of the basis computed on that
-    measure, and the matrices it integrates."""
+    """The Gauss-Legendre rule built from a half-size eigensolve and one
+    Legendre pass, the discrete measure mapped from it, the recurrence of
+    the basis computed on that measure, and the matrices it integrates."""
 
-    @pytest.mark.parametrize("m", [43, 95, 140])
+    @pytest.mark.parametrize("m", [43, 95, 140, 200])
     def test_gauss_against_mpmath(self, m):
         x, w = oracle._gauss(m)
         x_ref, w_ref = _mp_gauss(m)
         assert np.max(np.abs(x - x_ref)) <= 1e-15
         assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [*range(1, 65), 200, 485])
+    def test_gauss_rule_properties(self, m):
+        """Increasing, exactly symmetric nodes with 0 among them iff m is
+        odd, positive exactly symmetric weights, and the even moments
+        sum w x^(2k) = 2/(2k + 1) for every 2k <= 2m - 2 the rule must
+        integrate."""
+        x, w = oracle._gauss(m)
+        assert x.shape == w.shape == (m,)
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(w > 0)
+        assert (0.0 in x) == (m % 2 == 1)
+        x2 = x * x
+        power = np.ones(m)
+        for k in range(m):
+            assert abs(w @ power * (2 * k + 1) / 2 - 1) <= 5e-14, k
+            power *= x2
+
+    @pytest.mark.parametrize("m", [2, 43, 200, 485])
+    def test_gauss_one_half_size_eigensolve(self, monkeypatch, m):
+        counting = _CountingLinalg(oracle.linalg)
+        monkeypatch.setattr(oracle, "linalg", counting)
+        oracle._gauss(m)
+        assert [(name, a.shape) for name, (a,), _, _ in counting.calls] == [
+            ("eigvalsh", (m // 2, m // 2))]
 
     @pytest.mark.parametrize("m", [43, 95, 140])
     def test_legendre_orthonormal(self, m):
@@ -317,12 +343,11 @@ class TestQuadrature:
         """The basis is hierarchical, so with an exact rule the matrices of a
         smaller size are the leading blocks of those of a larger one. Within
         a group they are by construction; across the two groups, whose
-        measures differ, the size-18 blocks agree to roundoff. (At l = 0 the
-        full size-40 block of C is 3e-13 off, from the end weights of the
-        larger rule.)"""
+        measures differ, the whole size-40 matrices agree to roundoff with
+        the leading blocks of the size-135 ones."""
         small, large = (oracle._galerkin(top, l) for top in oracle.BASIS_TOPS)
         for a, b in zip(small, large):
-            assert (np.max(np.abs(a[:19, :19] - b[:19, :19]))
+            assert (np.max(np.abs(a - b[:41, :41]))
                     <= 2e-13 * np.max(np.abs(b))), l
 
 

@@ -9,6 +9,7 @@ from scipy.special import gamma as scipy_gamma
 
 from heunqdot.termination import coefficient_chain, solve_termination
 from heunqdot.wavefunction import (
+    FloatRangeError,
     PolynomialSolution,
     assemble_polynomial,
     gamma_half_integer,
@@ -161,6 +162,19 @@ class TestNormalization:
                     closed = norm_integral_closed(sol)
                     quad = norm_integral_quad(sol)
                     assert closed == pytest.approx(quad, rel=1e-8)
+
+    def test_gamma_sum_cancellation(self):
+        """At omega = 0.02 and l = 0 the closed-form norm integral is a sum
+        of alternating terms far larger than itself. At n = 20 its roundoff
+        is still small and it matches the quadrature; at n = 40 (off by
+        2.6e-6) and n = 60 (of the wrong sign at omega = 1e-3) it raises."""
+        sol = assemble_polynomial(20, 0, 1 / math.sqrt(0.02))
+        assert norm_integral_closed(sol) == pytest.approx(
+            norm_integral_quad(sol), rel=1e-9)
+        for n, omega in ((40, 0.02), (60, 1e-3)):
+            sol = assemble_polynomial(n, 0, 1 / math.sqrt(omega))
+            with pytest.raises(FloatRangeError, match="cancellation"):
+                normalize(sol)
 
 
 class TestMoments:
