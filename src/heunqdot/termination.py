@@ -18,8 +18,9 @@ integer c and e every D_k is an integer polynomial, so the recurrence runs in
 plain Python integers; its positive roots are those of d_n. The primitive
 part of D_n, without its factor t^k, is reduced once to its square-free part
 and its positive real roots are isolated and refined on that part in integer
-arithmetic (ratpoly: Descartes' rule on dyadic intervals, then bisection),
-each with a rational bracket certified by an exact sign change.
+arithmetic (ratpoly: Descartes' rule on dyadic intervals, then quadratic
+interval refinement to the bracket bisection would end in), each with a
+rational bracket certified by an exact sign change.
 
 Two gamma-factor conventions are implemented. The published closed form for
 the factors and the published recurrence disagree by an index shift, so:

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from heunqdot import cli, oracle, report, wavefunction
+from heunqdot import cli, oracle, ratpoly, report, wavefunction
 from heunqdot.termination import (
     GammaConvention,
     coefficient_chain,
@@ -63,6 +63,32 @@ def test_tables_command_solves_at_its_precision(solve_calls, tmp_path):
     cli.main(["tables", "--precision", "1e-9", "--out", str(tmp_path)])
     assert len(solve_calls) == 8
     assert {c["precision"] for c in solve_calls} == {1e-9}
+
+
+def test_dossier_root_isolation_work(solve_calls, monkeypatch):
+    """The Taylor shifts of the Descartes trees and the exact polynomial
+    evaluations of refinement over the dossier's 16 solves. The tree used
+    626 shifts from the top of the Cauchy grid, and bisection 1197
+    evaluations."""
+    report.build_report()
+    assert len(solve_calls) == 16
+    counts = {"shifts": 0, "evaluations": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(ratpoly, "_taylor_shift",
+                        counting("shifts", ratpoly._taylor_shift))
+    monkeypatch.setattr(ratpoly, "_value_at",
+                        counting("evaluations", ratpoly._value_at))
+    roots = sum(len(solve_termination(**call).rootset.roots)
+                for call in solve_calls)
+    assert roots == 24
+    assert counts == {"shifts": 179, "evaluations": 371}
+    assert 2 * counts["shifts"] <= 626 and 2 * counts["evaluations"] <= 1197
 
 
 def test_report_builds_and_normalizes_each_state_once(monkeypatch):
