@@ -31,27 +31,30 @@ once n >= 2 node_target, so the solve is exact. The
 p_j have no closed form: their recurrence comes from the discretized
 Stieltjes procedure (Gautschi, Orthogonal Polynomials: Computation and
 Approximation, OUP 2004, 2.2) on a Gauss-Legendre rule mapped to a window
-[0, X] that grows with the highest degree, and the same discrete measure
-integrates S and C. The size n is chosen by self-convergence (n against
-1.5n).
+[0, X] that grows with the highest degree. The same pass carries p_j and
+p_j' at the nodes of that discrete measure, which integrates S and C from
+them, so the basis is built in one pass. The size n is chosen by
+self-convergence (n against 1.5n).
 
 The p_j do not depend on where the basis is cut, so the basis is nested:
 the matrices of size n are the leading (n+1) x (n+1) blocks of those of any
 larger size. The sizes therefore come in groups, each served by one basis
-per l built at the group's top (BASIS_TOPS): one Gauss rule, recurrence,
-pair (S, C) and lattice, of which every size of the group reads the leading
-block. Within a group the eigenvalues can only fall from one size to the
-next (Cauchy interlacing), so the self-convergence gap is a one-sided bound.
+per l built at the group's top (BASIS_TOPS): one Gauss rule, one build of
+the recurrence with the pair (S, C), and one lattice, of which every size of
+the group reads the leading block. Within a group the eigenvalues can only
+fall from one size to the next (Cauchy interlacing), so the
+self-convergence gap is a one-sided bound.
 
 Each size costs one symmetric eigensolve (numpy.linalg.eigh). The basis is
 conforming, so by min-max each Ritz value is an upper bound on its
 eigenvalue: the node_target + 1 lowest Ritz pairs are the states asked for,
 with no eta window to find them in. Their vectors at the accepted size give
-u, sampled on a fixed uniform lattice of LATTICE + 1 points on
-[0, 12/sqrt(omega)], and the states are returned only if their node counts
-there are exactly 0..node_target. The solver therefore serves as the
-arbiter for whether an analytically constructed state is a genuine
-eigenstate.
+u up to one factor per state, sampled on a fixed uniform lattice of
+LATTICE + 1 points on [0, 12/sqrt(omega)], and the states are returned only
+if their node counts there are exactly 0..node_target; a factor changes no
+node count, so u is normalized only when a caller reads it. The solver
+therefore serves as the arbiter for whether an analytically constructed
+state is a genuine eigenstate.
 
 Checked range: l <= 15 with node_target <= 12. With the Coulomb term off,
 4300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
@@ -74,6 +77,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from numpy import linalg
@@ -145,30 +149,46 @@ class Eigenvalue:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """The requested states, with the reduced radial functions u normalized
-    on the uniform lattice r of LATTICE + 1 points on [0, 12/sqrt(omega)]."""
+    """The requested states, and their reduced radial functions u on the
+    uniform lattice r of LATTICE + 1 points on [0, 12/sqrt(omega)].
+
+    The solve keeps u only up to one factor per state (_samples) with v(0)
+    up to the same factors (_at_zero). r and eigenfunctions, u with v(0) > 0
+    and unit norm under the trapezoid rule on r, shape (n_eigen, len(r)),
+    are computed on their first read, at most once.
+    """
 
     eigenvalues: tuple[Eigenvalue, ...]
-    r: np.ndarray = field(repr=False)
-    eigenfunctions: np.ndarray = field(repr=False)  # shape (n_eigen, len(r))
+    _wall: float = field(repr=False)
+    _samples: np.ndarray = field(repr=False)
+    _at_zero: np.ndarray = field(repr=False)
 
     @property
     def etas(self) -> list[float]:
         return [e.eta for e in self.eigenvalues]
 
+    @functools.cached_property
+    def r(self) -> np.ndarray:
+        return np.linspace(0.0, self._wall, LATTICE + 1)
 
-def _orthonormal(a: np.ndarray, b: np.ndarray, x: np.ndarray,
-                 derivative: bool = False):
+    @functools.cached_property
+    def eigenfunctions(self) -> np.ndarray:
+        funcs = self._samples
+        scale = np.sign(self._at_zero) / np.sqrt(
+            (self._wall / LATTICE)
+            * np.einsum("ij,ij,j->i", funcs, funcs, _TRAPEZOID))
+        return funcs * scale[:, None]
+
+
+def _orthonormal(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Rows p_0..p_n at the points x of the orthonormal polynomials with the
     three-term recurrence x p_j = b_{j+1} p_{j+1} + a_j p_j + b_j p_{j-1},
     p_0 = 1/b_0, where a = a_0..a_{n-1} and b = b_0..b_n (b_0^2 is the total
-    mass of the weight). With derivative, also the rows p_0'..p_n', from the
-    derivative of the recurrence.
+    mass of the weight).
     """
     n = len(a)
     p = np.empty((n + 1, len(x)))
     p[0] = 1.0 / b[0]
-    dp = np.zeros_like(p) if derivative else None
     for j in range(n):
         row = p[j + 1]
         np.subtract(x, a[j], out=row)
@@ -176,15 +196,7 @@ def _orthonormal(a: np.ndarray, b: np.ndarray, x: np.ndarray,
         if j:
             row -= b[j] * p[j - 1]
         row /= b[j + 1]
-        if derivative:
-            drow = dp[j + 1]
-            np.subtract(x, a[j], out=drow)
-            drow *= dp[j]
-            drow += p[j]
-            if j:
-                drow -= b[j] * dp[j - 1]
-            drow /= b[j + 1]
-    return (p, dp) if derivative else p
+    return p
 
 
 def _gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,26 +272,47 @@ def _measure(top: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@functools.lru_cache
-def _stieltjes(top: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence coefficients a_0..a_{top-1}, b_0..b_top (see _orthonormal)
-    of the polynomials orthonormal under x^(2l+1) e^(-x^2) on [0, inf).
+class _Basis(NamedTuple):
+    """The basis p_0..p_top of one group top and l: its recurrence
+    coefficients (see _orthonormal) and its matrices S and C."""
 
-    They have no closed form. The discretized Stieltjes procedure (Gautschi,
-    Orthogonal Polynomials: Computation and Approximation, OUP 2004, 2.2)
-    computes them on the discrete measure of _measure(top), carrying the
-    polynomials as vectors q_j = sqrt(weight) p_j at its nodes, each
-    orthogonalized twice against all earlier ones so that roundoff does not
-    accumulate. The first n and n + 1 of them give the basis of any size
-    n <= top.
+    a: np.ndarray
+    b: np.ndarray
+    stiff: np.ndarray
+    coulomb: np.ndarray
+
+
+@functools.lru_cache
+def _basis(top: int, l: int) -> _Basis:
+    """The polynomials p_j, j = 0..top, orthonormal under x^(2l+1) e^(-x^2)
+    on [0, inf): the recurrence coefficients a_0..a_{top-1}, b_0..b_top and
+    the omega-independent matrices
+
+        S = int x^(2l+1) e^(-x^2) p_i' p_j',  C = int x^(2l) e^(-x^2) p_i p_j
+        over [0, inf),
+
+    all from one pass over the discrete measure of _measure(top).
+
+    The recurrence has no closed form. The discretized Stieltjes procedure
+    (Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP
+    2004, 2.2) computes it, carrying the polynomials as vectors
+    q_j = sqrt(lambda) p_j at the nodes, lambda = w x^(2l+1) the weights of
+    the measure, each orthogonalized twice against all earlier ones so that
+    roundoff does not accumulate. The same pass carries dq_j = sqrt(lambda)
+    p_j' by the derivative of the recurrence, so S = dq dq^T and
+    C = (q/sqrt(x)) (q/sqrt(x))^T. The first n and n + 1 coefficients and the
+    leading (n+1) x (n+1) blocks of S and C are the basis of any size
+    n <= top. Read-only, because the cache hands it to every caller.
     """
     x, w = _measure(top)
     lam = w * x ** (2 * l + 1)
     a = np.empty(top)
     b = np.empty(top + 1)
     q = np.empty((top + 1, len(x)))
+    dq = np.empty_like(q)
     b[0] = math.sqrt(lam.sum())
     q[0] = np.sqrt(lam) / b[0]
+    dq[0] = 0.0
     for j in range(top):
         z = x * q[j]
         a[j] = q[j] @ z
@@ -287,36 +320,25 @@ def _stieltjes(top: int, l: int) -> tuple[np.ndarray, np.ndarray]:
             z -= q[:j + 1].T @ (q[:j + 1] @ z)
         b[j + 1] = math.sqrt(z @ z)
         q[j + 1] = z / b[j + 1]
-    for v in (a, b):
+        # b_{j+1} p_{j+1}' = (x - a_j) p_j' + p_j - b_j p_{j-1}'
+        dz = dq[j + 1]
+        np.subtract(x, a[j], out=dz)
+        dz *= dq[j]
+        dz += q[j]
+        if j:
+            dz -= b[j] * dq[j - 1]
+        dz /= b[j + 1]
+    q /= np.sqrt(x)
+    basis = _Basis(a, b, dq @ dq.T, q @ q.T)
+    for v in basis:
         v.setflags(write=False)
-    return a, b
-
-
-@functools.lru_cache
-def _galerkin(top: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The omega-independent matrices of the basis p_j, j = 0..top,
-    orthonormal under x^(2l+1) e^(-x^2):
-
-        S = int x^(2l+1) e^(-x^2) p_i' p_j',  C = int x^(2l) e^(-x^2) p_i p_j
-        over [0, inf),
-
-    both integrated by the discrete measure of _measure(top). Their leading
-    (n+1) x (n+1) blocks are the matrices of size n. They are read-only
-    because the cache hands them to every caller.
-    """
-    x, w = _measure(top)
-    p, dp = _orthonormal(*_stieltjes(top, l), x, derivative=True)
-    w = w * x ** (2 * l)
-    mats = ((dp * (w * x)) @ dp.T, (p * w) @ p.T)
-    for m in mats:
-        m.setflags(write=False)
-    return mats
+    return basis
 
 
 @functools.lru_cache(maxsize=32)
 def _lattice(top: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """The functions x^(l+1/2) e^(-x^2/2) p_j(x), j = 0..top, of the basis of
-    _galerkin sampled on the uniform lattice of LATTICE + 1 points on
+    _basis sampled on the uniform lattice of LATTICE + 1 points on
     [0, DOMAIN_SCALE], one row per j, and the values p_j(0).
 
     A coefficient vector times the first n + 1 rows is u up to a constant
@@ -325,7 +347,8 @@ def _lattice(top: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     most 2.2 MB each (top = 135) are kept.
     """
     x = np.linspace(0.0, DOMAIN_SCALE, LATTICE + 1)
-    phi = _orthonormal(*_stieltjes(top, l), x)
+    basis = _basis(top, l)
+    phi = _orthonormal(basis.a, basis.b, x)
     at_zero = phi[:, 0].copy()
     phi *= x ** (l + 0.5) * np.exp(-0.5 * x * x)
     for v in (phi, at_zero):
@@ -367,10 +390,12 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     GALERKIN_SIZES, until the eigenvalues agree between consecutive sizes
     (the gap becomes each eigenvalue's convergence_width). Each size reads
     the leading blocks of the basis built at the top of its group
-    (BASIS_TOPS). The coefficient vectors of the accepted size give the
-    eigenfunctions, sampled on the fixed lattice of LATTICE + 1 points on
-    [0, 12/sqrt(omega)], where their nodes are counted. Raises
-    NoEigenvalueError unless the node counts are exactly 0..node_target.
+    (BASIS_TOPS). The coefficient vectors of the accepted size give u up to
+    one factor per state, sampled on the fixed lattice of LATTICE + 1 points
+    on [0, 12/sqrt(omega)], where the nodes are counted; the normalized
+    eigenfunctions are computed only if they are read (see OracleResult).
+    Raises NoEigenvalueError unless the node counts are exactly
+    0..node_target.
 
     Checked range: l <= 15 with node_target <= 12 (see the module docstring).
     """
@@ -378,13 +403,12 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         config = ShootingConfig()
     w, l = problem.omega, problem.l
     coul_scale = problem.coulomb_a * math.sqrt(w) if coulomb_on else 0.0
-    wall = DOMAIN_SCALE / math.sqrt(w)
     count = config.node_target + 1
 
     prev = None
     for n in GALERKIN_SIZES:
         top = _top(n)
-        stiff, coulomb = _galerkin(top, l)
+        _, _, stiff, coulomb = _basis(top, l)
         # eta = omega [(l + 1) I + S/2 + (a/sqrt(omega)) C]
         block = np.s_[:n + 1, :n + 1]
         a = (0.5 * w) * stiff[block] + coul_scale * coulomb[block]
@@ -404,14 +428,9 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         log.warning("Galerkin not self-converged at N=%d: relative gap %.1e",
                     n, float(np.max(gaps / np.abs(etas))))
 
-    r = np.linspace(0.0, wall, LATTICE + 1)
     phi, at_zero = _lattice(top, l)
+    # u up to a factor per state, which changes no node count
     funcs = coeffs.T @ phi[:n + 1]
-    # v(0) > 0, and unit norm under the trapezoid rule on r
-    scale = np.sign(coeffs.T @ at_zero[:n + 1]) / np.sqrt(
-        (wall / LATTICE) * np.einsum("ij,ij,j->i", funcs, funcs, _TRAPEZOID))
-    funcs *= scale[:, None]
-
     nodes = _count_nodes(funcs[:, 1:-1]).tolist()
     if nodes != list(range(count)):
         raise NoEigenvalueError(
@@ -420,7 +439,8 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     states = tuple(Eigenvalue(eta=eta, nodes=k,
                               convergence_width=max(gap, 4 * math.ulp(eta)))
                    for eta, gap, k in zip(etas.tolist(), gaps.tolist(), nodes))
-    return OracleResult(eigenvalues=states, r=r, eigenfunctions=funcs)
+    return OracleResult(eigenvalues=states, _wall=DOMAIN_SCALE / math.sqrt(w),
+                        _samples=funcs, _at_zero=coeffs.T @ at_zero[:n + 1])
 
 
 # ---------------------------------------------------------------------------

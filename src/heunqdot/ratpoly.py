@@ -5,14 +5,16 @@ powers of t, of ints or Fractions; an IntPoly holds ints only.
 
 Roots are isolated in plain Python integers. A polynomial is reduced once to
 its primitive integer part without the factor t**k (primitive_part) and then,
-if it has a repeated root, to its square-free part (squarefree_part). The
-isolator takes that square-free IntPoly, scales it so that its Cauchy root
-bound B maps to 1, and isolates its roots in (0, 1) by Descartes' rule of
-signs on dyadic subintervals (the Vincent-Collins-Akritas method in the
-integer form of Rouillier and Zimmermann, J. Comput. Appl. Math. 162, 33
-(2004)). The tree starts at the deepest dyadic interval (0, 2^-k0) that
-Fujiwara's root bound still places every root inside, so it skips the empty
-top levels of the grid. Brackets are then refined on the same IntPoly by
+if it has a repeated root, to its square-free part (squarefree_part). A gcd
+of p and p' modulo one prime proves most polynomials square-free, so the
+integer gcd runs only when that test cannot decide. The isolator takes
+that square-free IntPoly, scales it so that its Cauchy root bound B maps to
+1, and isolates its roots in (0, 1) by Descartes' rule of signs on dyadic
+subintervals (the Vincent-Collins-Akritas method in the integer form of
+Rouillier and Zimmermann, J. Comput. Appl. Math. 162, 33 (2004)). The tree
+starts at the deepest dyadic interval (0, 2^-k0) that Fujiwara's root bound
+still places every root inside, so it skips the empty top levels of the
+grid. Brackets are then refined on the same IntPoly by
 quadratic interval refinement (Abbott's QIR) on the grid that bisection
 would visit, each point's value taken by integer Horner evaluation. Every
 returned root carries a rational bracket certified by an exact sign change,
@@ -116,10 +118,41 @@ def _divide_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     return q
 
 
+# the prime of the modular square-free test, below 2^31
+SQUAREFREE_PRIME = 2_147_483_647
+
+
+def _gcd_degree_mod(a: IntPoly, b: IntPoly, q: int) -> int:
+    """Degree of gcd(a mod q, b mod q) over GF(q), for a and b whose leading
+    coefficients q does not divide, by Euclid's algorithm."""
+    a, b = [c % q for c in a], [c % q for c in b]
+    while b:
+        inv = pow(b[-1], -1, q)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a[-1] * inv % q
+            shift = len(a) - 1 - db
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % q
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
 def squarefree_part(p: IntPoly) -> tuple[IntPoly, bool]:
     """Return (primitive square-free part of p, had_multiple_roots) for a
-    primitive p, such as primitive_part returns."""
+    primitive p, such as primitive_part returns.
+
+    The square-free case is settled modulo the prime q = SQUAREFREE_PRIME
+    first: if q does not divide the leading coefficient, the degree of
+    gcd(p, p') over Q is at most that of gcd(p mod q, p' mod q), so degree 0
+    there proves p square-free. Only otherwise does the integer gcd run.
+    """
     if len(p) == 1:
+        return p, False
+    q = SQUAREFREE_PRIME
+    if p[-1] % q and not _gcd_degree_mod(p, poly_deriv(p), q):
         return p, False
     g = _gcd(p, _primitive(poly_deriv(p)))
     if len(g) == 1:

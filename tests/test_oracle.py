@@ -189,7 +189,8 @@ class TestEigenvectorStep:
         vecs = vecs[:, :len(res.etas)]
         assert etas[:len(res.etas)].tolist() == res.etas
         x = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)
-        basis = oracle._orthonormal(*oracle._stieltjes(sizes[-1] - 1, l), x)
+        a, b, *_ = oracle._basis(sizes[-1] - 1, l)
+        basis = oracle._orthonormal(a, b, x)
         u = res.r ** (l + 0.5) * np.exp(-0.5 * x * x) * (vecs.T @ basis)
         u /= np.sqrt(np.trapezoid(u * u, res.r, axis=1))[:, None]
         u *= np.sign(u[:, 1:2])
@@ -323,7 +324,7 @@ class TestQuadrature:
     def test_stieltjes_against_mpmath(self, l):
         a_ref, b_ref = _mp_recurrence(40, l)
         for n in (12, 18, 27, 40):
-            a, b = oracle._stieltjes(n, l)
+            a, b, *_ = oracle._basis(n, l)
             assert not a.flags.writeable and not b.flags.writeable
             assert np.max(np.abs(a / a_ref[:n] - 1)) <= 1e-13, n
             assert np.max(np.abs(b / b_ref[:n + 1] - 1)) <= 1e-13, n
@@ -334,7 +335,8 @@ class TestQuadrature:
         top, which is what lets the eigenproblem drop the mass matrix."""
         for n in oracle.BASIS_TOPS:
             x, w = oracle._measure(n)
-            p = oracle._orthonormal(*oracle._stieltjes(n, l), x)
+            basis = oracle._basis(n, l)
+            p = oracle._orthonormal(basis.a, basis.b, x)
             gram = (p * (w * x ** (2 * l + 1))) @ p.T
             assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-13, n
 
@@ -345,10 +347,58 @@ class TestQuadrature:
         a group they are by construction; across the two groups, whose
         measures differ, the whole size-40 matrices agree to roundoff with
         the leading blocks of the size-135 ones."""
-        small, large = (oracle._galerkin(top, l) for top in oracle.BASIS_TOPS)
+        small, large = (oracle._basis(top, l)[2:] for top in oracle.BASIS_TOPS)
         for a, b in zip(small, large):
             assert (np.max(np.abs(a - b[:41, :41]))
                     <= 2e-13 * np.max(np.abs(b))), l
+
+
+def _two_pass_matrices(top, l):
+    """S and C as the basis integrated them before the one-pass build: p and
+    p' evaluated afresh from the recurrence at the nodes of _measure(top),
+    p' by the derivative of the recurrence."""
+    x, w = oracle._measure(top)
+    a, b, *_ = oracle._basis(top, l)
+    p = np.empty((top + 1, len(x)))
+    dp = np.zeros_like(p)
+    p[0] = 1.0 / b[0]
+    for j in range(top):
+        p[j + 1] = (x - a[j]) * p[j]
+        dp[j + 1] = (x - a[j]) * dp[j] + p[j]
+        if j:
+            p[j + 1] -= b[j] * p[j - 1]
+            dp[j + 1] -= b[j] * dp[j - 1]
+        p[j + 1] /= b[j + 1]
+        dp[j + 1] /= b[j + 1]
+    w = w * x ** (2 * l)
+    return (dp * (w * x)) @ dp.T, (p * w) @ p.T
+
+
+class TestOnePassBasis:
+    """The Stieltjes pass that computes the recurrence also carries p_j and
+    p_j' at the measure nodes, and S and C come from those vectors."""
+
+    @pytest.mark.parametrize("l", [0, 2, 15])
+    @pytest.mark.parametrize("top", oracle.BASIS_TOPS)
+    def test_matrices_match_two_pass_quadrature(self, top, l):
+        basis = oracle._basis(top, l)
+        for v in basis:
+            assert not v.flags.writeable
+        for new, ref in zip((basis.stiff, basis.coulomb),
+                            _two_pass_matrices(top, l)):
+            assert np.array_equal(new, new.T)
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_eigenfunctions_normalized_on_first_read(self):
+        res = solve_eigen(RadialProblem(omega=0.5, l=1),
+                          ShootingConfig(node_target=3))
+        assert "eigenfunctions" not in vars(res) and "r" not in vars(res)
+        funcs = res.eigenfunctions
+        assert "eigenfunctions" in vars(res) and "r" not in vars(res)
+        assert res.eigenfunctions is funcs
+        assert res.r is res.r
+        with pytest.raises(AttributeError):
+            res.eigenfunctions = funcs
 
 
 def _exact_states(N, l):
@@ -406,7 +456,7 @@ class TestLattice:
         phi, at_zero = oracle._lattice(oracle._top(n), l)
         assert not phi.flags.writeable and not at_zero.flags.writeable
         x = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)
-        a, b = oracle._stieltjes(oracle._top(n), l)
+        a, b, *_ = oracle._basis(oracle._top(n), l)
         p = oracle._orthonormal(a[:n], b[:n + 1], x)
         assert np.array_equal(at_zero[:n + 1], p[:, 0])
         assert np.array_equal(
@@ -426,8 +476,7 @@ class TestLattice:
         assert solves == 60
         assert built == [3 * oracle.BASIS_TOPS[0] + 80]
         assert oracle._measure.cache_info().misses == 1
-        for cache in (oracle._stieltjes, oracle._galerkin):
-            assert cache.cache_info().misses == 3
+        assert oracle._basis.cache_info().misses == 3
         info = oracle._lattice.cache_info()
         assert (info.misses, info.hits) == (3, solves - 3)
 
@@ -436,7 +485,7 @@ class TestLattice:
         built = _count_gauss_rules(monkeypatch)
         build_report()
         assert built == [3 * oracle.BASIS_TOPS[0] + 80]
-        assert oracle._stieltjes.cache_info().misses == 2
+        assert oracle._basis.cache_info().misses == 2
 
 
 def _count_nodes_by_row(u):

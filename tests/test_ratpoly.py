@@ -10,10 +10,12 @@ from heunqdot.termination import (
     GammaConvention,
     build_gamma_factors,
     determinant_sequence,
+    solve_termination,
 )
 from test_root_isolation import T, _expand, factor_lists
 
 F = Fraction
+Q = rp.SQUAREFREE_PRIME
 
 
 def test_descartes_counts_roots():
@@ -72,6 +74,83 @@ def test_repeated_root_flagged():
     assert multiple and sf == [3, -4, 1]
     intervals, _ = rp.isolate_positive_roots(sf)
     assert len(intervals) == 2  # distinct roots 1 and 3
+
+
+# ---------------------------------------------------------------------------
+# Square-free part: the modular test ahead of the integer gcd
+# ---------------------------------------------------------------------------
+
+def integer_squarefree(p):
+    """squarefree_part without the modular test: the integer gcd of p and p'
+    decides every case."""
+    if len(p) == 1:
+        return p, False
+    g = rp._gcd(p, rp._primitive(rp.poly_deriv(p)))
+    if len(g) == 1:
+        return p, False
+    return rp._divide_exact(p, g), True
+
+
+def _counting_gcd(monkeypatch) -> list:
+    """The calls of the integer gcd from now on."""
+    calls = []
+    gcd = rp._gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+    monkeypatch.setattr(rp, "_gcd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("convention", list(GammaConvention))
+def test_squarefree_matches_integer_gcd_on_determinants(convention):
+    for n in range(1, 23):
+        for l in range(4):
+            system = build_gamma_factors(n, l, convention)
+            p = rp.primitive_part(determinant_sequence(system)[n])
+            assert rp.squarefree_part(p) == integer_squarefree(p), (n, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_lists, st.sampled_from([Fraction(1), Fraction(-3, 7)]))
+def test_squarefree_matches_integer_gcd_with_repeated_roots(factors, scale):
+    p = rp.primitive_part(_expand(factors, 0, scale))
+    assert rp.squarefree_part(p) == integer_squarefree(p)
+
+
+@pytest.mark.parametrize("factors, multiple", [
+    ([(Q * T - 1, 1), (T - 2, 1)], False),
+    ([(Q * T - 1, 2), (T - 2, 1)], True),
+    ([(Q * T + 5, 1), (T ** 2 + 1, 2)], True),
+])
+def test_squarefree_when_the_prime_divides_the_leading_coefficient(
+        monkeypatch, factors, multiple):
+    p = rp.primitive_part(_expand(factors, 0, Fraction(1)))
+    assert p[-1] % Q == 0
+    calls = _counting_gcd(monkeypatch)
+    result = rp.squarefree_part(p)
+    assert calls and result == integer_squarefree(p)
+    assert result[1] == multiple
+
+
+def test_squarefree_modulo_the_prime_is_only_a_filter(monkeypatch):
+    """t^2 + q is square-free over Q but t^2 modulo q: the integer gcd
+    decides."""
+    calls = _counting_gcd(monkeypatch)
+    assert rp.squarefree_part([Q, 0, 1]) == ([Q, 0, 1], False)
+    assert len(calls) == 1
+
+
+def test_dossier_never_runs_the_integer_gcd(monkeypatch):
+    calls = _counting_gcd(monkeypatch)
+    solves = 0
+    for convention in GammaConvention:
+        for n in range(2, 6):
+            for l in range(2):
+                solve_termination(n, l, convention)
+                solves += 1
+    assert solves == 16 and not calls
 
 
 # ---------------------------------------------------------------------------
