@@ -39,22 +39,25 @@ self-convergence (n against 1.5n).
 The p_j do not depend on where the basis is cut, so the basis is nested:
 the matrices of size n are the leading (n+1) x (n+1) blocks of those of any
 larger size. The sizes therefore come in groups, each served by one basis
-per l built at the group's top (BASIS_TOPS): one Gauss rule, one build of
-the recurrence with the pair (S, C), and one lattice, of which every size of
-the group reads the leading block. Within a group the eigenvalues can only
-fall from one size to the next (Cauchy interlacing), so the
-self-convergence gap is a one-sided bound.
+per l built at the group's top (BASIS_TOPS): one Gauss rule, and one build
+of the recurrence with the pair (S, C) and the node-count window, of which
+every size of the group reads the leading block. Within a group the
+eigenvalues can only fall from one size to the next (Cauchy interlacing),
+so the self-convergence gap is a one-sided bound.
 
 Each size costs one symmetric eigensolve (numpy.linalg.eigh). The basis is
 conforming, so by min-max each Ritz value is an upper bound on its
 eigenvalue: the node_target + 1 lowest Ritz pairs are the states asked for,
 with no eta window to find them in. Their vectors at the accepted size give
-u up to one factor per state, sampled on a fixed uniform lattice of
-LATTICE + 1 points on [0, 12/sqrt(omega)], and the states are returned only
-if their node counts there are exactly 0..node_target; a factor changes no
-node count, so u is normalized only when a caller reads it. The solver
-therefore serves as the arbiter for whether an analytically constructed
-state is a genuine eigenstate.
+u up to one factor per state at the points of the window: the nodes of the
+discrete measure below x = 12 (1 - 1/LATTICE), the last interior point of
+the uniform lattice of LATTICE + 1 points on [0, 12], and that point itself,
+103 points for the top 40 and 202 for 135. The states are returned only if
+their node counts there are exactly 0..node_target; a factor changes no
+node count. u is sampled on the lattice, r in [0, 12/sqrt(omega)], and
+normalized only when a caller reads it. The solver therefore serves as the
+arbiter for whether an analytically constructed state is a genuine
+eigenstate.
 
 Checked range: l <= 15 with node_target <= 12. With the Coulomb term off,
 4300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
@@ -63,7 +66,12 @@ eta = omega (2k + l + 1) with node counts 0..node_target to 4.4e-13 relative,
 and none fails to self-converge. The 168 exact Coulomb-on states of the
 radial equation with l in {3, 6, 10, 15} and 1 <= N <= 12
 (node_target = N) come out to 1.8e-14 with the right node counts
-(tests/test_oracle.py holds a sample of both).
+(tests/test_oracle.py holds a sample of both). Counting the nodes on the
+window rather than on the interior lattice samples changes nothing there:
+4500 random solves (omega log-uniform in [1e-4, 1e2], l <= 15,
+node_target <= 12 and one in six in 13..44, Coulomb term on and off) gave
+the same node counts, bitwise the same eta and the same NoEigenvalueError
+messages as the lattice count.
 
 The dense determinant check at the bottom is the exact-arithmetic
 counterpart: it expands the termination matrix by fraction-free elimination
@@ -111,8 +119,9 @@ SELF_CONVERGENCE_RTOL = 1e-11
 # checked range climbs to 60
 BASIS_TOPS = (40, 135)
 # intervals of the uniform lattice on which the eigenfunctions are sampled
-# and their nodes counted
 LATTICE = 2000
+# the nodes are counted on x <= WINDOW_EDGE, the lattice's last interior point
+WINDOW_EDGE = DOMAIN_SCALE * (1.0 - 1.0 / LATTICE)
 # samples of u below this fraction of max|u| are roundoff, not sign
 # information; u rather than v, because near r = 0 the roundoff of v at high l
 # changes sign where u is already below the floor
@@ -152,16 +161,19 @@ class OracleResult:
     """The requested states, and their reduced radial functions u on the
     uniform lattice r of LATTICE + 1 points on [0, 12/sqrt(omega)].
 
-    The solve keeps u only up to one factor per state (_samples) with v(0)
-    up to the same factors (_at_zero). r and eigenfunctions, u with v(0) > 0
-    and unit norm under the trapezoid rule on r, shape (n_eigen, len(r)),
-    are computed on their first read, at most once.
+    The solve keeps the states' coefficient vectors (_coeffs, one column
+    each) and the basis they expand in. r and eigenfunctions, shape
+    (n_eigen, len(r)), are computed on their first read, at most once; no
+    lattice is built before. Each eigenfunction has unit norm under the
+    trapezoid rule on r and is positive at its first sample above NODE_FLOOR
+    of its max|u|, a sign that roundoff does not decide.
     """
 
     eigenvalues: tuple[Eigenvalue, ...]
     _wall: float = field(repr=False)
-    _samples: np.ndarray = field(repr=False)
-    _at_zero: np.ndarray = field(repr=False)
+    _l: int = field(repr=False)
+    _basis: _Basis = field(repr=False)
+    _coeffs: np.ndarray = field(repr=False)
 
     @property
     def etas(self) -> list[float]:
@@ -173,11 +185,18 @@ class OracleResult:
 
     @functools.cached_property
     def eigenfunctions(self) -> np.ndarray:
-        funcs = self._samples
-        scale = np.sign(self._at_zero) / np.sqrt(
-            (self._wall / LATTICE)
-            * np.einsum("ij,ij,j->i", funcs, funcs, _TRAPEZOID))
-        return funcs * scale[:, None]
+        x = np.linspace(0.0, DOMAIN_SCALE, LATTICE + 1)
+        n = len(self._coeffs) - 1
+        phi = _orthonormal(self._basis.a[:n], self._basis.b[:n + 1], x)
+        phi *= x ** (self._l + 0.5) * np.exp(-0.5 * x * x)
+        funcs = self._coeffs.T @ phi
+        size = np.abs(funcs)
+        first = np.argmax(size > NODE_FLOOR * size.max(axis=1, keepdims=True),
+                          axis=1)
+        sign = np.sign(funcs[np.arange(len(funcs)), first])
+        norm = np.sqrt(np.trapezoid(funcs * funcs, dx=self._wall / LATTICE,
+                                    axis=1))
+        return funcs * (sign / norm)[:, None]
 
 
 def _orthonormal(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -274,12 +293,14 @@ def _measure(top: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _Basis(NamedTuple):
     """The basis p_0..p_top of one group top and l: its recurrence
-    coefficients (see _orthonormal) and its matrices S and C."""
+    coefficients (see _orthonormal), its matrices S and C, and the rows
+    x^(l+1/2) e^(-x^2/2) p_j on the node-count window."""
 
     a: np.ndarray
     b: np.ndarray
     stiff: np.ndarray
     coulomb: np.ndarray
+    window: np.ndarray
 
 
 @functools.lru_cache
@@ -291,7 +312,12 @@ def _basis(top: int, l: int) -> _Basis:
         S = int x^(2l+1) e^(-x^2) p_i' p_j',  C = int x^(2l) e^(-x^2) p_i p_j
         over [0, inf),
 
-    all from one pass over the discrete measure of _measure(top).
+    all from one pass over the discrete measure of _measure(top), and the
+    functions x^(l+1/2) e^(-x^2/2) p_j(x), one row per j, at the points of
+    the node-count window: the nodes of the measure below WINDOW_EDGE and
+    WINDOW_EDGE itself (103 points for top 40, 202 for top 135). Without
+    the closing point, a node that the lattice sees between the last
+    measure node and WINDOW_EDGE can go uncounted.
 
     The recurrence has no closed form. The discretized Stieltjes procedure
     (Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP
@@ -300,9 +326,10 @@ def _basis(top: int, l: int) -> _Basis:
     the measure, each orthogonalized twice against all earlier ones so that
     roundoff does not accumulate. The same pass carries dq_j = sqrt(lambda)
     p_j' by the derivative of the recurrence, so S = dq dq^T and
-    C = (q/sqrt(x)) (q/sqrt(x))^T. The first n and n + 1 coefficients and the
-    leading (n+1) x (n+1) blocks of S and C are the basis of any size
-    n <= top. Read-only, because the cache hands it to every caller.
+    C = (q/sqrt(x)) (q/sqrt(x))^T. The first n and n + 1 coefficients, the
+    leading (n+1) x (n+1) blocks of S and C and the first n + 1 window rows
+    are the basis of any size n <= top. Read-only, because the cache hands
+    it to every caller.
     """
     x, w = _measure(top)
     lam = w * x ** (2 * l + 1)
@@ -329,42 +356,18 @@ def _basis(top: int, l: int) -> _Basis:
             dz -= b[j] * dq[j - 1]
         dz /= b[j + 1]
     q /= np.sqrt(x)
-    basis = _Basis(a, b, dq @ dq.T, q @ q.T)
+    pts = np.append(x[x < WINDOW_EDGE], WINDOW_EDGE)
+    window = _orthonormal(a, b, pts)
+    window *= pts ** (l + 0.5) * np.exp(-0.5 * pts * pts)
+    basis = _Basis(a, b, dq @ dq.T, q @ q.T, window)
     for v in basis:
         v.setflags(write=False)
     return basis
 
 
-@functools.lru_cache(maxsize=32)
-def _lattice(top: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The functions x^(l+1/2) e^(-x^2/2) p_j(x), j = 0..top, of the basis of
-    _basis sampled on the uniform lattice of LATTICE + 1 points on
-    [0, DOMAIN_SCALE], one row per j, and the values p_j(0).
-
-    A coefficient vector times the first n + 1 rows is u up to a constant
-    factor, and times the first n + 1 values is the sign of v(0). Read-only,
-    because the cache hands them to every caller. At most 32 entries of at
-    most 2.2 MB each (top = 135) are kept.
-    """
-    x = np.linspace(0.0, DOMAIN_SCALE, LATTICE + 1)
-    basis = _basis(top, l)
-    phi = _orthonormal(basis.a, basis.b, x)
-    at_zero = phi[:, 0].copy()
-    phi *= x ** (l + 0.5) * np.exp(-0.5 * x * x)
-    for v in (phi, at_zero):
-        v.setflags(write=False)
-    return phi, at_zero
-
-
 def _top(n: int) -> int:
     """The top of the group of size n, whose basis serves it."""
     return next(t for t in BASIS_TOPS if t >= n)
-
-
-# trapezoid weights of the lattice for unit spacing
-_TRAPEZOID = np.ones(LATTICE + 1)
-_TRAPEZOID[[0, -1]] = 0.5
-_TRAPEZOID.setflags(write=False)
 
 
 def _count_nodes(u: np.ndarray) -> np.ndarray:
@@ -391,9 +394,10 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     (the gap becomes each eigenvalue's convergence_width). Each size reads
     the leading blocks of the basis built at the top of its group
     (BASIS_TOPS). The coefficient vectors of the accepted size give u up to
-    one factor per state, sampled on the fixed lattice of LATTICE + 1 points
-    on [0, 12/sqrt(omega)], where the nodes are counted; the normalized
-    eigenfunctions are computed only if they are read (see OracleResult).
+    one factor per state on the node-count window of that basis (see
+    _basis), where the nodes are counted; the eigenfunctions, sampled on the
+    lattice of LATTICE + 1 points on [0, 12/sqrt(omega)] and normalized, are
+    computed only if they are read (see OracleResult).
     Raises NoEigenvalueError unless the node counts are exactly
     0..node_target.
 
@@ -407,11 +411,10 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
 
     prev = None
     for n in GALERKIN_SIZES:
-        top = _top(n)
-        _, _, stiff, coulomb = _basis(top, l)
+        basis = _basis(_top(n), l)
         # eta = omega [(l + 1) I + S/2 + (a/sqrt(omega)) C]
         block = np.s_[:n + 1, :n + 1]
-        a = (0.5 * w) * stiff[block] + coul_scale * coulomb[block]
+        a = (0.5 * w) * basis.stiff[block] + coul_scale * basis.coulomb[block]
         a.flat[::n + 2] += (l + 1) * w
         etas, coeffs = linalg.eigh(a)
         etas, coeffs = etas[:count], coeffs[:, :count]
@@ -428,10 +431,8 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         log.warning("Galerkin not self-converged at N=%d: relative gap %.1e",
                     n, float(np.max(gaps / np.abs(etas))))
 
-    phi, at_zero = _lattice(top, l)
     # u up to a factor per state, which changes no node count
-    funcs = coeffs.T @ phi[:n + 1]
-    nodes = _count_nodes(funcs[:, 1:-1]).tolist()
+    nodes = _count_nodes(coeffs.T @ basis.window[:n + 1]).tolist()
     if nodes != list(range(count)):
         raise NoEigenvalueError(
             f"the {len(nodes)} lowest Ritz states at Galerkin size {n} have "
@@ -440,7 +441,7 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
                               convergence_width=max(gap, 4 * math.ulp(eta)))
                    for eta, gap, k in zip(etas.tolist(), gaps.tolist(), nodes))
     return OracleResult(eigenvalues=states, _wall=DOMAIN_SCALE / math.sqrt(w),
-                        _samples=funcs, _at_zero=coeffs.T @ at_zero[:n + 1])
+                        _l=l, _basis=basis, _coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -309,9 +309,9 @@ def test_cli_import_loads_no_heavy_scipy_modules():
 
 
 def test_cli_import_builds_no_oracle_basis():
-    """Importing the CLI leaves every oracle cache empty: Gauss rules, bases
-    (recurrence and matrices, one build) and lattices are built by the first
-    solve that needs them, never at start-up."""
+    """Importing the CLI leaves every oracle cache empty: Gauss rules and
+    bases (recurrence, matrices and node-count window, one build) are built
+    by the first solve that needs them, never at start-up."""
     code = ("import heunqdot.cli\n"
             "from heunqdot import oracle\n"
             "print(sorted((name, f.cache_info().currsize)\n"
@@ -324,7 +324,7 @@ def test_cli_import_builds_no_oracle_basis():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == str([(name, 0) for name in
-                               ("_basis", "_lattice", "_measure")])
+                               ("_basis", "_measure")])
 
 _NO_SCIPY = """
 import sys

@@ -1,5 +1,6 @@
 import functools
 import logging
+import math
 from fractions import Fraction
 
 import mpmath
@@ -347,8 +348,9 @@ class TestQuadrature:
         a group they are by construction; across the two groups, whose
         measures differ, the whole size-40 matrices agree to roundoff with
         the leading blocks of the size-135 ones."""
-        small, large = (oracle._basis(top, l)[2:] for top in oracle.BASIS_TOPS)
-        for a, b in zip(small, large):
+        small, large = (oracle._basis(top, l) for top in oracle.BASIS_TOPS)
+        for a, b in ((small.stiff, large.stiff),
+                     (small.coulomb, large.coulomb)):
             assert (np.max(np.abs(a - b[:41, :41]))
                     <= 2e-13 * np.max(np.abs(b))), l
 
@@ -388,6 +390,39 @@ class TestOnePassBasis:
                             _two_pass_matrices(top, l)):
             assert np.array_equal(new, new.T)
             assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N, l", [(9, 15), (12, 15)])
+    def test_eigenfunction_signs_at_small_omega(self, N, l):
+        """Every closed-form state of degree N, against its exact u, which is
+        positive near r = 0. The nodeless states, at omega = 1.76e-4 and
+        9.46e-5, have v(0) = sum c_j p_j(0) at roundoff level (2e-9), and
+        the sign of that sum inverted them."""
+        x = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)
+        for omega, _, nodes in _exact_states(N, l):
+            res = solve_eigen(RadialProblem(omega=omega, l=l),
+                              ShootingConfig(node_target=N))
+            # u = x^(l+1/2) e^(-x^2/2) sum_k b_k x^k, see _exact_states
+            t = 1.0 / math.sqrt(omega)
+            b = [1.0, t / (2 * l + 1)]
+            for k in range(1, N):
+                b.append((t * b[k] - 2 * (N + 1 - k) * b[k - 1])
+                         / ((k + 1) * (k + 2 * l + 1)))
+            u = (x ** (l + 0.5) * np.exp(-0.5 * x * x)
+                 * np.polynomial.polynomial.polyval(x, b))
+            u /= np.sqrt(np.trapezoid(u * u, res.r))
+            assert np.max(np.abs(res.eigenfunctions[nodes] - u)) <= 1e-12
+
+    def test_eigenfunction_sign_where_v0_is_roundoff(self):
+        """At omega = 1.1447e-4, l = 11 the ground state's v(0) sum is at
+        roundoff level; each state is positive at its first sample above
+        the floor, and the nodeless one wherever it is above the floor."""
+        res = solve_eigen(RadialProblem(omega=1.1447e-4, l=11),
+                          ShootingConfig(node_target=6))
+        u = res.eigenfunctions
+        floor = oracle.NODE_FLOOR * np.abs(u).max(axis=1)
+        first = np.argmax(np.abs(u) > floor[:, None], axis=1)
+        assert np.all(u[np.arange(len(u)), first] > 0)
+        assert np.all(u[0] > -floor[0])
 
     def test_eigenfunctions_normalized_on_first_read(self):
         res = solve_eigen(RadialProblem(omega=0.5, l=1),
@@ -446,26 +481,39 @@ def _count_gauss_rules(monkeypatch) -> list:
 
 
 class TestLattice:
-    """The cached basis on the eigenfunction lattice, and the builds of the
-    basis: one per l and group top."""
+    """The node-count window each basis carries, and the builds of the
+    basis: one per l and group top, and no lattice."""
 
     @pytest.mark.parametrize("n, l", [(40, 0), (90, 2), (135, 15)])
     def test_read_only_and_exact(self, n, l):
-        """The first n + 1 rows of the lattice of size n's group top are the
-        size-n basis, evaluated afresh from its own n recurrence steps."""
-        phi, at_zero = oracle._lattice(oracle._top(n), l)
-        assert not phi.flags.writeable and not at_zero.flags.writeable
-        x = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)
-        a, b, *_ = oracle._basis(oracle._top(n), l)
-        p = oracle._orthonormal(a[:n], b[:n + 1], x)
-        assert np.array_equal(at_zero[:n + 1], p[:, 0])
+        """The window points are the measure nodes below the lattice's last
+        interior point, and that point; the first n + 1 window rows of size
+        n's group top are the size-n basis there, evaluated afresh from its
+        own n recurrence steps."""
+        top = oracle._top(n)
+        basis = oracle._basis(top, l)
+        assert not basis.window.flags.writeable
+        assert basis.window.shape == (top + 1, {40: 103, 135: 202}[top])
+        edge = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)[-2]
+        assert oracle.WINDOW_EDGE == pytest.approx(edge, rel=1e-15)
+        x, _ = oracle._measure(top)
+        x = np.append(x[x < oracle.WINDOW_EDGE], oracle.WINDOW_EDGE)
+        p = oracle._orthonormal(basis.a[:n], basis.b[:n + 1], x)
         assert np.array_equal(
-            phi[:n + 1], p * (x ** (l + 0.5) * np.exp(-0.5 * x * x)))
+            basis.window[:n + 1], p * (x ** (l + 0.5) * np.exp(-0.5 * x * x)))
 
     def test_one_basis_per_l(self, monkeypatch):
         """Over the 60 exact states with N <= 8 and l <= 2, which accept at
-        sizes 18 to 40, one Gauss rule is built, and the basis once per l."""
+        sizes 18 to 40, one Gauss rule is built, the basis once per l, and
+        nothing is evaluated on the lattice."""
         built = _count_gauss_rules(monkeypatch)
+        points = []
+        orthonormal = oracle._orthonormal
+
+        def counted(a, b, x):
+            points.append(len(x))
+            return orthonormal(a, b, x)
+        monkeypatch.setattr(oracle, "_orthonormal", counted)
         solves = 0
         for l in range(3):
             for N in range(1, 9):
@@ -477,8 +525,7 @@ class TestLattice:
         assert built == [3 * oracle.BASIS_TOPS[0] + 80]
         assert oracle._measure.cache_info().misses == 1
         assert oracle._basis.cache_info().misses == 3
-        info = oracle._lattice.cache_info()
-        assert (info.misses, info.hits) == (3, solves - 3)
+        assert points == [103] * 3
 
     def test_dossier_builds_one_gauss_rule(self, monkeypatch):
         """The report, at l = 0 and 1, builds one Gauss rule and two bases."""
@@ -498,6 +545,31 @@ def _count_nodes_by_row(u):
 
 
 class TestNodeCount:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-4.0, 2.0), st.integers(0, 15), st.integers(0, 12),
+           st.booleans())
+    def test_window_count_matches_lattice(self, log10_omega, l, node_target,
+                                          coulomb_on):
+        """The counts on the window equal those on the interior samples of
+        the eigenfunctions on the lattice, over the checked range."""
+        res = solve_eigen(RadialProblem(omega=10.0 ** log10_omega, l=l),
+                          ShootingConfig(node_target=node_target),
+                          coulomb_on=coulomb_on)
+        lattice = oracle._count_nodes(res.eigenfunctions[:, 1:-1]).tolist()
+        assert [e.nodes for e in res.eigenvalues] == lattice
+
+    @pytest.mark.parametrize("omega, l, node_target", [
+        (0.00024911762342074995, 11, 33), (10.990384915361313, 9, 36)])
+    def test_window_edge_point(self, omega, l, node_target):
+        """Two solves of a random sweep that the window without its closing
+        point WINDOW_EDGE rejected, one node short in its highest state,
+        while the lattice count accepted them."""
+        res = solve_eigen(RadialProblem(omega=omega, l=l),
+                          ShootingConfig(node_target=node_target))
+        lattice = oracle._count_nodes(res.eigenfunctions[:, 1:-1]).tolist()
+        assert lattice == list(range(node_target + 1))
+        assert [e.nodes for e in res.eigenvalues] == lattice
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
     def test_matches_row_by_row_count(self, rows, cols, seed):
