@@ -12,7 +12,8 @@ value, is an error.
 The single environment variable HEUNQDOT_OUT overrides the output directory
 when --out is not given. The oracle's eigenvalues come from a self-converged
 Galerkin solve in a Gaussian-weighted half-range polynomial basis; nodes are
-counted on a fixed 2001-point lattice on [0, 12/sqrt(omega)].
+counted on the basis's quadrature nodes below x = sqrt(omega) r = 11.994
+and at that point.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def cmd_spectrum(spec: RunSpec) -> list[Path]:
     for sol in _each_state(spec):
         config = SystemConfig(trap_frequency_Omega=2 * sol.omega,
                               n_R=spec.n_R)
-        eps = energy_center_of_mass(spec.n_R, config)
+        eps = energy_center_of_mass(config)
         rows.append({**_state_columns(spec, sol), "eta": q6(sol.eta),
                      "Omega": q6(2 * sol.omega), "omega_R": q6(config.omega_R),
                      "n_R": spec.n_R, "epsilon_cm": q6(eps),

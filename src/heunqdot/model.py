@@ -111,9 +111,9 @@ def energy_relative(n: int, l: int, omega: float) -> float:
     return (n + l + 1) * omega
 
 
-def energy_center_of_mass(n_R: int, config: SystemConfig) -> float:
+def energy_center_of_mass(config: SystemConfig) -> float:
     """CM oscillator energy epsilon = omega_R (n_R + 1)."""
-    return config.omega_R * (n_R + 1)
+    return config.omega_R * (config.n_R + 1)
 
 
 def total_energy(epsilon: float, eta: float) -> float:

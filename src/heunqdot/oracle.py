@@ -50,14 +50,12 @@ conforming, so by min-max each Ritz value is an upper bound on its
 eigenvalue: the node_target + 1 lowest Ritz pairs are the states asked for,
 with no eta window to find them in. Their vectors at the accepted size give
 u up to one factor per state at the points of the window: the nodes of the
-discrete measure below x = 12 (1 - 1/LATTICE), the last interior point of
-the uniform lattice of LATTICE + 1 points on [0, 12], and that point itself,
-103 points for the top 40 and 202 for 135. The states are returned only if
-their node counts there are exactly 0..node_target; a factor changes no
-node count. u is sampled on the lattice, r in [0, 12/sqrt(omega)], and
-normalized only when a caller reads it. The solver therefore serves as the
-arbiter for whether an analytically constructed state is a genuine
-eigenstate.
+discrete measure below x = WINDOW_EDGE and that point itself, 103 points for
+the top 40 and 202 for 135. The states are returned only if their node
+counts there are exactly 0..node_target; a factor changes no node count.
+The solve returns eigenvalues and node counts only; no eigenfunction is
+sampled or normalized. The solver therefore serves as the arbiter for
+whether an analytically constructed state is a genuine eigenstate.
 
 Checked range: l <= 15 with node_target <= 12. With the Coulomb term off,
 4300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
@@ -66,12 +64,13 @@ eta = omega (2k + l + 1) with node counts 0..node_target to 4.4e-13 relative,
 and none fails to self-converge. The 168 exact Coulomb-on states of the
 radial equation with l in {3, 6, 10, 15} and 1 <= N <= 12
 (node_target = N) come out to 1.8e-14 with the right node counts
-(tests/test_oracle.py holds a sample of both). Counting the nodes on the
-window rather than on the interior lattice samples changes nothing there:
-4500 random solves (omega log-uniform in [1e-4, 1e2], l <= 15,
-node_target <= 12 and one in six in 13..44, Coulomb term on and off) gave
-the same node counts, bitwise the same eta and the same NoEigenvalueError
-messages as the lattice count.
+(tests/test_oracle.py holds a sample of both). The window counts equal
+those on the interior points of the uniform 2001-point lattice on [0, 12],
+whose last interior point is WINDOW_EDGE: 4500 random solves (omega
+log-uniform in [1e-4, 1e2], l <= 15, node_target <= 12 and one in six in
+13..44, Coulomb term on and off) gave the same node counts, bitwise the same
+eta and the same NoEigenvalueError messages as the lattice count, which
+tests/test_oracle.py rebuilds.
 
 The dense determinant check at the bottom is the exact-arithmetic
 counterpart: it expands the termination matrix by fraction-free elimination
@@ -83,7 +82,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -106,9 +105,6 @@ from .wavefunction import (
 
 log = logging.getLogger(__name__)
 
-# the eigenfunctions are sampled on x in [0, DOMAIN_SCALE], that is on
-# r in [0, DOMAIN_SCALE/sqrt(omega)]
-DOMAIN_SCALE = 12.0
 # Galerkin sizes (highest degree n of p_j) tried in turn, each about 1.5
 # times the last; the eigenvalues are accepted once two consecutive sizes
 # agree to SELF_CONVERGENCE_RTOL
@@ -118,10 +114,9 @@ SELF_CONVERGENCE_RTOL = 1e-11
 # exact states and the report accept by 40, and about 1 solve in 200 of the
 # checked range climbs to 60
 BASIS_TOPS = (40, 135)
-# intervals of the uniform lattice on which the eigenfunctions are sampled
-LATTICE = 2000
-# the nodes are counted on x <= WINDOW_EDGE, the lattice's last interior point
-WINDOW_EDGE = DOMAIN_SCALE * (1.0 - 1.0 / LATTICE)
+# the nodes are counted on x <= WINDOW_EDGE = 12 (1 - 1/2000), exactly the
+# last interior point of the uniform 2001-point lattice on [0, 12]
+WINDOW_EDGE = 11.994
 # samples of u below this fraction of max|u| are roundoff, not sign
 # information; u rather than v, because near r = 0 the roundoff of v at high l
 # changes sign where u is already below the floor
@@ -158,45 +153,13 @@ class Eigenvalue:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """The requested states, and their reduced radial functions u on the
-    uniform lattice r of LATTICE + 1 points on [0, 12/sqrt(omega)].
-
-    The solve keeps the states' coefficient vectors (_coeffs, one column
-    each) and the basis they expand in. r and eigenfunctions, shape
-    (n_eigen, len(r)), are computed on their first read, at most once; no
-    lattice is built before. Each eigenfunction has unit norm under the
-    trapezoid rule on r and is positive at its first sample above NODE_FLOOR
-    of its max|u|, a sign that roundoff does not decide.
-    """
+    """The requested states: eta, node count and convergence width of each."""
 
     eigenvalues: tuple[Eigenvalue, ...]
-    _wall: float = field(repr=False)
-    _l: int = field(repr=False)
-    _basis: _Basis = field(repr=False)
-    _coeffs: np.ndarray = field(repr=False)
 
     @property
     def etas(self) -> list[float]:
         return [e.eta for e in self.eigenvalues]
-
-    @functools.cached_property
-    def r(self) -> np.ndarray:
-        return np.linspace(0.0, self._wall, LATTICE + 1)
-
-    @functools.cached_property
-    def eigenfunctions(self) -> np.ndarray:
-        x = np.linspace(0.0, DOMAIN_SCALE, LATTICE + 1)
-        n = len(self._coeffs) - 1
-        phi = _orthonormal(self._basis.a[:n], self._basis.b[:n + 1], x)
-        phi *= x ** (self._l + 0.5) * np.exp(-0.5 * x * x)
-        funcs = self._coeffs.T @ phi
-        size = np.abs(funcs)
-        first = np.argmax(size > NODE_FLOOR * size.max(axis=1, keepdims=True),
-                          axis=1)
-        sign = np.sign(funcs[np.arange(len(funcs)), first])
-        norm = np.sqrt(np.trapezoid(funcs * funcs, dx=self._wall / LATTICE,
-                                    axis=1))
-        return funcs * (sign / norm)[:, None]
 
 
 def _orthonormal(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -316,8 +279,8 @@ def _basis(top: int, l: int) -> _Basis:
     functions x^(l+1/2) e^(-x^2/2) p_j(x), one row per j, at the points of
     the node-count window: the nodes of the measure below WINDOW_EDGE and
     WINDOW_EDGE itself (103 points for top 40, 202 for top 135). Without
-    the closing point, a node that the lattice sees between the last
-    measure node and WINDOW_EDGE can go uncounted.
+    the closing point, a node between the last measure node and WINDOW_EDGE
+    can go uncounted.
 
     The recurrence has no closed form. The discretized Stieltjes procedure
     (Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP
@@ -395,9 +358,7 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     the leading blocks of the basis built at the top of its group
     (BASIS_TOPS). The coefficient vectors of the accepted size give u up to
     one factor per state on the node-count window of that basis (see
-    _basis), where the nodes are counted; the eigenfunctions, sampled on the
-    lattice of LATTICE + 1 points on [0, 12/sqrt(omega)] and normalized, are
-    computed only if they are read (see OracleResult).
+    _basis), where the nodes are counted; they are not kept.
     Raises NoEigenvalueError unless the node counts are exactly
     0..node_target.
 
@@ -440,8 +401,7 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     states = tuple(Eigenvalue(eta=eta, nodes=k,
                               convergence_width=max(gap, 4 * math.ulp(eta)))
                    for eta, gap, k in zip(etas.tolist(), gaps.tolist(), nodes))
-    return OracleResult(eigenvalues=states, _wall=DOMAIN_SCALE / math.sqrt(w),
-                        _l=l, _basis=basis, _coeffs=coeffs)
+    return OracleResult(eigenvalues=states)
 
 
 # ---------------------------------------------------------------------------

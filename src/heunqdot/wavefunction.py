@@ -56,14 +56,6 @@ class PolynomialSolution:
     effective_degree: int
 
 
-def rising_factorial(x: float, p: int) -> float:
-    """(x)_p = x (x+1) ... (x+p-1); (x)_0 = 1."""
-    out = 1.0
-    for j in range(p):
-        out *= x + j
-    return out
-
-
 def assemble_polynomial(n: int, l: int, t_star: float,
                         A_chain: list[float] | None = None,
                         convention: GammaConvention = GammaConvention.TABLE,
@@ -71,8 +63,8 @@ def assemble_polynomial(n: int, l: int, t_star: float,
     """Convert the series coefficients to powers of r.
 
     The Pochhammer denominators (1+alpha)_p with 1+alpha = (2l+1)/t are
-    strictly positive for omega > 0, l >= 0; a vanishing denominator would
-    mean alpha hit a negative integer, which cannot happen on this branch.
+    strictly positive for omega > 0, l >= 0: every factor is at least
+    (2l+1)/t. They and p! are carried as running products.
     Raises FloatRangeError when a coefficient, or the chain behind it, is not
     a finite float (for example at omega = 0.02 and l = 0 from n = 118 on).
     """
@@ -87,13 +79,13 @@ def assemble_polynomial(n: int, l: int, t_star: float,
     sw = 1.0 / t_star  # sqrt(omega)
     one_alpha = (2 * l + 1) * sw
     coeffs = []
+    # (1+alpha)_p and p!, the latter an exact integer
+    poch, fact = 1.0, 1
     try:
         for p, a in enumerate(A_chain):
-            poch = rising_factorial(one_alpha, p)
-            if poch == 0.0:
-                raise ValueError("Pochhammer denominator vanished: alpha is a "
-                                 "negative integer (impossible for omega > 0)")
-            coeffs.append(a * sw ** p / (math.factorial(p) * poch))
+            coeffs.append(a * sw ** p / (fact * poch))
+            poch *= one_alpha + p
+            fact *= p + 1
     except OverflowError:  # p! beyond the float range
         coeffs.append(math.nan)
     if not all(map(math.isfinite, coeffs)):

@@ -1,9 +1,7 @@
 """Everything here is pure value computation; concurrent use must be safe."""
 
-import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from heunqdot.model import RadialProblem
@@ -40,22 +38,3 @@ def test_parallel_eigensolves_match_serial():
     for a, b in zip(serial, threaded):
         assert a == pytest.approx(b, rel=1e-12)
 
-
-def test_parallel_eigenfunction_reads_match_serial():
-    """eigenfunctions are computed on first read; reads from several threads
-    at once, of shared results, equal the serial reads of fresh ones."""
-    problems = [RadialProblem(omega=w, l=l)
-                for w in (1e-3, 0.25, 4.0) for l in (0, 2)]
-    config = ShootingConfig(node_target=4)
-    serial = [solve_eigen(p, config).eigenfunctions for p in problems]
-    shared = [solve_eigen(p, config) for p in problems]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(lambda res: res.eigenfunctions,
-                                     shared * 4, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    for k, funcs in enumerate(threaded):
-        assert np.array_equal(funcs, serial[k % len(problems)])

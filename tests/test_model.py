@@ -69,13 +69,13 @@ class TestEnergies:
         assert energy_relative(3, 2, 0.125) == (3 + 2 + 1) * 0.125
 
     def test_center_of_mass(self):
-        assert energy_center_of_mass(0, SystemConfig(1.0)) == 2.0
-        assert energy_center_of_mass(2, SystemConfig(0.5)) == 3.0
+        assert energy_center_of_mass(SystemConfig(1.0)) == 2.0
+        assert energy_center_of_mass(SystemConfig(0.5, n_R=2)) == 3.0
 
     def test_total_energy_composition(self):
         omega = 0.157490
         eta = energy_relative(2, 0, omega)
-        eps = energy_center_of_mass(0, SystemConfig(2 * omega))
+        eps = energy_center_of_mass(SystemConfig(2 * omega))
         assert total_energy(eps, eta) == pytest.approx(1.102430, abs=5e-6)
 
     def test_rejects_negative_quantum_numbers(self):

@@ -59,9 +59,10 @@ class TestCoulombOff:
         assert etas == sorted(etas)
 
     def test_eigenfunction_node_theorem(self):
-        res = solve_eigen(RadialProblem(omega=0.5, l=1),
-                          ShootingConfig(node_target=3), coulomb_on=False)
-        for k, u in enumerate(res.eigenfunctions):
+        _, _, funcs = _lattice_states(RadialProblem(omega=0.5, l=1),
+                                      ShootingConfig(node_target=3),
+                                      coulomb_on=False)
+        for k, u in enumerate(funcs):
             interior = u[1:-1]
             s = np.sign(interior[np.abs(interior) > 1e-9 * np.abs(interior).max()])
             nodes = int(np.count_nonzero(s[1:] != s[:-1]))
@@ -89,16 +90,15 @@ class TestCoulombOn:
         (1 / 6, 1, 0.5, (1.0, 1 / 3)),
     ])
     def test_exact_states(self, omega, l, eta, coeffs):
-        res = solve_eigen(RadialProblem(omega=omega, l=l),
-                          ShootingConfig(node_target=0), coulomb_on=True)
+        res, r, funcs = _lattice_states(RadialProblem(omega=omega, l=l),
+                                        ShootingConfig(node_target=0))
         ground = res.eigenvalues[0]
         assert ground.nodes == 0
         assert abs(ground.eta - eta) <= 1e-10 * eta
-        r = res.r
         exact = (r ** (l + 0.5) * np.exp(-omega * r * r / 2)
                  * np.polynomial.polynomial.polyval(r, coeffs))
         exact /= np.sqrt(np.trapezoid(exact * exact, r))
-        assert np.max(np.abs(res.eigenfunctions[0] - exact)) < 1e-8
+        assert np.max(np.abs(funcs[0] - exact)) < 1e-8
 
     def test_self_convergence_at_report_roots(self):
         for l in (0, 1):
@@ -131,6 +131,33 @@ class _CountingLinalg:
         return counted
 
 
+def _lattice_states(problem, config, coulomb_on=True):
+    """The solve, the uniform lattice r of 2001 points on [0, 12/sqrt(omega)]
+    and the reduced radial functions u of the solved states there, one row
+    each: the eigh vectors of the accepted size evaluated afresh on the
+    lattice, each scaled to unit trapezoid norm and to be positive at its
+    first sample above NODE_FLOOR of its max|u|."""
+    counting = _CountingLinalg(oracle.linalg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "linalg", counting)
+        res = solve_eigen(problem, config, coulomb_on=coulomb_on)
+    name, (a,), _, (_, vecs) = counting.calls[-1]
+    assert name == "eigh"
+    n, l = a.shape[0] - 1, problem.l
+    basis = oracle._basis(oracle._top(n), l)
+    x = np.linspace(0.0, 12.0, 2001)
+    funcs = vecs[:, :len(res.eigenvalues)].T @ (
+        oracle._orthonormal(basis.a[:n], basis.b[:n + 1], x)
+        * (x ** (l + 0.5) * np.exp(-0.5 * x * x)))
+    size = np.abs(funcs)
+    first = np.argmax(size > oracle.NODE_FLOOR * size.max(axis=1, keepdims=True),
+                      axis=1)
+    sign = np.sign(funcs[np.arange(len(funcs)), first])
+    wall = 12.0 / math.sqrt(problem.omega)
+    norm = np.sqrt(np.trapezoid(funcs * funcs, dx=wall / 2000, axis=1))
+    return res, np.linspace(0.0, wall, 2001), funcs * (sign / norm)[:, None]
+
+
 class TestEigenvectorStep:
     """One eigensolve (eigenvalues and eigenvectors) per Galerkin size; the
     leading vectors of the accepted size give the returned states."""
@@ -144,9 +171,6 @@ class TestEigenvectorStep:
         assert [e.nodes for e in res.eigenvalues] == list(range(node_target + 1))
         for e in res.eigenvalues:
             assert e.convergence_width <= 1e-10 * e.eta, e
-        assert np.all(np.isfinite(res.eigenfunctions))
-        norms = np.trapezoid(res.eigenfunctions ** 2, res.r, axis=1)
-        assert norms == pytest.approx(np.ones(node_target + 1), abs=1e-12)
 
     def test_matrix_residual_at_report_roots(self, monkeypatch):
         counting = _CountingLinalg(oracle.linalg)
@@ -186,16 +210,8 @@ class TestEigenvectorStep:
             assert isinstance(result, tuple) and len(result) == 2
         sizes = [a.shape[0] for _, (a,), _, _ in calls]
         assert sizes == [n + 1 for n in oracle.GALERKIN_SIZES[:len(sizes)]]
-        *_, (etas, vecs) = calls[-1]
-        vecs = vecs[:, :len(res.etas)]
+        *_, (etas, _) = calls[-1]
         assert etas[:len(res.etas)].tolist() == res.etas
-        x = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)
-        a, b, *_ = oracle._basis(sizes[-1] - 1, l)
-        basis = oracle._orthonormal(a, b, x)
-        u = res.r ** (l + 0.5) * np.exp(-0.5 * x * x) * (vecs.T @ basis)
-        u /= np.sqrt(np.trapezoid(u * u, res.r, axis=1))[:, None]
-        u *= np.sign(u[:, 1:2])
-        assert np.max(np.abs(u - res.eigenfunctions)) <= 1e-12
 
 
 @functools.lru_cache
@@ -397,10 +413,10 @@ class TestOnePassBasis:
         positive near r = 0. The nodeless states, at omega = 1.76e-4 and
         9.46e-5, have v(0) = sum c_j p_j(0) at roundoff level (2e-9), and
         the sign of that sum inverted them."""
-        x = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)
+        x = np.linspace(0.0, 12.0, 2001)
         for omega, _, nodes in _exact_states(N, l):
-            res = solve_eigen(RadialProblem(omega=omega, l=l),
-                              ShootingConfig(node_target=N))
+            _, r, funcs = _lattice_states(RadialProblem(omega=omega, l=l),
+                                          ShootingConfig(node_target=N))
             # u = x^(l+1/2) e^(-x^2/2) sum_k b_k x^k, see _exact_states
             t = 1.0 / math.sqrt(omega)
             b = [1.0, t / (2 * l + 1)]
@@ -409,31 +425,8 @@ class TestOnePassBasis:
                          / ((k + 1) * (k + 2 * l + 1)))
             u = (x ** (l + 0.5) * np.exp(-0.5 * x * x)
                  * np.polynomial.polynomial.polyval(x, b))
-            u /= np.sqrt(np.trapezoid(u * u, res.r))
-            assert np.max(np.abs(res.eigenfunctions[nodes] - u)) <= 1e-12
-
-    def test_eigenfunction_sign_where_v0_is_roundoff(self):
-        """At omega = 1.1447e-4, l = 11 the ground state's v(0) sum is at
-        roundoff level; each state is positive at its first sample above
-        the floor, and the nodeless one wherever it is above the floor."""
-        res = solve_eigen(RadialProblem(omega=1.1447e-4, l=11),
-                          ShootingConfig(node_target=6))
-        u = res.eigenfunctions
-        floor = oracle.NODE_FLOOR * np.abs(u).max(axis=1)
-        first = np.argmax(np.abs(u) > floor[:, None], axis=1)
-        assert np.all(u[np.arange(len(u)), first] > 0)
-        assert np.all(u[0] > -floor[0])
-
-    def test_eigenfunctions_normalized_on_first_read(self):
-        res = solve_eigen(RadialProblem(omega=0.5, l=1),
-                          ShootingConfig(node_target=3))
-        assert "eigenfunctions" not in vars(res) and "r" not in vars(res)
-        funcs = res.eigenfunctions
-        assert "eigenfunctions" in vars(res) and "r" not in vars(res)
-        assert res.eigenfunctions is funcs
-        assert res.r is res.r
-        with pytest.raises(AttributeError):
-            res.eigenfunctions = funcs
+            u /= np.sqrt(np.trapezoid(u * u, r))
+            assert np.max(np.abs(funcs[nodes] - u)) <= 1e-12
 
 
 def _exact_states(N, l):
@@ -486,16 +479,15 @@ class TestLattice:
 
     @pytest.mark.parametrize("n, l", [(40, 0), (90, 2), (135, 15)])
     def test_read_only_and_exact(self, n, l):
-        """The window points are the measure nodes below the lattice's last
-        interior point, and that point; the first n + 1 window rows of size
+        """The window points are the measure nodes below WINDOW_EDGE, and
+        that point; the first n + 1 window rows of size
         n's group top are the size-n basis there, evaluated afresh from its
         own n recurrence steps."""
         top = oracle._top(n)
         basis = oracle._basis(top, l)
         assert not basis.window.flags.writeable
         assert basis.window.shape == (top + 1, {40: 103, 135: 202}[top])
-        edge = np.linspace(0.0, oracle.DOMAIN_SCALE, oracle.LATTICE + 1)[-2]
-        assert oracle.WINDOW_EDGE == pytest.approx(edge, rel=1e-15)
+        assert oracle.WINDOW_EDGE == 11.994
         x, _ = oracle._measure(top)
         x = np.append(x[x < oracle.WINDOW_EDGE], oracle.WINDOW_EDGE)
         p = oracle._orthonormal(basis.a[:n], basis.b[:n + 1], x)
@@ -552,10 +544,10 @@ class TestNodeCount:
                                           coulomb_on):
         """The counts on the window equal those on the interior samples of
         the eigenfunctions on the lattice, over the checked range."""
-        res = solve_eigen(RadialProblem(omega=10.0 ** log10_omega, l=l),
-                          ShootingConfig(node_target=node_target),
-                          coulomb_on=coulomb_on)
-        lattice = oracle._count_nodes(res.eigenfunctions[:, 1:-1]).tolist()
+        res, _, funcs = _lattice_states(
+            RadialProblem(omega=10.0 ** log10_omega, l=l),
+            ShootingConfig(node_target=node_target), coulomb_on=coulomb_on)
+        lattice = oracle._count_nodes(funcs[:, 1:-1]).tolist()
         assert [e.nodes for e in res.eigenvalues] == lattice
 
     @pytest.mark.parametrize("omega, l, node_target", [
@@ -564,9 +556,9 @@ class TestNodeCount:
         """Two solves of a random sweep that the window without its closing
         point WINDOW_EDGE rejected, one node short in its highest state,
         while the lattice count accepted them."""
-        res = solve_eigen(RadialProblem(omega=omega, l=l),
-                          ShootingConfig(node_target=node_target))
-        lattice = oracle._count_nodes(res.eigenfunctions[:, 1:-1]).tolist()
+        res, _, funcs = _lattice_states(RadialProblem(omega=omega, l=l),
+                                        ShootingConfig(node_target=node_target))
+        lattice = oracle._count_nodes(funcs[:, 1:-1]).tolist()
         assert lattice == list(range(node_target + 1))
         assert [e.nodes for e in res.eigenvalues] == lattice
 
@@ -693,7 +685,7 @@ class TestOracleRobustness:
 
     def test_wrong_node_counts_raise(self):
         # the state with 40 nodes turns at x = sqrt(166) > 12.6, so its
-        # outer node lies past the sampling window x <= DOMAIN_SCALE and the
+        # outer node lies past the node-count window x <= WINDOW_EDGE and the
         # 41 lowest Ritz states count 0..39, 39 nodes
         p = RadialProblem(omega=1.0, l=2)
         with pytest.raises(NoEigenvalueError, match="node counts"):
