@@ -9,49 +9,4 @@ equation (a Galerkin solve in a Gaussian-weighted half-range polynomial
 basis).
 """
 
-from .model import (
-    HeunParams,
-    MagneticConfig,
-    RadialProblem,
-    SystemConfig,
-    energy_center_of_mass,
-    energy_relative,
-    map_magnetic,
-    map_to_heun,
-    total_energy,
-)
-from .termination import (
-    ClearedPolynomial,
-    GammaConvention,
-    RootSet,
-    TerminationSystem,
-    build_gamma_factors,
-    coefficient_chain,
-    determinant_sequence,
-    isolate_roots,
-    solve_termination,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "HeunParams",
-    "MagneticConfig",
-    "RadialProblem",
-    "SystemConfig",
-    "energy_center_of_mass",
-    "energy_relative",
-    "map_magnetic",
-    "map_to_heun",
-    "total_energy",
-    "ClearedPolynomial",
-    "GammaConvention",
-    "RootSet",
-    "TerminationSystem",
-    "build_gamma_factors",
-    "coefficient_chain",
-    "determinant_sequence",
-    "isolate_roots",
-    "solve_termination",
-    "__version__",
-]

@@ -106,13 +106,13 @@ def parse_range(text: str) -> list[int]:
 
 
 def parse_grid(text: str) -> tuple[float, float, int]:
-    """'r0:r1:steps' with r1 > r0 >= 0 and steps >= 2."""
+    """'r0:r1:steps' with finite r1 > r0 >= 0 and steps >= 2."""
     try:
         r0, r1, steps = text.split(":")
         r0, r1, steps = float(r0), float(r1), int(steps)
     except ValueError:
         raise ValueError(f"bad grid {text!r}: expected r0:r1:steps") from None
-    if not (r1 > r0 >= 0 and steps >= 2):
+    if not (math.isfinite(r1) and r1 > r0 >= 0 and steps >= 2):
         raise ValueError(f"bad grid {text!r}")
     return r0, r1, steps
 

@@ -1,9 +1,14 @@
 """Independent spectral eigensolver for the radial problem.
 
 The eigensolve does not use the termination machinery: it solves the radial
-equation directly. (The verdict layer at the bottom imports wavefunction,
-to check the analytic states it is handed and to build the oscillator
-states, and termination, for the dense determinant check.) With
+equation directly, and importing this module loads numpy and the model only.
+The verdict layer at the bottom imports what it needs inside the functions
+that use it: wavefunction, to check the analytic states it is handed and to
+build the oscillator states, and termination, ratpoly and fractions, for the
+dense determinant check. A process that only solves therefore never loads
+the root-isolation stack. The layer stays in this module because perfbench
+calls oracle.oscillator_state and wraps oracle.validate_root and
+oracle.validate_oscillator under these names. With
 u = r^(l+1/2) v the regular solution v is smooth at the origin and satisfies
 the self-adjoint equation
 
@@ -83,25 +88,18 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from numpy import linalg
 
 from .model import RadialProblem
-from .ratpoly import poly_eval
-from .termination import (
-    GammaConvention,
-    build_gamma_factors,
-    determinant_sequence,
-)
-from .wavefunction import (
-    RadialState,
-    assemble_polynomial,
-    normalize,
-    residual,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .termination import GammaConvention
+    from .wavefunction import RadialState
 
 log = logging.getLogger(__name__)
 
@@ -462,6 +460,8 @@ def validate_root(state: RadialState) -> ValidationRecord:
     separate machine-level agreement from structural disagreement; they are
     solver policy, not physics.
     """
+    from .wavefunction import residual
+
     result = solve_eigen(RadialProblem(omega=state.omega, l=state.l),
                          ShootingConfig(node_target=6), coulomb_on=True)
     return _record(state, result, residual(state))
@@ -474,6 +474,8 @@ def oscillator_state(k: int, l: int) -> RadialState:
     frequency: odd coefficients vanish and A_{p+2} = -gamma_{p+1} A_p with
     the recurrence factors. Degree n = 2k gives eta = (2k + l + 1).
     """
+    from .wavefunction import assemble_polynomial, normalize
+
     n = 2 * k
     a = [1.0, 0.0]
     for p in range(max(0, n - 1)):
@@ -486,6 +488,8 @@ def oscillator_state(k: int, l: int) -> RadialState:
 
 def validate_oscillator(k: int, l: int) -> ValidationRecord:
     """Synthetic cross-check: both solvers on the exactly solvable problem."""
+    from .wavefunction import residual
+
     result = solve_eigen(RadialProblem(omega=1.0, l=l),
                          ShootingConfig(node_target=max(3, k)),
                          coulomb_on=False)
@@ -498,7 +502,7 @@ def validate_oscillator(k: int, l: int) -> ValidationRecord:
 # ---------------------------------------------------------------------------
 
 def dense_determinant_check(n: int, l: int, t: Fraction,
-                            convention: GammaConvention = GammaConvention.TABLE,
+                            convention: GammaConvention | str = "table",
                             ) -> bool:
     """Expand the n x n tridiagonal matrix directly and compare with D_n.
 
@@ -507,10 +511,16 @@ def dense_determinant_check(n: int, l: int, t: Fraction,
     recurrence must reproduce D_n(t) = 2^n t^floor(n/2) d_n identically in
     exact rational arithmetic.
     """
+    from fractions import Fraction
+
+    from .ratpoly import poly_eval
+    from .termination import (GammaConvention, build_gamma_factors,
+                              determinant_sequence)
+
     if n > 8:
         raise ValueError("dense check is intended for n <= 8")
     t = Fraction(t)
-    system = build_gamma_factors(n, l, convention)
+    system = build_gamma_factors(n, l, GammaConvention(convention))
     dp = t / 2
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -524,6 +534,8 @@ def dense_determinant_check(n: int, l: int, t: Fraction,
 
 
 def _det_bareiss(m: list[list[Fraction]]) -> Fraction:
+    from fractions import Fraction
+
     n = len(m)
     m = [row[:] for row in m]
     prev = Fraction(1)

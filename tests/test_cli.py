@@ -215,6 +215,10 @@ class TestConfigPrecedence:
          "format must be csv or json"),
         ("", ["wavefunction", "--n", "2", "--l", "0", "--grid", "foo"],
          "bad grid 'foo'"),
+        ("", ["wavefunction", "--n", "2", "--l", "0", "--grid", "0:inf:5"],
+         "bad grid '0:inf:5'"),
+        ("", ["wavefunction", "--n", "2", "--l", "0", "--grid", "0:1e400:5"],
+         "bad grid '0:1e400:5'"),
         ("", ["roots", "--n", "2", "--l", "0", "--precision", "1e-3"],
          "precision must lie in [1e-14, 1e-06], got 0.001"),
         ("precision = 1e-15", ["tables"],
@@ -253,7 +257,8 @@ class TestConfigPrecedence:
          "n=60, l=0, omega=0.001: int r^0 u^2 dr is lost to cancellation"),
         ("", ["wavefunction", "--n", "60", "--l", "0", "--omega", "1e-3"],
          "n=60, l=0, omega=0.001: int r^0 u^2 dr is lost to cancellation"),
-    ], ids=["format = xml", "--grid foo", "--precision 1e-3",
+    ], ids=["format = xml", "--grid foo", "--grid 0:inf:5",
+            "--grid 0:1e400:5", "--precision 1e-3",
             "precision = 1e-15", "--n 0", "--l=-1", "--k=-1", "--nr=-1",
             "--omega nan", "--omega inf", "convention =", "format =",
             "moments --n 120", "wavefunction --n 120", "--omega 1e-6",
@@ -292,20 +297,40 @@ class TestConfigPrecedence:
         assert not (tmp_path / "envdir").exists()
 
 
-def test_cli_import_loads_no_heavy_scipy_modules():
-    """Importing the CLI must not pull in scipy.special or scipy.integrate,
-    whose imports would add to every command's start-up time."""
-    code = ("import sys, heunqdot.cli; "
-            "print(sorted(m for m in ('scipy.special', 'scipy.integrate') "
-            "if m in sys.modules))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("module, absent, then", [
+    # scipy.special and scipy.integrate would add to every command's start-up
+    ("heunqdot.cli", ("scipy.special", "scipy.integrate"), ""),
+    # the eigensolve needs numpy and the model only; the verdict layer imports
+    # the rest when it is called
+    ("heunqdot.oracle",
+     ("heunqdot.termination", "heunqdot.ratpoly", "heunqdot.wavefunction",
+      "fractions"),
+     "from fractions import Fraction\n"
+     "from heunqdot import oracle\n"
+     "assert oracle.validate_oscillator(1, 1).classification == 'CONFIRMED'\n"
+     "assert oracle.dense_determinant_check(3, 0, Fraction(2))\n"),
+    ("heunqdot.termination", ("numpy",), ""),
+    ("heunqdot", tuple(sorted(f"heunqdot.{p.stem}"
+                              for p in (_SRC / "heunqdot").glob("*.py")
+                              if p.stem != "__init__")), ""),
+], ids=["cli", "oracle", "termination", "package"])
+def test_import_leaves_modules_unloaded(module, absent, then):
+    """A fresh import of the module loads none of absent, whose imports would
+    add to the start-up of every process that imports it; then runs after
+    the check, to show that the deferred imports still work."""
+    code = (f"import sys, {module}\n"
+            f"loaded = sorted(m for m in {absent!r} if m in sys.modules)\n"
+            f"{then}"
+            f"print(loaded)\n")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
-               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+               p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
-
 
 
 def test_cli_import_builds_no_oracle_basis():
