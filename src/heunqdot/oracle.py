@@ -35,7 +35,7 @@ functions g are Laguerre polynomials in x^2, which the basis holds exactly
 once n >= 2 node_target, so the solve is exact. The
 p_j have no closed form: their recurrence comes from the discretized
 Stieltjes procedure (Gautschi, Orthogonal Polynomials: Computation and
-Approximation, OUP 2004, 2.2) on a Gauss-Legendre rule mapped to a window
+Approximation, OUP 2004, 2.2) on a Gauss-Legendre rule mapped to an interval
 [0, X] that grows with the highest degree. The same pass carries p_j and
 p_j' at the nodes of that discrete measure, which integrates S and C from
 them, so the basis is built in one pass. The size n is chosen by
@@ -45,37 +45,40 @@ The p_j do not depend on where the basis is cut, so the basis is nested:
 the matrices of size n are the leading (n+1) x (n+1) blocks of those of any
 larger size. The sizes therefore come in groups, each served by one basis
 per l built at the group's top (BASIS_TOPS): one Gauss rule, and one build
-of the recurrence with the pair (S, C) and the node-count window, of which
-every size of the group reads the leading block. Within a group the
-eigenvalues can only fall from one size to the next (Cauchy interlacing),
-so the self-convergence gap is a one-sided bound.
+of the recurrence with the pair (S, C), of which every size of the group
+reads the leading block. Within a group the eigenvalues can only fall from
+one size to the next (Cauchy interlacing), so the self-convergence gap is a
+one-sided bound.
 
-Each size costs one symmetric eigensolve (numpy.linalg.eigh). The basis is
-conforming, so by min-max each Ritz value is an upper bound on its
-eigenvalue: the node_target + 1 lowest Ritz pairs are the states asked for,
-with no eta window to find them in. Their vectors at the accepted size give
-u up to one factor per state at the points of the window: the nodes of the
-discrete measure below x = WINDOW_EDGE and that point itself, 103 points for
-the top 40 and 202 for 135. The states are returned only if their node
-counts there are exactly 0..node_target; a factor changes no node count.
-The solve returns eigenvalues and node counts only; no eigenfunction is
-sampled or normalized. The solver therefore serves as the arbiter for
-whether an analytically constructed state is a genuine eigenstate.
+Each size costs one symmetric eigensolve without eigenvectors
+(numpy.linalg.eigvalsh), and the node count of a state is its Ritz index.
+The radial operator is a Sturm-Liouville operator with a purely discrete
+spectrum, and its k-th eigenfunction has exactly k zeros in (0, inf) by the
+oscillation theorem (Zettl, Sturm-Liouville Theory, AMS 2005). The basis is
+conforming, so by min-max the k-th Ritz value is an upper bound on the k-th
+eigenvalue, and the basis is nested, so the Ritz values fall toward the
+eigenvalues as the size grows. A self-converged k-th Ritz value is
+therefore the k-th level, with k nodes: the node_target + 1 lowest Ritz
+values are the states asked for, with no eta window to find them in and no
+eigenfunction to sample. A solve raises NoEigenvalueError only when it asks
+for more states than the largest basis holds. The solver therefore serves
+as the arbiter for whether an analytically constructed state is a genuine
+eigenstate.
 
-Checked range: l <= 15 with node_target <= 12. With the Coulomb term off,
-4300 random cases with omega log-uniform in [1e-4, 1e2], l <= 10 and
-node_target <= 12, and 1500 more with l <= 15, reproduce
-eta = omega (2k + l + 1) with node counts 0..node_target to 4.4e-13 relative,
-and none fails to self-converge. The 168 exact Coulomb-on states of the
-radial equation with l in {3, 6, 10, 15} and 1 <= N <= 12
-(node_target = N) come out to 1.8e-14 with the right node counts
-(tests/test_oracle.py holds a sample of both). The window counts equal
-those on the interior points of the uniform 2001-point lattice on [0, 12],
-whose last interior point is WINDOW_EDGE: 4500 random solves (omega
-log-uniform in [1e-4, 1e2], l <= 15, node_target <= 12 and one in six in
-13..44, Coulomb term on and off) gave the same node counts, bitwise the same
-eta and the same NoEigenvalueError messages as the lattice count, which
-tests/test_oracle.py rebuilds.
+Checked range: l <= 15 with node_target <= 12, and node_target = 40 with
+the Coulomb term off. With the Coulomb term off, 4300 random cases with
+omega log-uniform in [1e-4, 1e2], l <= 10 and node_target <= 12, and 1500
+more with l <= 15, reproduce eta = omega (2k + l + 1) to 4.4e-13 relative,
+and none fails to self-converge; at node_target = 40, omega in
+{1e-4, 1e-2, 1, 1e2} and l in {0, 2, 5, 10, 15} give the exact levels to
+2.3e-12, all self-converged. The 168 exact Coulomb-on states of the radial
+equation with l in {3, 6, 10, 15} and 1 <= N <= 12 (node_target = N) come
+out to 1.8e-14 at their Ritz indices. The index equals the sign changes of
+the Ritz eigenfunctions of the accepted size on a uniform lattice in 1500
+random solves (omega log-uniform in [1e-4, 1e2], l <= 15, node_target
+<= 12 and one in three in 13..40, Coulomb term on and off), all
+self-converged. tests/test_oracle.py holds a sample of each and rebuilds
+the lattice eigenfunctions.
 
 The dense determinant check at the bottom is the exact-arithmetic
 counterpart: it expands the termination matrix by fraction-free elimination
@@ -112,17 +115,10 @@ SELF_CONVERGENCE_RTOL = 1e-11
 # exact states and the report accept by 40, and about 1 solve in 200 of the
 # checked range climbs to 60
 BASIS_TOPS = (40, 135)
-# the nodes are counted on x <= WINDOW_EDGE = 12 (1 - 1/2000), exactly the
-# last interior point of the uniform 2001-point lattice on [0, 12]
-WINDOW_EDGE = 11.994
-# samples of u below this fraction of max|u| are roundoff, not sign
-# information; u rather than v, because near r = 0 the roundoff of v at high l
-# changes sign where u is already below the floor
-NODE_FLOOR = 1e-8
 
 
 class NoEigenvalueError(RuntimeError):
-    """The lowest Ritz states do not have node counts 0..node_target."""
+    """More states were asked for than the largest Galerkin basis holds."""
 
 
 @dataclass(frozen=True)
@@ -158,25 +154,6 @@ class OracleResult:
     @property
     def etas(self) -> list[float]:
         return [e.eta for e in self.eigenvalues]
-
-
-def _orthonormal(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows p_0..p_n at the points x of the orthonormal polynomials with the
-    three-term recurrence x p_j = b_{j+1} p_{j+1} + a_j p_j + b_j p_{j-1},
-    p_0 = 1/b_0, where a = a_0..a_{n-1} and b = b_0..b_n (b_0^2 is the total
-    mass of the weight).
-    """
-    n = len(a)
-    p = np.empty((n + 1, len(x)))
-    p[0] = 1.0 / b[0]
-    for j in range(n):
-        row = p[j + 1]
-        np.subtract(x, a[j], out=row)
-        row *= p[j]
-        if j:
-            row -= b[j] * p[j - 1]
-        row /= b[j + 1]
-    return p
 
 
 def _gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,15 +230,14 @@ def _measure(top: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Basis(NamedTuple):
-    """The basis p_0..p_top of one group top and l: its recurrence
-    coefficients (see _orthonormal), its matrices S and C, and the rows
-    x^(l+1/2) e^(-x^2/2) p_j on the node-count window."""
+    """The basis p_0..p_top of one group top and l: the coefficients of its
+    recurrence x p_j = b_{j+1} p_{j+1} + a_j p_j + b_j p_{j-1}, p_0 = 1/b_0,
+    and its matrices S and C."""
 
     a: np.ndarray
     b: np.ndarray
     stiff: np.ndarray
     coulomb: np.ndarray
-    window: np.ndarray
 
 
 @functools.lru_cache
@@ -273,12 +249,7 @@ def _basis(top: int, l: int) -> _Basis:
         S = int x^(2l+1) e^(-x^2) p_i' p_j',  C = int x^(2l) e^(-x^2) p_i p_j
         over [0, inf),
 
-    all from one pass over the discrete measure of _measure(top), and the
-    functions x^(l+1/2) e^(-x^2/2) p_j(x), one row per j, at the points of
-    the node-count window: the nodes of the measure below WINDOW_EDGE and
-    WINDOW_EDGE itself (103 points for top 40, 202 for top 135). Without
-    the closing point, a node between the last measure node and WINDOW_EDGE
-    can go uncounted.
+    all from one pass over the discrete measure of _measure(top).
 
     The recurrence has no closed form. The discretized Stieltjes procedure
     (Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP
@@ -287,10 +258,9 @@ def _basis(top: int, l: int) -> _Basis:
     the measure, each orthogonalized twice against all earlier ones so that
     roundoff does not accumulate. The same pass carries dq_j = sqrt(lambda)
     p_j' by the derivative of the recurrence, so S = dq dq^T and
-    C = (q/sqrt(x)) (q/sqrt(x))^T. The first n and n + 1 coefficients, the
-    leading (n+1) x (n+1) blocks of S and C and the first n + 1 window rows
-    are the basis of any size n <= top. Read-only, because the cache hands
-    it to every caller.
+    C = (q/sqrt(x)) (q/sqrt(x))^T. The first n and n + 1 coefficients and
+    the leading (n+1) x (n+1) blocks of S and C are the basis of any size
+    n <= top. Read-only, because the cache hands it to every caller.
     """
     x, w = _measure(top)
     lam = w * x ** (2 * l + 1)
@@ -317,10 +287,7 @@ def _basis(top: int, l: int) -> _Basis:
             dz -= b[j] * dq[j - 1]
         dz /= b[j + 1]
     q /= np.sqrt(x)
-    pts = np.append(x[x < WINDOW_EDGE], WINDOW_EDGE)
-    window = _orthonormal(a, b, pts)
-    window *= pts ** (l + 0.5) * np.exp(-0.5 * pts * pts)
-    basis = _Basis(a, b, dq @ dq.T, q @ q.T, window)
+    basis = _Basis(a, b, dq @ dq.T, q @ q.T)
     for v in basis:
         v.setflags(write=False)
     return basis
@@ -331,42 +298,33 @@ def _top(n: int) -> int:
     return next(t for t in BASIS_TOPS if t >= n)
 
 
-def _count_nodes(u: np.ndarray) -> np.ndarray:
-    """Sign changes along each row of u, among the samples above NODE_FLOOR
-    of the row's max|u|."""
-    size = np.abs(u)
-    keep = size > NODE_FLOOR * size.max(axis=1, keepdims=True)
-    # the kept signs, row after row; flip p is between samples p and p + 1
-    neg = np.signbit(u[keep])
-    flips = np.flatnonzero(neg[1:] != neg[:-1])
-    ends = np.cumsum(np.count_nonzero(keep, axis=1))
-    starts = np.concatenate(([0], ends[:-1]))
-    return np.searchsorted(flips, ends - 1) - np.searchsorted(flips, starts)
-
-
 def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
                 coulomb_on: bool = True) -> OracleResult:
     """Lowest eigenvalues (node counts 0..node_target) of the radial problem.
 
-    Computes the node_target + 1 lowest eigenpairs of the symmetric Galerkin
-    matrix omega [(l + 1) I + S/2] + a sqrt(omega) C in the Gaussian-weighted
-    half-range basis (see the module docstring), one eigensolve per size in
-    GALERKIN_SIZES, until the eigenvalues agree between consecutive sizes
-    (the gap becomes each eigenvalue's convergence_width). Each size reads
-    the leading blocks of the basis built at the top of its group
-    (BASIS_TOPS). The coefficient vectors of the accepted size give u up to
-    one factor per state on the node-count window of that basis (see
-    _basis), where the nodes are counted; they are not kept.
-    Raises NoEigenvalueError unless the node counts are exactly
-    0..node_target.
+    Computes the node_target + 1 lowest eigenvalues of the symmetric
+    Galerkin matrix omega [(l + 1) I + S/2] + a sqrt(omega) C in the
+    Gaussian-weighted half-range basis (see the module docstring), one
+    eigensolve per size in GALERKIN_SIZES, until the eigenvalues agree
+    between consecutive sizes (the gap becomes each eigenvalue's
+    convergence_width). Each size reads the leading blocks of the basis
+    built at the top of its group (BASIS_TOPS). The k-th lowest value has
+    k nodes (the Ritz index; see the module docstring). Raises
+    NoEigenvalueError if node_target + 1 exceeds the size of the largest
+    basis.
 
-    Checked range: l <= 15 with node_target <= 12 (see the module docstring).
+    Checked range: l <= 15 with node_target <= 12, and node_target = 40
+    with the Coulomb term off (see the module docstring).
     """
     if config is None:
         config = ShootingConfig()
     w, l = problem.omega, problem.l
     coul_scale = problem.coulomb_a * math.sqrt(w) if coulomb_on else 0.0
     count = config.node_target + 1
+    if count > GALERKIN_SIZES[-1] + 1:
+        raise NoEigenvalueError(
+            f"{count} states asked for, but the largest Galerkin basis "
+            f"holds {GALERKIN_SIZES[-1] + 1}")
 
     prev = None
     for n in GALERKIN_SIZES:
@@ -375,8 +333,7 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         block = np.s_[:n + 1, :n + 1]
         a = (0.5 * w) * basis.stiff[block] + coul_scale * basis.coulomb[block]
         a.flat[::n + 2] += (l + 1) * w
-        etas, coeffs = linalg.eigh(a)
-        etas, coeffs = etas[:count], coeffs[:, :count]
+        etas = linalg.eigvalsh(a)[:count]
         # consecutive sizes keep the same number of values only once both
         # hold all count of them
         if prev is not None and len(prev) == len(etas):
@@ -390,15 +347,10 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
         log.warning("Galerkin not self-converged at N=%d: relative gap %.1e",
                     n, float(np.max(gaps / np.abs(etas))))
 
-    # u up to a factor per state, which changes no node count
-    nodes = _count_nodes(coeffs.T @ basis.window[:n + 1]).tolist()
-    if nodes != list(range(count)):
-        raise NoEigenvalueError(
-            f"the {len(nodes)} lowest Ritz states at Galerkin size {n} have "
-            f"node counts {nodes}, not 0..{config.node_target}")
     states = tuple(Eigenvalue(eta=eta, nodes=k,
                               convergence_width=max(gap, 4 * math.ulp(eta)))
-                   for eta, gap, k in zip(etas.tolist(), gaps.tolist(), nodes))
+                   for k, (eta, gap) in enumerate(zip(etas.tolist(),
+                                                      gaps.tolist())))
     return OracleResult(eigenvalues=states)
 
 
@@ -486,15 +438,30 @@ def oscillator_state(k: int, l: int) -> RadialState:
     return normalize(sol)
 
 
-def validate_oscillator(k: int, l: int) -> ValidationRecord:
-    """Synthetic cross-check: both solvers on the exactly solvable problem."""
+def oscillator_spectrum(l: int, node_target: int = 3) -> OracleResult:
+    """The oracle's lowest levels of the Coulomb-off problem at omega = 1."""
+    return solve_eigen(RadialProblem(omega=1.0, l=l),
+                       ShootingConfig(node_target=node_target),
+                       coulomb_on=False)
+
+
+def validate_oscillator(k: int, l: int,
+                        spectrum: OracleResult | None = None,
+                        ) -> ValidationRecord:
+    """Synthetic cross-check: both solvers on the exactly solvable problem.
+
+    spectrum is the oracle's oscillator_spectrum(l, ...), which several
+    checks at one l can share; by default it is solved here, up to
+    node_target max(3, k).
+    """
     from .wavefunction import residual
 
-    result = solve_eigen(RadialProblem(omega=1.0, l=l),
-                         ShootingConfig(node_target=max(3, k)),
-                         coulomb_on=False)
+    if spectrum is None:
+        spectrum = oscillator_spectrum(l, max(3, k))
+    elif k >= len(spectrum.eigenvalues):
+        raise ValueError(f"the spectrum holds no level with {k} nodes")
     state = oscillator_state(k, l)
-    return _record(state, result, residual(state, coulomb_a=0.0))
+    return _record(state, spectrum, residual(state, coulomb_a=0.0))
 
 
 # ---------------------------------------------------------------------------

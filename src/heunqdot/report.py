@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .model import energy_relative
-from .oracle import validate_oscillator, validate_root
+from .oracle import oscillator_spectrum, validate_oscillator, validate_root
 from .reference_data import load_reference
 from .termination import (
     GammaConvention,
@@ -380,7 +380,9 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
 
     oracle_rows = [verdict_row(validate_root(st))
                    for l in l_values for n in n_values for st in states[(n, l)]]
-    calibration = [verdict_row(validate_oscillator(k, l))
+    # one Coulomb-off solve per l, up to node_target 3, serves every k <= 3
+    spectra = {l: oscillator_spectrum(l) for l in (0, 1)}
+    calibration = [verdict_row(validate_oscillator(k, l, spectra[l]))
                    for k, l in ((0, 0), (1, 0), (1, 1))]
 
     coeff_rows = []

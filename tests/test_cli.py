@@ -335,8 +335,8 @@ def test_import_leaves_modules_unloaded(module, absent, then):
 
 def test_cli_import_builds_no_oracle_basis():
     """Importing the CLI leaves every oracle cache empty: Gauss rules and
-    bases (recurrence, matrices and node-count window, one build) are built
-    by the first solve that needs them, never at start-up."""
+    bases (recurrence and matrices, one build) are built by the first solve
+    that needs them, never at start-up."""
     code = ("import heunqdot.cli\n"
             "from heunqdot import oracle\n"
             "print(sorted((name, f.cache_info().currsize)\n"

@@ -29,6 +29,40 @@ from heunqdot.wavefunction import assemble_polynomial, normalize
 
 F = Fraction
 
+# samples of u below this fraction of max|u| are roundoff, not sign
+# information; u rather than v, because near r = 0 the roundoff of v at high l
+# changes sign where u is already below the floor
+NODE_FLOOR = 1e-8
+
+
+def _orthonormal(a, b, x):
+    """Rows p_0..p_n at the points x of the orthonormal polynomials with the
+    three-term recurrence x p_j = b_{j+1} p_{j+1} + a_j p_j + b_j p_{j-1},
+    p_0 = 1/b_0, where a = a_0..a_{n-1} and b = b_0..b_n (b_0^2 is the total
+    mass of the weight)."""
+    n = len(a)
+    p = np.empty((n + 1, len(x)))
+    p[0] = 1.0 / b[0]
+    for j in range(n):
+        p[j + 1] = (x - a[j]) * p[j]
+        if j:
+            p[j + 1] -= b[j] * p[j - 1]
+        p[j + 1] /= b[j + 1]
+    return p
+
+
+def _count_nodes(u):
+    """Sign changes along each row of u, among the samples above NODE_FLOOR
+    of the row's max|u|."""
+    size = np.abs(u)
+    keep = size > NODE_FLOOR * size.max(axis=1, keepdims=True)
+    # the kept signs, row after row; flip p is between samples p and p + 1
+    neg = np.signbit(u[keep])
+    flips = np.flatnonzero(neg[1:] != neg[:-1])
+    ends = np.cumsum(np.count_nonzero(keep, axis=1))
+    starts = np.concatenate(([0], ends[:-1]))
+    return np.searchsorted(flips, ends - 1) - np.searchsorted(flips, starts)
+
 
 class TestShootingConfig:
     def test_defaults_valid(self):
@@ -131,36 +165,58 @@ class _CountingLinalg:
         return counted
 
 
-def _lattice_states(problem, config, coulomb_on=True):
-    """The solve, the uniform lattice r of 2001 points on [0, 12/sqrt(omega)]
-    and the reduced radial functions u of the solved states there, one row
-    each: the eigh vectors of the accepted size evaluated afresh on the
-    lattice, each scaled to unit trapezoid norm and to be positive at its
-    first sample above NODE_FLOOR of its max|u|."""
+def _galerkin_matrix(problem, n, coulomb_on=True):
+    """The Galerkin matrix of size n, rebuilt from the leading blocks of the
+    basis of its group as solve_eigen assembles it."""
+    w, l = problem.omega, problem.l
+    basis = oracle._basis(oracle._top(n), l)
+    coul_scale = problem.coulomb_a * math.sqrt(w) if coulomb_on else 0.0
+    a = (0.5 * w) * basis.stiff[:n + 1, :n + 1]
+    a += coul_scale * basis.coulomb[:n + 1, :n + 1]
+    a.flat[::n + 2] += (l + 1) * w
+    return a
+
+
+def _accepted(problem, config, coulomb_on=True):
+    """The solve and its accepted Galerkin size n, read from the shape of
+    the last eigenvalue solve."""
     counting = _CountingLinalg(oracle.linalg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "linalg", counting)
         res = solve_eigen(problem, config, coulomb_on=coulomb_on)
-    name, (a,), _, (_, vecs) = counting.calls[-1]
-    assert name == "eigh"
-    n, l = a.shape[0] - 1, problem.l
+    name, (a,), _, _ = counting.calls[-1]
+    assert name == "eigvalsh"
+    return res, a.shape[0] - 1
+
+
+def _lattice_states(problem, config, coulomb_on=True, edge=12.0, points=2001):
+    """The solve, the uniform lattice r of points on [0, edge/sqrt(omega)]
+    and the reduced radial functions u of the solved states there, one row
+    each: the eigenvectors of the rebuilt Galerkin matrix of the accepted
+    size, from numpy.linalg.eigh, evaluated on the lattice, each scaled to
+    unit trapezoid norm and to be positive at its first sample above
+    NODE_FLOOR of its max|u|."""
+    res, n = _accepted(problem, config, coulomb_on)
+    l = problem.l
+    _, vecs = np.linalg.eigh(_galerkin_matrix(problem, n, coulomb_on))
     basis = oracle._basis(oracle._top(n), l)
-    x = np.linspace(0.0, 12.0, 2001)
+    x = np.linspace(0.0, edge, points)
     funcs = vecs[:, :len(res.eigenvalues)].T @ (
-        oracle._orthonormal(basis.a[:n], basis.b[:n + 1], x)
+        _orthonormal(basis.a[:n], basis.b[:n + 1], x)
         * (x ** (l + 0.5) * np.exp(-0.5 * x * x)))
     size = np.abs(funcs)
-    first = np.argmax(size > oracle.NODE_FLOOR * size.max(axis=1, keepdims=True),
+    first = np.argmax(size > NODE_FLOOR * size.max(axis=1, keepdims=True),
                       axis=1)
     sign = np.sign(funcs[np.arange(len(funcs)), first])
-    wall = 12.0 / math.sqrt(problem.omega)
-    norm = np.sqrt(np.trapezoid(funcs * funcs, dx=wall / 2000, axis=1))
-    return res, np.linspace(0.0, wall, 2001), funcs * (sign / norm)[:, None]
+    wall = edge / math.sqrt(problem.omega)
+    norm = np.sqrt(np.trapezoid(funcs * funcs, dx=wall / (points - 1), axis=1))
+    return (res, np.linspace(0.0, wall, points),
+            funcs * (sign / norm)[:, None])
 
 
 class TestEigenvectorStep:
-    """One eigensolve (eigenvalues and eigenvectors) per Galerkin size; the
-    leading vectors of the accepted size give the returned states."""
+    """One eigenvalue-only eigensolve per Galerkin size; the leading values
+    of the accepted size are the returned states."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-4.0, 2.0), st.sampled_from([0, 1, 2]),
@@ -172,19 +228,17 @@ class TestEigenvectorStep:
         for e in res.eigenvalues:
             assert e.convergence_width <= 1e-10 * e.eta, e
 
-    def test_matrix_residual_at_report_roots(self, monkeypatch):
-        counting = _CountingLinalg(oracle.linalg)
-        monkeypatch.setattr(oracle, "linalg", counting)
+    def test_matrix_residual_at_report_roots(self):
+        """Each returned eta, with the eigh vector of the rebuilt matrix of
+        the accepted size, is an eigenpair of that matrix."""
         roots = 0
         for l in (0, 1):
             for n in (2, 3, 4, 5):
                 for root in solve_termination(n, l).rootset.roots:
-                    counting.calls.clear()
-                    res = solve_eigen(RadialProblem(omega=root.omega, l=l),
-                                      ShootingConfig(node_target=6))
-                    # the last call: eigenvectors at the accepted size
-                    name, (a,), _, (_, vecs) = counting.calls[-1]
-                    assert name == "eigh"
+                    problem = RadialProblem(omega=root.omega, l=l)
+                    res, size = _accepted(problem, ShootingConfig(node_target=6))
+                    a = _galerkin_matrix(problem, size)
+                    _, vecs = np.linalg.eigh(a)
                     assert len(res.etas) == 7
                     norm_a = np.linalg.norm(a, 2)
                     for eta, v in zip(res.etas, vecs.T[:7]):
@@ -205,12 +259,12 @@ class TestEigenvectorStep:
         calls = counting.calls
         assert len(calls) >= 2
         names = [c[0] for c in calls]
-        assert names == ["eigh"] * len(calls)
-        for *_, result in calls:
-            assert isinstance(result, tuple) and len(result) == 2
+        assert names == ["eigvalsh"] * len(calls)
         sizes = [a.shape[0] for _, (a,), _, _ in calls]
+        for size, (*_, result) in zip(sizes, calls):
+            assert isinstance(result, np.ndarray) and result.shape == (size,)
         assert sizes == [n + 1 for n in oracle.GALERKIN_SIZES[:len(sizes)]]
-        *_, (etas, _) = calls[-1]
+        *_, etas = calls[-1]
         assert etas[:len(res.etas)].tolist() == res.etas
 
 
@@ -242,7 +296,7 @@ def _mp_gauss(m):
 
 @functools.lru_cache
 def _mp_recurrence(n, l):
-    """a_0..a_{n-1} and b_0..b_n (see oracle._orthonormal) of the polynomials
+    """a_0..a_{n-1} and b_0..b_n (see _orthonormal) of the polynomials
     orthonormal under x^(2l+1) e^(-x^2) on [0, inf), rounded to float.
 
     The Stieltjes procedure on the exact moments
@@ -316,7 +370,7 @@ class TestQuadrature:
         x, w = _mp_gauss(m)
         j = np.arange(1, m)
         b = np.concatenate(([np.sqrt(2.0)], j / np.sqrt(4.0 * j * j - 1)))
-        p = oracle._orthonormal(np.zeros(m - 1), b, x)
+        p = _orthonormal(np.zeros(m - 1), b, x)
         assert np.all(np.isfinite(p))
         assert np.max(np.abs((p * w) @ p.T - np.eye(m))) <= 1e-13
 
@@ -353,7 +407,7 @@ class TestQuadrature:
         for n in oracle.BASIS_TOPS:
             x, w = oracle._measure(n)
             basis = oracle._basis(n, l)
-            p = oracle._orthonormal(basis.a, basis.b, x)
+            p = _orthonormal(basis.a, basis.b, x)
             gram = (p * (w * x ** (2 * l + 1))) @ p.T
             assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-13, n
 
@@ -474,38 +528,35 @@ def _count_gauss_rules(monkeypatch) -> list:
 
 
 class TestLattice:
-    """The node-count window each basis carries, and the builds of the
-    basis: one per l and group top, and no lattice."""
+    """The builds of the basis, one per l and group top, and the rebuild of
+    the Galerkin matrices from it that the lattice states of these tests
+    start from."""
 
     @pytest.mark.parametrize("n, l", [(40, 0), (90, 2), (135, 15)])
     def test_read_only_and_exact(self, n, l):
-        """The window points are the measure nodes below WINDOW_EDGE, and
-        that point; the first n + 1 window rows of size
-        n's group top are the size-n basis there, evaluated afresh from its
-        own n recurrence steps."""
-        top = oracle._top(n)
-        basis = oracle._basis(top, l)
-        assert not basis.window.flags.writeable
-        assert basis.window.shape == (top + 1, {40: 103, 135: 202}[top])
-        assert oracle.WINDOW_EDGE == 11.994
-        x, _ = oracle._measure(top)
-        x = np.append(x[x < oracle.WINDOW_EDGE], oracle.WINDOW_EDGE)
-        p = oracle._orthonormal(basis.a[:n], basis.b[:n + 1], x)
-        assert np.array_equal(
-            basis.window[:n + 1], p * (x ** (l + 0.5) * np.exp(-0.5 * x * x)))
+        """The basis is read-only, and the matrix of size n that
+        _galerkin_matrix rebuilds from it is bitwise the one the solve hands
+        to eigvalsh, Coulomb term on and off. node_target is set so that
+        the size ladder reaches n."""
+        basis = oracle._basis(oracle._top(n), l)
+        for v in basis:
+            assert not v.flags.writeable
+        problem = RadialProblem(omega=0.37, l=l)
+        config = ShootingConfig(node_target={40: 30, 90: 60, 135: 90}[n])
+        for coulomb_on in (True, False):
+            counting = _CountingLinalg(oracle.linalg)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "linalg", counting)
+                solve_eigen(problem, config, coulomb_on=coulomb_on)
+            solved = {a.shape[0] - 1: a for _, (a,), _, _ in counting.calls}
+            assert np.array_equal(solved[n],
+                                  _galerkin_matrix(problem, n, coulomb_on))
 
     def test_one_basis_per_l(self, monkeypatch):
         """Over the 60 exact states with N <= 8 and l <= 2, which accept at
-        sizes 18 to 40, one Gauss rule is built, the basis once per l, and
-        nothing is evaluated on the lattice."""
+        sizes 18 to 40, one Gauss rule is built and the basis once per
+        l."""
         built = _count_gauss_rules(monkeypatch)
-        points = []
-        orthonormal = oracle._orthonormal
-
-        def counted(a, b, x):
-            points.append(len(x))
-            return orthonormal(a, b, x)
-        monkeypatch.setattr(oracle, "_orthonormal", counted)
         solves = 0
         for l in range(3):
             for N in range(1, 9):
@@ -517,7 +568,6 @@ class TestLattice:
         assert built == [3 * oracle.BASIS_TOPS[0] + 80]
         assert oracle._measure.cache_info().misses == 1
         assert oracle._basis.cache_info().misses == 3
-        assert points == [103] * 3
 
     def test_dossier_builds_one_gauss_rule(self, monkeypatch):
         """The report, at l = 0 and 1, builds one Gauss rule and two bases."""
@@ -528,39 +578,48 @@ class TestLattice:
 
 
 def _count_nodes_by_row(u):
-    """The per-row count that oracle._count_nodes vectorizes."""
+    """The per-row count that _count_nodes vectorizes."""
     counts = []
     for row in u:
-        s = np.sign(row[np.abs(row) > oracle.NODE_FLOOR * np.abs(row).max()])
+        s = np.sign(row[np.abs(row) > NODE_FLOOR * np.abs(row).max()])
         counts.append(int(np.count_nonzero(s[1:] != s[:-1])))
     return counts
 
 
+def _assert_ritz_index_is_lattice_count(problem, config, coulomb_on):
+    node_target, l = config.node_target, problem.l
+    edge = max(12.0, math.sqrt(4 * node_target + 2 * l + 2) + 4)
+    res, _, funcs = _lattice_states(problem, config, coulomb_on=coulomb_on,
+                                    edge=edge, points=4001)
+    lattice = _count_nodes(funcs[:, 1:-1]).tolist()
+    assert lattice == list(range(node_target + 1))
+    assert [e.nodes for e in res.eigenvalues] == lattice
+
+
 class TestNodeCount:
+    """The node count a solve reports is the Ritz index; the sign changes
+    of the Ritz eigenfunctions on a lattice check it."""
+
     @settings(max_examples=60, deadline=None)
-    @given(st.floats(-4.0, 2.0), st.integers(0, 15), st.integers(0, 12),
-           st.booleans())
+    @given(st.floats(-4.0, 2.0), st.integers(0, 15),
+           st.integers(0, 12) | st.integers(13, 40), st.booleans())
     def test_window_count_matches_lattice(self, log10_omega, l, node_target,
                                           coulomb_on):
-        """The counts on the window equal those on the interior samples of
-        the eigenfunctions on the lattice, over the checked range."""
-        res, _, funcs = _lattice_states(
+        """The k-th Ritz state has k sign changes on the interior samples of
+        a lattice window that reaches 4 past the classical turning point
+        x = sqrt(4 node_target + 2l + 2) of the highest state."""
+        _assert_ritz_index_is_lattice_count(
             RadialProblem(omega=10.0 ** log10_omega, l=l),
-            ShootingConfig(node_target=node_target), coulomb_on=coulomb_on)
-        lattice = oracle._count_nodes(funcs[:, 1:-1]).tolist()
-        assert [e.nodes for e in res.eigenvalues] == lattice
+            ShootingConfig(node_target=node_target), coulomb_on)
 
     @pytest.mark.parametrize("omega, l, node_target", [
         (0.00024911762342074995, 11, 33), (10.990384915361313, 9, 36)])
     def test_window_edge_point(self, omega, l, node_target):
-        """Two solves of a random sweep that the window without its closing
-        point WINDOW_EDGE rejected, one node short in its highest state,
-        while the lattice count accepted them."""
-        res, _, funcs = _lattice_states(RadialProblem(omega=omega, l=l),
-                                        ShootingConfig(node_target=node_target))
-        lattice = oracle._count_nodes(funcs[:, 1:-1]).tolist()
-        assert lattice == list(range(node_target + 1))
-        assert [e.nodes for e in res.eigenvalues] == lattice
+        """Two solves whose highest state a fixed window at x <= 12 once
+        counted one node short; the Ritz index and the lattice count agree."""
+        _assert_ritz_index_is_lattice_count(
+            RadialProblem(omega=omega, l=l),
+            ShootingConfig(node_target=node_target), True)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
@@ -572,7 +631,7 @@ class TestNodeCount:
              * 10.0 ** rng.integers(-12, 1, size=(rows, cols)))
         u[rng.random((rows, cols)) < 0.1] = 0.0
         u[:, 0] = rng.choice([-1.0, 1.0], size=rows)  # no all-zero row
-        assert oracle._count_nodes(u).tolist() == _count_nodes_by_row(u)
+        assert _count_nodes(u).tolist() == _count_nodes_by_row(u)
 
 
 class TestNestedBasis:
@@ -595,7 +654,7 @@ class TestNestedBasis:
             solve_eigen(problem, config, coulomb_on=coulomb_on)
         count = node_target + 1
         ladder = [(a.shape[0] - 1, etas[:count], np.linalg.norm(a, 2))
-                  for _, (a,), _, (etas, _) in counting.calls]
+                  for _, (a,), _, etas in counting.calls]
         for (n0, etas0, _), (n1, etas1, norm) in zip(ladder, ladder[1:]):
             if oracle._top(n0) == oracle._top(n1):
                 rise = np.max(etas1 - etas0)
@@ -671,6 +730,32 @@ class TestHighL:
             assert abs(res.etas[nodes] - eta) <= 1e-10 * eta, (omega, nodes)
 
 
+class TestWideRange:
+    """With the node counts taken from the Ritz index, nothing but the
+    size of the largest basis bounds the states a solve can return."""
+
+    @pytest.mark.parametrize("l", [0, 2, 5, 10, 15])
+    @pytest.mark.parametrize("omega", [1e-4, 1e-2, 1.0, 1e2])
+    def test_oscillator_levels_to_node_target_40(self, omega, l, caplog):
+        with caplog.at_level(logging.WARNING, logger="heunqdot.oracle"):
+            res = solve_eigen(RadialProblem(omega=omega, l=l),
+                              ShootingConfig(node_target=40),
+                              coulomb_on=False)
+        # the index is the node count only for self-converged values
+        assert not caplog.records
+        assert [e.nodes for e in res.eigenvalues] == list(range(41))
+        for k, e in enumerate(res.eigenvalues):
+            exact = omega * (2 * k + l + 1)
+            assert abs(e.eta - exact) <= 1e-11 * exact, (k, e)
+
+    def test_request_beyond_largest_basis_raises(self):
+        """The largest basis, of degree 135, holds 136 states."""
+        assert oracle.GALERKIN_SIZES[-1] == oracle.BASIS_TOPS[-1] == 135
+        with pytest.raises(NoEigenvalueError, match="holds 136"):
+            solve_eigen(RadialProblem(omega=1.0, l=2),
+                        ShootingConfig(node_target=136), coulomb_on=False)
+
+
 class TestOracleRobustness:
     def test_variational_monotonicity(self):
         for omega in (0.25, 1.0):
@@ -682,14 +767,6 @@ class TestOracleRobustness:
                                  coulomb_on=True)
                 for e_off, e_on in zip(off.etas, on.etas):
                     assert e_on > e_off
-
-    def test_wrong_node_counts_raise(self):
-        # the state with 40 nodes turns at x = sqrt(166) > 12.6, so its
-        # outer node lies past the node-count window x <= WINDOW_EDGE and the
-        # 41 lowest Ritz states count 0..39, 39 nodes
-        p = RadialProblem(omega=1.0, l=2)
-        with pytest.raises(NoEigenvalueError, match="node counts"):
-            solve_eigen(p, ShootingConfig(node_target=40), coulomb_on=False)
 
     @pytest.mark.parametrize("a, omega, l, node_target", [
         (10.0, 1.0, 0, 2), (25.0, 1.0, 1, 4), (50.0, 4.0, 2, 6),

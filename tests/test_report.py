@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from heunqdot import cli, ratpoly, report, wavefunction
+from heunqdot import cli, oracle, ratpoly, report, wavefunction
 from heunqdot.termination import (
     GammaConvention,
     coefficient_chain,
@@ -115,3 +115,32 @@ def test_report_builds_and_normalizes_each_state_once(monkeypatch):
     # states (at n = 2 the printed and chain coefficients agree, so two
     # distinct solutions compare equal: count them by identity)
     assert len({id(s) for s in normalized}) == len(normalized) <= 35
+
+
+def test_report_solves_each_oracle_problem_once(monkeypatch):
+    """12 roots and the Coulomb-off problem at l = 0 and 1, which the three
+    calibration rows share."""
+    calls = []
+    sig = inspect.signature(oracle.solve_eigen)
+    solve_eigen = oracle.solve_eigen
+
+    def counting(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(tuple(bound.arguments.values()))
+        return solve_eigen(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_eigen", counting)
+    report.build_report()
+    assert len(calls) == 14
+    assert len(set(calls)) == len(calls)
+
+
+def test_calibration_deltas_are_roundoff():
+    """The exact calibration delta is 0; what the report prints is the
+    roundoff of the eigensolve, bounded rather than pinned."""
+    rows = report.build_report()["oscillator_calibration"]
+    assert [(row["n"], row["l"]) for row in rows] == [(0, 0), (2, 0), (2, 1)]
+    for row in rows:
+        assert row["classification"] == "CONFIRMED"
+        assert row["abs_delta"] <= 1e-13 * row["eta_analytic"], row
