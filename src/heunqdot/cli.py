@@ -11,9 +11,9 @@ set convention, format, out, precision, n and l; any other key, or an empty
 value, is an error.
 The single environment variable HEUNQDOT_OUT overrides the output directory
 when --out is not given. The oracle's eigenvalues come from a self-converged
-Galerkin solve in a Gaussian-weighted half-range polynomial basis; nodes are
-counted on the basis's quadrature nodes below x = sqrt(omega) r = 11.994
-and at that point.
+Galerkin solve in a Gaussian-weighted half-range polynomial basis; the node
+count of each is its Ritz index, the k-th lowest value having k nodes by the
+oscillation theorem.
 """
 
 from __future__ import annotations
@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, ranges=True):
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--convention", choices=["table", "literal"], default=None)
+        p.add_argument("--convention", default=None,
+                       choices=[c.value for c in GammaConvention])
         p.add_argument("--format", dest="output_format",
                        choices=["csv", "json"], default=None)
         p.add_argument("--precision", type=float, default=None,

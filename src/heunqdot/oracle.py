@@ -61,7 +61,8 @@ eigenvalues as the size grows. A self-converged k-th Ritz value is
 therefore the k-th level, with k nodes: the node_target + 1 lowest Ritz
 values are the states asked for, with no eta window to find them in and no
 eigenfunction to sample. A solve raises NoEigenvalueError only when it asks
-for more states than the largest basis holds. The solver therefore serves
+for more states than the second-largest basis holds: the largest has no
+larger size to self-converge against. The solver therefore serves
 as the arbiter for whether an analytically constructed state is a genuine
 eigenstate.
 
@@ -101,7 +102,6 @@ from .model import RadialProblem
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .termination import GammaConvention
     from .wavefunction import RadialState
 
 log = logging.getLogger(__name__)
@@ -310,8 +310,8 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     convergence_width). Each size reads the leading blocks of the basis
     built at the top of its group (BASIS_TOPS). The k-th lowest value has
     k nodes (the Ritz index; see the module docstring). Raises
-    NoEigenvalueError if node_target + 1 exceeds the size of the largest
-    basis.
+    NoEigenvalueError if node_target + 1 exceeds the size of the
+    second-largest basis, the largest one that a larger size can check.
 
     Checked range: l <= 15 with node_target <= 12, and node_target = 40
     with the Coulomb term off (see the module docstring).
@@ -321,10 +321,12 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     w, l = problem.omega, problem.l
     coul_scale = problem.coulomb_a * math.sqrt(w) if coulomb_on else 0.0
     count = config.node_target + 1
-    if count > GALERKIN_SIZES[-1] + 1:
+    # a size converges only against a larger one, so the largest size can
+    # check no more states than the one below it holds
+    if count > GALERKIN_SIZES[-2] + 1:
         raise NoEigenvalueError(
-            f"{count} states asked for, but the largest Galerkin basis "
-            f"holds {GALERKIN_SIZES[-1] + 1}")
+            f"{count} states asked for, but the largest Galerkin basis that "
+            f"a larger one can check holds {GALERKIN_SIZES[-2] + 1}")
 
     prev = None
     for n in GALERKIN_SIZES:
@@ -469,7 +471,7 @@ def validate_oscillator(k: int, l: int,
 # ---------------------------------------------------------------------------
 
 def dense_determinant_check(n: int, l: int, t: Fraction,
-                            convention: GammaConvention | str = "table",
+                            convention: str = "table",
                             ) -> bool:
     """Expand the n x n tridiagonal matrix directly and compare with D_n.
 
@@ -481,22 +483,22 @@ def dense_determinant_check(n: int, l: int, t: Fraction,
     from fractions import Fraction
 
     from .ratpoly import poly_eval
-    from .termination import (GammaConvention, build_gamma_factors,
-                              determinant_sequence)
+    from .termination import build_gamma_factors, determinant_sequence
 
     if n > 8:
         raise ValueError("dense check is intended for n <= 8")
     t = Fraction(t)
-    system = build_gamma_factors(n, l, GammaConvention(convention))
+    gammas = build_gamma_factors(n, l, convention)
     dp = t / 2
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = dp
         if i + 1 < n:
             m[i][i + 1] = Fraction(1)
-            m[i + 1][i] = system.gamma_factors[i](t)
+            c, e = gammas[i]
+            m[i + 1][i] = (c + e / t) / 4
     direct = _det_bareiss(m)
-    recurrence = poly_eval(determinant_sequence(system)[n], t)
+    recurrence = poly_eval(determinant_sequence(gammas)[n], t)
     return recurrence == 2 ** n * t ** (n // 2) * direct
 
 

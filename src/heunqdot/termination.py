@@ -4,16 +4,17 @@ For the state label n the series solution truncates only at special trap
 frequencies. Working in t = 1/sqrt(omega) (= 2*delta', the tabulated
 variable), the truncation condition is the vanishing of an n x n tridiagonal
 determinant with diagonal delta' = t/2, superdiagonal 1 and subdiagonal gamma
-factors gamma = c + e/t that are affine in 1/t. Its leading minors follow the
-three-term recurrence d_k = (t/2) d_{k-1} - gamma_{k-1} d_{k-2}, which carries
-powers of 1/2 and of 1/t. The scaled minors D_k = 2^k t^floor(k/2) d_k carry
-neither:
+factors that are affine in 1/t. Each factor is held as the integer pair
+(c, e) with 4 gamma = c + e/t. The determinant's leading minors follow the
+three-term recurrence d_k = (t/2) d_{k-1} - gamma_{k-1} d_{k-2}, which
+carries powers of 1/2 and of 1/t. The scaled minors
+D_k = 2^k t^floor(k/2) d_k carry neither:
 
     D_0 = 1,  D_1 = t,
-    D_k = t^(1 + [k even]) D_{k-1} - 4 (c t + e) D_{k-2},
+    D_k = t^(1 + [k even]) D_{k-1} - (c t + e) D_{k-2},
 
 because 2^k t^floor(k/2) (t/2) = t^(1 + [k even]) 2^(k-1) t^floor((k-1)/2)
-and 2^k t^floor(k/2) gamma = 4 (c t + e) 2^(k-2) t^floor((k-2)/2). With
+and 2^k t^floor(k/2) gamma = (c t + e) 2^(k-2) t^floor((k-2)/2). With
 integer c and e every D_k is an integer polynomial, so the recurrence runs in
 plain Python integers; its positive roots are those of d_n. The primitive
 part of D_n, without its factor t^k, is reduced once to its square-free part
@@ -33,6 +34,10 @@ the factors and the published recurrence disagree by an index shift, so:
            the discrepancy report.
 
 Here 1 + alpha = (2l+1)/t, which couples the factors to the root variable.
+Each convention is one function of (n, l, p) that returns the pair (c, e)
+of gamma_p, in a table keyed by GammaConvention; the recurrence, the
+coefficient chain and the dense check read only the pairs, so a convention
+is added as one more enum member and table entry.
 """
 
 from __future__ import annotations
@@ -52,63 +57,48 @@ class GammaConvention(str, enum.Enum):
     LITERAL = "literal"
 
 
-@dataclass(frozen=True)
-class AffineInvT:
-    """An affine function  const + inv_t / t  with exact coefficients."""
-
-    const: int | Fraction
-    inv_t: int | Fraction
-
-    def __call__(self, t):
-        return self.const + self.inv_t / t
+def _table_factor(n: int, l: int, p: int) -> tuple[int, int]:
+    if p == 1:
+        return 0, 8 * n * (2 * l + 1)
+    c = 8 * (n - p) * (p + 1)
+    # p + 1 + alpha = p + (2l+1)/t
+    return c * p, c * (2 * l + 1)
 
 
-@dataclass(frozen=True)
-class TerminationSystem:
-    """The gamma factors for one (n, l) under a chosen convention."""
+def _literal_factor(n: int, l: int, p: int) -> tuple[int, int]:
+    # gamma_p = 2(n-p+1) p (p+alpha), with p + alpha = p - 1 + (2l+1)/t
+    c = 8 * (n - p + 1) * p
+    return c * (p - 1), c * (2 * l + 1)
 
-    n: int
-    l: int
-    convention: GammaConvention
-    gamma_factors: tuple[AffineInvT, ...]
+
+# 4 gamma_p = c + e/t as the pair (c, e), for p = 1..n-1
+_GAMMA_FACTORS = {GammaConvention.TABLE: _table_factor,
+                  GammaConvention.LITERAL: _literal_factor}
 
 
 def build_gamma_factors(n: int, l: int,
-                        convention: GammaConvention = GammaConvention.TABLE,
-                        ) -> TerminationSystem:
-    """The n-1 subdiagonal factors as affine functions of 1/t."""
+                        convention: GammaConvention | str = GammaConvention.TABLE,
+                        ) -> tuple[tuple[int, int], ...]:
+    """The n-1 subdiagonal factors as integer pairs (c, e) with
+    4 gamma_p = c + e/t, p = 1..n-1, from the convention's entry in
+    _GAMMA_FACTORS. Raises ValueError for n < 1, l < 0 or an unknown
+    convention."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if l < 0:
         raise ValueError("l must be >= 0")
-    tl = 2 * l + 1
-    factors: list[AffineInvT] = []
-    if convention == GammaConvention.TABLE:
-        for p in range(1, n):
-            if p == 1:
-                factors.append(AffineInvT(0, 2 * n * tl))
-            else:
-                c = 2 * (n - p) * (p + 1)
-                # p + 1 + alpha = p + (2l+1)/t
-                factors.append(AffineInvT(c * p, c * tl))
-    elif convention == GammaConvention.LITERAL:
-        for p in range(0, n - 1):
-            c = 2 * (n - p) * (p + 1)
-            factors.append(AffineInvT(c * p, c * tl))
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return TerminationSystem(n=n, l=l, convention=convention,
-                             gamma_factors=tuple(factors))
+    factor = _GAMMA_FACTORS[GammaConvention(convention)]
+    return tuple(factor(n, l, p) for p in range(1, n))
 
 
-def determinant_sequence(system: TerminationSystem) -> list[rp.IntPoly]:
-    """D_0..D_n (ascending coefficients in t), D_k = 2^k t^floor(k/2) d_k:
-    D_0 = 1, D_1 = t, D_k = t^(1 + [k even]) D_{k-1} - 4 (c t + e) D_{k-2}
-    for gamma_{k-1} = c + e/t."""
+def determinant_sequence(gammas: tuple[tuple[int, int], ...],
+                         ) -> list[rp.IntPoly]:
+    """D_0..D_n (ascending coefficients in t), D_k = 2^k t^floor(k/2) d_k,
+    for the n-1 pairs of build_gamma_factors:
+    D_0 = 1, D_1 = t, D_k = t^(1 + [k even]) D_{k-1} - (c t + e) D_{k-2}
+    with 4 gamma_{k-1} = c + e/t."""
     seq = [[1], [0, 1]]
-    for k in range(2, system.n + 1):
-        gamma = system.gamma_factors[k - 2]
-        c, e = 4 * gamma.const, 4 * gamma.inv_t
+    for k, (c, e) in enumerate(gammas, start=2):
         d = [0] * (2 - k % 2) + seq[k - 1]
         for i, a in enumerate(seq[k - 2]):
             d[i] -= e * a
@@ -128,9 +118,6 @@ class ClearedPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def __call__(self, t):
-        return rp.poly_eval(self.coefficients, t)
 
 
 @dataclass(frozen=True)
@@ -196,8 +183,9 @@ def coefficient_chain(n: int, l: int, t_star: float | Fraction,
                       ) -> tuple[list, int]:
     """Series coefficients A_0..A_n at a fixed t and their effective degree.
 
-    A_0 = 1, A_1 = -t/2, A_{p+2} = -delta' A_{p+1} - gamma_{p+1} A_p with the
-    system's gamma factors evaluated at t: in floats, or exactly for a
+    A_0 = 1, A_1 = -t/2, A_{p+2} = -delta' A_{p+1} - gamma_{p+1} A_p with
+    gamma = (c + e/t)/4 from the pairs of build_gamma_factors, evaluated at
+    t: in floats (where the division by 4 is exact), or exactly for a
     Fraction t. The effective degree is as in effective_degree (at a
     determinant root the trailing coefficient vanishes and the polynomial
     degenerates).
@@ -206,12 +194,10 @@ def coefficient_chain(n: int, l: int, t_star: float | Fraction,
         raise ValueError("t_star must be positive")
     if not isinstance(t_star, Fraction):
         t_star = float(t_star)
-    system = build_gamma_factors(n, l, convention)
     dp = t_star / 2
     a = [type(t_star)(1), -dp]
-    for p in range(n - 1):
-        a.append(-dp * a[p + 1] - system.gamma_factors[p](t_star) * a[p])
-    a = a[:n + 1]
+    for p, (c, e) in enumerate(build_gamma_factors(n, l, convention)):
+        a.append(-dp * a[p + 1] - (c + e / t_star) / 4 * a[p])
     return a, effective_degree(a)
 
 
@@ -233,8 +219,8 @@ class TerminationResult:
 def solve_termination(n: int, l: int,
                       convention: GammaConvention = GammaConvention.TABLE,
                       precision: float = 1e-13) -> TerminationResult:
-    """Build the system, run the recurrence, take the primitive part of D_n
-    and isolate its roots in one call."""
+    """Build the gamma factors, run the recurrence, take the primitive part
+    of D_n and isolate its roots in one call."""
     d_n = determinant_sequence(build_gamma_factors(n, l, convention))[n]
     cleared = ClearedPolynomial(tuple(rp.primitive_part(d_n)))
     rootset = isolate_roots(cleared, precision=precision)

@@ -732,7 +732,8 @@ class TestHighL:
 
 class TestWideRange:
     """With the node counts taken from the Ritz index, nothing but the
-    size of the largest basis bounds the states a solve can return."""
+    size of the largest basis that a larger one checks bounds the states a
+    solve can return."""
 
     @pytest.mark.parametrize("l", [0, 2, 5, 10, 15])
     @pytest.mark.parametrize("omega", [1e-4, 1e-2, 1.0, 1e2])
@@ -748,12 +749,15 @@ class TestWideRange:
             exact = omega * (2 * k + l + 1)
             assert abs(e.eta - exact) <= 1e-11 * exact, (k, e)
 
-    def test_request_beyond_largest_basis_raises(self):
-        """The largest basis, of degree 135, holds 136 states."""
-        assert oracle.GALERKIN_SIZES[-1] == oracle.BASIS_TOPS[-1] == 135
-        with pytest.raises(NoEigenvalueError, match="holds 136"):
+    @pytest.mark.parametrize("node_target", [91, 136])
+    def test_request_beyond_largest_basis_raises(self, node_target):
+        """The largest basis, of degree 135, has no larger size to converge
+        against, so the 91 states of size 90 are the most a solve checks."""
+        assert oracle.GALERKIN_SIZES[-2:] == (90, 135)
+        with pytest.raises(NoEigenvalueError, match="holds 91"):
             solve_eigen(RadialProblem(omega=1.0, l=2),
-                        ShootingConfig(node_target=136), coulomb_on=False)
+                        ShootingConfig(node_target=node_target),
+                        coulomb_on=False)
 
 
 class TestOracleRobustness:

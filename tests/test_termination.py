@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from heunqdot import ratpoly as rp
 from heunqdot.termination import (
@@ -23,37 +25,36 @@ LITERAL = GammaConvention.LITERAL
 
 
 class TestGammaFactors:
+    """Each factor is the integer pair (c, e) with 4 gamma = c + e/t."""
+
     def test_n2_l0(self):
-        sys_ = build_gamma_factors(2, 0, TABLE)
-        (g1,) = sys_.gamma_factors
-        assert g1.const == 0 and g1.inv_t == 4  # 4/t
+        assert build_gamma_factors(2, 0, TABLE) == ((0, 16),)  # gamma = 4/t
 
     def test_n3_l0_table(self):
-        sys_ = build_gamma_factors(3, 0, TABLE)
-        g1, g2 = sys_.gamma_factors
-        assert (g1.const, g1.inv_t) == (0, 6)        # 6/t
-        assert (g2.const, g2.inv_t) == (12, 6)       # 6(2 + 1/t)
+        g1, g2 = build_gamma_factors(3, 0, TABLE)
+        assert g1 == (0, 24)         # 6/t
+        assert g2 == (48, 24)        # 6(2 + 1/t)
 
     def test_n3_l0_at_unit_t(self):
-        sys_ = build_gamma_factors(3, 0, TABLE)
-        assert sys_.gamma_factors[0](F(1)) == 6
-        assert sys_.gamma_factors[1](F(1)) == 18
+        gammas = build_gamma_factors(3, 0, TABLE)
+        assert [(c + e) / 4 for c, e in gammas] == [6, 18]
 
     def test_literal_index_shift(self):
-        lit = build_gamma_factors(3, 0, LITERAL)
-        g1, g2 = lit.gamma_factors
-        assert (g1.const, g1.inv_t) == (0, 6)        # same first factor
-        assert (g2.const, g2.inv_t) == (8, 8)        # 8(1 + 1/t): shifted
+        g1, g2 = build_gamma_factors(3, 0, LITERAL)
+        assert g1 == (0, 24)         # same first factor
+        assert g2 == (32, 32)        # 8(1 + 1/t): shifted
 
     def test_factor_count(self):
         for n in range(1, 9):
-            assert len(build_gamma_factors(n, 2, TABLE).gamma_factors) == n - 1
+            assert len(build_gamma_factors(n, 2, TABLE)) == n - 1
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             build_gamma_factors(0, 0)
         with pytest.raises(ValueError):
             build_gamma_factors(2, -1)
+        with pytest.raises(ValueError):
+            build_gamma_factors(2, 0, "unknown")
 
 
 def d_seq(n, l, convention=TABLE):
@@ -121,7 +122,7 @@ class TestClearDenominators:
         assert [content * c for c in cleared.coefficients] == d5[1:]
         for _ in range(100):
             t = rng.uniform(0.05, 20.0)
-            lhs = content * cleared(t) / (32 * t)
+            lhs = content * rp.poly_eval(cleared.coefficients, t) / (32 * t)
             rhs = -coefficient_chain(5, 1, t)[0][5]
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -161,7 +162,7 @@ class TestRootIsolation:
             coeffs = [float(c) for c in res.cleared.coefficients]
             cmax = max(abs(c) for c in coeffs)
             for root in res.rootset.roots:
-                val = res.cleared(root.t_star)
+                val = rp.poly_eval(res.cleared.coefficients, root.t_star)
                 assert abs(val) <= 1e-10 * cmax * root.t_star ** res.cleared.degree
 
     def test_bracket_certified_by_exact_sign_change(self):
@@ -214,7 +215,7 @@ class TestRootIsolation:
         res = solve_termination(2, 0)
         assert all(r.t_star > 0 for r in res.rootset.roots)
         # t = 0 is not a root of the cleared determinant
-        assert res.cleared(0.0) != 0.0
+        assert rp.poly_eval(res.cleared.coefficients, 0.0) != 0.0
 
 
 class TestRepeatedRoots:
@@ -298,6 +299,48 @@ class TestBruteForceEquivalence:
     def test_literal_convention_also_consistent(self):
         from heunqdot.oracle import dense_determinant_check
         assert dense_determinant_check(4, 1, F(7, 2), LITERAL)
+
+
+T = sp.Symbol("t")
+
+
+def sympy_cleared(gammas):
+    """The primitive part, without its factor t^k and with a positive
+    leading coefficient, of the tridiagonal determinant with diagonal t/2,
+    superdiagonal 1 and subdiagonal gammas, expanded by sympy."""
+    n = len(gammas) + 1
+    m = sp.zeros(n, n)
+    for i in range(n):
+        m[i, i] = T / 2
+        if i + 1 < n:
+            m[i, i + 1] = 1
+            m[i + 1, i] = gammas[i]
+    # 2t M has integer polynomial entries
+    ring = sp.ZZ[T]
+    scaled = DomainMatrix.from_Matrix((2 * T * m).applyfunc(sp.expand))
+    det = sp.Poly(ring.to_sympy(scaled.convert_to(ring).det()), T)
+    coeffs = det.primitive()[1].all_coeffs()[::-1]
+    coeffs = coeffs[next(i for i, c in enumerate(coeffs) if c != 0):]
+    sign = 1 if coeffs[-1] > 0 else -1
+    return tuple(sign * int(c) for c in coeffs)
+
+
+class TestConventionTable:
+    def test_cleared_equals_sympy_determinant(self):
+        # the gamma factors straight from the closed forms of the module
+        # docstring, with 1+alpha = (2l+1)/t and no use of the integer pairs
+        for n in range(1, 13):
+            for l in range(4):
+                one_alpha = sp.Integer(2 * l + 1) / T
+                table = [2 * n * one_alpha if p == 1
+                         else 2 * (n - p) * (p + 1) * (p + one_alpha)
+                         for p in range(1, n)]
+                literal = [2 * (n - p) * (p + 1) * (p + one_alpha)
+                           for p in range(n - 1)]
+                for conv, gammas in ((TABLE, table), (LITERAL, literal)):
+                    cleared = solve_termination(n, l, conv).cleared
+                    assert sympy_cleared(gammas) == cleared.coefficients, \
+                        (n, l, conv)
 
 
 class TestPrintedCoefficients:
