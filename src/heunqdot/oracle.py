@@ -2,11 +2,10 @@
 
 The eigensolve does not use the termination machinery: it solves the radial
 equation directly, and importing this module loads numpy and the model only.
-The verdict layer at the bottom imports what it needs inside the functions
-that use it: wavefunction, to check the analytic states it is handed and to
-build the oscillator states, and termination, ratpoly and fractions, for the
-dense determinant check. A process that only solves therefore never loads
-the root-isolation stack. The layer stays in this module because perfbench
+The verdict layer at the bottom imports wavefunction inside the functions
+that use it, to check the analytic states it is handed and to build the
+oscillator states, so a process that only solves never loads the
+root-isolation stack. The layer stays in this module because perfbench
 calls oracle.oscillator_state and wraps oracle.validate_root and
 oracle.validate_oscillator under these names. With
 u = r^(l+1/2) v the regular solution v is smooth at the origin and satisfies
@@ -60,11 +59,13 @@ eigenvalue, and the basis is nested, so the Ritz values fall toward the
 eigenvalues as the size grows. A self-converged k-th Ritz value is
 therefore the k-th level, with k nodes: the node_target + 1 lowest Ritz
 values are the states asked for, with no eta window to find them in and no
-eigenfunction to sample. A solve raises NoEigenvalueError only when it asks
-for more states than the second-largest basis holds: the largest has no
-larger size to self-converge against. The solver therefore serves
-as the arbiter for whether an analytically constructed state is a genuine
-eigenstate.
+eigenfunction to sample. A solve returns only self-converged values: when
+the sizes run out before two consecutive ones agree, it raises
+NoEigenvalueError. The largest size has no larger one to check it, so at
+most the 91 states of size 90 can be returned, and the ladder runs out
+first from node_target 49 to 56 on (omega in [1e-4, 1e2], l <= 15). The
+solver therefore serves as the arbiter for whether an analytically
+constructed state is a genuine eigenstate.
 
 Checked range: l <= 15 with node_target <= 12, and node_target = 40 with
 the Coulomb term off. With the Coulomb term off, 4300 random cases with
@@ -80,16 +81,11 @@ random solves (omega log-uniform in [1e-4, 1e2], l <= 15, node_target
 <= 12 and one in three in 13..40, Coulomb term on and off), all
 self-converged. tests/test_oracle.py holds a sample of each and rebuilds
 the lattice eigenfunctions.
-
-The dense determinant check at the bottom is the exact-arithmetic
-counterpart: it expands the termination matrix by fraction-free elimination
-and must agree with the three-term recurrence identically.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -100,11 +96,7 @@ from numpy import linalg
 from .model import RadialProblem
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .wavefunction import RadialState
-
-log = logging.getLogger(__name__)
 
 # Galerkin sizes (highest degree n of p_j) tried in turn, each about 1.5
 # times the last; the eigenvalues are accepted once two consecutive sizes
@@ -118,7 +110,8 @@ BASIS_TOPS = (40, 135)
 
 
 class NoEigenvalueError(RuntimeError):
-    """More states were asked for than the largest Galerkin basis holds."""
+    """The Galerkin sizes ran out before two consecutive ones agreed on the
+    states asked for."""
 
 
 @dataclass(frozen=True)
@@ -310,8 +303,9 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     convergence_width). Each size reads the leading blocks of the basis
     built at the top of its group (BASIS_TOPS). The k-th lowest value has
     k nodes (the Ritz index; see the module docstring). Raises
-    NoEigenvalueError if node_target + 1 exceeds the size of the
-    second-largest basis, the largest one that a larger size can check.
+    NoEigenvalueError, with the count, the last size and its relative gap,
+    when the last size is reached without two consecutive sizes agreeing;
+    more than 91 states can never agree, as size 135 is the last.
 
     Checked range: l <= 15 with node_target <= 12, and node_target = 40
     with the Coulomb term off (see the module docstring).
@@ -321,13 +315,6 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     w, l = problem.omega, problem.l
     coul_scale = problem.coulomb_a * math.sqrt(w) if coulomb_on else 0.0
     count = config.node_target + 1
-    # a size converges only against a larger one, so the largest size can
-    # check no more states than the one below it holds
-    if count > GALERKIN_SIZES[-2] + 1:
-        raise NoEigenvalueError(
-            f"{count} states asked for, but the largest Galerkin basis that "
-            f"a larger one can check holds {GALERKIN_SIZES[-2] + 1}")
-
     prev = None
     for n in GALERKIN_SIZES:
         basis = _basis(_top(n), l)
@@ -346,8 +333,9 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
             break
         prev = etas
     else:
-        log.warning("Galerkin not self-converged at N=%d: relative gap %.1e",
-                    n, float(np.max(gaps / np.abs(etas))))
+        raise NoEigenvalueError(
+            f"{count} states not self-converged by Galerkin size {n}: "
+            f"relative gap {float(np.max(gaps / np.abs(etas))):.1e}")
 
     states = tuple(Eigenvalue(eta=eta, nodes=k,
                               convergence_width=max(gap, 4 * math.ulp(eta)))
@@ -464,61 +452,3 @@ def validate_oscillator(k: int, l: int,
         raise ValueError(f"the spectrum holds no level with {k} nodes")
     state = oscillator_state(k, l)
     return _record(state, spectrum, residual(state, coulomb_a=0.0))
-
-
-# ---------------------------------------------------------------------------
-# Exact dense determinant cross-check
-# ---------------------------------------------------------------------------
-
-def dense_determinant_check(n: int, l: int, t: Fraction,
-                            convention: str = "table",
-                            ) -> bool:
-    """Expand the n x n tridiagonal matrix directly and compare with D_n.
-
-    Bareiss elimination on the dense matrix (row-swap pivoting on a zero
-    pivot; every division is exact over Q) gives d_n, and the integer
-    recurrence must reproduce D_n(t) = 2^n t^floor(n/2) d_n identically in
-    exact rational arithmetic.
-    """
-    from fractions import Fraction
-
-    from .ratpoly import poly_eval
-    from .termination import build_gamma_factors, determinant_sequence
-
-    if n > 8:
-        raise ValueError("dense check is intended for n <= 8")
-    t = Fraction(t)
-    gammas = build_gamma_factors(n, l, convention)
-    dp = t / 2
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = dp
-        if i + 1 < n:
-            m[i][i + 1] = Fraction(1)
-            c, e = gammas[i]
-            m[i + 1][i] = (c + e / t) / 4
-    direct = _det_bareiss(m)
-    recurrence = poly_eval(determinant_sequence(gammas)[n], t)
-    return recurrence == 2 ** n * t ** (n // 2) * direct
-
-
-def _det_bareiss(m: list[list[Fraction]]) -> Fraction:
-    from fractions import Fraction
-
-    n = len(m)
-    m = [row[:] for row in m]
-    prev = Fraction(1)
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -38,6 +38,11 @@ Each convention is one function of (n, l, p) that returns the pair (c, e)
 of gamma_p, in a table keyed by GammaConvention; the recurrence, the
 coefficient chain and the dense check read only the pairs, so a convention
 is added as one more enum member and table entry.
+
+The dense determinant check (dense_determinant_check) is the recurrence's
+exact-arithmetic cross-check: it expands the n x n matrix by fraction-free
+(Bareiss) elimination in Fraction arithmetic, and D_n must agree with it
+identically.
 """
 
 from __future__ import annotations
@@ -105,6 +110,52 @@ def determinant_sequence(gammas: tuple[tuple[int, int], ...],
             d[i + 1] -= c * a
         seq.append(d)
     return seq
+
+
+def dense_determinant_check(n: int, l: int, t: Fraction,
+                            convention: str = "table") -> bool:
+    """Expand the n x n tridiagonal matrix directly and compare with D_n.
+
+    Bareiss elimination on the dense matrix (row-swap pivoting on a zero
+    pivot; every division is exact over Q) gives d_n, and the integer
+    recurrence must reproduce D_n(t) = 2^n t^floor(n/2) d_n identically in
+    exact rational arithmetic.
+    """
+    if n > 8:
+        raise ValueError("dense check is intended for n <= 8")
+    t = Fraction(t)
+    gammas = build_gamma_factors(n, l, convention)
+    dp = t / 2
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = dp
+        if i + 1 < n:
+            m[i][i + 1] = Fraction(1)
+            c, e = gammas[i]
+            m[i + 1][i] = (c + e / t) / 4
+    direct = _det_bareiss(m)
+    recurrence = rp.poly_eval(determinant_sequence(gammas)[n], t)
+    return recurrence == 2 ** n * t ** (n // 2) * direct
+
+
+def _det_bareiss(m: list[list[Fraction]]) -> Fraction:
+    n = len(m)
+    m = [row[:] for row in m]
+    prev = Fraction(1)
+    sign = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot_row is None:
+                return Fraction(0)
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+            m[i][k] = Fraction(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)

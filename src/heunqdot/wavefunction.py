@@ -11,17 +11,18 @@ and the (unnormalized) radial functions are
 
 Normalization and moments reduce to Gamma integrals
 int_0^inf exp(-mu r^p) r^(nu-1) dr = mu^(-nu/p) Gamma(nu/p) / p with p = 2,
-so only Gamma at integer and half-integer arguments is ever needed; it is
-computed by the exact recursion from Gamma(1/2) = sqrt(pi) and Gamma(1) = 1.
+so only Gamma(m/2) at integer m is ever needed. The sums walk it along m in
+exact integers, (m/2 - 1)! for even m and (m - 2)!! for odd m, each rounded
+to a float once (before the factor sqrt(pi) of odd m).
 A fixed-order quadrature cross-check and a finite-difference residual
 evaluator are provided so no closed form is trusted on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -100,31 +101,6 @@ def assemble_polynomial(n: int, l: int, t_star: float,
     )
 
 
-def gamma_half_integer(z) -> float:
-    """Gamma(z) for z in {1/2, 1, 3/2, 2, ...} by the exact recursion.
-
-    Gamma(1/2) = sqrt(pi), Gamma(1) = 1, Gamma(z+1) = z Gamma(z). Anything
-    that is not a positive integer or half-integer is a domain error; the
-    general Gamma function is never needed here.
-    """
-    z2 = z if isinstance(z, Fraction) else Fraction(z).limit_denominator(2)
-    if z2.denominator > 2 or abs(float(z2) - float(z)) > 1e-12:
-        raise ValueError(f"Gamma argument {z} is not a half-integer")
-    if z2 <= 0:
-        raise ValueError(f"Gamma argument {z} must be positive")
-    if z2.denominator == 1:
-        return float(math.factorial(z2.numerator - 1))
-    # z = k + 1/2: Gamma = (2k)! / (4^k k!) sqrt(pi)
-    k = (z2.numerator - 1) // 2
-    return math.factorial(2 * k) / (4 ** k * math.factorial(k)) * math.sqrt(math.pi)
-
-
-def square_coefficients(y_coeffs) -> np.ndarray:
-    """Coefficients of y^2 by convolution; degree doubles."""
-    y = np.asarray(y_coeffs, dtype=float)
-    return np.convolve(y, y)
-
-
 @dataclass(frozen=True)
 class RadialState:
     """A normalized polynomial state; samplers are pure and shareable."""
@@ -162,9 +138,25 @@ class RadialState:
         return self.N * self.u(r), self.R(r)
 
 
+def _half_gammas():
+    """Gamma(m/2) for m = 1, 2, 3, ..., walked in exact integers:
+    (m/2 - 1)! for even m, and (m - 2)!! for odd m, where
+    Gamma(m/2) = sqrt(pi) (m - 2)!! / 2^((m-1)/2) with the quotient rounded
+    once, by the int/int division. Raises OverflowError past the float
+    range."""
+    even = odd = 1
+    for m in itertools.count(1):
+        if m % 2:
+            yield odd / 2 ** (m // 2) * math.sqrt(math.pi)
+            odd *= m
+        else:
+            yield float(even)
+            even *= m // 2
+
+
 def _gamma_sum(solution: PolynomialSolution, k: int) -> float:
-    """int_0^inf r^k u^2 dr = (1/2) sum_j c_j t^(2(l+1)+j+k) Gamma(l+1+(j+k)/2),
-    with c_j the coefficients of y^2.
+    """int_0^inf r^k u^2 dr = (1/2) sum_j c_j t^m Gamma(m/2),
+    m = 2(l+1)+j+k, with c_j the coefficients of y^2.
 
     The terms alternate in sign and can grow far past their sum, so the sum
     carries a roundoff of about 2^-53 sum_j |term_j|. Raises
@@ -172,14 +164,15 @@ def _gamma_sum(solution: PolynomialSolution, k: int) -> float:
     roundoff exceeds GAMMA_SUM_MAX_ERROR of the sum (at omega = 0.02 and
     l = 0 from n = 27 on).
     """
-    c = square_coefficients(solution.y_coeffs)
+    c = np.convolve(solution.y_coeffs, solution.y_coeffs)
     t = solution.t_star
     l = solution.l
+    m0 = 2 * (l + 1) + k
+    gammas = itertools.islice(_half_gammas(), m0 - 1, None)
     acc = size = 0.0
     try:
-        for j, cj in enumerate(c):
-            nu = Fraction(2 * l + 2 + j + k, 2)  # l+1+(j+k)/2
-            term = cj * t ** (2 * (l + 1) + j + k) * gamma_half_integer(nu)
+        for m, cj in enumerate(c, m0):
+            term = cj * t ** m * next(gammas)
             acc += term
             size += abs(term)
     except OverflowError:  # a power of t or Gamma value past the float range

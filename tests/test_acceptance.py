@@ -15,9 +15,13 @@ import pytest
 
 from heunqdot.cli import main
 from heunqdot.model import RadialProblem, effective_potential_term
-from heunqdot.oracle import ShootingConfig, dense_determinant_check, solve_eigen
+from heunqdot.oracle import ShootingConfig, solve_eigen
 from heunqdot.report import build_report
-from heunqdot.termination import GammaConvention, solve_termination
+from heunqdot.termination import (
+    GammaConvention,
+    dense_determinant_check,
+    solve_termination,
+)
 from heunqdot.wavefunction import (
     PolynomialSolution,
     assemble_polynomial,

@@ -307,12 +307,15 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
     # the rest when it is called
     ("heunqdot.oracle",
      ("heunqdot.termination", "heunqdot.ratpoly", "heunqdot.wavefunction",
-      "fractions"),
-     "from fractions import Fraction\n"
+      "fractions", "logging"),
      "from heunqdot import oracle\n"
-     "assert oracle.validate_oscillator(1, 1).classification == 'CONFIRMED'\n"
-     "assert oracle.dense_determinant_check(3, 0, Fraction(2))\n"),
-    ("heunqdot.termination", ("numpy",), ""),
+     "assert oracle.validate_oscillator(1, 1).classification == 'CONFIRMED'\n"),
+    # the exact root stack, dense determinant check included, runs without
+    # numpy
+    ("heunqdot.termination", ("numpy",),
+     "from fractions import Fraction\n"
+     "from heunqdot import termination\n"
+     "assert termination.dense_determinant_check(3, 0, Fraction(2))\n"),
     ("heunqdot", tuple(sorted(f"heunqdot.{p.stem}"
                               for p in (_SRC / "heunqdot").glob("*.py")
                               if p.stem != "__init__")), ""),

@@ -1,5 +1,5 @@
+import contextlib
 import functools
-import logging
 import math
 from fractions import Fraction
 
@@ -17,14 +17,17 @@ from heunqdot.oracle import (
     NEAR,
     NoEigenvalueError,
     ShootingConfig,
-    dense_determinant_check,
     oscillator_state,
     solve_eigen,
     validate_oscillator,
     validate_root,
 )
 from heunqdot.report import build_report
-from heunqdot.termination import GammaConvention, solve_termination
+from heunqdot.termination import (
+    GammaConvention,
+    dense_determinant_check,
+    solve_termination,
+)
 from heunqdot.wavefunction import assemble_polynomial, normalize
 
 F = Fraction
@@ -537,7 +540,8 @@ class TestLattice:
         """The basis is read-only, and the matrix of size n that
         _galerkin_matrix rebuilds from it is bitwise the one the solve hands
         to eigvalsh, Coulomb term on and off. node_target is set so that
-        the size ladder reaches n."""
+        the size ladder reaches n; at 60 and 90 it runs out and the solve
+        raises, after every matrix has gone to eigvalsh."""
         basis = oracle._basis(oracle._top(n), l)
         for v in basis:
             assert not v.flags.writeable
@@ -547,7 +551,8 @@ class TestLattice:
             counting = _CountingLinalg(oracle.linalg)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(oracle, "linalg", counting)
-                solve_eigen(problem, config, coulomb_on=coulomb_on)
+                with contextlib.suppress(NoEigenvalueError):
+                    solve_eigen(problem, config, coulomb_on=coulomb_on)
             solved = {a.shape[0] - 1: a for _, (a,), _, _ in counting.calls}
             assert np.array_equal(solved[n],
                                   _galerkin_matrix(problem, n, coulomb_on))
@@ -702,17 +707,15 @@ class TestHighL:
     @pytest.mark.parametrize("omega, node_target", [
         (18.192771205186894, 9), (79.7985484355881, 5),
         (0.006301949587185644, 11), (0.00028008992560490053, 11)])
-    def test_self_convergence_gate_at_l0(self, omega, node_target, caplog):
+    def test_self_convergence_gate_at_l0(self, omega, node_target):
         """The four cases of a 4 300-case random sweep (log10 omega uniform in
         [-4, 2], l <= 10, node_target <= 12) at which a size ladder whose
         eigenvalue roundoff grew with the size to 1e-10 never met the 1e-11
-        gate, logged "not self-converged" and missed the spectrum by up to
-        1.2e-10."""
-        with caplog.at_level(logging.WARNING, logger="heunqdot.oracle"):
-            res = solve_eigen(RadialProblem(omega=omega, l=0),
-                              ShootingConfig(node_target=node_target),
-                              coulomb_on=False)
-        assert not caplog.records
+        gate and missed the spectrum by up to 1.2e-10; such a ladder now
+        raises NoEigenvalueError."""
+        res = solve_eigen(RadialProblem(omega=omega, l=0),
+                          ShootingConfig(node_target=node_target),
+                          coulomb_on=False)
         assert [e.nodes for e in res.eigenvalues] == list(range(node_target + 1))
         for k, e in enumerate(res.eigenvalues):
             exact = omega * (2 * k + 1)
@@ -732,29 +735,33 @@ class TestHighL:
 
 class TestWideRange:
     """With the node counts taken from the Ritz index, nothing but the
-    size of the largest basis that a larger one checks bounds the states a
-    solve can return."""
+    self-convergence of the size ladder bounds the states a solve can
+    return."""
 
     @pytest.mark.parametrize("l", [0, 2, 5, 10, 15])
     @pytest.mark.parametrize("omega", [1e-4, 1e-2, 1.0, 1e2])
-    def test_oscillator_levels_to_node_target_40(self, omega, l, caplog):
-        with caplog.at_level(logging.WARNING, logger="heunqdot.oracle"):
-            res = solve_eigen(RadialProblem(omega=omega, l=l),
-                              ShootingConfig(node_target=40),
-                              coulomb_on=False)
-        # the index is the node count only for self-converged values
-        assert not caplog.records
+    def test_oscillator_levels_to_node_target_40(self, omega, l):
+        # a solve that returns has self-converged, and only then is the
+        # index the node count
+        res = solve_eigen(RadialProblem(omega=omega, l=l),
+                          ShootingConfig(node_target=40),
+                          coulomb_on=False)
         assert [e.nodes for e in res.eigenvalues] == list(range(41))
         for k, e in enumerate(res.eigenvalues):
             exact = omega * (2 * k + l + 1)
             assert abs(e.eta - exact) <= 1e-11 * exact, (k, e)
 
-    @pytest.mark.parametrize("node_target", [91, 136])
+    @pytest.mark.parametrize("node_target", [70, 90, 91, 136])
     def test_request_beyond_largest_basis_raises(self, node_target):
-        """The largest basis, of degree 135, has no larger size to converge
-        against, so the 91 states of size 90 are the most a solve checks."""
+        """A solve whose ladder runs out before two sizes agree raises. At
+        node_target 70 and 90 the sizes 90 and 135 still disagree; the
+        largest basis, of degree 135, has no larger size to converge
+        against, so more than the 91 states of size 90 never agree."""
         assert oracle.GALERKIN_SIZES[-2:] == (90, 135)
-        with pytest.raises(NoEigenvalueError, match="holds 91"):
+        with pytest.raises(NoEigenvalueError,
+                           match=f"^{node_target + 1} states not "
+                                 "self-converged by Galerkin size 135: "
+                                 "relative gap "):
             solve_eigen(RadialProblem(omega=1.0, l=2),
                         ShootingConfig(node_target=node_target),
                         coulomb_on=False)

@@ -288,7 +288,7 @@ class TestCoefficientChain:
 
 class TestBruteForceEquivalence:
     def test_recurrence_equals_dense_expansion(self):
-        from heunqdot.oracle import dense_determinant_check
+        from heunqdot.termination import dense_determinant_check
         rng = random.Random(11)
         for n in range(1, 7):
             for l in (0, 2):
@@ -297,7 +297,7 @@ class TestBruteForceEquivalence:
                     assert dense_determinant_check(n, l, t)
 
     def test_literal_convention_also_consistent(self):
-        from heunqdot.oracle import dense_determinant_check
+        from heunqdot.termination import dense_determinant_check
         assert dense_determinant_check(4, 1, F(7, 2), LITERAL)
 
 

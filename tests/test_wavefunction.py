@@ -4,22 +4,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.special import gamma as scipy_gamma
 
 from heunqdot.termination import coefficient_chain, solve_termination
 from heunqdot.wavefunction import (
     FloatRangeError,
     PolynomialSolution,
+    _gamma_sum,
     assemble_polynomial,
-    gamma_half_integer,
     moment,
     moment_quad,
     norm_integral_closed,
     norm_integral_quad,
     normalize,
     residual,
-    square_coefficients,
 )
 
 
@@ -88,30 +86,21 @@ class TestAssembly:
             assemble_polynomial(2, 0, -1.0)
 
 
-class TestGammaHalfInteger:
-    def test_half(self):
-        assert gamma_half_integer(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
-    def test_integer(self):
-        assert gamma_half_integer(3) == 2.0
-
-    def test_five_halves(self):
-        assert gamma_half_integer(2.5) == pytest.approx(3 * math.sqrt(math.pi) / 4,
-                                                        rel=1e-15)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gamma_half_integer(0.3)
-        with pytest.raises(ValueError):
-            gamma_half_integer(0)
-        with pytest.raises(ValueError):
-            gamma_half_integer(-0.5)
-
-    @given(st.integers(1, 30))
-    def test_matches_scipy_on_half_integers(self, k):
-        z = Fraction(k, 2)
-        assert gamma_half_integer(z) == pytest.approx(scipy_gamma(float(z)),
-                                                      rel=1e-13)
+class TestGammaSum:
+    def test_monomials_match_scipy_gamma(self):
+        """For y = r^j the sum has one term, (1/2) t^m Gamma(m/2) with
+        m = 2(l+1)+2j+k, so k = 0..3 takes both parities of m."""
+        t = 0.8
+        for l in range(4):
+            for j in range(41):
+                sol = PolynomialSolution(
+                    n=j, l=l, t_star=t, omega=1 / t ** 2, eta=1.0,
+                    y_coeffs=(0.0,) * j + (1.0,), A_chain=(1.0,),
+                    effective_degree=j)
+                for k in range(4):
+                    m = 2 * (l + 1) + 2 * j + k
+                    assert _gamma_sum(sol, k) == pytest.approx(
+                        0.5 * t ** m * scipy_gamma(m / 2), rel=1e-13), (l, j, k)
 
 
 class TestSquareExpansion:
@@ -130,13 +119,6 @@ class TestSquareExpansion:
             D * D + 2 * C * E, 2 * D * E, E * E,
         ]
         assert conv == printed
-
-    def test_matches_numpy_convolution(self):
-        y = (1.0, -2.5, 0.75)
-        c = square_coefficients(y)
-        assert c[0] == 1.0
-        assert len(c) == 5
-        assert c[2] == pytest.approx((-2.5) ** 2 + 2 * 0.75)
 
 
 class TestNormalization:
