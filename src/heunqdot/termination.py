@@ -222,11 +222,8 @@ def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13) -> RootSet:
                           refinement_width=float(hi - lo),
                           bracket=(float(lo), float(hi))))
     roots.sort(key=lambda r: r.t_star)
-    n_complex = len(poly) - 1 - len(roots) - n_neg
-    if n_neg or n_complex:
-        log.info("discarded %d negative and %d complex roots", n_neg, n_complex)
     return RootSet(roots=tuple(roots), negative_root_count=n_neg,
-                   complex_root_count=n_complex)
+                   complex_root_count=len(poly) - 1 - len(roots) - n_neg)
 
 
 def coefficient_chain(n: int, l: int, t_star: float | Fraction,

@@ -74,7 +74,8 @@ class TestRoots:
         assert (a / "tables.csv").read_bytes() == (b / "tables.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["roots", "tables", "moments", "validate"])
+@pytest.mark.parametrize("command", ["roots", "spectrum", "tables", "moments",
+                                     "validate"])
 def test_default_grid_matches_golden_file(tmp_path, command):
     # tests/golden holds the default-grid files written before the states
     # were shared between sections; any byte that moves is a change in the
@@ -257,13 +258,31 @@ class TestConfigPrecedence:
          "n=60, l=0, omega=0.001: int r^0 u^2 dr is lost to cancellation"),
         ("", ["wavefunction", "--n", "60", "--l", "0", "--omega", "1e-3"],
          "n=60, l=0, omega=0.001: int r^0 u^2 dr is lost to cancellation"),
+        # a value that does not convert is named with its option
+        ("", ["roots", "--n", "x", "--l", "0"], "bad n 'x'"),
+        ("", ["moments", "--n", "2", "--l", "0", "--k", "a"], "bad k 'a'"),
+        ("precision = abc", ["roots", "--n", "2", "--l", "0"],
+         "bad precision 'abc'"),
+        ("convention = bogus", ["roots", "--n", "2", "--l", "0"],
+         "bad convention 'bogus'"),
+        ("", ["roots", "--n", "5..2", "--l", "0"],
+         "roots requires non-empty n and l ranges"),
+        # the gnuplot script plots csv files only; with json it was a bare plot
+        ("", ["wavefunction", "--n", "2", "--l", "0", "--grid", "0:30:11",
+              "--gnuplot", "--format", "json"],
+         "--gnuplot needs format csv, got json"),
+        ("format = json", ["wavefunction", "--n", "2", "--l", "0", "--grid",
+                           "0:30:11", "--gnuplot"],
+         "--gnuplot needs format csv, got json"),
     ], ids=["format = xml", "--grid foo", "--grid 0:inf:5",
             "--grid 0:1e400:5", "--precision 1e-3",
             "precision = 1e-15", "--n 0", "--l=-1", "--k=-1", "--nr=-1",
             "--omega nan", "--omega inf", "convention =", "format =",
             "moments --n 120", "wavefunction --n 120", "--omega 1e-6",
             "--k 400", "spectrum --n 171", "moments cancellation",
-            "wavefunction cancellation"])
+            "wavefunction cancellation", "--n x", "--k a",
+            "precision = abc", "convention = bogus", "--n 5..2",
+            "--gnuplot --format json", "--gnuplot format = json"])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, line, args,
                                         message):
         conf = tmp_path / "run.conf"
@@ -273,6 +292,7 @@ class TestConfigPrecedence:
         assert stop.value.code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+        assert not list(tmp_path.glob("wavefunction*"))
 
     def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.conf"
@@ -289,6 +309,14 @@ class TestConfigPrecedence:
         monkeypatch.setenv("HEUNQDOT_OUT", str(tmp_path / "envdir"))
         run(["roots", "--n", "2", "--l", "0"])
         assert (tmp_path / "envdir" / "roots.csv").exists()
+
+    def test_env_beats_config_out(self, tmp_path, monkeypatch):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"out = {tmp_path / 'confdir'}\n")
+        monkeypatch.setenv("HEUNQDOT_OUT", str(tmp_path / "envdir"))
+        run(["roots", "--n", "2", "--l", "0", "--config", str(conf)])
+        assert (tmp_path / "envdir" / "roots.csv").exists()
+        assert not (tmp_path / "confdir").exists()
 
     def test_cli_out_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEUNQDOT_OUT", str(tmp_path / "envdir"))
