@@ -129,8 +129,7 @@ class ShootingConfig:
             raise ValueError("node_target must be non-negative")
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
+class Eigenvalue(NamedTuple):
     """One eigenvalue; convergence_width is the N-vs-1.5N self-convergence gap."""
 
     eta: float
@@ -138,8 +137,7 @@ class Eigenvalue:
     convergence_width: float
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """The requested states: eta, node count and convergence width of each."""
 
     eigenvalues: tuple[Eigenvalue, ...]
@@ -318,30 +316,33 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     prev = None
     for n in GALERKIN_SIZES:
         basis = _basis(_top(n), l)
+        m = n + 1
         # eta = omega [(l + 1) I + S/2 + (a/sqrt(omega)) C]
-        block = np.s_[:n + 1, :n + 1]
-        a = (0.5 * w) * basis.stiff[block] + coul_scale * basis.coulomb[block]
-        a.flat[::n + 2] += (l + 1) * w
-        etas = linalg.eigvalsh(a)[:count]
+        a = basis.stiff[:m, :m] * (0.5 * w)
+        a += basis.coulomb[:m, :m] * coul_scale
+        # a is a new C-ordered array, so ravel is a view and [::m + 1] its
+        # diagonal
+        a.ravel()[::m + 1] += (l + 1) * w
+        etas = linalg.eigvalsh(a)[:count].tolist()
         # consecutive sizes keep the same number of values only once both
         # hold all count of them
         if prev is not None and len(prev) == len(etas):
-            gaps = np.abs(etas - prev)
+            gaps = [abs(eta - p) for eta, p in zip(etas, prev)]
         else:
-            gaps = np.full(len(etas), np.inf)
-        if np.all(gaps <= SELF_CONVERGENCE_RTOL * np.abs(etas)):
+            gaps = [math.inf] * len(etas)
+        if all(gap <= SELF_CONVERGENCE_RTOL * abs(eta)
+               for eta, gap in zip(etas, gaps)):
             break
         prev = etas
     else:
+        worst = max(gap / abs(eta) for eta, gap in zip(etas, gaps))
         raise NoEigenvalueError(
             f"{count} states not self-converged by Galerkin size {n}: "
-            f"relative gap {float(np.max(gaps / np.abs(etas))):.1e}")
+            f"relative gap {worst:.1e}")
 
-    states = tuple(Eigenvalue(eta=eta, nodes=k,
-                              convergence_width=max(gap, 4 * math.ulp(eta)))
-                   for k, (eta, gap) in enumerate(zip(etas.tolist(),
-                                                      gaps.tolist())))
-    return OracleResult(eigenvalues=states)
+    return OracleResult(tuple(
+        Eigenvalue(eta, k, max(gap, 4 * math.ulp(eta)))
+        for k, (eta, gap) in enumerate(zip(etas, gaps))))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +354,7 @@ NEAR = "NEAR"
 DISCREPANT = "DISCREPANT"
 
 
-@dataclass(frozen=True)
-class ValidationRecord:
+class ValidationRecord(NamedTuple):
     n: int
     l: int
     t_star: float
@@ -397,15 +397,17 @@ def validate_root(state: RadialState) -> ValidationRecord:
     """Compare a normalized analytic state at a determinant root with the oracle.
 
     eta_analytic = (n+l+1)/t_star^2 is the state's own eta; the oracle solves
-    the same (omega, l) problem with the Coulomb term on and reports its
-    nearest eigenvalue. The classification thresholds (1e-6 / 1e-2 relative)
+    the same (omega, l) problem with the Coulomb term on, for the states with
+    up to max(6, n) nodes (a state of degree n has at most n), and reports
+    its nearest eigenvalue. The classification thresholds (1e-6 / 1e-2 relative)
     separate machine-level agreement from structural disagreement; they are
     solver policy, not physics.
     """
     from .wavefunction import residual
 
     result = solve_eigen(RadialProblem(omega=state.omega, l=state.l),
-                         ShootingConfig(node_target=6), coulomb_on=True)
+                         ShootingConfig(node_target=max(6, state.solution.n)),
+                         coulomb_on=True)
     return _record(state, result, residual(state))
 
 

@@ -23,7 +23,6 @@ the oracle verdicts the report convention's states, each normalized once.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
 from typing import NamedTuple
 
 from . import __version__
@@ -220,7 +219,7 @@ def _dual_reading_attempts(readings: Readings) -> tuple[list[dict], list[dict]]:
 
 def verdict_row(rec) -> dict:
     """A ValidationRecord as a row, its floats quantized to the output."""
-    d = asdict(rec)
+    d = rec._asdict()
     for k in ("t_star", "eta_analytic", "eta_oracle", "abs_delta", "residual"):
         d[k] = q6(d[k])
     return d

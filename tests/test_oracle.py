@@ -28,7 +28,11 @@ from heunqdot.termination import (
     dense_determinant_check,
     solve_termination,
 )
-from heunqdot.wavefunction import assemble_polynomial, normalize
+from heunqdot.wavefunction import (
+    PolynomialSolution,
+    assemble_polynomial,
+    normalize,
+)
 
 F = Fraction
 
@@ -269,6 +273,55 @@ class TestEigenvectorStep:
         assert sizes == [n + 1 for n in oracle.GALERKIN_SIZES[:len(sizes)]]
         *_, etas = calls[-1]
         assert etas[:len(res.etas)].tolist() == res.etas
+
+
+def _reference_ladder(problem, config, coulomb_on):
+    """The solve by the first-agreeing-pair rule on numpy arrays, each size's
+    matrix rebuilt by _galerkin_matrix: the last size tried, and either the
+    (eta, nodes, convergence_width) of each state or the message of the
+    NoEigenvalueError."""
+    count = config.node_target + 1
+    prev = None
+    for n in oracle.GALERKIN_SIZES:
+        a = _galerkin_matrix(problem, n, coulomb_on)
+        etas = np.linalg.eigvalsh(a)[:count]
+        if prev is not None and len(prev) == len(etas):
+            gaps = np.abs(etas - prev)
+            if np.all(gaps <= oracle.SELF_CONVERGENCE_RTOL * np.abs(etas)):
+                return n, [(float(eta), k, max(float(gap), 4 * math.ulp(eta)))
+                           for k, (eta, gap) in enumerate(zip(etas, gaps))]
+        prev = etas
+    return n, (f"{count} states not self-converged by Galerkin size {n}: "
+               f"relative gap {np.max(gaps / np.abs(etas)):.1e}")
+
+
+class TestLadder:
+    """solve_eigen's ladder on Python floats against the same rule on numpy
+    arrays: bit-equal eta, node counts and widths."""
+
+    @pytest.mark.parametrize("omega, l, node_target, coulomb_on, size", [
+        (1e-3, 0, 2, False, 18), (1e-2, 1, 8, False, 27),
+        (1e-3, 2, 12, False, 40), (1e-2, 1, 2, True, 18),
+        (1e-3, 2, 5, True, 27), (1e-3, 3, 8, True, 40)])
+    def test_matches_first_agreeing_pair(self, omega, l, node_target,
+                                         coulomb_on, size):
+        problem = RadialProblem(omega=omega, l=l)
+        config = ShootingConfig(node_target=node_target)
+        n, states = _reference_ladder(problem, config, coulomb_on)
+        assert n == size
+        res = solve_eigen(problem, config, coulomb_on=coulomb_on)
+        assert ([(e.eta.hex(), e.nodes, e.convergence_width.hex())
+                 for e in res.eigenvalues]
+                == [(eta.hex(), k, width.hex()) for eta, k, width in states])
+
+    def test_message_when_the_sizes_run_out(self):
+        problem = RadialProblem(omega=1.0, l=2)
+        config = ShootingConfig(node_target=70)
+        n, message = _reference_ladder(problem, config, False)
+        assert n == oracle.GALERKIN_SIZES[-1] and "relative gap " in message
+        with pytest.raises(NoEigenvalueError) as err:
+            solve_eigen(problem, config, coulomb_on=False)
+        assert str(err.value) == message
 
 
 @functools.lru_cache
@@ -822,6 +875,27 @@ class TestValidateRoot:
         assert rec.abs_delta == abs(rec.eta_analytic - rec.eta_oracle)
         assert rec.effective_degree == 1
         assert np.isfinite(rec.residual)
+
+    def test_confirms_exact_states_with_more_than_six_nodes(self):
+        """The eight exact Coulomb-on states with N = 15 and l = 3, their
+        polynomials summed from the b_k recurrence of _exact_states, have
+        0..7 nodes; each is CONFIRMED at its own node count."""
+        N, l = 15, 3
+        states = _exact_states(N, l)
+        assert sorted(nodes for *_, nodes in states) == list(range(8))
+        for omega, eta, nodes in states:
+            t = 1.0 / math.sqrt(omega)
+            b = [0.0, 1.0]
+            for k in range(N):
+                b.append((t * b[-1] - 2 * (N + 1 - k) * b[-2])
+                         / ((k + 1) * (k + 2 * l + 1)))
+            sol = PolynomialSolution(
+                n=N, l=l, t_star=t, omega=omega, eta=eta,
+                y_coeffs=tuple(bk / t ** k for k, bk in enumerate(b[1:])),
+                A_chain=(), effective_degree=N)
+            rec = validate_root(normalize(sol))
+            assert rec.classification == CONFIRMED, (nodes, rec)
+            assert rec.oracle_nodes == nodes
 
     def test_n4_large_root_classified(self):
         roots = solve_termination(4, 0).rootset.roots

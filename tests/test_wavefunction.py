@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
+from heunqdot import oracle
 from heunqdot.termination import coefficient_chain, solve_termination
 from heunqdot.wavefunction import (
     FloatRangeError,
@@ -210,6 +211,29 @@ class TestResidual:
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(ValueError):
             residual(gaussian_state(), np.logspace(-1, 1, 100))
+
+    def test_fine_nonuniform_grid_rejected(self):
+        """Steps of 1e-6 that alternate by 0.8 %: an absolute tolerance of
+        1e-8 in the uniformity check would let them through, and the exact
+        state would read a residual near 1."""
+        r = 0.5 + 1e-6 * np.arange(2001)
+        r[1::2] += 4e-9
+        with pytest.raises(ValueError, match="uniform"):
+            residual(gaussian_state(), r, coulomb_a=0.0)
+
+    def test_default_grid_equals_explicit_grid(self):
+        """The default grid skips the checks a caller's grid goes through;
+        on the 15 states of the dossier (12 roots and the 3 oscillator
+        rows) both paths give bit-identical residuals."""
+        states = [normalize(assemble_polynomial(n, l, root.t_star))
+                  for l in (0, 1) for n in (2, 3, 4, 5)
+                  for root in solve_termination(n, l).rootset.roots]
+        states += [oracle.oscillator_state(k, l)
+                   for k, l in ((0, 0), (1, 0), (1, 1))]
+        assert len(states) == 15
+        for st_ in states:
+            grid = np.linspace(0.1, 12.0 / math.sqrt(st_.omega), 8001)
+            assert residual(st_).hex() == residual(st_, grid).hex()
 
 
 class TestAsymptotics:
