@@ -357,6 +357,8 @@ def resolve(args: argparse.Namespace) -> None:
     check_precision(args.precision)
     if args.command not in ("tables", "report") and (not args.n or not args.l):
         raise ValueError(f"{args.command} requires non-empty n and l ranges")
+    if options.get("k") == []:
+        raise ValueError(f"{args.command} requires a non-empty k list")
     for name, values, low in (("n", options.get("n", []), 1),
                               ("l", options.get("l", []), 0),
                               ("moment power k", options.get("k", []), 0),

@@ -5,16 +5,29 @@ The two-body problem separates into a center-of-mass oscillator of frequency
 omega_R = 2*Omega and a relative-motion problem of frequency omega = Omega/2.
 The relative radial function u(r) obeys
 
-    u'' + [2*eta - 1/r - omega^2 r^2 - (l^2 - 1/4)/r^2] u = 0
+    u'' + [2*eta - 1/r - omega^2 r^2 - (l^2 - 1/4)/r^2] u = 0.
 
-which maps onto the canonical biconfluent Heun equation
+With u = r^(l+1/2) exp(-omega r^2 / 2) y and x = sqrt(omega) r it becomes
+
+    x y'' + (2l + 1 - 2 x^2) y' + [(2 eta/omega - 2l - 2) x - t] y = 0,
+
+t = 1/sqrt(omega), which is the biconfluent Heun equation (Ronveaux, Heun's
+Differential Equations, OUP 1995, part D)
 
     x y'' + (1 + alpha - beta x - 2 x^2) y' +
         [(gamma - alpha - 2) x - (delta + (1 + alpha) beta)/2] y = 0
 
-through u = r^(l+1/2) exp(-omega r^2 / 2) y, x = sqrt(omega) r.  The exponent
-branch is fixed to l + 1/2 (regular at the origin); the other branch is
-rejected and not configurable.
+with alpha = 2l, beta = 0, gamma = 2 eta/omega and delta = 2t. A polynomial
+y of degree N needs gamma - alpha - 2 = 2N, that is eta = (N + l + 1) omega,
+and its coefficients y = sum c_k x^k follow
+
+    (k + 1)(k + 2l + 1) c_(k+1) = t c_k - 2(N + 1 - k) c_(k-1),
+
+so c_(N+1) = 0 is the condition on t. The published condition
+(termination) differs from it by three exact edits: 1 + alpha = (2l+1)/t
+instead of 2l + 1, every gamma factor multiplied by 4, and one factor
+dropped. The exponent branch is fixed to l + 1/2 (regular at the origin);
+the other branch is rejected and not configurable.
 
 Note on the center-of-mass energy: the separated CM eigenvalue equation can be
 read with either epsilon or 2*epsilon on the right-hand side depending on how
@@ -72,34 +85,6 @@ class RadialProblem:
             raise ValueError("omega must be finite and positive")
         if self.l < 0 or int(self.l) != self.l:
             raise ValueError("l must be a non-negative integer")
-
-
-@dataclass(frozen=True)
-class HeunParams:
-    """The four canonical parameters."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-
-def map_to_heun(problem: RadialProblem, eta: float) -> HeunParams:
-    """Map (omega, l, eta) to the canonical parameter set.
-
-    alpha = (2l+1) sqrt(omega) - 1, beta = 0,
-    gamma = 2 eta / omega + (2l+1)(sqrt(omega) - 1), delta = -1/sqrt(omega).
-    The combination gamma - alpha - 2 collapses to 2 eta/omega - 2l - 2.
-    """
-    w = problem.omega  # finite and positive: RadialProblem checks it
-    sw = math.sqrt(w)
-    tl = 2 * problem.l + 1
-    return HeunParams(
-        alpha=tl * sw - 1,
-        beta=0.0,
-        gamma=2 * eta / w + tl * (sw - 1),
-        delta=-1 / sw,
-    )
 
 
 def energy_relative(n: int, l: int, omega: float) -> float:

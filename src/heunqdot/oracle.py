@@ -35,17 +35,20 @@ once n >= 2 node_target, so the solve is exact. The
 p_j have no closed form: their recurrence comes from the discretized
 Stieltjes procedure (Gautschi, Orthogonal Polynomials: Computation and
 Approximation, OUP 2004, 2.2) on a Gauss-Legendre rule mapped to an interval
-[0, X] that grows with the highest degree. The same pass carries p_j and
-p_j' at the nodes of that discrete measure, which integrates S and C from
-them, so the basis is built in one pass. The size n is chosen by
+[0, X] that grows with the highest degree. The procedure runs the
+three-term recurrence itself, with no reorthogonalization: the p_j stay
+orthonormal under the discrete measure to 1.0e-14 for l <= 15. The same
+pass carries p_j and p_j' at the nodes of that measure, which integrates S
+and C from them, so the basis is built in one pass. The size n is chosen by
 self-convergence (n against 1.5n).
 
 The p_j do not depend on where the basis is cut, so the basis is nested:
 the matrices of size n are the leading (n+1) x (n+1) blocks of those of any
 larger size. The sizes therefore come in groups, each served by one basis
 per l built at the group's top (BASIS_TOPS): one Gauss rule, and one build
-of the recurrence with the pair (S, C), of which every size of the group
-reads the leading block. Within a group the eigenvalues can only fall from
+of the recurrence with the pair (S, C). A solve forms one Galerkin matrix
+per group it reaches, at the group's top, and every size of the group
+solves its leading block. Within a group the eigenvalues can only fall from
 one size to the next (Cauchy interlacing), so the self-convergence gap is a
 one-sided bound.
 
@@ -244,41 +247,49 @@ def _basis(top: int, l: int) -> _Basis:
 
     The recurrence has no closed form. The discretized Stieltjes procedure
     (Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP
-    2004, 2.2) computes it, carrying the polynomials as vectors
-    q_j = sqrt(lambda) p_j at the nodes, lambda = w x^(2l+1) the weights of
-    the measure, each orthogonalized twice against all earlier ones so that
-    roundoff does not accumulate. The same pass carries dq_j = sqrt(lambda)
-    p_j' by the derivative of the recurrence, so S = dq dq^T and
-    C = (q/sqrt(x)) (q/sqrt(x))^T. The first n and n + 1 coefficients and
-    the leading (n+1) x (n+1) blocks of S and C are the basis of any size
-    n <= top. Read-only, because the cache hands it to every caller.
+    2004, 2.2) computes it by the three-term recurrence itself,
+
+        b_{j+1} p_{j+1} = (x - a_j) p_j - b_j p_{j-1},
+        b_{j+1} p_{j+1}' = (x - a_j) p_j' + p_j - b_j p_{j-1}',
+
+    with a_j and b_{j+1} the inner products of x p_j p_j and of the new
+    p_{j+1} with itself under the weights lambda = w x^(2l+1) of the
+    measure. p_j and p_j' share one array, so that one step advances both,
+    and they stay unscaled. No vector is orthogonalized against the earlier
+    ones: the Gram matrix of the p_j under lambda is the identity to 1.0e-14
+    for every l <= 15 at both BASIS_TOPS (tests/test_oracle.py). At the end
+    the rows are scaled in place, p_j' by sqrt(lambda) and p_j by
+    sqrt(lambda/x), and S and C are their Gram products, so both are exactly
+    symmetric. The first n and n + 1 coefficients and the leading
+    (n+1) x (n+1) blocks of S and C are the basis of any size n <= top.
+    Read-only, because the cache hands it to every caller.
     """
     x, w = _measure(top)
     lam = w * x ** (2 * l + 1)
+    lam_x = lam * x
     a = np.empty(top)
     b = np.empty(top + 1)
-    q = np.empty((top + 1, len(x)))
-    dq = np.empty_like(q)
+    # pp[j, 0] = p_j and pp[j, 1] = p_j' at the nodes
+    pp = np.empty((top + 1, 2, len(x)))
     b[0] = math.sqrt(lam.sum())
-    q[0] = np.sqrt(lam) / b[0]
-    dq[0] = 0.0
+    pp[0, 0] = 1.0 / b[0]
+    pp[0, 1] = 0.0
     for j in range(top):
-        z = x * q[j]
-        a[j] = q[j] @ z
-        for _ in range(2):
-            z -= q[:j + 1].T @ (q[:j + 1] @ z)
-        b[j + 1] = math.sqrt(z @ z)
-        q[j + 1] = z / b[j + 1]
-        # b_{j+1} p_{j+1}' = (x - a_j) p_j' + p_j - b_j p_{j-1}'
-        dz = dq[j + 1]
-        np.subtract(x, a[j], out=dz)
-        dz *= dq[j]
-        dz += q[j]
+        p = pp[j, 0]
+        a[j] = lam_x @ (p * p)
+        z = pp[j + 1]
+        np.multiply(pp[j], x - a[j], out=z)
         if j:
-            dz -= b[j] * dq[j - 1]
-        dz /= b[j + 1]
-    q /= np.sqrt(x)
-    basis = _Basis(a, b, dq @ dq.T, q @ q.T)
+            z -= b[j] * pp[j - 1]
+        z[1] += p
+        b[j + 1] = math.sqrt(lam @ (z[0] * z[0]))
+        z /= b[j + 1]
+    p, dp = pp[:, 0], pp[:, 1]
+    root = np.sqrt(lam)
+    dp *= root
+    root /= np.sqrt(x)
+    p *= root
+    basis = _Basis(a, b, dp @ dp.T, p @ p.T)
     for v in basis:
         v.setflags(write=False)
     return basis
@@ -298,8 +309,9 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     Gaussian-weighted half-range basis (see the module docstring), one
     eigensolve per size in GALERKIN_SIZES, until the eigenvalues agree
     between consecutive sizes (the gap becomes each eigenvalue's
-    convergence_width). Each size reads the leading blocks of the basis
-    built at the top of its group (BASIS_TOPS). The k-th lowest value has
+    convergence_width). The matrix is formed once per group (BASIS_TOPS),
+    at the group's top, from the basis built there, and each size solves
+    its leading (n+1) x (n+1) block. The k-th lowest value has
     k nodes (the Ritz index; see the module docstring). Raises
     NoEigenvalueError, with the count, the last size and its relative gap,
     when the last size is reached without two consecutive sizes agreeing;
@@ -314,16 +326,21 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     coul_scale = problem.coulomb_a * math.sqrt(w) if coulomb_on else 0.0
     count = config.node_target + 1
     prev = None
+    top = -1
     for n in GALERKIN_SIZES:
-        basis = _basis(_top(n), l)
+        if n > top:
+            # the Galerkin matrix of the group, whose leading blocks are
+            # those of its sizes:
+            # eta = omega [(l + 1) I + S/2 + (a/sqrt(omega)) C]
+            top = _top(n)
+            basis = _basis(top, l)
+            a = basis.stiff * (0.5 * w)
+            a += basis.coulomb * coul_scale
+            # a is a new C-ordered array, so ravel is a view and
+            # [::top + 2] its diagonal
+            a.ravel()[::top + 2] += (l + 1) * w
         m = n + 1
-        # eta = omega [(l + 1) I + S/2 + (a/sqrt(omega)) C]
-        a = basis.stiff[:m, :m] * (0.5 * w)
-        a += basis.coulomb[:m, :m] * coul_scale
-        # a is a new C-ordered array, so ravel is a view and [::m + 1] its
-        # diagonal
-        a.ravel()[::m + 1] += (l + 1) * w
-        etas = linalg.eigvalsh(a)[:count].tolist()
+        etas = linalg.eigvalsh(a[:m, :m])[:count].tolist()
         # consecutive sizes keep the same number of values only once both
         # hold all count of them
         if prev is not None and len(prev) == len(etas):

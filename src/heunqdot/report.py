@@ -233,7 +233,13 @@ CAVEATS = [
             "for the subdiagonal factors disagree by an index shift. The "
             "'table' convention (gamma_1 = 2n(1+alpha), shifted factors from "
             "p = 2) reproduces the published root tables; the 'literal' "
-            "reading is computed alongside for comparison."),
+            "reading is computed alongside for comparison. Both are exact "
+            "edits of the radial equation's own condition for a polynomial "
+            "of degree n, whose factors are 4 gamma_q = 2q(n+1-q)(q+2l), "
+            "q = 1..n: with (2l+1)/t replaced by 2l+1, every published "
+            "4 gamma is 4 times one of them, and the list drops one, q = 2 "
+            "for 'table' and q = n for 'literal' (checked in integers for "
+            "n <= 60, l <= 5)."),
     },
     {
         "id": "omega-reading-ambiguity",
@@ -316,8 +322,14 @@ CAVEATS = [
             "but it classifies every analytic root state as DISCREPANT "
             "(few-percent energy offsets, order-one ODE residuals). The "
             "termination machinery is internally consistent (exact "
-            "dense-determinant agreement), so the discrepancy lies between "
-            "the termination condition and the radial equation itself."),
+            "dense-determinant agreement). The discrepancy is the published "
+            "condition itself, which is the radial equation's own condition "
+            "with three exact edits: an omega-dependent "
+            "1 + alpha = (2l+1)/t in place of 2l+1, every gamma multiplied "
+            "by 4, and one factor dropped (see gamma-index-conventions). "
+            "With the factor dropped, the n x n determinant makes A_n "
+            "vanish, so the chain has degree n-1 while eta = (n+l+1) omega "
+            "is the equation's eta for degree n."),
     },
 ]
 

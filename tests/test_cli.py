@@ -267,6 +267,10 @@ class TestConfigPrecedence:
          "bad convention 'bogus'"),
         ("", ["roots", "--n", "5..2", "--l", "0"],
          "roots requires non-empty n and l ranges"),
+        ("", ["moments", "--n", "2", "--l", "0", "--k", ","],
+         "moments requires a non-empty k list"),
+        ("", ["moments", "--n", "2", "--l", "0", "--k", ""],
+         "moments requires a non-empty k list"),
         # the gnuplot script plots csv files only; with json it was a bare plot
         ("", ["wavefunction", "--n", "2", "--l", "0", "--grid", "0:30:11",
               "--gnuplot", "--format", "json"],
@@ -282,6 +286,7 @@ class TestConfigPrecedence:
             "--k 400", "spectrum --n 171", "moments cancellation",
             "wavefunction cancellation", "--n x", "--k a",
             "precision = abc", "convention = bogus", "--n 5..2",
+            "--k ,", "--k ''",
             "--gnuplot --format json", "--gnuplot format = json"])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, line, args,
                                         message):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,51 +11,20 @@ from heunqdot.model import (
     energy_center_of_mass,
     energy_relative,
     map_magnetic,
-    map_to_heun,
     total_energy,
 )
 
 
-class TestHeunMapping:
-    def test_unit_frequency_collapses(self):
-        p = map_to_heun(RadialProblem(omega=1.0, l=0), eta=0.37)
-        assert p.alpha == 0.0
-        assert p.beta == 0.0
-        assert p.delta == -1.0
-
-    def test_quarter_frequency_l1(self):
-        p = map_to_heun(RadialProblem(omega=0.25, l=1), eta=0.75)
-        assert p.alpha == pytest.approx(0.5)
-        assert p.delta == pytest.approx(-2.0)
-        assert p.gamma == pytest.approx(4.5)
-
-    def test_tabulated_root_frequency(self):
-        t = 2.5198
-        p = map_to_heun(RadialProblem(omega=1 / t ** 2, l=0), eta=0.4725)
-        assert p.alpha == pytest.approx(1 / t - 1, abs=1e-9)
-        assert p.delta == pytest.approx(-t, abs=1e-9)
-
-    def test_rejects_bad_omega(self):
-        with pytest.raises(ValueError):
-            RadialProblem(omega=0.0, l=0)
-        with pytest.raises(ValueError):
-            RadialProblem(omega=-1.0, l=0)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite and positive"):
-                RadialProblem(omega=bad, l=0)
-            with pytest.raises(ValueError, match="finite and positive"):
-                SystemConfig(bad)
-
-    @given(st.floats(1e-4, 10.0), st.integers(0, 4),
-           st.floats(1e-6, 10.0))
-    def test_parameter_identity(self, omega, l, eta):
-        """gamma - alpha - 2 == 2 eta/omega - 2l - 2 to machine precision."""
-        p = map_to_heun(RadialProblem(omega=omega, l=l), eta)
-        lhs = p.gamma - p.alpha - 2
-        rhs = 2 * eta / omega - 2 * l - 2
-        tol = max(1e-12, 8 * np.finfo(float).eps * (abs(2 * eta / omega)
-                                                    + 2 * l + 2 + abs(p.gamma)))
-        assert abs(lhs - rhs) <= tol
+def test_rejects_bad_omega():
+    with pytest.raises(ValueError):
+        RadialProblem(omega=0.0, l=0)
+    with pytest.raises(ValueError):
+        RadialProblem(omega=-1.0, l=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RadialProblem(omega=bad, l=0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            SystemConfig(bad)
 
 
 class TestEnergies:

@@ -48,6 +48,20 @@ class TestGammaFactors:
         for n in range(1, 9):
             assert len(build_gamma_factors(n, 2, TABLE)) == n - 1
 
+    @pytest.mark.parametrize("conv", [TABLE, LITERAL])
+    def test_published_list_is_the_odes_edited(self, conv):
+        """Replacing (2l+1)/t by 2l+1 maps each pair (c, e) to c + e. The
+        result is 4 times the radial equation's own factors
+        2q(n+1-q)(q+2l), q = 1..n, with one of them dropped: q = 2 for
+        table and q = n for literal."""
+        for n in range(2, 61):
+            for l in range(6):
+                dropped = 2 if conv is TABLE else n
+                ode = [4 * 2 * q * (n + 1 - q) * (q + 2 * l)
+                       for q in range(1, n + 1) if q != dropped]
+                assert [c + e for c, e in
+                        build_gamma_factors(n, l, conv)] == ode, (n, l)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             build_gamma_factors(0, 0)
