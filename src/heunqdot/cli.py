@@ -304,17 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gnuplot", action="store_true",
                    help="also emit a gnuplot script (format csv only)")
     p = command("moments", cmd_moments, "<r^k> for constructed states")
-    p.add_argument("--k", default="1,2", help="comma list of powers")
+    p.add_argument("--k", default="1,2", help="moment powers, e.g. 1..3")
     omega(p)
     command("validate", cmd_validate, "oracle verdict per root")
     command("tables", cmd_tables, "published-table reproduction rows",
             ranges=False)
     command("report", cmd_report, "full validation dossier (json + text)")
     return parser
-
-
-def _powers(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def resolve(args: argparse.Namespace) -> None:
@@ -337,7 +333,7 @@ def resolve(args: argparse.Namespace) -> None:
             options[key] = env.get(key) or config.get(key) or DEFAULTS[key]
     for key, convert in (("precision", float), ("convention", GammaConvention),
                          ("n", parse_range), ("l", parse_range),
-                         ("k", _powers)):
+                         ("k", parse_range)):
         if key in options:
             try:
                 options[key] = convert(options[key])

@@ -33,28 +33,37 @@ Note on the center-of-mass energy: the separated CM eigenvalue equation can be
 read with either epsilon or 2*epsilon on the right-hand side depending on how
 the 2D oscillator spectrum is normalized; this module follows the printed
 closed form epsilon = omega_R * (n_R + 1) with a single radial-style label n_R.
+
+Every record in the package is a typing.NamedTuple. The four that check
+their values (SystemConfig, RadialProblem, MagneticConfig and
+oracle.ShootingConfig) check in a __new__ over a NamedTuple base, which
+calls and unpickling go through but _make and _replace skip.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SPEED_OF_LIGHT = 137.035999  # a.u.
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class _SystemConfig(NamedTuple):
+    trap_frequency_Omega: float
+    n_R: int
+
+
+class SystemConfig(_SystemConfig):
     """Trap configuration: external frequency Omega and CM quantum number n_R."""
 
-    trap_frequency_Omega: float
-    n_R: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.trap_frequency_Omega < math.inf:
+    def __new__(cls, trap_frequency_Omega: float, n_R: int = 0):
+        if not 0 < trap_frequency_Omega < math.inf:
             raise ValueError("trap frequency Omega must be finite and positive")
-        if self.n_R < 0 or int(self.n_R) != self.n_R:
+        if n_R < 0 or int(n_R) != n_R:
             raise ValueError("n_R must be a non-negative integer")
+        return tuple.__new__(cls, (trap_frequency_Omega, n_R))
 
     @property
     def omega(self) -> float:
@@ -67,8 +76,13 @@ class SystemConfig:
         return 2 * self.trap_frequency_Omega
 
 
-@dataclass(frozen=True)
-class RadialProblem:
+class _RadialProblem(NamedTuple):
+    omega: float
+    l: int
+    coulomb_a: float
+
+
+class RadialProblem(_RadialProblem):
     """One instance of the relative-motion radial equation.
 
     coulomb_a multiplies the 2a/r repulsion (1/2 for the quantum-dot case,
@@ -76,15 +90,14 @@ class RadialProblem:
     alone.
     """
 
-    omega: float
-    l: int
-    coulomb_a: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.omega < math.inf:
+    def __new__(cls, omega: float, l: int, coulomb_a: float = 0.5):
+        if not 0 < omega < math.inf:
             raise ValueError("omega must be finite and positive")
-        if self.l < 0 or int(self.l) != self.l:
+        if l < 0 or int(l) != l:
             raise ValueError("l must be a non-negative integer")
+        return tuple.__new__(cls, (omega, l, coulomb_a))
 
 
 def energy_relative(n: int, l: int, omega: float) -> float:
@@ -117,35 +130,38 @@ def effective_potential_term(r, omega: float, l: int, coulomb_a: float = 0.5):
     return 2 * coulomb_a / r + omega ** 2 * r * r + (l * l - 0.25) / (r * r)
 
 
-@dataclass(frozen=True)
-class MagneticConfig:
+class _MagneticConfig(NamedTuple):
+    omega_0: float
+    B: float
+    m: int
+
+
+class MagneticConfig(_MagneticConfig):
     """Confinement omega_0 plus a homogeneous magnetic field B (a.u.).
 
-    omega_c = B/c, omega_tilde = sqrt(omega_0^2 + (omega_c/2)^2); the mapped
-    radial problem uses omega_tilde/2 and |m|, and the eigenvalue picks up an
-    additive shift m*omega_c/4.
+    omega_c = B/c with c = SPEED_OF_LIGHT, omega_tilde =
+    sqrt(omega_0^2 + (omega_c/2)^2); the mapped radial problem uses
+    omega_tilde/2 and |m|, and the eigenvalue picks up an additive shift
+    m*omega_c/4.
     """
 
-    omega_0: float
-    B: float = 0.0
-    m: int = 0
-    speed_of_light: float = SPEED_OF_LIGHT
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.omega_0 < 0:
+    def __new__(cls, omega_0: float, B: float = 0.0, m: int = 0):
+        if omega_0 < 0:
             raise ValueError("omega_0 must be non-negative")
-        if self.omega_0 == 0 and self.B == 0:
+        if omega_0 == 0 and B == 0:
             raise ValueError("degenerate problem: omega_0 = B = 0")
+        return tuple.__new__(cls, (omega_0, B, m))
 
     @classmethod
-    def from_cyclotron(cls, omega_0: float, omega_c: float, m: int = 0,
-                       speed_of_light: float = SPEED_OF_LIGHT) -> "MagneticConfig":
-        return cls(omega_0=omega_0, B=omega_c * speed_of_light, m=m,
-                   speed_of_light=speed_of_light)
+    def from_cyclotron(cls, omega_0: float, omega_c: float,
+                       m: int = 0) -> MagneticConfig:
+        return cls(omega_0=omega_0, B=omega_c * SPEED_OF_LIGHT, m=m)
 
     @property
     def omega_c(self) -> float:
-        return self.B / self.speed_of_light
+        return self.B / SPEED_OF_LIGHT
 
     @property
     def omega_tilde(self) -> float:

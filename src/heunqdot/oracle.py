@@ -90,7 +90,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -117,19 +116,23 @@ class NoEigenvalueError(RuntimeError):
     states asked for."""
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
+class _ShootingConfig(NamedTuple):
+    node_target: int
+
+
+class ShootingConfig(_ShootingConfig):
     """Eigensolve request: the node_target + 1 lowest states, with node
     counts 0..node_target.
 
     The name is historical and kept only because callers construct it.
     """
 
-    node_target: int = 3
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.node_target < 0:
+    def __new__(cls, node_target: int = 3):
+        if node_target < 0:
             raise ValueError("node_target must be non-negative")
+        return tuple.__new__(cls, (node_target,))
 
 
 class Eigenvalue(NamedTuple):
@@ -455,19 +458,15 @@ def oscillator_spectrum(l: int, node_target: int = 3) -> OracleResult:
 
 
 def validate_oscillator(k: int, l: int,
-                        spectrum: OracleResult | None = None,
-                        ) -> ValidationRecord:
+                        spectrum: OracleResult) -> ValidationRecord:
     """Synthetic cross-check: both solvers on the exactly solvable problem.
 
-    spectrum is the oracle's oscillator_spectrum(l, ...), which several
-    checks at one l can share; by default it is solved here, up to
-    node_target max(3, k).
+    spectrum is the oracle's oscillator_spectrum(l, node_target) with
+    node_target >= k, which several checks at one l can share.
     """
     from .wavefunction import residual
 
-    if spectrum is None:
-        spectrum = oscillator_spectrum(l, max(3, k))
-    elif k >= len(spectrum.eigenvalues):
+    if k >= len(spectrum.eigenvalues):
         raise ValueError(f"the spectrum holds no level with {k} nodes")
     state = oscillator_state(k, l)
     return _record(state, spectrum, residual(state, coulomb_a=0.0))

@@ -8,9 +8,10 @@ the computation itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from importlib import resources
 from types import MappingProxyType
+from typing import NamedTuple
 
 _DATA_FILE = "reference_values.txt"
 
@@ -31,8 +32,7 @@ def _parse(text: str) -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True)
-class ReferenceTables:
+class ReferenceTables(NamedTuple):
     """Typed access to the published tables."""
 
     raw: MappingProxyType
@@ -93,11 +93,7 @@ class ReferenceTables:
         return (self.raw["misc.r_mean_claim.low"], self.raw["misc.r_mean_claim.high"])
 
 
-_cached: ReferenceTables | None = None
-
-
+@functools.cache
 def load_reference() -> ReferenceTables:
-    global _cached
-    if _cached is None:
-        _cached = ReferenceTables.load()
-    return _cached
+    """The published tables, loaded once per process."""
+    return ReferenceTables.load()

@@ -45,6 +45,8 @@ R_MEAN_BRACKET = (1.0, 50.0)  # Bohr; loose sanity bracket for <r>
 PUBLISHED_N = (2, 3, 4, 5)
 PUBLISHED_L = (0, 1)
 PUBLISHED_GRID = tuple((n, l) for l in PUBLISHED_L for n in PUBLISHED_N)
+# the gamma-factor conventions whose roots the dossier sets side by side
+CONVENTIONS = (GammaConvention.TABLE, GammaConvention.LITERAL)
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -341,15 +343,14 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
     ref = load_reference()
     n_values = list(n_values)
     l_values = list(l_values)
-    conventions = (GammaConvention.TABLE, GammaConvention.LITERAL)
-    solved = solve_states([(conv, n, l) for conv in conventions
+    solved = solve_states([(conv, n, l) for conv in CONVENTIONS
                            for l in l_values for n in n_values]
                           + [(convention, n, l) for n, l in PUBLISHED_GRID],
                           precision)
     states = _normalized(solved, convention)
 
     roots_section = []
-    for conv in conventions:
+    for conv in CONVENTIONS:
         for l in l_values:
             for n in n_values:
                 rootset, solutions = solved[(conv, n, l)]
@@ -381,7 +382,7 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
         for n in n_values:
             t_table, t_literal = (
                 [q6(s.t_star) for s in solved[(conv, n, l)].solutions]
-                for conv in conventions)
+                for conv in CONVENTIONS)
             convention_differences.append({
                 "n": n, "l": l,
                 "table_roots": t_table,

@@ -37,7 +37,8 @@ Here 1 + alpha = (2l+1)/t, which couples the factors to the root variable.
 Each convention is one function of (n, l, p) that returns the pair (c, e)
 of gamma_p, in a table keyed by GammaConvention; the recurrence, the
 coefficient chain and the dense check read only the pairs, so a convention
-is added as one more enum member and table entry.
+is added as one more enum member and table entry. The dossier sets the
+conventions of report.CONVENTIONS side by side.
 
 The dense determinant check (dense_determinant_check) is the recurrence's
 exact-arithmetic cross-check: it expands the n x n matrix by fraction-free
@@ -49,8 +50,8 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import ratpoly as rp
 
@@ -158,8 +159,7 @@ def _det_bareiss(m: list[list[Fraction]]) -> Fraction:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class ClearedPolynomial:
+class ClearedPolynomial(NamedTuple):
     """The primitive integer polynomial (ascending powers of t, positive
     leading coefficient, nonzero constant term) with the nonzero roots of the
     determinant d_n, each with its multiplicity."""
@@ -171,16 +171,14 @@ class ClearedPolynomial:
         return len(self.coefficients) - 1
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     t_star: float
     omega: float
     refinement_width: float
     bracket: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     roots: tuple[Root, ...]
     negative_root_count: int = 0
     complex_root_count: int = 0
@@ -256,8 +254,7 @@ def effective_degree(chain) -> int:
     return max(p for p, v in enumerate(chain) if abs(v) >= 1e-9 * amax)
 
 
-@dataclass(frozen=True)
-class TerminationResult:
+class TerminationResult(NamedTuple):
     """End-to-end product for one (n, l, convention)."""
 
     cleared: ClearedPolynomial

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class FloatRangeError(ValueError):
         super().__init__(f"n={n}, l={l}, omega={omega:g}: {what}")
 
 
-@dataclass(frozen=True)
-class PolynomialSolution:
+class PolynomialSolution(NamedTuple):
     """A terminated solution at fixed (n, l, t_star)."""
 
     n: int
@@ -101,8 +100,7 @@ def assemble_polynomial(n: int, l: int, t_star: float,
     )
 
 
-@dataclass(frozen=True)
-class RadialState:
+class RadialState(NamedTuple):
     """A normalized polynomial state; samplers are pure and shareable."""
 
     solution: PolynomialSolution
@@ -246,9 +244,9 @@ def moment_quad(state: RadialState, k: int) -> float:
 # ODE residual of the closed-form u on a grid
 # ---------------------------------------------------------------------------
 
-def residual(state: RadialState, r_grid=None, eta: float | None = None,
-             coulomb_a: float = 0.5) -> float:
-    """max |u'' + (2 eta - 2a/r - w^2 r^2 - (l^2-1/4)/r^2) u| / max |u''|.
+def residual(state: RadialState, r_grid=None, coulomb_a: float = 0.5) -> float:
+    """max |u'' + (2 eta - 2a/r - w^2 r^2 - (l^2-1/4)/r^2) u| / max |u''|,
+    with the state's own eta.
 
     u'' comes from 4th-order central differences of the closed-form u, so the
     returned number measures how well the assembled state actually solves the
@@ -258,8 +256,6 @@ def residual(state: RadialState, r_grid=None, eta: float | None = None,
     touch r = 0.
     """
     sol = state.solution
-    if eta is None:
-        eta = sol.eta
     if r_grid is None:
         # uniform and positive by construction
         r = np.linspace(0.1, 12.0 / math.sqrt(sol.omega), 8001)
@@ -273,6 +269,6 @@ def residual(state: RadialState, r_grid=None, eta: float | None = None,
     u = state.u(r)
     upp = (-u[4:] + 16 * u[3:-1] - 30 * u[2:-2] + 16 * u[1:-3] - u[:-4]) / (12 * h * h)
     ri = r[2:-2]
-    w = 2 * eta - effective_potential_term(ri, sol.omega, sol.l, coulomb_a)
+    w = 2 * sol.eta - effective_potential_term(ri, sol.omega, sol.l, coulomb_a)
     res = upp + w * u[2:-2]
     return float(np.max(np.abs(res)) / np.max(np.abs(upp)))

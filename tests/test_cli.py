@@ -141,6 +141,15 @@ class TestMoments:
         assert k0 == pytest.approx(1.0, abs=1e-10)
         assert k1 == pytest.approx(3.667579, abs=1e-5)
 
+    @pytest.mark.parametrize("k, rows", [("2,1,1", ["1", "2"]),
+                                         ("1..3", ["1", "2", "3"])])
+    def test_powers_parse_as_a_range(self, tmp_path, k, rows):
+        """--k is parsed as --n and --l are: sorted, without repeats."""
+        run(["moments", "--n", "2", "--l", "0", "--k", k,
+             "--out", str(tmp_path)])
+        lines = (tmp_path / "moments.csv").read_text().splitlines()
+        assert [line.split(",")[5] for line in lines[1:]] == rows
+
 
 class TestTables:
     def test_exit_zero_with_mismatches(self, tmp_path):
@@ -334,15 +343,18 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("module, absent, then", [
-    # scipy.special and scipy.integrate would add to every command's start-up
-    ("heunqdot.cli", ("scipy.special", "scipy.integrate"), ""),
+    # scipy.special and scipy.integrate would add to every command's start-up,
+    # and so would dataclasses, whose generated methods cost about 1 ms a class
+    ("heunqdot.cli", ("scipy.special", "scipy.integrate", "dataclasses"), ""),
     # the eigensolve needs numpy and the model only; the verdict layer imports
     # the rest when it is called
     ("heunqdot.oracle",
      ("heunqdot.termination", "heunqdot.ratpoly", "heunqdot.wavefunction",
-      "fractions", "logging"),
+      "fractions", "logging", "dataclasses"),
      "from heunqdot import oracle\n"
-     "assert oracle.validate_oscillator(1, 1).classification == 'CONFIRMED'\n"),
+     "spectrum = oracle.oscillator_spectrum(1)\n"
+     "assert oracle.validate_oscillator(1, 1, spectrum).classification"
+     " == 'CONFIRMED'\n"),
     # the exact root stack, dense determinant check included, runs without
     # numpy
     ("heunqdot.termination", ("numpy",),

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from heunqdot.model import (
     map_magnetic,
     total_energy,
 )
+from heunqdot.oracle import ShootingConfig
 
 
 def test_rejects_bad_omega():
@@ -25,6 +27,31 @@ def test_rejects_bad_omega():
             RadialProblem(omega=bad, l=0)
         with pytest.raises(ValueError, match="finite and positive"):
             SystemConfig(bad)
+
+
+# the records that check their values, each with valid values for its fields
+_CHECKED_RECORDS = {
+    RadialProblem: {"omega": 0.25, "l": 1},
+    SystemConfig: {"trap_frequency_Omega": 0.5, "n_R": 2},
+    MagneticConfig: {"omega_0": 0.2, "B": 10.0, "m": 3},
+    ShootingConfig: {"node_target": 6},
+}
+
+
+@pytest.mark.parametrize("record", _CHECKED_RECORDS, ids=lambda r: r.__name__)
+def test_checked_record_by_position_keyword_and_pickle(record):
+    """A checked record is the same built by position or by keyword, and
+    unpickling rebuilds it through its checks."""
+    fields = _CHECKED_RECORDS[record]
+    by_position = record(*fields.values())
+    assert by_position == record(**fields)
+    assert {name: getattr(by_position, name) for name in fields} == fields
+    again = pickle.loads(pickle.dumps(by_position))
+    assert type(again) is record and again == by_position
+    # a tuple that skipped the checks does not survive the round trip
+    unchecked = tuple.__new__(record, (-1,) * len(record._fields))
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(unchecked))
 
 
 class TestEnergies:

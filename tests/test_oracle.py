@@ -17,6 +17,7 @@ from heunqdot.oracle import (
     NEAR,
     NoEigenvalueError,
     ShootingConfig,
+    oscillator_spectrum,
     oscillator_state,
     solve_eigen,
     validate_oscillator,
@@ -858,7 +859,7 @@ class TestOracleRobustness:
 class TestSyntheticOscillatorCheck:
     def test_polynomial_machinery_confirms_spectrum(self):
         for k, l in ((0, 0), (1, 0), (2, 1)):
-            rec = validate_oscillator(k, l)
+            rec = validate_oscillator(k, l, oscillator_spectrum(l, max(3, k)))
             assert rec.classification == CONFIRMED
             assert rec.residual < 1e-7
 

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from heunqdot import ratpoly as rp
+from heunqdot.report import CONVENTIONS
 from heunqdot.termination import (
     GammaConvention,
     build_gamma_factors,
@@ -145,7 +146,7 @@ def test_squarefree_modulo_the_prime_is_only_a_filter(monkeypatch):
 def test_dossier_never_runs_the_integer_gcd(monkeypatch):
     calls = _counting_gcd(monkeypatch)
     solves = 0
-    for convention in GammaConvention:
+    for convention in CONVENTIONS:
         for n in range(2, 6):
             for l in range(2):
                 solve_termination(n, l, convention)

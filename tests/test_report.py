@@ -48,7 +48,7 @@ def test_report_joins_its_grid_with_the_published_one(solve_calls):
     keys = _keys(solve_calls)
     assert len(set(keys)) == len(keys)
     assert set(keys) == (
-        {(conv, n, l) for conv in GammaConvention
+        {(conv, n, l) for conv in report.CONVENTIONS
          for n in (2, 6) for l in (0, 2)}
         | {(GammaConvention.TABLE, n, l) for n in (2, 3, 4, 5) for l in (0, 1)})
 

@@ -194,7 +194,8 @@ class TestResidual:
         st_ = gaussian_state(l=0)
         grid = np.arange(0.1, 8.0, 1e-3)
         base = residual(st_, grid, coulomb_a=0.0)
-        bumped = residual(st_, grid, eta=1.1, coulomb_a=0.0)
+        bumped_state = st_._replace(solution=st_.solution._replace(eta=1.1))
+        bumped = residual(bumped_state, grid, coulomb_a=0.0)
         assert bumped >= 10 * base
 
     def test_analytic_root_state_residual_recorded(self):
