@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .model import SystemConfig, energy_center_of_mass, total_energy
 from .oracle import validate_root
 from .report import (build_report, build_tables, q6, render_text, solve_states,
                      verdict_row)
@@ -104,8 +103,6 @@ def read_config(path: str | None) -> dict[str, str]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.6e}"
     return str(value)
@@ -156,30 +153,31 @@ def _state_columns(args: argparse.Namespace, sol: PolynomialSolution) -> dict:
             "t_star": q6(sol.t_star), "omega": q6(sol.omega)}
 
 
-def cmd_roots(args: argparse.Namespace) -> list[Path]:
+def cmd_roots(args: argparse.Namespace) -> None:
     rows = [{**_state_columns(args, sol), "eta": q6(sol.eta),
              "effective_degree": sol.effective_degree}
             for sol in _each_state(args)]
     out = _write(args, rows, ROOTS_HEADER, "roots")
     print(f"{len(rows)} roots -> {out}")
-    return [out]
 
 
-def cmd_spectrum(args: argparse.Namespace) -> list[Path]:
+def cmd_spectrum(args: argparse.Namespace) -> None:
     rows = []
     for sol in _each_state(args):
-        config = SystemConfig(trap_frequency_Omega=2 * sol.omega, n_R=args.nr)
-        eps = energy_center_of_mass(config)
+        # trap Omega = 2 omega, centre of mass omega_R = 2 Omega and
+        # epsilon = omega_R (n_R + 1): see the model docstring's CM note
+        Omega = 2 * sol.omega
+        omega_R = 2 * Omega
+        eps = omega_R * (args.nr + 1)
         rows.append({**_state_columns(args, sol), "eta": q6(sol.eta),
-                     "Omega": q6(2 * sol.omega), "omega_R": q6(config.omega_R),
+                     "Omega": q6(Omega), "omega_R": q6(omega_R),
                      "n_R": args.nr, "epsilon_cm": q6(eps),
-                     "E_total": q6(total_energy(eps, sol.eta))})
+                     "E_total": q6(eps + sol.eta)})
     out = _write(args, rows, SPECTRUM_HEADER, "spectrum")
     print(f"{len(rows)} spectrum rows -> {out}")
-    return [out]
 
 
-def cmd_wavefunction(args: argparse.Namespace) -> list[Path]:
+def cmd_wavefunction(args: argparse.Namespace) -> None:
     import numpy as np
 
     r = np.linspace(*args.grid)
@@ -207,12 +205,10 @@ def cmd_wavefunction(args: argparse.Namespace) -> list[Path]:
                           for p in written)
         gp.write_text("set datafile separator ','\nset key autotitle\n"
                       f"set xlabel 'r [Bohr]'\nset ylabel 'R(r)'\nplot {plots}\n")
-        written.append(gp)
         print(f"gnuplot script -> {gp}")
-    return written
 
 
-def cmd_moments(args: argparse.Namespace) -> list[Path]:
+def cmd_moments(args: argparse.Namespace) -> None:
     rows = []
     for sol in _each_state(args):
         state = normalize(sol)
@@ -220,10 +216,9 @@ def cmd_moments(args: argparse.Namespace) -> list[Path]:
                   "value": q6(moment(state, k))} for k in args.k]
     out = _write(args, rows, MOMENTS_HEADER, "moments")
     print(f"{len(rows)} moments -> {out}")
-    return [out]
 
 
-def cmd_validate(args: argparse.Namespace) -> list[Path]:
+def cmd_validate(args: argparse.Namespace) -> None:
     rows = [{**verdict_row(validate_root(normalize(sol))),
              "convention": args.convention.value}
             for sol in _each_state(args)]
@@ -232,19 +227,17 @@ def cmd_validate(args: argparse.Namespace) -> list[Path]:
     for row in rows:
         print(f"  n={row['n']} l={row['l']} t*={row['t_star']:.5f}: "
               f"{row['classification']}")
-    return [out]
 
 
-def cmd_tables(args: argparse.Namespace) -> list[Path]:
+def cmd_tables(args: argparse.Namespace) -> None:
     rows = build_tables(args.convention, args.precision)
     out = _write(args, rows, TABLES_HEADER, "tables")
     n_mismatch = sum(1 for r in rows if r["classification"] == "mismatch")
     print(f"{len(rows)} table rows -> {out} ({n_mismatch} mismatches; "
           "mismatches are report content, not errors)")
-    return [out]
 
 
-def cmd_report(args: argparse.Namespace) -> list[Path]:
+def cmd_report(args: argparse.Namespace) -> None:
     rep = build_report(args.n, args.l, args.convention,
                        precision=args.precision)
     outdir = Path(args.out)
@@ -257,7 +250,6 @@ def cmd_report(args: argparse.Namespace) -> list[Path]:
                  if row["classification"] == "DISCREPANT")
     print(f"report -> {jpath} and {tpath} "
           f"({len(rep['oracle'])} oracle verdicts, {n_disc} discrepant)")
-    return [jpath, tpath]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,11 +33,12 @@ Note on the center-of-mass energy: the separated CM eigenvalue equation can be
 read with either epsilon or 2*epsilon on the right-hand side depending on how
 the 2D oscillator spectrum is normalized; this module follows the printed
 closed form epsilon = omega_R * (n_R + 1) with a single radial-style label n_R.
+The spectrum command applies it.
 
-Every record in the package is a typing.NamedTuple. The four that check
-their values (SystemConfig, RadialProblem, MagneticConfig and
-oracle.ShootingConfig) check in a __new__ over a NamedTuple base, which
-calls and unpickling go through but _make and _replace skip.
+Every record in the package is a typing.NamedTuple. The three that check
+their values (RadialProblem, MagneticConfig and oracle.ShootingConfig) check
+in a __new__ over a NamedTuple base, which calls and unpickling go through
+but _make and _replace skip.
 """
 
 from __future__ import annotations
@@ -46,34 +47,6 @@ import math
 from typing import NamedTuple
 
 SPEED_OF_LIGHT = 137.035999  # a.u.
-
-
-class _SystemConfig(NamedTuple):
-    trap_frequency_Omega: float
-    n_R: int
-
-
-class SystemConfig(_SystemConfig):
-    """Trap configuration: external frequency Omega and CM quantum number n_R."""
-
-    __slots__ = ()
-
-    def __new__(cls, trap_frequency_Omega: float, n_R: int = 0):
-        if not 0 < trap_frequency_Omega < math.inf:
-            raise ValueError("trap frequency Omega must be finite and positive")
-        if n_R < 0 or int(n_R) != n_R:
-            raise ValueError("n_R must be a non-negative integer")
-        return tuple.__new__(cls, (trap_frequency_Omega, n_R))
-
-    @property
-    def omega(self) -> float:
-        """Relative-motion frequency, Omega/2."""
-        return self.trap_frequency_Omega / 2
-
-    @property
-    def omega_R(self) -> float:
-        """Center-of-mass frequency, 2*Omega."""
-        return 2 * self.trap_frequency_Omega
 
 
 class _RadialProblem(NamedTuple):
@@ -98,25 +71,6 @@ class RadialProblem(_RadialProblem):
         if l < 0 or int(l) != l:
             raise ValueError("l must be a non-negative integer")
         return tuple.__new__(cls, (omega, l, coulomb_a))
-
-
-def energy_relative(n: int, l: int, omega: float) -> float:
-    """Relative-motion energy at the quantum condition: eta = (n + l + 1) omega."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if n < 0 or l < 0:
-        raise ValueError("n and l must be non-negative")
-    return (n + l + 1) * omega
-
-
-def energy_center_of_mass(config: SystemConfig) -> float:
-    """CM oscillator energy epsilon = omega_R (n_R + 1)."""
-    return config.omega_R * (config.n_R + 1)
-
-
-def total_energy(epsilon: float, eta: float) -> float:
-    """E_T = epsilon + eta (convenience sum)."""
-    return epsilon + eta
 
 
 def effective_potential_term(r, omega: float, l: int, coulomb_a: float = 0.5):

@@ -37,11 +37,6 @@ class ReferenceTables(NamedTuple):
 
     raw: MappingProxyType
 
-    @classmethod
-    def load(cls) -> "ReferenceTables":
-        text = resources.files(__package__).joinpath(_DATA_FILE).read_text()
-        return cls(raw=MappingProxyType(_parse(text)))
-
     def roots(self, l: int) -> dict[int, tuple[float, ...]]:
         """Published finite roots of 1/sqrt(omega) per state label n."""
         table = "table1" if l == 0 else "table2"
@@ -96,4 +91,5 @@ class ReferenceTables(NamedTuple):
 @functools.cache
 def load_reference() -> ReferenceTables:
     """The published tables, loaded once per process."""
-    return ReferenceTables.load()
+    text = resources.files(__package__).joinpath(_DATA_FILE).read_text()
+    return ReferenceTables(raw=MappingProxyType(_parse(text)))

@@ -26,7 +26,6 @@ import math
 from typing import NamedTuple
 
 from . import __version__
-from .model import energy_relative
 from .oracle import oscillator_spectrum, validate_oscillator, validate_root
 from .reference_data import load_reference
 from .termination import (
@@ -165,9 +164,10 @@ def _table_rows(solved: Solved, readings: Readings,
                          REFERENCE_ONLY))
         rows.append(_row("table3", f"n{n}.eps_int", row["eps_int"], None,
                          REFERENCE_ONLY))
-        computed_roots = [s.t_star for s in solved[(convention, n, 0)].solutions]
-        near = _nearest(computed_roots, pub_first_roots[n][0])
-        eta = energy_relative(n, 0, 1.0 / near ** 2) if near else None
+        pub = pub_first_roots[n][0]
+        near = min(solved[(convention, n, 0)].solutions, default=None,
+                   key=lambda s: abs(s.t_star - pub))
+        eta = near.eta if near is not None else None
         cls = (MATCH if eta is not None and abs(eta - row["eta"]) <= ETA_MATCH_ATOL
                else MISMATCH)
         rows.append(_row("table3", f"n{n}.eta", row["eta"], eta, cls))
@@ -360,8 +360,8 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
                     near = _nearest(list(published), root.t_star)
                     entries.append({
                         "t_star": q6(root.t_star),
-                        "omega": q6(root.omega),
-                        "eta": q6(energy_relative(n, l, root.omega)),
+                        "omega": q6(sol.omega),
+                        "eta": q6(sol.eta),
                         "refinement_width": q6(root.refinement_width),
                         "effective_degree": sol.effective_degree,
                         "trailing_coefficient": q6(sol.A_chain[-1]),

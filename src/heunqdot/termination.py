@@ -173,7 +173,6 @@ class ClearedPolynomial(NamedTuple):
 
 class Root(NamedTuple):
     t_star: float
-    omega: float
     refinement_width: float
     bracket: tuple[float, float]
 
@@ -216,7 +215,6 @@ def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13) -> RootSet:
         lo, hi = rp.refine_root_bisect(poly, lo, hi, precision)
         t_star = float((lo + hi) / 2)
         roots.append(Root(t_star=t_star,
-                          omega=1.0 / (t_star * t_star),
                           refinement_width=float(hi - lo),
                           bracket=(float(lo), float(hi))))
     roots.sort(key=lambda r: r.t_star)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -87,15 +88,24 @@ def test_default_grid_matches_golden_file(tmp_path, command):
 
 class TestSpectrum:
     def test_total_energy_column(self, tmp_path):
-        run(["spectrum", "--n", "2", "--l", "0", "--nr", "0",
-             "--out", str(tmp_path)])
-        header, row = (tmp_path / "spectrum.csv").read_text().splitlines()
-        cols = dict(zip(header.split(","), row.split(",")))
-        omega = float(cols["omega"])
-        # columns are quantized to %.6e independently
-        assert float(cols["omega_R"]) == pytest.approx(4 * omega, rel=1e-6)
-        assert float(cols["E_total"]) == pytest.approx(
-            float(cols["eta"]) + float(cols["epsilon_cm"]), rel=1e-6)
+        # E = eta + epsilon = 3 omega + 4 omega (n_R + 1) at the n = 2, l = 0
+        # root, omega = 2^(-8/3)
+        for n_R, total in ((0, 1.102430), (2, 2.362352)):
+            out = tmp_path / f"nr{n_R}"
+            run(["spectrum", "--n", "2", "--l", "0", "--nr", str(n_R),
+                 "--out", str(out)])
+            header, row = (out / "spectrum.csv").read_text().splitlines()
+            cols = dict(zip(header.split(","), row.split(",")))
+            omega = float(cols["omega"])
+            # columns are quantized to %.6e independently
+            assert int(cols["n_R"]) == n_R
+            assert float(cols["Omega"]) == pytest.approx(2 * omega, rel=1e-6)
+            assert float(cols["omega_R"]) == pytest.approx(4 * omega, rel=1e-6)
+            assert float(cols["epsilon_cm"]) == pytest.approx(
+                4 * omega * (n_R + 1), rel=1e-6)
+            assert float(cols["E_total"]) == pytest.approx(
+                float(cols["eta"]) + float(cols["epsilon_cm"]), rel=1e-6)
+            assert float(cols["E_total"]) == pytest.approx(total, abs=5e-6)
 
 
 class TestWavefunction:
@@ -447,3 +457,34 @@ def test_cli_runs_without_scipy(tmp_path):
     assert lines[0] == "[]"  # loaded by the import
     assert lines[-1] == "[]"  # imports tried by the commands
     assert (tmp_path / "report.json").exists()
+
+
+def test_no_unused_imports_in_src():
+    """Every name a module of the package imports is used in it. A name used
+    only in an annotation (string annotations included) counts as used;
+    from __future__ imports are exempt."""
+    unused = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "heunqdot").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        annotations = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.arg | ast.AnnAssign):
+                annotations.append(node.annotation)
+            elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+                annotations.append(node.returns)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for annotation in filter(None, annotations):
+            for node in ast.walk(annotation):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used |= {name.id for name in ast.walk(ast.parse(node.value, mode="eval"))
+                             if isinstance(name, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused

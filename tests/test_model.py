@@ -7,12 +7,8 @@ from hypothesis import given, strategies as st
 from heunqdot.model import (
     MagneticConfig,
     RadialProblem,
-    SystemConfig,
     effective_potential_term,
-    energy_center_of_mass,
-    energy_relative,
     map_magnetic,
-    total_energy,
 )
 from heunqdot.oracle import ShootingConfig
 
@@ -25,14 +21,11 @@ def test_rejects_bad_omega():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             RadialProblem(omega=bad, l=0)
-        with pytest.raises(ValueError, match="finite and positive"):
-            SystemConfig(bad)
 
 
 # the records that check their values, each with valid values for its fields
 _CHECKED_RECORDS = {
     RadialProblem: {"omega": 0.25, "l": 1},
-    SystemConfig: {"trap_frequency_Omega": 0.5, "n_R": 2},
     MagneticConfig: {"omega_0": 0.2, "B": 10.0, "m": 3},
     ShootingConfig: {"node_target": 6},
 }
@@ -52,32 +45,6 @@ def test_checked_record_by_position_keyword_and_pickle(record):
     unchecked = tuple.__new__(record, (-1,) * len(record._fields))
     with pytest.raises(ValueError):
         pickle.loads(pickle.dumps(unchecked))
-
-
-class TestEnergies:
-    def test_relative_energy_at_table_roots(self):
-        assert energy_relative(2, 0, 1 / 2.5198 ** 2) == pytest.approx(0.4725, abs=5e-5)
-        assert energy_relative(3, 0, 1 / 7.3825 ** 2) == pytest.approx(0.0734, abs=5e-5)
-        assert energy_relative(0, 0, 1.0) == 1.0
-
-    def test_relative_energy_is_exact_product(self):
-        assert energy_relative(3, 2, 0.125) == (3 + 2 + 1) * 0.125
-
-    def test_center_of_mass(self):
-        assert energy_center_of_mass(SystemConfig(1.0)) == 2.0
-        assert energy_center_of_mass(SystemConfig(0.5, n_R=2)) == 3.0
-
-    def test_total_energy_composition(self):
-        omega = 0.157490
-        eta = energy_relative(2, 0, omega)
-        eps = energy_center_of_mass(SystemConfig(2 * omega))
-        assert total_energy(eps, eta) == pytest.approx(1.102430, abs=5e-6)
-
-    def test_rejects_negative_quantum_numbers(self):
-        with pytest.raises(ValueError):
-            energy_relative(-1, 0, 1.0)
-        with pytest.raises(ValueError):
-            SystemConfig(1.0, n_R=-2)
 
 
 class TestMagneticMapping:

@@ -146,7 +146,8 @@ class TestCoulombOn:
         for l in (0, 1):
             for n in (2, 3, 4, 5):
                 for root in solve_termination(n, l).rootset.roots:
-                    res = solve_eigen(RadialProblem(omega=root.omega, l=l),
+                    omega = 1.0 / (root.t_star * root.t_star)
+                    res = solve_eigen(RadialProblem(omega=omega, l=l),
                                       ShootingConfig(node_target=6),
                                       coulomb_on=True)
                     assert [e.nodes for e in res.eigenvalues] == list(range(7))
@@ -243,7 +244,8 @@ class TestEigenvectorStep:
         for l in (0, 1):
             for n in (2, 3, 4, 5):
                 for root in solve_termination(n, l).rootset.roots:
-                    problem = RadialProblem(omega=root.omega, l=l)
+                    omega = 1.0 / (root.t_star * root.t_star)
+                    problem = RadialProblem(omega=omega, l=l)
                     res, size = _accepted(problem, ShootingConfig(node_target=6))
                     a = _galerkin_matrix(problem, size)
                     _, vecs = np.linalg.eigh(a)
@@ -873,7 +875,8 @@ class TestValidateRoot:
     def test_record_fields_populated(self):
         root = solve_termination(2, 0).rootset.roots[0]
         rec = validate_root(normalize(assemble_polynomial(2, 0, root.t_star)))
-        assert rec.eta_analytic == pytest.approx(3 * root.omega)
+        omega = 1.0 / (root.t_star * root.t_star)
+        assert rec.eta_analytic == pytest.approx(3 * omega)
         assert rec.classification in (CONFIRMED, NEAR, DISCREPANT)
         assert rec.abs_delta == abs(rec.eta_analytic - rec.eta_oracle)
         assert rec.effective_degree == 1

@@ -6,12 +6,13 @@ import inspect
 import pytest
 
 from heunqdot import cli, oracle, ratpoly, report, wavefunction
+from heunqdot.reference_data import load_reference
 from heunqdot.termination import (
     GammaConvention,
     coefficient_chain,
     solve_termination,
 )
-from heunqdot.wavefunction import normalize
+from heunqdot.wavefunction import assemble_polynomial, normalize
 
 
 @pytest.fixture
@@ -144,3 +145,42 @@ def test_calibration_deltas_are_roundoff():
     for row in rows:
         assert row["classification"] == "CONFIRMED"
         assert row["abs_delta"] <= 1e-13 * row["eta_analytic"], row
+
+
+def test_report_energies_come_from_the_state(monkeypatch):
+    """The roots section and Table 3 print the omega and eta of each root's
+    state, so a state that carries another eta is printed with that eta."""
+    states = {}
+    sig = inspect.signature(assemble_polynomial)
+
+    def sentinel(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        sol = assemble_polynomial(*args, **kwargs)
+        # an eta that no formula in the program gives
+        sol = sol._replace(eta=sol.eta + 1.0)
+        if bound.arguments["A_chain"] is None:  # a chain state, not printed
+            states[(bound.arguments["convention"], sol.n, sol.l,
+                    report.q6(sol.t_star))] = sol
+        return sol
+
+    monkeypatch.setattr(report, "assemble_polynomial", sentinel)
+    rep = report.build_report()
+    checked = 0
+    for group in rep["roots"]:
+        conv = GammaConvention(group["convention"])
+        for entry in group["roots"]:
+            sol = states[(conv, group["n"], group["l"], entry["t_star"])]
+            assert entry["eta"] == report.q6(sol.eta)
+            assert entry["omega"] == report.q6(sol.omega)
+            checked += 1
+    assert checked == 24                         # 12 roots per convention
+
+    published = load_reference().roots(0)
+    table3 = {row["row_key"]: row for row in rep["tables"]
+              if row["table_id"] == "table3"}
+    for n in report.PUBLISHED_N:
+        near = min((sol for (conv, m, l, _), sol in states.items()
+                    if (conv, m, l) == (GammaConvention.TABLE, n, 0)),
+                   key=lambda sol: abs(sol.t_star - published[n][0]))
+        assert table3[f"n{n}.eta"]["computed_value"] == report.q6(near.eta)

@@ -18,6 +18,7 @@ from heunqdot.termination import (
     printed_series_coefficients,
     solve_termination,
 )
+from heunqdot.wavefunction import assemble_polynomial
 
 F = Fraction
 TABLE = GammaConvention.TABLE
@@ -197,8 +198,9 @@ class TestRootIsolation:
     def test_quantum_condition_consistency(self):
         for n, l in ((2, 0), (4, 1), (5, 0)):
             for root in solve_termination(n, l).rootset.roots:
-                eta = (n + l + 1) * root.omega
-                assert eta * root.t_star ** 2 == pytest.approx(n + l + 1, rel=1e-14)
+                sol = assemble_polynomial(n, l, root.t_star)
+                assert sol.omega * root.t_star ** 2 == pytest.approx(1, rel=1e-14)
+                assert sol.eta * root.t_star ** 2 == pytest.approx(n + l + 1, rel=1e-14)
 
     def test_precision_domain(self):
         cleared = solve_termination(2, 0).cleared

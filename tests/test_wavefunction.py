@@ -67,6 +67,13 @@ class TestAssembly:
         sol = assemble_polynomial(3, 1, 5.0)
         assert sol.eta == pytest.approx((3 + 1 + 1) / 25.0)
 
+    def test_eta_at_table_roots(self):
+        # Table 3's eta at the published roots of Table 1
+        assert assemble_polynomial(2, 0, 2.5198).eta == pytest.approx(0.4725, abs=5e-5)
+        assert assemble_polynomial(3, 0, 7.3825).eta == pytest.approx(0.0734, abs=5e-5)
+        # an exact product where omega is exact
+        assert assemble_polynomial(3, 2, 2.0).eta == (3 + 2 + 1) * 0.25
+
     def test_conversion_identity_vs_explicit_forms(self):
         """Series conversion and the explicit denominators agree to 1e-12."""
         rng = random.Random(3)
