@@ -252,10 +252,15 @@ def cmd_report(args: argparse.Namespace) -> None:
           f"({len(rep['oracle'])} oracle verdicts, {n_disc} discrepant)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """Each subcommand's namespace carries its cmd_* as run, looked up when
     this is called, so that a rebound module attribute (as perfbench's
-    tracing makes) is what runs."""
+    tracing makes) is what runs.
+
+    Every subcommand is created, so the choices and the top-level help are
+    whole; given a command, only that subcommand's options are declared,
+    the only ones a command line that names it can reach.
+    """
     parser = argparse.ArgumentParser(
         prog="heunqdot",
         description="Polynomial states of the two-electron 2D quantum dot: "
@@ -263,9 +268,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, ranges=True):
+    def omega(p):
+        p.add_argument("--omega", type=float,
+                       help="fixed omega instead of the roots")
+
+    def spectrum(p):
+        p.add_argument("--nr", type=int, default=0,
+                       help="CM quantum number n_R")
+        omega(p)
+
+    def wavefunction(p):
+        p.add_argument("--grid", default="0:30:1000", help="r0:r1:steps")
+        omega(p)
+        p.add_argument("--gnuplot", action="store_true",
+                       help="also emit a gnuplot script (format csv only)")
+
+    def moments(p):
+        p.add_argument("--k", default="1,2", help="moment powers, e.g. 1..3")
+        omega(p)
+
+    # name, run, summary, whether it takes --n and --l, its own options
+    for name, run, summary, ranges, extra in (
+            ("roots", cmd_roots, "determinant roots per (n, l)", True, None),
+            ("spectrum", cmd_spectrum, "relative + center-of-mass energies",
+             True, spectrum),
+            ("wavefunction", cmd_wavefunction, "u(r), R(r) samples per root",
+             True, wavefunction),
+            ("moments", cmd_moments, "<r^k> for constructed states", True,
+             moments),
+            ("validate", cmd_validate, "oracle verdict per root", True, None),
+            ("tables", cmd_tables, "published-table reproduction rows", False,
+             None),
+            ("report", cmd_report, "full validation dossier (json + text)",
+             True, None)):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
+        if command not in (None, name):
+            continue
         # the options of DEFAULTS stay None here; resolve() fills them
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", help="output directory")
@@ -279,29 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                            f"(default {DEFAULTS['n']})")
             p.add_argument("--l", help="angular momenta, e.g. 0..1 "
                            f"(default {DEFAULTS['l']})")
-        return p
-
-    def omega(p):
-        p.add_argument("--omega", type=float,
-                       help="fixed omega instead of the roots")
-
-    command("roots", cmd_roots, "determinant roots per (n, l)")
-    p = command("spectrum", cmd_spectrum, "relative + center-of-mass energies")
-    p.add_argument("--nr", type=int, default=0, help="CM quantum number n_R")
-    omega(p)
-    p = command("wavefunction", cmd_wavefunction,
-                "u(r), R(r) samples per root")
-    p.add_argument("--grid", default="0:30:1000", help="r0:r1:steps")
-    omega(p)
-    p.add_argument("--gnuplot", action="store_true",
-                   help="also emit a gnuplot script (format csv only)")
-    p = command("moments", cmd_moments, "<r^k> for constructed states")
-    p.add_argument("--k", default="1,2", help="moment powers, e.g. 1..3")
-    omega(p)
-    command("validate", cmd_validate, "oracle verdict per root")
-    command("tables", cmd_tables, "published-table reproduction rows",
-            ranges=False)
-    command("report", cmd_report, "full validation dossier (json + text)")
+        if extra:
+            extra(p)
     return parser
 
 
@@ -357,7 +375,11 @@ def resolve(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the first argument that is not an option names the command
+    parser = build_parser(next((a for a in argv if not a.startswith("-")),
+                               None))
     args = parser.parse_args(argv)
     try:
         resolve(args)

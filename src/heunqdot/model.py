@@ -79,9 +79,17 @@ def effective_potential_term(r, omega: float, l: int, coulomb_a: float = 0.5):
         2a/r + omega^2 r^2 + (l^2 - 1/4)/r^2
 
     Depends on l only through l**2, so the sign of the angular momentum label
-    never matters downstream. Accepts scalars or numpy arrays.
+    never matters downstream. Accepts scalars or numpy arrays; 1/r is formed
+    once, and an array r costs three temporaries, the result among them.
     """
-    return 2 * coulomb_a / r + omega ** 2 * r * r + (l * l - 0.25) / (r * r)
+    inv = 1 / r
+    v = (l * l - 0.25) * inv
+    v += 2 * coulomb_a
+    v *= inv
+    trap = omega * r
+    trap *= trap
+    v += trap
+    return v
 
 
 class _MagneticConfig(NamedTuple):

@@ -14,9 +14,10 @@ subintervals (the Vincent-Collins-Akritas method in the integer form of
 Rouillier and Zimmermann, J. Comput. Appl. Math. 162, 33 (2004)). The tree
 starts at the deepest dyadic interval (0, 2^-k0) that Fujiwara's root bound
 still places every root inside, so it skips the empty top levels of the
-grid. Brackets are then refined on the same IntPoly by
-quadratic interval refinement (Abbott's QIR) on the grid that bisection
-would visit, each point's value taken by integer Horner evaluation. Every
+grid. Brackets are then refined on the same IntPoly to the cell of the grid
+that bisection would end in: a float Newton iteration names the cell and two
+integer Horner evaluations certify it, with quadratic interval refinement
+(Abbott's QIR) on that grid as the fallback. Every
 returned root carries a rational bracket certified by an exact sign change,
 or is an exact rational root. Unlike Fraction arithmetic, the integer
 arithmetic takes no gcd after every operation.
@@ -285,6 +286,57 @@ def _width_fraction(width: float) -> Fraction:
     return Fraction(width).limit_denominator(10 ** 18)
 
 
+# the float Newton steps _float_seed takes at most
+SEED_STEPS = 64
+
+
+def _float_seed(p: IntPoly, lo: Fraction, hi: Fraction, rising: bool,
+                cells: int) -> int | None:
+    """The cell j of the grid lo + j (hi - lo)/cells in which a float Newton
+    iteration on p finds a root; p rises through the root when rising.
+
+    Each step keeps a float bracket (xl, xh) by the sign of p at the iterate
+    and bisects it when the Newton step would leave it. The iteration stops
+    once a step is at most half a cell, or once |p| at the iterate is within
+    the roundoff of Horner's rule (2^-53 times its running error sum), where
+    the sign of p is noise. Returns None on a float overflow or a non-finite
+    value. Only a seed: the caller certifies the cell by exact evaluation.
+    """
+    try:
+        coeffs = [float(c) for c in reversed(p)]
+        x_lo = xl = float(lo)
+        xh = float(hi)
+        cell = (xh - xl) / cells
+        x = 0.5 * (xl + xh)
+        for _ in range(SEED_STEPS):
+            f = df = size = 0.0
+            ax = abs(x)
+            for c in coeffs:
+                df = df * x + f
+                f = f * x + c
+                size = size * ax + abs(f)
+            if not math.isfinite(size):
+                return None
+            # past the roundoff of Horner's rule the sign of f is noise
+            if abs(f) <= 2.0 ** -53 * size:
+                break
+            if (f > 0) == rising:
+                xh = x
+            else:
+                xl = x
+            step = f / df if df else math.inf
+            x_new = x - step
+            if not xl < x_new < xh:
+                x_new = 0.5 * (xl + xh)
+            step, x = abs(x_new - x), x_new
+            if step <= 0.5 * cell:
+                break
+        j = math.floor((x - x_lo) / cell)
+    except OverflowError:  # a coefficient or a value past the float range
+        return None
+    return min(max(j, 0), cells - 1)
+
+
 def refine_root_bisect(p: IntPoly, lo: Fraction, hi: Fraction,
                        width: float) -> tuple[Fraction, Fraction]:
     """Shrink an isolating bracket of the integer polynomial p to the cell
@@ -293,14 +345,19 @@ def refine_root_bisect(p: IntPoly, lo: Fraction, hi: Fraction,
     Bisection makes the h halvings that bring the width to at most width and
     ends in the unique cell of the grid lo + j (hi - lo)/2^h that holds the
     root inside, or at the root itself when it is a grid point. This returns
-    the same Fraction pair by quadratic interval refinement (J. Abbott,
-    "Quadratic interval refinement for real roots", 2006) on that grid: the
-    secant through the values at the ends of the current cell picks the
-    nearest of N equal sub-cell boundaries, and two evaluations test the
-    sub-cell on the root's side of it. On success that sub-cell is the new
-    cell and N becomes N^2; on failure the cell is bisected and N becomes
-    sqrt(N). N is a power of two and at most the cell's length in grid
-    steps, so every cell is one that bisection visits.
+    the same Fraction pair. First _float_seed names a cell j and the exact
+    values at j and j + 1 certify it: opposite signs make it the cell, a
+    zero is the root itself, and equal signs point to the neighbour on the
+    root's side, which is tried once in the same way. Otherwise (no seed, or
+    two failed cells) quadratic interval refinement (J. Abbott, "Quadratic
+    interval refinement for real roots", 2006) runs on that grid from the
+    whole bracket, reusing the values already taken: the secant through the
+    values at the ends of the current cell picks the nearest of N equal
+    sub-cell boundaries, and two evaluations test the sub-cell on the
+    root's side of it. On success that sub-cell is the new cell and N
+    becomes N^2; on failure the cell is bisected and N becomes sqrt(N). N is
+    a power of two and at most the cell's length in grid steps, so every
+    cell is one that bisection visits.
 
     Every value is the integer den^d p(x) at one common den, so the final
     bracket is a certificate: p(lo) and p(hi) have strictly opposite signs,
@@ -327,9 +384,23 @@ def refine_root_bisect(p: IntPoly, lo: Fraction, hi: Fraction,
         r = Fraction(a + j * step, den)
         return r, r
 
+    def cell(j: int) -> tuple[Fraction, Fraction]:
+        return Fraction(a + j * step, den), Fraction(a + (j + 1) * step, den)
+
     v_lo, v_hi = value(0), value(1 << h)
     if not v_lo or not v_hi or (v_lo > 0) == (v_hi > 0):
         raise ValueError("bracket does not straddle a sign change")
+    # the seed's cell, then once the neighbour towards the root
+    j = _float_seed(p, lo, hi, v_lo < 0, 1 << h)
+    for _ in range(0 if j is None else 2):
+        v_left, v_right = value(j), value(j + 1)
+        if not v_left:
+            return exact(j)
+        if not v_right:
+            return exact(j + 1)
+        if (v_left > 0) != (v_right > 0):
+            return cell(j)
+        j += 1 if (v_left > 0) == (v_lo > 0) else -1
     # the cell is grid points lo_j .. lo_j + 2^g; N = 2^e sub-cells
     lo_j, g, e = 0, h, 2
     while g:
@@ -356,4 +427,4 @@ def refine_root_bisect(p: IntPoly, lo: Fraction, hi: Fraction,
         if (v_mid > 0) == (v_lo > 0):
             lo_j = mid
         g, e = g - 1, max(1, e // 2)
-    return Fraction(a + lo_j * step, den), Fraction(a + (lo_j + 1) * step, den)
+    return cell(lo_j)

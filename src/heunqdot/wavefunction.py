@@ -254,6 +254,11 @@ def residual(state: RadialState, r_grid=None, coulomb_a: float = 0.5) -> float:
     grid is 8001 points on [0.1, 12/sqrt(omega)]; a grid passed in must be
     uniform, each step within 1e-9 relative of the first, and must not
     touch r = 0.
+
+    One pass over the grid, in place: u is y by Horner's rule from its top
+    coefficient, times r^(l+1/2) as sqrt(r) r^l, times the Gaussian. The
+    root, the Gaussian and the stencil's terms share one scratch buffer, and
+    the bracket overwrites the potential's array.
     """
     sol = state.solution
     if r_grid is None:
@@ -266,9 +271,31 @@ def residual(state: RadialState, r_grid=None, coulomb_a: float = 0.5) -> float:
         if not np.allclose(np.diff(r), r[1] - r[0], rtol=1e-9, atol=0.0):
             raise ValueError("grid must be uniform")
     h = r[1] - r[0]
-    u = state.u(r)
-    upp = (-u[4:] + 16 * u[3:-1] - 30 * u[2:-2] + 16 * u[1:-3] - u[:-4]) / (12 * h * h)
-    ri = r[2:-2]
-    w = 2 * sol.eta - effective_potential_term(ri, sol.omega, sol.l, coulomb_a)
-    res = upp + w * u[2:-2]
-    return float(np.max(np.abs(res)) / np.max(np.abs(upp)))
+    u = np.full_like(r, sol.y_coeffs[-1])
+    for c in reversed(sol.y_coeffs[:-1]):
+        u *= r
+        u += c
+    work = np.sqrt(r)
+    u *= work
+    for _ in range(sol.l):
+        u *= r
+    np.multiply(r, -sol.omega, out=work)
+    work *= r
+    work *= 0.5
+    u *= np.exp(work, out=work)
+    # 12 h^2 u'' = -u[i+2] + 16 u[i+1] - 30 u[i] + 16 u[i-1] - u[i-2],
+    # summed left to right
+    mid, term = u[2:-2], work[2:-2]
+    upp = u[3:-1] * 16.0
+    upp -= u[4:]
+    upp -= np.multiply(mid, 30.0, out=term)
+    upp += np.multiply(u[1:-3], 16.0, out=term)
+    upp -= u[:-4]
+    upp /= 12 * h * h
+    del work, term  # one grid-sized buffer fewer beside the potential's
+    # minus the bracket (2 eta - V) u + u'', in the buffer of V
+    res = effective_potential_term(r[2:-2], sol.omega, sol.l, coulomb_a)
+    res -= 2 * sol.eta
+    res *= mid
+    res -= upp
+    return float(max(res.max(), -res.min()) / max(upp.max(), -upp.min()))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from heunqdot.cli import main, parse_grid, parse_range
+from heunqdot.cli import build_parser, main, parse_grid, parse_range
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -84,6 +84,14 @@ def test_default_grid_matches_golden_file(tmp_path, command):
     run([command, "--out", str(tmp_path)])
     golden = Path(__file__).parent / "golden" / f"{command}.csv"
     assert (tmp_path / f"{command}.csv").read_bytes() == golden.read_bytes()
+
+
+def test_default_grid_report_text_matches_golden_file(tmp_path):
+    # the dossier's text, whose verdict rows print the ODE residual and
+    # whose roots section prints the refined brackets' midpoints
+    run(["report", "--out", str(tmp_path)])
+    golden = Path(__file__).parent / "golden" / "report.txt"
+    assert (tmp_path / "report.txt").read_bytes() == golden.read_bytes()
 
 
 class TestSpectrum:
@@ -190,6 +198,37 @@ class TestReportCommand:
         assert rep["roots"] == []
         assert rep["oracle"] == []
         assert rep["caveats"]
+
+
+COMMANDS = ["roots", "spectrum", "wavefunction", "moments", "validate",
+            "tables", "report"]
+
+
+class TestCommandParser:
+    """main declares only the invoked command's options; what a command
+    line that names it sees is what the parser of every command gives."""
+
+    @staticmethod
+    def _help(capsys, parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_same_help_and_namespace(self, capsys, command):
+        full, own = build_parser(), build_parser(command)
+        assert (self._help(capsys, own, [command, "--help"])
+                == self._help(capsys, full, [command, "--help"]))
+        assert (self._help(capsys, own, ["--help"])
+                == self._help(capsys, full, ["--help"]))
+        assert vars(own.parse_args([command])) == vars(full.parse_args([command]))
+
+    def test_only_the_command_gets_options(self):
+        parser = build_parser("report")
+        assert parser.parse_args(["report", "--n", "3"]).n == "3"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["roots", "--n", "3"])
 
 
 class TestConfigPrecedence:

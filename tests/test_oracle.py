@@ -33,6 +33,7 @@ from heunqdot.wavefunction import (
     PolynomialSolution,
     assemble_polynomial,
     normalize,
+    residual,
 )
 
 F = Fraction
@@ -544,8 +545,10 @@ class TestOnePassBasis:
             assert np.max(np.abs(funcs[nodes] - u)) <= 1e-12
 
 
+@functools.lru_cache
 def _exact_states(N, l):
-    """(omega, eta, nodes) of each closed-form Coulomb-on state of degree N.
+    """(omega, eta, nodes) of each closed-form Coulomb-on state of degree N,
+    as a tuple; the sympy construction runs once per (N, l).
 
     u = r^(l+1/2) e^(-omega r^2/2) sum_k b_k (r/t)^k with
     b_{k+1}(k+1)(k+2l+1) = t b_k - 2(N+1-k) b_{k-1} solves the radial
@@ -569,7 +572,21 @@ def _exact_states(N, l):
         omega = 1.0 / float(t_star) ** 2
         states.append((omega, (N + l + 1) * omega,
                        sum(1 for z in zeros if z.is_real and z > 0)))
-    return states
+    return tuple(states)
+
+
+def _exact_solution(N, l, omega, eta):
+    """The PolynomialSolution of an exact state of _exact_states, its
+    polynomial summed in floats from the b_k recurrence."""
+    t = 1.0 / math.sqrt(omega)
+    b = [0.0, 1.0]
+    for k in range(N):
+        b.append((t * b[-1] - 2 * (N + 1 - k) * b[-2])
+                 / ((k + 1) * (k + 2 * l + 1)))
+    return PolynomialSolution(
+        n=N, l=l, t_star=t, omega=omega, eta=eta,
+        y_coeffs=tuple(bk / t ** k for k, bk in enumerate(b[1:])),
+        A_chain=(), effective_degree=N)
 
 
 def _count_gauss_rules(monkeypatch) -> list:
@@ -890,18 +907,21 @@ class TestValidateRoot:
         states = _exact_states(N, l)
         assert sorted(nodes for *_, nodes in states) == list(range(8))
         for omega, eta, nodes in states:
-            t = 1.0 / math.sqrt(omega)
-            b = [0.0, 1.0]
-            for k in range(N):
-                b.append((t * b[-1] - 2 * (N + 1 - k) * b[-2])
-                         / ((k + 1) * (k + 2 * l + 1)))
-            sol = PolynomialSolution(
-                n=N, l=l, t_star=t, omega=omega, eta=eta,
-                y_coeffs=tuple(bk / t ** k for k, bk in enumerate(b[1:])),
-                A_chain=(), effective_degree=N)
+            sol = _exact_solution(N, l, omega, eta)
             rec = validate_root(normalize(sol))
             assert rec.classification == CONFIRMED, (nodes, rec)
             assert rec.oracle_nodes == nodes
+
+    def test_residual_of_exact_states_is_small(self):
+        """The ODE residual of every exact Coulomb-on state with N in
+        {1, 2, 4, 8} and l <= 2 is finite-difference error, at most 1e-3;
+        the dossier's rows, which are not exact states, read 0.6 to 1.6
+        (test_report)."""
+        values = [residual(normalize(_exact_solution(N, l, omega, eta)))
+                  for N in (1, 2, 4, 8) for l in range(3)
+                  for omega, eta, _ in _exact_states(N, l)]
+        assert len(values) == 24
+        assert max(values) <= 1e-3, values
 
     def test_n4_large_root_classified(self):
         roots = solve_termination(4, 0).rootset.roots

@@ -251,6 +251,69 @@ def test_refinement_keeps_its_errors():
 
 
 # ---------------------------------------------------------------------------
+# The float seed of refinement and its fallback
+# ---------------------------------------------------------------------------
+
+def _seeding(monkeypatch, move):
+    """Replace the float seed by move(seed, cells)."""
+    seed = rp._float_seed
+
+    def moved(p, lo, hi, rising, cells):
+        return move(seed(p, lo, hi, rising, cells), cells)
+    monkeypatch.setattr(rp, "_float_seed", moved)
+
+
+def _determinants(ns):
+    return [determinant_sequence(build_gamma_factors(n, l, convention))[n]
+            for convention in GammaConvention for n in ns for l in range(3)]
+
+
+@pytest.mark.parametrize("move", [
+    lambda j, cells: None,                  # no seed: QIR alone
+    lambda j, cells: 0,                     # the first cell of the grid
+    lambda j, cells: cells - 1,             # the last one
+    lambda j, cells: min(j + 2, cells - 1),  # two cells right of the root
+    lambda j, cells: max(j - 2, 0),         # two cells left of it
+], ids=["none", "first", "last", "right2", "left2"])
+def test_wrong_seeds_fall_back_to_qir(monkeypatch, move):
+    _seeding(monkeypatch, move)
+    for p in _determinants(range(2, 9)):
+        assert_refinement_matches_bisection(p)
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_a_seed_one_cell_off_costs_one_evaluation(monkeypatch, offset):
+    """The neighbour on the root's side is certified with one more exact
+    value: five per root instead of four."""
+    cases = []
+    for p in _determinants(range(2, 6)):
+        sf = rp.squarefree_part(rp.primitive_part(p))[0]
+        cases += [(sf, lo, hi, bisect_reference(sf, lo, hi, [1e-13])[0])
+                  for lo, hi in rp.isolate_positive_roots(sf)[0]]
+    _seeding(monkeypatch,
+             lambda j, cells: min(max(j + offset, 0), cells - 1))
+    value_at, counts = rp._value_at, []
+
+    def counted(*args):
+        counts[-1] += 1
+        return value_at(*args)
+    monkeypatch.setattr(rp, "_value_at", counted)
+    for sf, lo, hi, reference in cases:
+        counts.append(0)
+        assert rp.refine_root_bisect(sf, lo, hi, 1e-13) == reference
+    assert set(counts) <= {4, 5} and 5 in counts
+
+
+def test_coefficients_past_the_float_range_take_qir():
+    # 10^400 t - (3 10^400 + 7): no coefficient is a float
+    p = [-(3 * 10 ** 400 + 7), 10 ** 400]
+    (lo, hi), = rp.isolate_positive_roots(p)[0]
+    assert rp._float_seed(p, lo, hi, True, 1 << 40) is None
+    refined = [rp.refine_root_bisect(p, lo, hi, w) for w in PRECISIONS]
+    assert refined == bisect_reference(p, lo, hi, PRECISIONS)
+
+
+# ---------------------------------------------------------------------------
 # The start level of the Descartes trees
 # ---------------------------------------------------------------------------
 
