@@ -155,7 +155,7 @@ def _state_columns(args: argparse.Namespace, sol: PolynomialSolution) -> dict:
 
 def cmd_roots(args: argparse.Namespace) -> None:
     rows = [{**_state_columns(args, sol), "eta": q6(sol.eta),
-             "effective_degree": sol.effective_degree}
+             "effective_degree": sol.degree}
             for sol in _each_state(args)]
     out = _write(args, rows, ROOTS_HEADER, "roots")
     print(f"{len(rows)} roots -> {out}")

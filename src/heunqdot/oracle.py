@@ -35,7 +35,9 @@ once n >= 2 node_target, so the solve is exact. The
 p_j have no closed form: their recurrence comes from the discretized
 Stieltjes procedure (Gautschi, Orthogonal Polynomials: Computation and
 Approximation, OUP 2004, 2.2) on a Gauss-Legendre rule mapped to an interval
-[0, X] that grows with the highest degree. The procedure runs the
+[0, X] that grows with the highest degree. The two rules, one per group
+top, are module constants: each node and weight is the float nearest a
+40-digit rule, so no process solves for them. The procedure runs the
 three-term recurrence itself, with no reorthogonalization: the p_j stay
 orthonormal under the discrete measure to 1.0e-14 for l <= 15. The same
 pass carries p_j and p_j' at the nodes of that measure, which integrates S
@@ -45,12 +47,12 @@ self-convergence (n against 1.5n).
 The p_j do not depend on where the basis is cut, so the basis is nested:
 the matrices of size n are the leading (n+1) x (n+1) blocks of those of any
 larger size. The sizes therefore come in groups, each served by one basis
-per l built at the group's top (BASIS_TOPS): one Gauss rule, and one build
-of the recurrence with the pair (S, C). A solve forms one Galerkin matrix
-per group it reaches, at the group's top, and every size of the group
-solves its leading block. Within a group the eigenvalues can only fall from
-one size to the next (Cauchy interlacing), so the self-convergence gap is a
-one-sided bound.
+per l built at the group's top (BASIS_TOPS): one tabulated Gauss rule, and
+one build of the recurrence with the pair (S, C). A solve forms one
+Galerkin matrix per group it reaches, at the group's top, and every size of
+the group solves its leading block. Within a group the eigenvalues can only
+fall from one size to the next (Cauchy interlacing), so the
+self-convergence gap is a one-sided bound.
 
 Each size costs one symmetric eigensolve without eigenvectors
 (numpy.linalg.eigvalsh), and the node count of a state is its Ritz index.
@@ -88,6 +90,7 @@ the lattice eigenfunctions.
 
 from __future__ import annotations
 
+import binascii
 import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
@@ -153,71 +156,31 @@ class OracleResult(NamedTuple):
         return [e.eta for e in self.eigenvalues]
 
 
-def _gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre rule on [-1, 1]: Golub & Welsch (Math.
-    Comp. 23, 221, 1969) on half the spectrum, with the Newton polish of
-    Hale & Townsend (SIAM J. Sci. Comput. 35, A652, 2013).
-
-    The Legendre Jacobi matrix J, off-diagonal beta_k = k/sqrt(4k^2 - 1),
-    has a zero diagonal, so J^2 splits into its even- and odd-index rows,
-    and the odd-index block, tridiagonal with diagonal
-    beta_(2i+1)^2 + beta_(2i+2)^2 and off-diagonal beta_(2i+2) beta_(2i+3)
-    (beta_m = 0), has the squares of the floor(m/2) positive nodes as its
-    eigenvalues; for odd m, 0 is a node too. One three-term pass of the
-    Legendre P_k over the non-negative nodes gives P_m and P_(m-1), hence
-    P_m' and, from the Legendre equation, P_m''. One Newton step on P_m
-    moves each node by dx = P_m/P_m', and the weight is
-    2 / ((1 - x^2) P_m'(x)^2) at the moved node, with P_m'(x - dx) taken as
-    P_m' - dx P_m'' and 1 - (x - dx)^2 as (1 - x)(1 + x) + dx (2x - dx), so
-    that neither waits on the rounding of x - dx. Mirroring makes the rule
-    exactly symmetric.
-
-    Against a 40-digit rule the nodes are within 1.1e-16 and the weights
-    within 4.7e-14 relative at m = 200 and 1.4e-13 at m = 485, and
-    sum w x^(2k) = 2/(2k + 1) holds to 1.5e-14 for m <= 64, 200 and 485.
-    """
-    half = m // 2
-    k = np.arange(1.0, m + 1)
-    # beta[i] = beta_(i+1), with beta_m = 0 closing the odd-index block
-    beta = k / np.sqrt(4.0 * k * k - 1)
-    beta[-1] = 0.0
-    # the diagonal and the lower off-diagonal, the triangle eigvalsh reads
-    jj = np.zeros((half, half))
-    jj.flat[::half + 1] = beta[0:2 * half:2] ** 2 + beta[1:2 * half:2] ** 2
-    jj.flat[half::half + 1] = beta[1:2 * half - 2:2] * beta[2:2 * half - 1:2]
-    # the non-negative nodes, ascending
-    x = np.empty(m - half)
-    x[:m % 2] = 0.0
-    np.sqrt(linalg.eigvalsh(jj), out=x[m % 2:])
-    # P_(k-2), P_(k-1) -> P_(k-1), P_k for k = 2..m
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, m + 1):
-        p0, p1 = p1, ((2 * k - 1) / k) * x * p1 - ((k - 1) / k) * p0
-    one_x2 = (1.0 - x) * (1.0 + x)
-    dp = m * (p0 - x * p1) / one_x2
-    ddp = (2.0 * x * dp - m * (m + 1) * p1) / one_x2
-    dx = p1 / dp
-    one_x2 += dx * (2.0 * x - dx)
-    dp -= dx * ddp
-    x -= dx
-    w = 2.0 / (one_x2 * dp * dp)
-    return (np.concatenate((-x[::-1][:half], x)),
-            np.concatenate((w[::-1][:half], w)))
-
-
 @functools.lru_cache
 def _measure(top: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w of the discrete measure for the basis of degree
-    up to top: the 3 top + 80 point Gauss-Legendre rule on [0, X],
+    up to top: the m = 3 top + 80 point Gauss-Legendre rule on [0, X],
     X = sqrt(4 top + 68) + 8, with the weights multiplied by e^(-x^2).
 
+    The rule on [-1, 1] is _GAUSS_HALVES[top] mirrored: its non-negative
+    nodes and their weights, each the float nearest a 40-digit rule
+    (tests/test_oracle.py pins them bit for bit), decoded here on first use.
     Every integral the recurrence and matrices up to degree top need is
     int_0^inf x^k e^(-x^2) times a constant, k <= 2 top + 2l + 1. For l <= 15
     its integrand peaks at x = sqrt(k/2) < X - 8 and is below e^-100 of its
     peak by X; the rule reproduces Gamma((k + 1)/2)/2 to roundoff. Read-only,
     because the cache hands it to every caller.
     """
-    x, w = _gauss(3 * top + 80)
+    m = 3 * top + 80
+    k = m - m // 2  # the non-negative nodes
+    # slices, and a dtype not parsed from a string such as "<f8": both
+    # keep a solve off C-library pages that nothing else in it touches
+    table = np.frombuffer(binascii.a2b_base64(_GAUSS_HALVES[top]),
+                          np.dtype(np.float64).newbyteorder("<"))
+    nodes, weights = table[:k], table[k:]
+    # for odd m the half starts at the node 0, which is not mirrored
+    x = np.concatenate((-nodes[m % 2:][::-1], nodes))
+    w = np.concatenate((weights[m % 2:][::-1], weights))
     half = 0.5 * (math.sqrt(4.0 * top + 68.0) + 8.0)
     x = half * (1.0 + x)
     w *= half * np.exp(-x * x)
@@ -408,7 +371,7 @@ def _record(state: RadialState, result: OracleResult,
         oracle_nodes=best.nodes,
         abs_delta=abs(sol.eta - best.eta),
         residual=res,
-        effective_degree=sol.effective_degree,
+        effective_degree=sol.degree,
         classification=classify(sol.eta, best.eta),
     )
 
@@ -470,3 +433,134 @@ def validate_oscillator(k: int, l: int,
         raise ValueError(f"the spectrum holds no level with {k} nodes")
     state = oscillator_state(k, l)
     return _record(state, spectrum, residual(state, coulomb_a=0.0))
+
+
+# ---------------------------------------------------------------------------
+# The Gauss-Legendre rules of _measure
+# ---------------------------------------------------------------------------
+
+# for each group top, the non-negative half of the 3 top + 80 point
+# Gauss-Legendre rule on [-1, 1] (ascending nodes, then their weights), each
+# value the float nearest a 40-digit one from Newton's method on P_m, as
+# little-endian float64 in base64
+_GAUSS_HALVES = {
+    40: (
+        "ecnywWwLgD9QbMEPohCYP8/2kkYFDaQ//++h6XYQrD/PWjGBEgmyP/2zRV/HCLY/"
+        "qe8luBkHuj9ABjJLyQO+Py7jDflK/8A/jHt30p/7wj8SyQs/w/bEP1jqMl+V8MY/"
+        "VfOHaPboyD/ua9inxt/KPz9ZIoPm1Mw/p7GQezbIzj/HDbuXy1zQP47rIq50VNE/"
+        "iVlF8AZL0j+g9u3eckDTP4XvZw2pNNQ/Vyt2Ipon1T8OP0rZNhnWPx8YegJwCdc/"
+        "/k70hDb41z8JEvNee+XYP66Z7aYv0dk/ixaIjES72j+KCoJZq6PbP+P9onJVitw/"
+        "RIGlWDRv3T82biCpOVLePzhXbh9XM98/dYzJSj8J4D/0vo8C0XfgP4ZzCcRZ5eA/"
+        "5nTdrNJR4T9pa8jrNL3hP1uNCsF5J+I/lTXUfpqQ4j96WbGJkPjiP5HX81hVX+M/"
+        "FJgcd+LE4z/TeEOCMSnkP/L9fSw8jOQ/9sBEPPzt5D/Wl9eMa07lP7htoA6EreU/"
+        "KseUxz8L5j+065XTmGfmP7muz2SJwuY/rNEVxAsc5z/F+T9RGnTnP2MzhIOvyuc/"
+        "e/3P6cUf6D9f1x8rWHPoP4VL1QZhxeg/t3ELVdsV6T+L4+kGwmTpP8Id9iYQsuk/"
+        "k0lj2cD96T/IaGBcz0fqP9DfZAg3kOo/61h7UPPW6j/M+4rC/xvrPwn1ngdYX+s/"
+        "3Ugs5Peg6z/f7FU42+DrP2ckLwD+Huw/axv8U1xb7D/Wu3Bo8pXsP1q57Y68zuw/"
+        "9s+7NbcF7T9oMUXo3jrtPw4eTU8wbu0/oKUlMaif7T9/jONxQ8/tP15SkBP//O0/"
+        "J1daNtgo7j84G8MYzFLuPzCYyxfYeu4/tK8er/mg7j/WrTl5LsXuPwLdki905+4/"
+        "2ym+qsgH7z/f1Y/iKSbvP9M4Pe6VQu8/YpJ7BAtd7z+B8Jx7h3XvP700q8kJjO8/"
+        "LE6BhJCg7z8i1+JhGrPvP5qAkjemw+8/+Uto+zLS7z8uPWrDv97vP42L78VL6e8/"
+        "6ebqWdbx7z/M2tz3XvjvP3Datz7l/O8/CLKQJ2n/7z9jYZ4+VwuQP63/ohlVCpA/"
+        "U6Xl31AIkD9tH9ixSgWQPxiVIsBCAZA/K/FAl3L4jz+U57hKXeyPP5+gFl1G3o8/"
+        "77YLsS7Ojz8yjYNJF7yPP0MIk0kBqI8/ykNm9O2Rjz+UQiyt3nmPP9ybAPfUX48/"
+        "6CbTdNJDjz+Xpk3p2CWPP2l2tzbqBY8/6TrXXgjkjj9Gl9KCNcCOPzPqC+Nzmo4/"
+        "LBT+3sVyjj9wSRb1LUmOPwjyi8KuHY4/dZo2A0vwjT+W92GRBcGNP5EAoGXhj40/"
+        "qyGZluFcjT/9itpYCSiNPzmeov5b8Yw/r36r99y4jD/vxvPQj36MP5JnhTR4Qow/"
+        "pbI66ZkEjD+Dl4HS+MSLP+cSHfCYg4s/IdfkXX5Aiz96MINTrfuKP/opMSQqtYo/"
+        "w/ZwPvlsij9upMYrHyOKP9oab5Cg14k/Dm4VK4KKiT/ehobUyDuJPxUnY39564g/"
+        "Fk7QN5mZiD/1AiYjLUaIPxeJnH868Yc/ngT4o8aahz/ckzL/1kKHP0jjJBhx6YY/"
+        "X0EtjZqOhj8XONUTWTKGP4yxdXiy1IU/rq3Znax1hT/Rjt98TRWFPw0DGSSbs4Q/"
+        "gJBpt5tQhD+JyqNvVeyDP0I2JZrOhoM/c+RwmA0ggz9sx8jfGLiCPzbLxfj2ToI/"
+        "rLbufq7kgT8R3E0gRnmBP9qfBZ3EDIE/fdzjxjCfgD8OKvSAkTCAP1EhIn7bgX8/"
+        "Q1noCpmgfj8/l4rQab19P4oTURZc2Hw/duyWQX7xez/3jOLU3gh7P8o//G6MHno/"
+        "gf4CypUyeT82jH+6CUV4PyXsdS73VXc/OkV1LG1ldj+URKbSenN1P7MS2FUvgHQ/"
+        "avGLAJqLcz+fnP8xypVyPz2ONl3PnnE/kVACCLmmcD+LORSULVtvPzVJpJfwZm0/"
+        "hEeGi9pwaz/Clmb+CnlpPwwN5Zqhf2c/uw68Jb6EZT8tvAZ8gIhjP1Uzy5EIi2E/"
+        "yupE4uwYXz+jDtd11BlbP6etllcIGVc/g97ZXckWUz/44B2XsiZOP3RY8+z6HUY/"
+        "6wUEOkYoPD+ZgBXd0DEoPw=="
+    ),
+    135: (
+        "AAAAAAAAAADnuEbAHYF6P7JCw2L5gIo/XwNglY3gkz/9x+DtZ4CaPwvIpsb8j6A/"
+        "1MVrI5jfoz/DrFT3/C6nPz5yDC0ifqo/lZ7sr/7MrT8IHAu2xI2wP/RVRafcNLI/"
+        "X1qiosLbsz9Dn6gfcoK1P7MjdJbmKLc/td7CfxvPuD9mLAFVDHW6PzQ5VpC0Grw/"
+        "H2uwrA/AvT/WyNElGWW/P0cvLjzmhMA/OVDvkBJXwT9G5W9QDynCPwIfdjra+sI/"
+        "xu1QD3HMwz90Ld6P0Z3EP6/PkH35bsU/egR3muY/xj8uYUCplhDHP7YFRG0H4cc/"
+        "/7+GqjaxyD+HLcElIoHJPwbbZaTHUMo/FGKn7CQgyz+/hH7FN+/LPwdHsPb9vcw/"
+        "IQbUSHWMzT+DjVmFm1rOP5Mpj3ZuKM8//ben5+v1zz/IWmDSiGHQP80kdL3ux9A/"
+        "WKcRnCYu0T9lrLlVL5TRP1pcbtIH+tE/Wj62+q5f0j8sN5+3I8XSP7GGwfJkKtM/"
+        "2cNClnGP0z8b19iMSPTTP17zzMHoWNQ/TI3+IFG91D8LUeaWgCHVP1EWmRB2hdU/"
+        "zNLKezDp1T/SitHGrkzWP1tAqODvr9Y/LuDxuPIS1z9LLfw/tnXXP3WqwmY52Nc/"
+        "5oHxHns62D8ia+haepzYP9GOvQ02/tg/tGhAK61f2T+Lp/yn3sDZPw0LPXnJIdo/"
+        "vD8OlWyC2j+5uEHyxuLaP26HcIjXQts/HDH+T52i2z87ghtCFwLcP6VfyVhEYdw/"
+        "ipXbjiPA3D8fpPvfsx7dPwCKq0j0fN0/RIxIxuPa3T82/A1XgTjeP676F/rLld4/"
+        "/Dhmr8Ly3j9nt953ZE/fPzaBUFWwq98/GjM7pdID4D/Y2HwtoTHgP3dvukVDX+A/"
+        "gSW7cLiM4D8JcsExALrgP/VqjAwa5+A/9RlZhQUU4T8k0OMgwkDhP0N4aWRPbeE/"
+        "mueo1ayZ4T9zLeT62cXhPy7h4VrW8eE/4W7ufKEd4j+aYt3oOkniPxmyCieidOI/"
+        "JgVcwNaf4j9i/EE+2MriP592uSqm9eI/t9RMEEAg4z/bOxV6pUrjP2HWu/PVdOM/"
+        "AxN7CdGe4z+M4h9IlsjjP/fzCj0l8uM//e4xdn0b5D/+rCCCnkTkP1pw+u+HbeQ/"
+        "JBp7TzmW5D80Xvgwsr7kP4/1YiXy5uQ/Ms9HvvgO5T8eP9GNxTblP8IryCZYXuU/"
+        "rzmVHLCF5T+S9UEDzazlP3b8eW+u0+U/SyKM9lP65T+tlmsuvSDmP+YHsa3pRuY/"
+        "KsSbC9ls5j8M2RLgipLmPyUxpsP+t+Y/7K+PTzTd5j+6S7QdKwLnP/4lpcjiJuc/"
+        "kKGg61pL5z8wd5Mik2/nPyTIGQqLk+c/8S6AP0K35z86zsRguNrnP6ldmAzt/ec/"
+        "/DRf4t8g6D8eVTKCkEPoP01v4Iz+Zeg/WeruoymI6D/f5ZppEaroP5s72oC1y+g/"
+        "r35cjRXt6D/7+IszMQ7pP22mjhgIL+k/TS5H4plP6T+I2lU35m/pP++MGb/sj+k/"
+        "a7KwIa2v6T8qNPoHJ8/pP61mlhta7uk/1/bnBkYN6j/T1BR16ivqP/QcBxJHSuo/"
+        "av5tilto6j/pn76LJ4bqPyYCNcSqo+o/OODU4uTA6j/VjWqX1d3qP2LTi5J8+uo/"
+        "5ceYhdkW6z/EqLwi7DLrP1Sv7hy0Tus/Q+TyJzFq6z/K8Fr4YoXrP6LthkNJoOs/"
+        "1S+mv+O66z9HE7gjMtXrPwvDjCc07+s/eP/Fg+kI7D8C4tfxUSLsP9CeCSxtO+w/"
+        "D0R27TpU7D/9dg3yumzsP7MulPbshOw/oGyluNCc7D+48rL2ZbTsP1/3BXCsy+w/"
+        "9da/5KPi7D8gw9oVTPnsP7xvKsWkD+0/db1cta0l7T8NYvqpZjvtP0qOZ2fPUO0/"
+        "hZHksudl7T/meo5Sr3rtPze4Xw0mj+0/YLIwq0uj7T+CZ7j0H7ftP6QCjbOiyu0/"
+        "DXEkstPd7T8p9dS7svDtPw+31Zw/A+4/mlI/InoV7j8bYwwaYifuP5cMGlP3OO4/"
+        "pIIonTlK7j/IjNvIKFvuP3cIu6fEa+4/kWgzDA187j93MpbJAYzuP6d4GrSim+4/"
+        "4VLdoO+q7j/ZU+Jl6LnuP278E9qMyO4/ZCxE1dzW7j+tkCww2OTuPyoPb8R+8u4/"
+        "+y+WbND/7j9ChBUEzQzvP3oKSmd0Ge8/OpB6c8Yl7z+FEdgGwzHvP5EVfgBqPe8/"
+        "DQlzQLtI7z/ilaintlPvP3L4+xdcXu8/TlI2dKto7z9n+gygpHLvP7zKIYBHfO8/"
+        "fmsD+pOF7z+smy30iY7vPy13CVYpl+8/YbrtB3Kf7z8uAx/zY6fvP4oP0AH/ru8/"
+        "i/khH0O27z/ycCQ3ML3vP1Hy1TbGw+8/yPsjDAXK7z9sP+ul7M/vP4jT9/N81e8/"
+        "3mAF57Xa7z9MT79wl9/vP2nxwIMh5O8/OrCVE1To7z8CObkUL+zvPzOxl3yy7+8/"
+        "xviNQd7y7z9HDepasvXvP6S568Au+O8/JwfGbFP67z9GzqJYIPzvP1VHrX+V/e8/"
+        "LJ053rL+7z/iB5lyeP/vP9Z76UXm/+8/EjJ53ymBej8fGuWBBYF6P62cjGmYgHo/"
+        "3Rebl+J/ej9XegMO5H56P+09gM+cfXo/JGCT3wx8ej+MWIZCNHp6PwYNav0SeHo/"
+        "1cMWFql1ej+YEyyT9nJ6Px3REHz7b3o/EPvy2Ldsej+Ko8eyK2l6P3zXShNXZXo/"
+        "+YP/BDphej9eWS+T1Fx6P1es6skmWHo/yFQItjBTej+LiiVl8k16PxvApeVrSHo/"
+        "FXuyRp1Cej+dKjuYhjx6P6P79OonNno/C6taUIEvej+3Vazakih6P3BG75xcIXo/"
+        "tcHtqt4Zej9tzzYZGRJ6P3wCHv0LCno/Pj67bLcBej/oeep+G/l5P8uBS0s48Hk/"
+        "gbZB6g3neT8CyvN0nN15P556SwXk03k/4kv1teTJeT9mPWCinr95P4Z/veYRtXk/"
+        "AiYAoD6qeT+T2NzrJJ95P2CByejEk3k/bfn8tR6IeT/0sm5zMnx5P6hh1kEAcHk/"
+        "76CrQohjeT8QmCWYylZ5P0mcOmXHSXk/4tCfzX48eT8uxcj18C55P4gQ5wIeIXk/"
+        "QezpGgYTeT+Gy31kqQR5P0HxCwcI9ng/9gO6KiLneD+Un2n499d4P0flt5mJyHg/"
+        "Sgn9ONe4eD+x3ksB4ah4PzhhcR6nmHg/ED30vCmIeD+zVBQKaXd4P7NEyjNlZng/"
+        "m+XGaB5VeD/Ky3LYlEN4P1zF7bLIMXg/HVYOKbofeD+DMWFsaQ14P7ayKK/W+nc/"
+        "qFJcJALodz81HKj/69R3P14ebHWUwXc/iNy7uvutdz/evF0FIpp3P750yosHhnc/"
+        "PHMshaxxdz/HSV8pEV13P90S77A1SHc/3tYXVRozdz8D78RPvx13P2pmkNskCHc/"
+        "RlnCM0vydj84UlCUMtx2P8Cl3DnbxXY/3Mu1YUWvdj/Pt9VJcZh2Pw4u4TBfgXY/"
+        "WRgnVg9qdj8B2J/5gVJ2P2GW7Fu3OnY/f5NWvq8idj/rcs5iawp2P8iG64vq8XU/"
+        "FRnrfC3ZdT8ks695NMB1P1ljwMb/pnU/GQFIqY+NdT/8bhRn5HN1P0XblUb+WXU/"
+        "lf7djt0/dT/kWJ+HgiV1P8ZsLHntCnU/9Ph2rB7wdD8eMA9rFtV0PxTvIv/UuXQ/"
+        "NPF8s1qedD8uA4TTp4J0Pxk0Oqu8ZnQ/5gQ8h5lKdD8flr+0Pi50PwzUk4GsEXQ/"
+        "LKEfPOP0cz8S/2Az49dzP6A17LasunM/q/jqFkCdcz8AjBuknX9zP87lz6/FYXM/"
+        "ic/si7hDcz8oBemKdiVzP99SzP//BnM/RbEuPlXocj/0XzeadslyP5n+m2hkqnI/"
+        "gKSf/h6Lcj+f9hGypmtyPxs8Ttn7S3I/UHE6yx4scj9cWUbfDwxyPy6Oam3P63E/"
+        "IY8nzl3LcT8hzoRau6pxP1q7D2zoiXE/gM/aXOVocT+clHyHskdxP3+tDkdQJnE/"
+        "v9ss974EcT9bBPTz/uJwP/EyAZoQwXA/nJtwRvSecD92m9xWqnxwP7m3XCkzWnA/"
+        "jZuEHI83cD+FFGOPvhRwP4EbAsOD428/ixPB5TKdbz8ZNvdHi1ZvP4a2hquND28/"
+        "i8I90zrIbj+ua9SCk4BuPzWO6n6YOG4/kLUFjUrwbT9c/o5zqqdtP+X10Pm4Xm0/"
+        "Tnf153YVbT9JhgMH5ctsP3Qn3SAEgmw/WTY9ANU3bD8nObVwWO1rPw0yqz6Poms/"
+        "Wm5XN3pXaz9YU8IoGgxrP+0owuFvwGo/BuL4MXx0aj/S4tHpPyhqP9nEf9q722k/"
+        "6Bj61fCOaT/sJvuu30FpP6yr/TiJ9Gg/dpQ6SO6maD/KuKaxD1loP/OR8EruCmg/"
+        "sPB96oq8Zz/dsGln5m1nPzFrgZkBH2c/DSVDWd3PZj9t/tp/eoBmP/DdIOfZMGY/"
+        "GRuWafzgZT+xJmPi4pBlP2QxVS2OQGU/nNDbJv/vZD+coQasNp9kP+Lqgpo1TmQ/"
+        "3juZ0Pz8Yz/8CistjatjPwhSsI/nWWM/+yg12AwIYz8uX1fn/bViP/8SRJ67Y2I/"
+        "60e13kYRYj8qe++KoL5hP8w2v4XJa2E/YqN2ssIYYT8/GOv0jMVgP0SqcjEpcmA/"
+        "YbnhTJgeYD9M+RBZtpVfPyoaYWzl7V4/Pd40oL9FXj+7NfbBRp1dPzEG85989Fw/"
+        "FzZYCWNLXD8LtizO+6FbP8eHTL9I+Fo/2MJjrktOWj8ul+ltBqRZP5lNG9F6+Vg/"
+        "Qkb3q6pOWD859TfTl6NXPzHdThxE+FY/fIhfXbFMVj97gDpt4aBVP5RDWCPW9FQ/"
+        "3znUV5FIVD/WqGfjFJxTPzumZJ9i71I/pAqxZXxCUj8sZMEQZJVRPwXqk3sb6FA/"
+        "33GrgaQ6UD8r0RT+ARpPP3+gW6Blvk0/XY0QpHdiTD9AMvrDOwZLP9HYtru1qUk/"
+        "hwqzR+lMSD9HhyAl2u9GPynh7RGMkkU/sim/zAI1RD+gcOgUQtdCP0h1a6pNeUE/"
+        "2y37TSkbQD/k2xSCsXk9Pxez4Yu/vDo/Opl+QIT/Nz/cdQErB0I1P0QOE95PhDI/"
+        "0iva+suMLz/0TDm0ohAqP3ONO640lCQ/itLt6i4vHj8IaA4D/jUTPyDNSp1/gQA/"
+    ),
+}

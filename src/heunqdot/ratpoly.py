@@ -16,8 +16,10 @@ starts at the deepest dyadic interval (0, 2^-k0) that Fujiwara's root bound
 still places every root inside, so it skips the empty top levels of the
 grid. Brackets are then refined on the same IntPoly to the cell of the grid
 that bisection would end in: a float Newton iteration names the cell and two
-integer Horner evaluations certify it, with quadratic interval refinement
-(Abbott's QIR) on that grid as the fallback. Every
+integer Horner evaluations certify it. Where float roundoff put the seed in
+another cell, the secant through those two exact values names the next
+one, with quadratic interval refinement (Abbott's QIR) on that grid as the
+last fallback. Every
 returned root carries a rational bracket certified by an exact sign change,
 or is an exact rational root. Unlike Fraction arithmetic, the integer
 arithmetic takes no gcd after every operation.
@@ -346,12 +348,16 @@ def refine_root_bisect(p: IntPoly, lo: Fraction, hi: Fraction,
     ends in the unique cell of the grid lo + j (hi - lo)/2^h that holds the
     root inside, or at the root itself when it is a grid point. This returns
     the same Fraction pair. First _float_seed names a cell j and the exact
-    values at j and j + 1 certify it: opposite signs make it the cell, a
-    zero is the root itself, and equal signs point to the neighbour on the
-    root's side, which is tried once in the same way. Otherwise (no seed, or
-    two failed cells) quadratic interval refinement (J. Abbott, "Quadratic
-    interval refinement for real roots", 2006) runs on that grid from the
-    whole bracket, reusing the values already taken: the secant through the
+    values at j and j + 1 certify it: opposite signs make it the cell, and
+    a zero is the root itself. Equal signs put the root on one side, and
+    the next cell tried is the one that holds the zero of the secant
+    through those two exact values, kept between the nearest grid points
+    already certified on either side of the root: the neighbour when the
+    seed is one cell off, and the root's cell at once when float roundoff
+    put the seed many cells away. Otherwise (no seed, or two failed cells)
+    quadratic interval refinement (J. Abbott, "Quadratic interval
+    refinement for real roots", 2006) runs on that grid from the whole
+    bracket, reusing the values already taken: the secant through the
     values at the ends of the current cell picks the nearest of N equal
     sub-cell boundaries, and two evaluations test the sub-cell on the
     root's side of it. On success that sub-cell is the new cell and N
@@ -390,7 +396,10 @@ def refine_root_bisect(p: IntPoly, lo: Fraction, hi: Fraction,
     v_lo, v_hi = value(0), value(1 << h)
     if not v_lo or not v_hi or (v_lo > 0) == (v_hi > 0):
         raise ValueError("bracket does not straddle a sign change")
-    # the seed's cell, then once the neighbour towards the root
+    # the seed's cell, then the cell of the zero of the secant through the
+    # values at the ends of the last one, kept between the grid points
+    # nearest the root on either side that the values have certified
+    left, right = 0, 1 << h
     j = _float_seed(p, lo, hi, v_lo < 0, 1 << h)
     for _ in range(0 if j is None else 2):
         v_left, v_right = value(j), value(j + 1)
@@ -400,7 +409,13 @@ def refine_root_bisect(p: IntPoly, lo: Fraction, hi: Fraction,
             return exact(j + 1)
         if (v_left > 0) != (v_right > 0):
             return cell(j)
-        j += 1 if (v_left > 0) == (v_lo > 0) else -1
+        if (v_left > 0) == (v_lo > 0):
+            left = j + 1
+        else:
+            right = j
+        if v_left != v_right:
+            j += v_left // (v_left - v_right)
+        j = min(max(j, left), right - 1)
     # the cell is grid points lo_j .. lo_j + 2^g; N = 2^e sub-cells
     lo_j, g, e = 0, h, 2
     while g:

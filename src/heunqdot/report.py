@@ -91,12 +91,14 @@ States = dict[tuple[int, int], tuple[RadialState, ...]]  # normalized, per (n, l
 
 def solve_states(keys, precision: float = 1e-13) -> Solved:
     """Solve every distinct (convention, n, l) of keys once, in first-seen
-    order, and assemble the chain state at each of its roots."""
+    order, and assemble the chain state at each of its roots, of degree
+    n - 1."""
     solved: Solved = {}
     for conv, n, l in dict.fromkeys(keys):
         rootset = solve_termination(n, l, conv, precision=precision).rootset
         solved[(conv, n, l)] = RootStates(rootset, tuple(
-            assemble_polynomial(n, l, root.t_star, convention=conv)
+            assemble_polynomial(n, l, root.t_star, convention=conv,
+                                at_root=True)
             for root in rootset.roots))
     return solved
 
@@ -363,7 +365,7 @@ def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
                         "omega": q6(sol.omega),
                         "eta": q6(sol.eta),
                         "refinement_width": q6(root.refinement_width),
-                        "effective_degree": sol.effective_degree,
+                        "effective_degree": sol.degree,
                         "trailing_coefficient": q6(sol.A_chain[-1]),
                         "nearest_published": q6(near) if near is not None else None,
                         "delta_published": q6(abs(near - root.t_star))

@@ -117,10 +117,12 @@ def dense_determinant_check(n: int, l: int, t: Fraction,
                             convention: str = "table") -> bool:
     """Expand the n x n tridiagonal matrix directly and compare with D_n.
 
-    Bareiss elimination on the dense matrix (row-swap pivoting on a zero
-    pivot; every division is exact over Q) gives d_n, and the integer
-    recurrence must reproduce D_n(t) = 2^n t^floor(n/2) d_n identically in
-    exact rational arithmetic.
+    Nothing in the program calls it: it is the exact reference for the
+    recurrence in four test files (test_termination, test_oracle,
+    test_acceptance and test_cli). Bareiss elimination on the dense matrix
+    (row-swap pivoting on a zero pivot; every division is exact over Q)
+    gives d_n, and the integer recurrence must reproduce
+    D_n(t) = 2^n t^floor(n/2) d_n identically in exact rational arithmetic.
     """
     if n > 8:
         raise ValueError("dense check is intended for n <= 8")
@@ -224,15 +226,14 @@ def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13) -> RootSet:
 
 def coefficient_chain(n: int, l: int, t_star: float | Fraction,
                       convention: GammaConvention = GammaConvention.TABLE,
-                      ) -> tuple[list, int]:
-    """Series coefficients A_0..A_n at a fixed t and their effective degree.
+                      ) -> list:
+    """Series coefficients A_0..A_n at a fixed t.
 
     A_0 = 1, A_1 = -t/2, A_{p+2} = -delta' A_{p+1} - gamma_{p+1} A_p with
     gamma = (c + e/t)/4 from the pairs of build_gamma_factors, evaluated at
     t: in floats (where the division by 4 is exact), or exactly for a
-    Fraction t. The effective degree is as in effective_degree (at a
-    determinant root the trailing coefficient vanishes and the polynomial
-    degenerates).
+    Fraction t. A_k = (-1)^k d_k, so at a root of D_n the last coefficient
+    vanishes (see wavefunction.assemble_polynomial).
     """
     if t_star <= 0:
         raise ValueError("t_star must be positive")
@@ -242,14 +243,7 @@ def coefficient_chain(n: int, l: int, t_star: float | Fraction,
     a = [type(t_star)(1), -dp]
     for p, (c, e) in enumerate(build_gamma_factors(n, l, convention)):
         a.append(-dp * a[p + 1] - (c + e / t_star) / 4 * a[p])
-    return a, effective_degree(a)
-
-
-def effective_degree(chain) -> int:
-    """The highest index whose coefficient survives the 1e-9 * max|A|
-    cutoff."""
-    amax = max(abs(v) for v in chain)
-    return max(p for p, v in enumerate(chain) if abs(v) >= 1e-9 * amax)
+    return a
 
 
 class TerminationResult(NamedTuple):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import effective_potential_term
-from .termination import GammaConvention, coefficient_chain, effective_degree
+from .termination import GammaConvention, coefficient_chain
 
 
 # the roundoff of a Gamma sum, about 2^-53 sum|term|, may be at most this
@@ -51,16 +51,27 @@ class PolynomialSolution(NamedTuple):
     t_star: float
     omega: float
     eta: float
-    y_coeffs: tuple[float, ...]   # ascending powers of r, length n+1
-    A_chain: tuple[float, ...]
-    effective_degree: int
+    y_coeffs: tuple[float, ...]   # ascending powers of r, length degree+1
+    A_chain: tuple[float, ...]    # A_0..A_n, as the chain gives them
+
+    @property
+    def degree(self) -> int:
+        return len(self.y_coeffs) - 1
 
 
 def assemble_polynomial(n: int, l: int, t_star: float,
                         A_chain: list[float] | None = None,
                         convention: GammaConvention = GammaConvention.TABLE,
-                        ) -> PolynomialSolution:
+                        at_root: bool = False) -> PolynomialSolution:
     """Convert the series coefficients to powers of r.
+
+    At a root t_star of the determinant D_n (at_root) the state is y from
+    A_0..A_{n-1}, of degree n - 1 exactly: A_n = (-1)^n d_n vanishes there,
+    while A_{n-1} = (-1)^(n-1) d_{n-1} does not, because consecutive
+    leading minors of a tridiagonal matrix share no root when every
+    subdiagonal factor is nonzero, and 4 gamma_p = c + e/t > 0 for t > 0.
+    A_chain keeps the whole chain, whose A_n is the float residue of that
+    zero. Otherwise y takes every coefficient of the chain.
 
     The Pochhammer denominators (1+alpha)_p with 1+alpha = (2l+1)/t are
     strictly positive for omega > 0, l >= 0: every factor is at least
@@ -71,10 +82,9 @@ def assemble_polynomial(n: int, l: int, t_star: float,
     if t_star <= 0:
         raise ValueError("t_star must be positive")
     if A_chain is None:
-        A_chain, eff = coefficient_chain(n, l, t_star, convention)
+        A_chain = coefficient_chain(n, l, t_star, convention)
     else:
         A_chain = list(A_chain)
-        eff = effective_degree(A_chain)
     omega = 1.0 / (t_star * t_star)
     sw = 1.0 / t_star  # sqrt(omega)
     one_alpha = (2 * l + 1) * sw
@@ -82,7 +92,7 @@ def assemble_polynomial(n: int, l: int, t_star: float,
     # (1+alpha)_p and p!, the latter an exact integer
     poch, fact = 1.0, 1
     try:
-        for p, a in enumerate(A_chain):
+        for p, a in enumerate(A_chain[:n] if at_root else A_chain):
             coeffs.append(a * sw ** p / (fact * poch))
             poch *= one_alpha + p
             fact *= p + 1
@@ -96,7 +106,6 @@ def assemble_polynomial(n: int, l: int, t_star: float,
         eta=(n + l + 1) * omega,
         y_coeffs=tuple(coeffs),
         A_chain=tuple(A_chain),
-        effective_degree=eff,
     )
 
 

@@ -155,7 +155,7 @@ def test_criterion_6_normalization_and_moments(computed_roots):
                 worst = max(worst, abs(closed - quad) / abs(quad))
     gauss = normalize(PolynomialSolution(n=0, l=0, t_star=1.0, omega=1.0,
                                          eta=1.0, y_coeffs=(1.0,),
-                                         A_chain=(1.0,), effective_degree=0))
+                                         A_chain=(1.0,)))
     n_err = abs(gauss.N - math.sqrt(2))
     r_err = abs(moment(gauss, 1) - math.sqrt(math.pi) / 2)
     ok = worst < 1e-8 and n_err < 1e-10 and r_err < 1e-10

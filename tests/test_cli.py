@@ -59,6 +59,17 @@ class TestRoots:
         again = json.loads(json.dumps(payload))
         assert again == payload
 
+    @pytest.mark.parametrize("convention", ["table", "literal"])
+    def test_root_states_have_degree_n_minus_1(self, tmp_path, convention):
+        # A_n vanishes exactly at every root and A_(n-1) does not, so the
+        # degree is n - 1 on every row; a float cutoff on the chain printed
+        # n at 16 table roots with n >= 26 (t* >= 282.6)
+        run(["roots", "--n", "2..30", "--l", "0..3", "--format", "json",
+             "--convention", convention, "--out", str(tmp_path)])
+        rows = json.loads((tmp_path / "roots.json").read_text())["rows"]
+        assert len(rows) == 900
+        assert all(r["effective_degree"] == r["n"] - 1 for r in rows)
+
     def test_literal_convention_flag(self, tmp_path):
         run(["roots", "--n", "3", "--l", "0", "--convention", "literal",
              "--out", str(tmp_path)])

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import functools
 import math
@@ -331,7 +332,11 @@ class TestLadder:
 @functools.lru_cache
 def _mp_gauss(m):
     """The m-point Gauss-Legendre rule at 40 digits: Newton's method on P_m
-    from Tricomi's initial guesses, rounded to float."""
+    from Tricomi's initial guesses, rounded to the nearest floats.
+
+    oracle._GAUSS_HALVES holds it at m = 200 and 485: the non-negative
+    nodes, then their weights, as little-endian float64 bytes in base64.
+    """
     with mpmath.workdps(40):
         half = []
         for i in range(1, m // 2 + 1):
@@ -388,24 +393,34 @@ def _mp_recurrence(n, l):
 
 
 class TestQuadrature:
-    """The Gauss-Legendre rule built from a half-size eigensolve and one
-    Legendre pass, the discrete measure mapped from it, the recurrence of
+    """The tabulated Gauss-Legendre rules and the 40-digit rule they are
+    rounded from, the discrete measure mapped from them, the recurrence of
     the basis computed on that measure, and the matrices it integrates."""
 
     @pytest.mark.parametrize("m", [43, 95, 140, 200])
     def test_gauss_against_mpmath(self, m):
-        x, w = oracle._gauss(m)
+        """The 40-digit rule, Newton's method on the three-term recurrence
+        of P_m, against mpmath's own Legendre function at 80 digits: each
+        node is refined as a zero of mpmath.legendre(m, x), its weight is
+        2 (1 - x^2) / (m P_(m-1)(x))^2, and both round to the same floats."""
         x_ref, w_ref = _mp_gauss(m)
-        assert np.max(np.abs(x - x_ref)) <= 1e-15
-        assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-12
+        with mpmath.workdps(80):
+            for x, w in zip(x_ref[m // 2:], w_ref[m // 2:]):
+                z = mpmath.findroot(lambda s: mpmath.legendre(m, s),
+                                    mpmath.mpf(x), tol=mpmath.mpf(10) ** -140,
+                                    verify=False)
+                assert float(z) == x
+                assert float(2 * (1 - z * z)
+                             / (m * mpmath.legendre(m - 1, z)) ** 2) == w
 
     @pytest.mark.parametrize("m", [*range(1, 65), 200, 485])
     def test_gauss_rule_properties(self, m):
-        """Increasing, exactly symmetric nodes with 0 among them iff m is
-        odd, positive exactly symmetric weights, and the even moments
+        """The 40-digit rule rounded to floats, as the tables hold it:
+        increasing, exactly symmetric nodes with 0 among them iff m is odd,
+        positive exactly symmetric weights, and the even moments
         sum w x^(2k) = 2/(2k + 1) for every 2k <= 2m - 2 the rule must
         integrate."""
-        x, w = oracle._gauss(m)
+        x, w = _mp_gauss(m)
         assert x.shape == w.shape == (m,)
         assert np.all(np.diff(x) > 0)
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
@@ -417,13 +432,24 @@ class TestQuadrature:
             assert abs(w @ power * (2 * k + 1) / 2 - 1) <= 5e-14, k
             power *= x2
 
-    @pytest.mark.parametrize("m", [2, 43, 200, 485])
-    def test_gauss_one_half_size_eigensolve(self, monkeypatch, m):
-        counting = _CountingLinalg(oracle.linalg)
-        monkeypatch.setattr(oracle, "linalg", counting)
-        oracle._gauss(m)
-        assert [(name, a.shape) for name, (a,), _, _ in counting.calls] == [
-            ("eigvalsh", (m // 2, m // 2))]
+    def test_tables_are_the_rounded_rules(self):
+        """One table per group top, holding the non-negative half of the
+        3 top + 80 point rule bit for bit as _mp_gauss rounds it, and the
+        measure of each top is that rule mirrored, mapped to [0, X] and
+        weighted by e^(-x^2), bit for bit."""
+        assert tuple(oracle._GAUSS_HALVES) == oracle.BASIS_TOPS
+        for top in oracle.BASIS_TOPS:
+            m = 3 * top + 80
+            x_ref, w_ref = _mp_gauss(m)
+            half = np.array([x_ref[m // 2:], w_ref[m // 2:]], dtype="<f8")
+            assert (base64.b64decode(oracle._GAUSS_HALVES[top])
+                    == half.tobytes()), top
+            scale = 0.5 * (math.sqrt(4.0 * top + 68.0) + 8.0)
+            x = scale * (1.0 + x_ref)
+            w = w_ref * (scale * np.exp(-x * x))
+            measure = oracle._measure(top)
+            assert np.array_equal(measure[0], x), top
+            assert np.array_equal(measure[1], w), top
 
     @pytest.mark.parametrize("m", [43, 95, 140])
     def test_legendre_orthonormal(self, m):
@@ -453,12 +479,14 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("l", [0, 3, 15])
     def test_stieltjes_against_mpmath(self, l):
-        a_ref, b_ref = _mp_recurrence(40, l)
-        for n in (12, 18, 27, 40):
-            a, b, *_ = oracle._basis(n, l)
-            assert not a.flags.writeable and not b.flags.writeable
-            assert np.max(np.abs(a / a_ref[:n] - 1)) <= 1e-13, n
-            assert np.max(np.abs(b / b_ref[:n + 1] - 1)) <= 1e-13, n
+        """The recurrence of the first group's basis, whose leading
+        coefficients serve every size of the group."""
+        top = oracle.BASIS_TOPS[0]
+        a_ref, b_ref = _mp_recurrence(top, l)
+        a, b, *_ = oracle._basis(top, l)
+        assert not a.flags.writeable and not b.flags.writeable
+        assert np.max(np.abs(a / a_ref - 1)) <= 1e-13
+        assert np.max(np.abs(b / b_ref - 1)) <= 1e-13
 
     @pytest.mark.parametrize("l", range(16))
     def test_mass_matrix_is_identity(self, l):
@@ -586,23 +614,35 @@ def _exact_solution(N, l, omega, eta):
     return PolynomialSolution(
         n=N, l=l, t_star=t, omega=omega, eta=eta,
         y_coeffs=tuple(bk / t ** k for k, bk in enumerate(b[1:])),
-        A_chain=(), effective_degree=N)
+        A_chain=())
 
 
-def _count_gauss_rules(monkeypatch) -> list:
-    """The sizes of the Gauss rules built from now on, with every oracle
-    cache emptied first."""
+def _count_builds(monkeypatch) -> _CountingLinalg:
+    """The linalg calls of the oracle from now on, with every oracle cache
+    emptied first, so that the builds of measures and bases are counted in
+    the caches' misses."""
     for f in vars(oracle).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
-    built = []
-    gauss = oracle._gauss
+    counting = _CountingLinalg(oracle.linalg)
+    monkeypatch.setattr(oracle, "linalg", counting)
+    return counting
 
-    def counted(m):
-        built.append(m)
-        return gauss(m)
-    monkeypatch.setattr(oracle, "_gauss", counted)
-    return built
+
+def _assert_one_measure(top):
+    """The one measure built since the caches were emptied is top's."""
+    assert oracle._measure.cache_info().misses == 1
+    oracle._measure(top)
+    assert oracle._measure.cache_info().misses == 1
+
+
+def _assert_ladder_only(counting):
+    """Every linalg call is an eigvalsh of a Galerkin size's leading block:
+    no Gauss rule is solved for."""
+    ladder = {(n + 1, n + 1) for n in oracle.GALERKIN_SIZES}
+    assert counting.calls
+    for name, (a,), _, _ in counting.calls:
+        assert name == "eigvalsh" and a.shape in ladder, (name, a.shape)
 
 
 class TestLattice:
@@ -634,9 +674,9 @@ class TestLattice:
 
     def test_one_basis_per_l(self, monkeypatch):
         """Over the 60 exact states with N <= 8 and l <= 2, which accept at
-        sizes 18 to 40, one Gauss rule is built and the basis once per
-        l."""
-        built = _count_gauss_rules(monkeypatch)
+        sizes 18 to 40, the measure of the first group top is built once,
+        from its table, and the basis once per l."""
+        counting = _count_builds(monkeypatch)
         solves = 0
         for l in range(3):
             for N in range(1, 9):
@@ -645,16 +685,18 @@ class TestLattice:
                                 ShootingConfig(node_target=N))
                     solves += 1
         assert solves == 60
-        assert built == [3 * oracle.BASIS_TOPS[0] + 80]
-        assert oracle._measure.cache_info().misses == 1
+        _assert_one_measure(oracle.BASIS_TOPS[0])
         assert oracle._basis.cache_info().misses == 3
+        _assert_ladder_only(counting)
 
     def test_dossier_builds_one_gauss_rule(self, monkeypatch):
-        """The report, at l = 0 and 1, builds one Gauss rule and two bases."""
-        built = _count_gauss_rules(monkeypatch)
+        """The report, at l = 0 and 1, builds one measure, that of the first
+        group top from its tabulated rule, and two bases."""
+        counting = _count_builds(monkeypatch)
         build_report()
-        assert built == [3 * oracle.BASIS_TOPS[0] + 80]
+        _assert_one_measure(oracle.BASIS_TOPS[0])
         assert oracle._basis.cache_info().misses == 2
+        _assert_ladder_only(counting)
 
 
 def _count_nodes_by_row(u):
@@ -891,7 +933,8 @@ class TestSyntheticOscillatorCheck:
 class TestValidateRoot:
     def test_record_fields_populated(self):
         root = solve_termination(2, 0).rootset.roots[0]
-        rec = validate_root(normalize(assemble_polynomial(2, 0, root.t_star)))
+        rec = validate_root(normalize(assemble_polynomial(2, 0, root.t_star,
+                                                          at_root=True)))
         omega = 1.0 / (root.t_star * root.t_star)
         assert rec.eta_analytic == pytest.approx(3 * omega)
         assert rec.classification in (CONFIRMED, NEAR, DISCREPANT)

@@ -138,7 +138,7 @@ class TestClearDenominators:
         for _ in range(100):
             t = rng.uniform(0.05, 20.0)
             lhs = content * rp.poly_eval(cleared.coefficients, t) / (32 * t)
-            rhs = -coefficient_chain(5, 1, t)[0][5]
+            rhs = -coefficient_chain(5, 1, t)[5]
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -266,23 +266,21 @@ class TestRepeatedRoots:
 
 class TestCoefficientChain:
     def test_first_row(self):
-        a, _ = coefficient_chain(1, 0, 1.0)
+        a = coefficient_chain(1, 0, 1.0)
         assert a == [1.0, -0.5]
 
     def test_vanishing_at_n2_root(self):
         t = 16 ** (1 / 3)
-        a, eff = coefficient_chain(2, 0, t)
+        a = coefficient_chain(2, 0, t)
         assert a[0] == 1.0
         assert a[1] == pytest.approx(-1.25992, abs=5e-6)
         assert abs(a[2]) < 1e-12
-        assert eff == 1
 
     def test_vanishing_at_n2_l1_root(self):
         t = 48 ** (1 / 3)
-        a, eff = coefficient_chain(2, 1, t)
+        a = coefficient_chain(2, 1, t)
         assert a[1] == pytest.approx(-1.81712, abs=5e-6)
         assert abs(a[2]) < 1e-12
-        assert eff == 1
 
     @settings(deadline=None)
     @given(st.integers(1, 12), st.integers(0, 4),
@@ -292,7 +290,7 @@ class TestCoefficientChain:
     def test_trailing_coefficient_tracks_determinant(self, n, l, conv, t):
         # A_k = (-1)^k d_k when the same factors drive both recurrences, so
         # D_k = 2^k t^floor(k/2) d_k = (-2)^k t^floor(k/2) A_k
-        chain, _ = coefficient_chain(n, l, t, conv)
+        chain = coefficient_chain(n, l, t, conv)
         assert all(isinstance(v, F) for v in chain)
         for k, d in enumerate(d_seq(n, l, conv)):
             assert rp.poly_eval(d, t) == (-2) ** k * t ** (k // 2) * chain[k]
@@ -300,6 +298,34 @@ class TestCoefficientChain:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             coefficient_chain(2, 0, 0.0)
+
+    def test_root_states_have_degree_n_minus_1(self):
+        """In integers, with B_p = 4^p t^p A_p from the pairs (c, e):
+        B_0 = 1, B_1 = -2t^2, B_(p+2) = -2t^2 B_(p+1) - 4t(ct + e) B_p.
+        B_n and D_n have the same primitive part, so A_n vanishes at every
+        root of D_n, and B_(n-1) shares no root with D_n, so A_(n-1) does
+        not: a root state has degree n - 1 exactly, for n <= 30, l <= 3 and
+        both conventions. Modulo SQUAREFREE_PRIME, which divides neither
+        leading coefficient, the gcd has degree 0, which proves it 1 over
+        the integers."""
+        q = rp.SQUAREFREE_PRIME
+        for conv in (TABLE, LITERAL):
+            for l in range(4):
+                for n in range(2, 31):
+                    gammas = build_gamma_factors(n, l, conv)
+                    b = [[1], [0, 0, -2]]
+                    for c, e in gammas:
+                        nxt = [0, 0] + [-2 * v for v in b[-1]]
+                        for i, v in enumerate(b[-2]):
+                            nxt[i + 1] -= 4 * e * v
+                            nxt[i + 2] -= 4 * c * v
+                        b.append(nxt)
+                    d_n = rp.primitive_part(determinant_sequence(gammas)[n])
+                    assert rp.primitive_part(b[n]) == d_n, (conv, n, l)
+                    b_prev = rp.primitive_part(b[n - 1])
+                    assert b_prev[-1] % q and d_n[-1] % q
+                    assert rp._gcd_degree_mod(d_n, b_prev, q) == 0, \
+                        (conv, n, l)
 
 
 class TestBruteForceEquivalence:
@@ -363,7 +389,7 @@ class TestPrintedCoefficients:
     def test_printed_matches_chain_through_A2_for_n2(self):
         t = 3.7
         printed = printed_series_coefficients(0, t)
-        chain, _ = coefficient_chain(2, 0, t)
+        chain = coefficient_chain(2, 0, t)
         assert printed[0] == chain[0]
         assert printed[1] == pytest.approx(chain[1], rel=1e-12)
         assert printed[2] == pytest.approx(chain[2], rel=1e-12)
@@ -373,5 +399,5 @@ class TestPrintedCoefficients:
         t = 5.0
         printed = printed_series_coefficients(0, t)[3]
         for conv in (TABLE, LITERAL):
-            chain, _ = coefficient_chain(3, 0, t, conv)
+            chain = coefficient_chain(3, 0, t, conv)
             assert abs(printed - chain[3]) > 1e-6

@@ -26,8 +26,7 @@ def gaussian_state(l=0, omega=1.0):
     """y = 1: the bare r^(l+1/2) exp(-w r^2/2) profile."""
     sol = PolynomialSolution(n=0, l=l, t_star=1 / math.sqrt(omega),
                              omega=omega, eta=(l + 1) * omega,
-                             y_coeffs=(1.0,), A_chain=(1.0,),
-                             effective_degree=0)
+                             y_coeffs=(1.0,), A_chain=(1.0,))
     return normalize(sol)
 
 
@@ -61,7 +60,17 @@ class TestAssembly:
         assert sol.y_coeffs[0] == 1.0
         assert sol.y_coeffs[1] == pytest.approx(-1.25992, abs=5e-6)
         assert abs(sol.y_coeffs[2]) < 1e-12
-        assert sol.effective_degree == 1
+        assert sol.degree == 2
+
+    def test_root_state_drops_the_vanishing_coefficient(self):
+        """At a root the state is assembled from A_0..A_(n-1), with the same
+        leading coefficients, and keeps the whole chain."""
+        t = 16 ** (1 / 3)
+        full = assemble_polynomial(2, 0, t)
+        sol = assemble_polynomial(2, 0, t, at_root=True)
+        assert sol.y_coeffs == full.y_coeffs[:2]
+        assert sol.degree == 1
+        assert sol.A_chain == full.A_chain and len(sol.A_chain) == 3
 
     def test_eta_follows_quantum_condition(self):
         sol = assemble_polynomial(3, 1, 5.0)
@@ -80,7 +89,7 @@ class TestAssembly:
         for n in range(1, 6):
             for l in (0, 1, 2):
                 t = rng.uniform(0.5, 12.0)
-                A, _ = coefficient_chain(n, l, t)
+                A = coefficient_chain(n, l, t)
                 sol = assemble_polynomial(n, l, t, A_chain=A)
                 expl = explicit_y(n, l, t, A)
                 for _ in range(100):
@@ -103,8 +112,7 @@ class TestGammaSum:
             for j in range(41):
                 sol = PolynomialSolution(
                     n=j, l=l, t_star=t, omega=1 / t ** 2, eta=1.0,
-                    y_coeffs=(0.0,) * j + (1.0,), A_chain=(1.0,),
-                    effective_degree=j)
+                    y_coeffs=(0.0,) * j + (1.0,), A_chain=(1.0,))
                 for k in range(4):
                     m = 2 * (l + 1) + 2 * j + k
                     assert _gamma_sum(sol, k) == pytest.approx(
@@ -139,8 +147,7 @@ class TestNormalization:
 
     def test_zero_polynomial_rejected(self):
         sol = PolynomialSolution(n=0, l=0, t_star=1.0, omega=1.0, eta=1.0,
-                                 y_coeffs=(0.0,), A_chain=(0.0,),
-                                 effective_degree=0)
+                                 y_coeffs=(0.0,), A_chain=(0.0,))
         with pytest.raises(ValueError):
             normalize(sol)
 
