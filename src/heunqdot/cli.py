@@ -112,7 +112,6 @@ def _write(args: argparse.Namespace, rows: list[dict], header: list[str],
            name: str) -> Path:
     """Write rows to OUT/name.csv or OUT/name.json, as args.format says."""
     out = Path(args.out) / f"{name}.{args.format}"
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(row[h]) for h in header) for row in rows]
@@ -241,7 +240,6 @@ def cmd_report(args: argparse.Namespace) -> None:
     rep = build_report(args.n, args.l, args.convention,
                        precision=args.precision)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     jpath = outdir / "report.json"
     tpath = outdir / "report.txt"
     jpath.write_text(json.dumps(rep, indent=2) + "\n")
@@ -325,7 +323,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def resolve(args: argparse.Namespace) -> None:
     """Fill every option not given as a flag (HEUNQDOT_OUT for out, then the
-    config file, then DEFAULTS), then convert and check every value."""
+    config file, then DEFAULTS), convert and check every value, then create
+    the output directory."""
     config = read_config(args.config)
     unknown = sorted(set(config) - set(DEFAULTS))
     if unknown:
@@ -372,6 +371,11 @@ def resolve(args: argparse.Namespace) -> None:
         if any(v < low for v in values):
             raise ValueError(
                 f"{name} must be at least {low}, got {min(values)}")
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {args.out!r}: "
+                         f"{exc.strerror or exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -383,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         resolve(args)
-    except ValueError as exc:  # bad config, range, grid or option value
+    except ValueError as exc:  # bad config, option value or output directory
         parser.error(str(exc))
     try:
         args.run(args)

@@ -18,10 +18,9 @@ grid. Brackets are then refined on the same IntPoly to the cell of the grid
 that bisection would end in: a float Newton iteration names the cell and two
 integer Horner evaluations certify it. Where float roundoff put the seed in
 another cell, the secant through those two exact values names the next
-one, with quadratic interval refinement (Abbott's QIR) on that grid as the
-last fallback. Every
-returned root carries a rational bracket certified by an exact sign change,
-or is an exact rational root. Unlike Fraction arithmetic, the integer
+one, with bisection between the grid points certified on either side of
+the root as the last fallback. Every returned root carries a rational
+bracket certified by an exact sign change, or is an exact rational root. Unlike Fraction arithmetic, the integer
 arithmetic takes no gcd after every operation.
 """
 
@@ -355,15 +354,8 @@ def refine_root_bisect(p: IntPoly, lo: Fraction, hi: Fraction,
     already certified on either side of the root: the neighbour when the
     seed is one cell off, and the root's cell at once when float roundoff
     put the seed many cells away. Otherwise (no seed, or two failed cells)
-    quadratic interval refinement (J. Abbott, "Quadratic interval
-    refinement for real roots", 2006) runs on that grid from the whole
-    bracket, reusing the values already taken: the secant through the
-    values at the ends of the current cell picks the nearest of N equal
-    sub-cell boundaries, and two evaluations test the sub-cell on the
-    root's side of it. On success that sub-cell is the new cell and N
-    becomes N^2; on failure the cell is bisected and N becomes sqrt(N). N is
-    a power of two and at most the cell's length in grid steps, so every
-    cell is one that bisection visits.
+    plain bisection between those two certified grid points ends in the
+    root's cell, or at the root, one exact value per halving.
 
     Every value is the integer den^d p(x) at one common den, so the final
     bracket is a certificate: p(lo) and p(hi) have strictly opposite signs,
@@ -416,30 +408,14 @@ def refine_root_bisect(p: IntPoly, lo: Fraction, hi: Fraction,
         if v_left != v_right:
             j += v_left // (v_left - v_right)
         j = min(max(j, left), right - 1)
-    # the cell is grid points lo_j .. lo_j + 2^g; N = 2^e sub-cells
-    lo_j, g, e = 0, h, 2
-    while g:
-        v_lo, v_hi = value(lo_j), value(lo_j + (1 << g))
-        e_cell = min(e, g)
-        n, sub = 1 << e_cell, 1 << (g - e_cell)
-        # the sub-cell boundary k nearest the secant's zero n v_lo/(v_lo - v_hi)
-        k = (2 * n * v_lo + v_lo - v_hi) // (2 * (v_lo - v_hi))
-        m = lo_j + k * sub
-        v_m = v_lo if k == 0 else v_hi if k == n else value(m)
-        if not v_m:
-            return exact(m)
-        c = m + sub if (v_m > 0) == (v_lo > 0) else m - sub
-        v_c = value(c)
-        if not v_c:
-            return exact(c)
-        if (v_c > 0) != (v_m > 0):
-            lo_j, g, e = min(m, c), g - e_cell, 2 * e
-            continue
-        mid = lo_j + (1 << (g - 1))
+    # bisection between the grid points certified on either side of the root
+    while right - left > 1:
+        mid = (left + right) // 2
         v_mid = value(mid)
         if not v_mid:
             return exact(mid)
         if (v_mid > 0) == (v_lo > 0):
-            lo_j = mid
-        g, e = g - 1, max(1, e // 2)
-    return cell(lo_j)
+            left = mid
+        else:
+            right = mid
+    return cell(left)

@@ -398,6 +398,24 @@ class TestConfigPrecedence:
         assert (tmp_path / "cli" / "roots.csv").exists()
         assert not (tmp_path / "envdir").exists()
 
+    @pytest.mark.parametrize("command", ["roots", "report"])
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_unusable_output_directory_is_a_usage_error(
+            self, tmp_path, capsys, command, under):
+        """An output path that is a file, or lies under one, is refused
+        before any work, and nothing is written."""
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / under if under else taken
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--n", "2", "--l", "0", "--out", str(out)])
+        assert stop.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"heunqdot: error: cannot create output "
+                               f"directory '{out}'")
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "kept\n"
+
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 

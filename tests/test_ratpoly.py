@@ -163,10 +163,10 @@ PRECISIONS = (1e-6, 1e-13, 1e-14)  # decreasing
 
 
 def bisect_reference(p, lo, hi, widths):
-    """Exact bisection of a sign-change bracket, the loop refine_root_bisect
-    ran before quadratic interval refinement, stopped at hi - lo <= width for
-    each of the decreasing widths in turn: a narrower width only continues
-    the same halvings, so one pass gives the bracket for every width."""
+    """Exact bisection of a sign-change bracket from its ends, the brackets
+    refine_root_bisect must return, stopped at hi - lo <= width for each of
+    the decreasing widths in turn: a narrower width only continues the same
+    halvings, so one pass gives the bracket for every width."""
     if lo == hi:
         return [(lo, hi)] * len(widths)
     den = math.lcm(lo.denominator, hi.denominator)
@@ -264,19 +264,43 @@ def _seeding(monkeypatch, move):
     monkeypatch.setattr(rp, "_float_seed", moved)
 
 
+def _halvings(lo, hi, width):
+    """h: the halvings that bring hi - lo to at most width."""
+    w = Fraction(width).limit_denominator(10 ** 18)
+    h = 0
+    while (hi - lo) / 2 ** h > w:
+        h += 1
+    return h
+
+
+def _counted_refine(monkeypatch):
+    """refine_root_bisect that also returns the exact values it took."""
+    value_at, count = rp._value_at, [0]
+
+    def counted(*args):
+        count[0] += 1
+        return value_at(*args)
+    monkeypatch.setattr(rp, "_value_at", counted)
+
+    def refine(*args):
+        count[0] = 0
+        return rp.refine_root_bisect(*args), count[0]
+    return refine
+
+
 def _determinants(ns):
     return [determinant_sequence(build_gamma_factors(n, l, convention))[n]
             for convention in GammaConvention for n in ns for l in range(3)]
 
 
 @pytest.mark.parametrize("move", [
-    lambda j, cells: None,                  # no seed: QIR alone
+    lambda j, cells: None,                  # no seed: bisection alone
     lambda j, cells: 0,                     # the first cell of the grid
     lambda j, cells: cells - 1,             # the last one
     lambda j, cells: min(j + 2, cells - 1),  # two cells right of the root
     lambda j, cells: max(j - 2, 0),         # two cells left of it
 ], ids=["none", "first", "last", "right2", "left2"])
-def test_wrong_seeds_fall_back_to_qir(monkeypatch, move):
+def test_wrong_seeds_fall_back_to_bisection(monkeypatch, move):
     _seeding(monkeypatch, move)
     for p in _determinants(range(2, 9)):
         assert_refinement_matches_bisection(p)
@@ -293,15 +317,11 @@ def test_a_seed_one_cell_off_costs_one_evaluation(monkeypatch, offset):
                   for lo, hi in rp.isolate_positive_roots(sf)[0]]
     _seeding(monkeypatch,
              lambda j, cells: min(max(j + offset, 0), cells - 1))
-    value_at, counts = rp._value_at, []
-
-    def counted(*args):
-        counts[-1] += 1
-        return value_at(*args)
-    monkeypatch.setattr(rp, "_value_at", counted)
+    refine, counts = _counted_refine(monkeypatch), []
     for sf, lo, hi, reference in cases:
-        counts.append(0)
-        assert rp.refine_root_bisect(sf, lo, hi, 1e-13) == reference
+        bracket, count = refine(sf, lo, hi, 1e-13)
+        assert bracket == reference
+        counts.append(count)
     assert set(counts) <= {4, 5} and 5 in counts
 
 
@@ -311,8 +331,7 @@ def test_evaluations_per_determinant_root(monkeypatch):
     neighbour holds the root (128), and 6 at the 293 roots of square-free
     degree 18 and up whose seed float roundoff put many cells away, where
     the exact secant through the seed cell's values names the root's cell.
-    QIR from the whole bracket took 15 to 23 at each of those 293, 5 480
-    in all, and 8 308 over the 968 roots."""
+    No root with n <= 22 reaches the bisection fallback."""
     value_at, counts = rp._value_at, []
     refine = rp.refine_root_bisect
 
@@ -332,13 +351,52 @@ def test_evaluations_per_determinant_root(monkeypatch):
     assert Counter(counts) == {4: 547, 5: 128, 6: 293}
 
 
-def test_coefficients_past_the_float_range_take_qir():
+def test_coefficients_past_the_float_range_take_bisection():
     # 10^400 t - (3 10^400 + 7): no coefficient is a float
     p = [-(3 * 10 ** 400 + 7), 10 ** 400]
     (lo, hi), = rp.isolate_positive_roots(p)[0]
     assert rp._float_seed(p, lo, hi, True, 1 << 40) is None
     refined = [rp.refine_root_bisect(p, lo, hi, w) for w in PRECISIONS]
     assert refined == bisect_reference(p, lo, hi, PRECISIONS)
+
+
+def test_without_a_seed_each_halving_costs_one_value(monkeypatch):
+    """With no seed a root costs 2 + h exact values: the bracket's two ends
+    and one per halving. It costs fewer only when a grid point is the
+    root."""
+    _seeding(monkeypatch, lambda j, cells: None)
+    refine = _counted_refine(monkeypatch)
+    for p in _determinants(range(2, 9)):
+        sf = rp.squarefree_part(rp.primitive_part(p))[0]
+        for lo, hi in rp.isolate_positive_roots(sf)[0]:
+            for width in PRECISIONS:
+                assert refine(sf, lo, hi, width)[1] == 2 + _halvings(
+                    lo, hi, width), (sf, lo, hi, width)
+    for p, root in (([-7, 6, 1], F(1)), ([-15, 2, 1], F(3))):
+        (lo, hi), = [iv for iv in rp.isolate_positive_roots(p)[0]
+                     if iv[0] < root < iv[1]]
+        bracket, count = refine(p, lo, hi, 1e-13)
+        assert bracket == (root, root)
+        assert count < 2 + _halvings(lo, hi, 1e-13)
+
+
+def test_the_one_determinant_whose_roots_reach_the_fallback(monkeypatch):
+    """Over n <= 40, l <= 3 and both conventions, only one root gets past
+    the seed's two cells: one of the table n = 39, l = 0 determinant
+    (square-free degree 57), with 2.8e14 cells between the grid points
+    they certify. Every root of it refines to bisection's bracket within h + 6
+    exact values: the bracket's ends, two cells and at most h halvings."""
+    p = determinant_sequence(build_gamma_factors(39, 0))[39]
+    sf = rp.squarefree_part(rp.primitive_part(p))[0]
+    refine = _counted_refine(monkeypatch)
+    counts = []
+    for lo, hi in rp.isolate_positive_roots(sf)[0]:
+        reference, = bisect_reference(sf, lo, hi, [1e-13])
+        bracket, count = refine(sf, lo, hi, 1e-13)
+        assert bracket == reference, (lo, hi)
+        assert count <= _halvings(lo, hi, 1e-13) + 6
+        counts.append(count)
+    assert len(sf) - 1 == 57 and sum(c > 6 for c in counts) == 1
 
 
 # ---------------------------------------------------------------------------
