@@ -10,7 +10,9 @@ line takes its value from, in order: the environment variable HEUNQDOT_OUT
 (for --out only), the config file (plain key=value lines, --config or
 ./heunqdot.conf), the built-in DEFAULTS. The config file may set the options
 in DEFAULTS, each under its flag's long name (convention, format, out,
-precision, n, l); any other key, or an empty value, is an error.
+precision, n, l); any other key, or an empty value, is an error. A
+command ignores the keys it has no flag for: report, which always writes
+json and text, takes no --format, as tables takes no --n or --l.
 wavefunction --gnuplot plots the csv files, so it needs format csv. The
 oracle's eigenvalues come from a self-converged Galerkin solve in a
 Gaussian-weighted half-range polynomial basis; the node count of each is its
@@ -308,7 +310,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--convention",
                        choices=[c.value for c in GammaConvention])
-        p.add_argument("--format", choices=["csv", "json"])
+        if name != "report":  # the dossier is always json + text
+            p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--precision", type=float, help="root refinement "
                        f"width (default {DEFAULTS['precision']})")
         if ranges:
@@ -355,10 +358,11 @@ def resolve(args: argparse.Namespace) -> None:
     if omega is not None and not 0 < omega < math.inf:
         raise ValueError("omega override must be finite and positive, "
                          f"got {omega:g}")
-    if args.format not in ("csv", "json"):
+    fmt = options.get("format", "csv")  # report takes no format
+    if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
-    if options.get("gnuplot") and args.format != "csv":
-        raise ValueError(f"--gnuplot needs format csv, got {args.format}")
+    if options.get("gnuplot") and fmt != "csv":
+        raise ValueError(f"--gnuplot needs format csv, got {fmt}")
     check_precision(args.precision)
     if args.command not in ("tables", "report") and (not args.n or not args.l):
         raise ValueError(f"{args.command} requires non-empty n and l ranges")

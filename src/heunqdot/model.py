@@ -35,10 +35,10 @@ the 2D oscillator spectrum is normalized; this module follows the printed
 closed form epsilon = omega_R * (n_R + 1) with a single radial-style label n_R.
 The spectrum command applies it.
 
-Every record in the package is a typing.NamedTuple. The three that check
-their values (RadialProblem, MagneticConfig and oracle.ShootingConfig) check
-in a __new__ over a NamedTuple base, which calls and unpickling go through
-but _make and _replace skip.
+Every record in the package is a typing.NamedTuple. The two that check
+their values (RadialProblem and oracle.ShootingConfig) check in a __new__
+over a NamedTuple base, which calls and unpickling go through but _make and
+_replace skip.
 """
 
 from __future__ import annotations
@@ -92,58 +92,21 @@ def effective_potential_term(r, omega: float, l: int, coulomb_a: float = 0.5):
     return v
 
 
-class _MagneticConfig(NamedTuple):
-    omega_0: float
-    B: float
-    m: int
+def map_magnetic(omega_0: float, B: float,
+                 m: int) -> tuple[RadialProblem, float]:
+    """Reduce confinement omega_0 plus a homogeneous field B (a.u.) to a
+    plain RadialProblem and an additive eigenvalue shift.
 
-
-class MagneticConfig(_MagneticConfig):
-    """Confinement omega_0 plus a homogeneous magnetic field B (a.u.).
-
-    omega_c = B/c with c = SPEED_OF_LIGHT, omega_tilde =
-    sqrt(omega_0^2 + (omega_c/2)^2); the mapped radial problem uses
-    omega_tilde/2 and |m|, and the eigenvalue picks up an additive shift
-    m*omega_c/4.
+    With omega_c = B/c (c = SPEED_OF_LIGHT), the dressed frequency w =
+    sqrt(omega_0^2 + (omega_c/2)^2) and m = l, the field-dressed radial
+    equation is the plain one at w/2 and |m|, and the eigenvalue shifts by
+    m*omega_c/4. Nothing in the program calls it yet; ROADMAP item 2's
+    command will.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, omega_0: float, B: float = 0.0, m: int = 0):
-        if omega_0 < 0:
-            raise ValueError("omega_0 must be non-negative")
-        if omega_0 == 0 and B == 0:
-            raise ValueError("degenerate problem: omega_0 = B = 0")
-        return tuple.__new__(cls, (omega_0, B, m))
-
-    @classmethod
-    def from_cyclotron(cls, omega_0: float, omega_c: float,
-                       m: int = 0) -> MagneticConfig:
-        return cls(omega_0=omega_0, B=omega_c * SPEED_OF_LIGHT, m=m)
-
-    @property
-    def omega_c(self) -> float:
-        return self.B / SPEED_OF_LIGHT
-
-    @property
-    def omega_tilde(self) -> float:
-        return math.sqrt(self.omega_0 ** 2 + (self.omega_c / 2) ** 2)
-
-    @property
-    def omega_tilde_r(self) -> float:
-        return self.omega_tilde / 2
-
-    @property
-    def energy_shift(self) -> float:
-        """Additive shift relating the shifted and unshifted eigenvalues."""
-        return self.m * self.omega_c / 4
-
-
-def map_magnetic(config: MagneticConfig) -> tuple[RadialProblem, float]:
-    """Reduce the magnetic-field problem to a plain RadialProblem plus shift.
-
-    With m = l the field-dressed radial equation coincides with the plain one
-    at omega = omega_tilde/2, so everything downstream is reused unchanged.
-    """
-    problem = RadialProblem(omega=config.omega_tilde_r, l=abs(config.m))
-    return problem, config.energy_shift
+    if omega_0 < 0:
+        raise ValueError("omega_0 must be non-negative")
+    if omega_0 == 0 and B == 0:
+        raise ValueError("degenerate problem: omega_0 = B = 0")
+    omega_c = B / SPEED_OF_LIGHT
+    dressed = math.sqrt(omega_0 ** 2 + (omega_c / 2) ** 2)
+    return RadialProblem(omega=dressed / 2, l=abs(m)), m * omega_c / 4

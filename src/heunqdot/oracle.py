@@ -397,16 +397,20 @@ def validate_root(state: RadialState) -> ValidationRecord:
 def oscillator_state(k: int, l: int) -> RadialState:
     """Exact 2D-oscillator polynomial state at omega = 1 (Coulomb off).
 
-    With the interaction removed the series machinery terminates at every
-    frequency: odd coefficients vanish and A_{p+2} = -gamma_{p+1} A_p with
-    the recurrence factors. Degree n = 2k gives eta = (2k + l + 1).
+    With the interaction removed the radial recurrence of the model
+    docstring terminates at every frequency: odd coefficients vanish and,
+    with A_p = p! (2l+1)_p y_p, A_{q+1} = -2q(n+1-q)(q+2l) A_{q-1}. That
+    factor is the radial equation's own 4 gamma_q, not the table factor
+    (for n = 4, l = 0 at t = 1 the table's gamma reads 8, 36, 32 against
+    8, 24, 36 here). The state is the normalized Laguerre polynomial
+    y = L_k^(l)(r^2)/L_k^(l)(0) of degree n = 2k, with eta = 2k + l + 1.
     """
     from .wavefunction import assemble_polynomial, normalize
 
     n = 2 * k
     a = [1.0, 0.0]
     for p in range(max(0, n - 1)):
-        gamma = 2.0 * (n - p) * (p + 1) * (p + 1 + 2 * l)  # alpha = 2l at omega = 1
+        gamma = 2.0 * (n - p) * (p + 1) * (p + 1 + 2 * l)  # 4 gamma_q, q = p + 1
         a.append(-gamma * a[p])  # delta' = 0 once the Coulomb term is off
     a = a[:n + 1]
     sol = assemble_polynomial(n, l, 1.0, A_chain=a)

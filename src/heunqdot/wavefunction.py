@@ -241,11 +241,15 @@ def _quad(f, omega: float) -> float:
 
 
 def norm_integral_quad(solution: PolynomialSolution) -> float:
+    """norm_integral_closed by quadrature. Nothing in the program calls it:
+    test_wavefunction, test_acceptance and test_cli check the closed form
+    against it."""
     state = RadialState(solution=solution, N=1.0)
     return _quad(lambda r: state.u(r) ** 2, solution.omega)
 
 
 def moment_quad(state: RadialState, k: int) -> float:
+    """moment by quadrature, its check in the same three test files."""
     return _quad(lambda r: r ** k * (state.N * state.u(r)) ** 2, state.omega)
 
 

@@ -210,6 +210,27 @@ class TestReportCommand:
         assert rep["oracle"] == []
         assert rep["caveats"]
 
+    def test_format_flag_is_refused(self, tmp_path, capsys):
+        """report always writes json and text, so --format is a usage
+        error rather than a flag it accepts and ignores."""
+        with pytest.raises(SystemExit) as stop:
+            main(["report", "--n", "2", "--l", "0", "--format", "csv",
+                  "--out", str(tmp_path)])
+        assert stop.value.code == 2
+        assert ("unrecognized arguments: --format csv"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+    def test_config_format_is_ignored(self, tmp_path):
+        """The config file is shared by every command, so its format key
+        stays legal for report, which ignores it."""
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"out = {tmp_path}\nformat = json\n")
+        run(["report", "--n", "2", "--l", "0", "--config", str(conf)])
+        assert (tmp_path / "report.json").exists()
+        assert (tmp_path / "report.txt").exists()
+        assert not list(tmp_path.glob("*.csv"))
+
 
 COMMANDS = ["roots", "spectrum", "wavefunction", "moments", "validate",
             "tables", "report"]
@@ -556,3 +577,46 @@ def test_no_unused_imports_in_src():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+# public names that only the tests read; each docstring names its reader
+_TEST_ONLY_API = {"dense_determinant_check", "norm_integral_quad",
+                  "moment_quad", "map_magnetic"}
+
+
+def test_no_public_name_without_a_reader():
+    """No API that nothing uses: every public module-level function, class
+    and constant of the package is read by another statement of the
+    package or by a perfbench file, except those of _TEST_ONLY_API. A read
+    is a name, an attribute or an import of the same name; strings do not
+    count."""
+    root = Path(__file__).parents[1]
+    src = sorted((root / "src" / "heunqdot").glob("*.py"))
+    defined, reads = [], []
+    for path in src + sorted((root / "perfbench").glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Import | ast.ImportFrom):
+                    names |= {alias.name for alias in node.names}
+            reads.append((stmt, names))
+            if path not in src:
+                continue
+            if isinstance(stmt, ast.FunctionDef | ast.ClassDef):
+                targets = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                targets = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [getattr(stmt.target, "id", "_")]
+            else:
+                targets = []
+            defined += [(name, stmt) for name in targets
+                        if not name.startswith("_")]
+    unread = {name for name, stmt in defined
+              if not any(name in names for other, names in reads
+                         if other is not stmt)}
+    assert unread == _TEST_ONLY_API

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heunqdot.model import (
-    MagneticConfig,
+    SPEED_OF_LIGHT,
     RadialProblem,
     effective_potential_term,
     map_magnetic,
@@ -26,7 +26,6 @@ def test_rejects_bad_omega():
 # the records that check their values, each with valid values for its fields
 _CHECKED_RECORDS = {
     RadialProblem: {"omega": 0.25, "l": 1},
-    MagneticConfig: {"omega_0": 0.2, "B": 10.0, "m": 3},
     ShootingConfig: {"node_target": 6},
 }
 
@@ -48,46 +47,51 @@ def test_checked_record_by_position_keyword_and_pickle(record):
 
 
 class TestMagneticMapping:
+    """map_magnetic(omega_0, B, m) returns RadialProblem(w/2, |m|) and the
+    shift m*omega_c/4, with omega_c = B/c and the dressed frequency
+    w = sqrt(omega_0^2 + (omega_c/2)^2)."""
+
     def test_zero_field_is_identity(self):
-        cfg = MagneticConfig(omega_0=0.1, B=0.0, m=0)
-        problem, shift = map_magnetic(cfg)
+        problem, shift = map_magnetic(0.1, 0.0, 0)
         assert problem.omega == pytest.approx(0.05)
         assert problem.l == 0
         assert shift == 0.0
-        assert cfg.omega_tilde == cfg.omega_0
+        assert 2 * problem.omega == 0.1  # w == omega_0
 
     def test_pure_field(self):
-        cfg = MagneticConfig.from_cyclotron(omega_0=0.0, omega_c=2.0, m=0)
-        problem, _ = map_magnetic(cfg)
-        assert cfg.omega_tilde == pytest.approx(1.0)
+        problem, _ = map_magnetic(0.0, 2.0 * SPEED_OF_LIGHT, 0)
+        assert 2 * problem.omega == pytest.approx(1.0)
         assert problem.omega == pytest.approx(0.5)
 
     def test_mixed_case(self):
-        cfg = MagneticConfig.from_cyclotron(omega_0=0.3, omega_c=0.8, m=1)
-        problem, shift = map_magnetic(cfg)
-        assert cfg.omega_tilde == pytest.approx(0.5)
+        problem, shift = map_magnetic(0.3, 0.8 * SPEED_OF_LIGHT, 1)
+        assert 2 * problem.omega == pytest.approx(0.5)
         assert problem.omega == pytest.approx(0.25)
         assert shift == pytest.approx(0.2)
 
     def test_field_from_B(self):
-        cfg = MagneticConfig(omega_0=0.0, B=137.035999, m=0)
-        assert cfg.omega_c == pytest.approx(1.0)
+        problem, _ = map_magnetic(0.0, 137.035999, 0)
+        # w = omega_c/2 without confinement
+        assert 4 * problem.omega == pytest.approx(1.0)
 
     def test_effective_frequency_dominates(self):
-        cfg = MagneticConfig(omega_0=0.2, B=10.0, m=3)
-        assert cfg.omega_tilde >= cfg.omega_0
-        assert cfg.omega_tilde >= cfg.omega_c / 2
+        problem, _ = map_magnetic(0.2, 10.0, 3)
+        w = 2 * problem.omega
+        assert w >= 0.2
+        assert w >= 10.0 / SPEED_OF_LIGHT / 2
 
     def test_degenerate_config_rejected(self):
-        with pytest.raises(ValueError):
-            MagneticConfig(omega_0=0.0, B=0.0)
+        with pytest.raises(ValueError, match="degenerate problem"):
+            map_magnetic(0.0, 0.0, 0)
+
+    def test_negative_confinement_rejected(self):
+        with pytest.raises(ValueError, match="omega_0 must be non-negative"):
+            map_magnetic(-0.1, 1.0, 0)
 
     @given(st.integers(-4, 4))
     def test_sign_of_m_only_flips_shift(self, m):
-        cfg_p = MagneticConfig.from_cyclotron(0.2, 0.3, m=m)
-        cfg_m = MagneticConfig.from_cyclotron(0.2, 0.3, m=-m)
-        prob_p, shift_p = map_magnetic(cfg_p)
-        prob_m, shift_m = map_magnetic(cfg_m)
+        prob_p, shift_p = map_magnetic(0.2, 0.3 * SPEED_OF_LIGHT, m)
+        prob_m, shift_m = map_magnetic(0.2, 0.3 * SPEED_OF_LIGHT, -m)
         assert prob_p == prob_m
         assert shift_p == -shift_m
 

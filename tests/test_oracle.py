@@ -929,6 +929,20 @@ class TestSyntheticOscillatorCheck:
         # 1 - r^2 at omega = 1
         assert st.solution.y_coeffs == pytest.approx((1.0, 0.0, -1.0))
 
+    def test_states_are_laguerre_polynomials(self):
+        """y_{2j} = (-1)^j C(k+l, k-j) / (C(k+l, k) j!), the Laguerre
+        polynomial L_k^(l)(r^2) over its value at 0, and every odd
+        coefficient is exactly 0."""
+        for k in range(8):
+            for l in range(6):
+                y = oscillator_state(k, l).solution.y_coeffs
+                assert len(y) == 2 * k + 1
+                assert all(c == 0 for c in y[1::2]), (k, l)
+                ref = [(-1) ** j * math.comb(k + l, k - j)
+                       / (math.comb(k + l, k) * math.factorial(j))
+                       for j in range(k + 1)]
+                assert y[::2] == pytest.approx(ref, rel=1e-14, abs=0), (k, l)
+
 
 class TestValidateRoot:
     def test_record_fields_populated(self):
