@@ -32,7 +32,7 @@ from . import __version__
 from .oracle import validate_root
 from .report import (build_report, build_tables, q6, render_text, solve_states,
                      verdict_row)
-from .termination import GammaConvention, check_precision
+from .termination import PRECISION, GammaConvention, check_precision
 from .wavefunction import (FloatRangeError, PolynomialSolution,
                            assemble_polynomial, moment, normalize)
 
@@ -51,7 +51,7 @@ TABLES_HEADER = ["table_id", "row_key", "paper_value", "computed_value",
 # the options a config file may set, keyed by their flags' dests, with the
 # values they take when neither a flag nor the config file gives them
 DEFAULTS = {"convention": "table", "format": "csv", "out": ".",
-            "precision": "1e-13", "n": "2..5", "l": "0..1"}
+            "precision": repr(PRECISION), "n": "2..5", "l": "0..1"}
 
 
 def parse_range(text: str) -> list[int]:

@@ -47,44 +47,42 @@ import math
 from typing import NamedTuple
 
 SPEED_OF_LIGHT = 137.035999  # a.u.
+# the strength a of the repulsion 2a/r: 1/2 for the quantum dot
+COULOMB_A = 0.5
 
 
 class _RadialProblem(NamedTuple):
     omega: float
     l: int
-    coulomb_a: float
 
 
 class RadialProblem(_RadialProblem):
-    """One instance of the relative-motion radial equation.
-
-    coulomb_a multiplies the 2a/r repulsion (1/2 for the quantum-dot case,
-    0 switches the interaction off); the confinement enters through omega
-    alone.
-    """
+    """One instance of the relative-motion radial equation; the confinement
+    enters through omega alone."""
 
     __slots__ = ()
 
-    def __new__(cls, omega: float, l: int, coulomb_a: float = 0.5):
+    def __new__(cls, omega: float, l: int):
         if not 0 < omega < math.inf:
             raise ValueError("omega must be finite and positive")
         if l < 0 or int(l) != l:
             raise ValueError("l must be a non-negative integer")
-        return tuple.__new__(cls, (omega, l, coulomb_a))
+        return tuple.__new__(cls, (omega, l))
 
 
-def effective_potential_term(r, omega: float, l: int, coulomb_a: float = 0.5):
+def effective_potential_term(r, omega: float, l: int, coulomb_on: bool = True):
     """The bracket multiplying u in u'' = [...] u, without the energy:
 
-        2a/r + omega^2 r^2 + (l^2 - 1/4)/r^2
+        2a/r + omega^2 r^2 + (l^2 - 1/4)/r^2,
 
-    Depends on l only through l**2, so the sign of the angular momentum label
-    never matters downstream. Accepts scalars or numpy arrays; 1/r is formed
-    once, and an array r costs three temporaries, the result among them.
+    with a = COULOMB_A, or a = 0 when coulomb_on is false. Depends on l only
+    through l**2, so the sign of the angular momentum label never matters
+    downstream. Accepts scalars or numpy arrays; 1/r is formed once, and an
+    array r costs three temporaries, the result among them.
     """
     inv = 1 / r
     v = (l * l - 0.25) * inv
-    v += 2 * coulomb_a
+    v += 2 * COULOMB_A if coulomb_on else 0.0
     v *= inv
     trap = omega * r
     trap *= trap

@@ -98,7 +98,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 from numpy import linalg
 
-from .model import RadialProblem
+from .model import COULOMB_A, RadialProblem
 
 if TYPE_CHECKING:
     from .wavefunction import RadialState
@@ -289,7 +289,7 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     if config is None:
         config = ShootingConfig()
     w, l = problem.omega, problem.l
-    coul_scale = problem.coulomb_a * math.sqrt(w) if coulomb_on else 0.0
+    coul_scale = COULOMB_A * math.sqrt(w) if coulomb_on else 0.0
     count = config.node_target + 1
     prev = None
     top = -1
@@ -399,44 +399,43 @@ def oscillator_state(k: int, l: int) -> RadialState:
 
     With the interaction removed the radial recurrence of the model
     docstring terminates at every frequency: odd coefficients vanish and,
-    with A_p = p! (2l+1)_p y_p, A_{q+1} = -2q(n+1-q)(q+2l) A_{q-1}. That
-    factor is the radial equation's own 4 gamma_q, not the table factor
-    (for n = 4, l = 0 at t = 1 the table's gamma reads 8, 36, 32 against
-    8, 24, 36 here). The state is the normalized Laguerre polynomial
-    y = L_k^(l)(r^2)/L_k^(l)(0) of degree n = 2k, with eta = 2k + l + 1.
+    with A_p = p! (2l+1)_p y_p, A_{q+1} = -2q(n+1-q)(q+2l) A_{q-1}, the
+    factor being the sum of the parts of termination._ode_factor. The state
+    is the normalized Laguerre polynomial y = L_k^(l)(r^2)/L_k^(l)(0) of
+    degree n = 2k, with eta = 2k + l + 1.
     """
+    from .termination import _ode_factor
     from .wavefunction import assemble_polynomial, normalize
 
     n = 2 * k
     a = [1.0, 0.0]
-    for p in range(max(0, n - 1)):
-        gamma = 2.0 * (n - p) * (p + 1) * (p + 1 + 2 * l)  # 4 gamma_q, q = p + 1
-        a.append(-gamma * a[p])  # delta' = 0 once the Coulomb term is off
+    for q in range(1, n):
+        # delta' = 0 once the Coulomb term is off
+        a.append(-sum(_ode_factor(n, l, q)) * a[q - 1])
     a = a[:n + 1]
     sol = assemble_polynomial(n, l, 1.0, A_chain=a)
     return normalize(sol)
 
 
-def oscillator_spectrum(l: int, node_target: int = 3) -> OracleResult:
-    """The oracle's lowest levels of the Coulomb-off problem at omega = 1."""
-    return solve_eigen(RadialProblem(omega=1.0, l=l),
-                       ShootingConfig(node_target=node_target),
-                       coulomb_on=False)
+def oscillator_spectrum(l: int) -> OracleResult:
+    """The oracle's lowest levels of the Coulomb-off problem at omega = 1,
+    up to ShootingConfig's default node_target."""
+    return solve_eigen(RadialProblem(omega=1.0, l=l), coulomb_on=False)
 
 
 def validate_oscillator(k: int, l: int,
                         spectrum: OracleResult) -> ValidationRecord:
     """Synthetic cross-check: both solvers on the exactly solvable problem.
 
-    spectrum is the oracle's oscillator_spectrum(l, node_target) with
-    node_target >= k, which several checks at one l can share.
+    spectrum is the oracle's oscillator_spectrum(l), which several checks
+    at one l can share; it must hold the level with k nodes.
     """
     from .wavefunction import residual
 
     if k >= len(spectrum.eigenvalues):
         raise ValueError(f"the spectrum holds no level with {k} nodes")
     state = oscillator_state(k, l)
-    return _record(state, spectrum, residual(state, coulomb_a=0.0))
+    return _record(state, spectrum, residual(state, coulomb_on=False))
 
 
 # ---------------------------------------------------------------------------

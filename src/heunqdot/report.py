@@ -29,6 +29,7 @@ from . import __version__
 from .oracle import oscillator_spectrum, validate_oscillator, validate_root
 from .reference_data import load_reference
 from .termination import (
+    PRECISION,
     GammaConvention,
     RootSet,
     printed_series_coefficients,
@@ -89,7 +90,7 @@ Solved = dict[tuple[GammaConvention, int, int], RootStates]
 States = dict[tuple[int, int], tuple[RadialState, ...]]  # normalized, per (n, l)
 
 
-def solve_states(keys, precision: float = 1e-13) -> Solved:
+def solve_states(keys, precision: float = PRECISION) -> Solved:
     """Solve every distinct (convention, n, l) of keys once, in first-seen
     order, and assemble the chain state at each of its roots, of degree
     n - 1."""
@@ -128,7 +129,7 @@ def _chain_readings(states: States, convention: GammaConvention) -> Readings:
 
 
 def build_tables(convention: GammaConvention = GammaConvention.TABLE,
-                 precision: float = 1e-13) -> list[dict]:
+                 precision: float = PRECISION) -> list[dict]:
     """Side-by-side rows for every published table cell."""
     solved = solve_states(((convention, n, l) for n, l in PUBLISHED_GRID),
                           precision)
@@ -338,9 +339,9 @@ CAVEATS = [
 ]
 
 
-def build_report(n_values=(2, 3, 4, 5), l_values=(0, 1),
+def build_report(n_values=PUBLISHED_N, l_values=PUBLISHED_L,
                  convention: GammaConvention = GammaConvention.TABLE,
-                 precision: float = 1e-13) -> dict:
+                 precision: float = PRECISION) -> dict:
     """The full validation dossier as one JSON-ready dict."""
     ref = load_reference()
     n_values = list(n_values)

@@ -35,11 +35,15 @@ the factors and the published recurrence disagree by an index shift, so:
            the discrepancy report.
 
 Here 1 + alpha = (2l+1)/t, which couples the factors to the root variable.
-Each convention is one function of (n, l, p) that returns the pair (c, e)
-of gamma_p, in a table keyed by GammaConvention; the recurrence, the
-coefficient chain and the dense check read only the pairs, so a convention
-is added as one more enum member and table entry. The dossier sets the
-conventions of report.CONVENTIONS side by side.
+Both are the radial equation's own factors 4 gamma_q = 2q(n+1-q)(q+2l),
+q = 1..n (model docstring), with three exact edits. Each factor splits into
+2q(n+1-q)(q-1) and 2q(n+1-q)(2l+1), and the second part is divided by t, so
+that q + 2l becomes q + alpha; every factor is multiplied by 4; and one q is
+dropped, q = min(n, 2) for TABLE and q = n for LITERAL. _ode_factor returns
+that split, build_gamma_factors edits it into either list, and
+oracle.oscillator_state sums it into the Coulomb-off chain at t = 1. The
+recurrence, the coefficient chain and the dense check read only the pairs.
+The dossier sets the conventions of report.CONVENTIONS side by side.
 
 The dense determinant check (dense_determinant_check) is the recurrence's
 exact-arithmetic cross-check: it expands the n x n matrix by fraction-free
@@ -64,38 +68,28 @@ class GammaConvention(str, enum.Enum):
     LITERAL = "literal"
 
 
-def _table_factor(n: int, l: int, p: int) -> tuple[int, int]:
-    if p == 1:
-        return 0, 8 * n * (2 * l + 1)
-    c = 8 * (n - p) * (p + 1)
-    # p + 1 + alpha = p + (2l+1)/t
-    return c * p, c * (2 * l + 1)
-
-
-def _literal_factor(n: int, l: int, p: int) -> tuple[int, int]:
-    # gamma_p = 2(n-p+1) p (p+alpha), with p + alpha = p - 1 + (2l+1)/t
-    c = 8 * (n - p + 1) * p
-    return c * (p - 1), c * (2 * l + 1)
-
-
-# 4 gamma_p = c + e/t as the pair (c, e), for p = 1..n-1
-_GAMMA_FACTORS = {GammaConvention.TABLE: _table_factor,
-                  GammaConvention.LITERAL: _literal_factor}
+def _ode_factor(n: int, l: int, q: int) -> tuple[int, int]:
+    """The radial equation's 4 gamma_q = 2q(n+1-q)(q+2l) for degree n, as
+    its parts (2q(n+1-q)(q-1), 2q(n+1-q)(2l+1))."""
+    m = 2 * q * (n + 1 - q)
+    return m * (q - 1), m * (2 * l + 1)
 
 
 def build_gamma_factors(n: int, l: int,
                         convention: GammaConvention | str = GammaConvention.TABLE,
                         ) -> tuple[tuple[int, int], ...]:
     """The n-1 subdiagonal factors as integer pairs (c, e) with
-    4 gamma_p = c + e/t, p = 1..n-1, from the convention's entry in
-    _GAMMA_FACTORS. Raises ValueError for n < 1, l < 0 or an unknown
-    convention."""
+    4 gamma_p = c + e/t, p = 1..n-1: 4 times the parts of _ode_factor for
+    q = 1..n, without q = min(n, 2) for TABLE and q = n for LITERAL.
+    Raises ValueError for n < 1, l < 0 or an unknown convention."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if l < 0:
         raise ValueError("l must be >= 0")
-    factor = _GAMMA_FACTORS[GammaConvention(convention)]
-    return tuple(factor(n, l, p) for p in range(1, n))
+    dropped = (min(n, 2) if GammaConvention(convention) is GammaConvention.TABLE
+               else n)
+    parts = (_ode_factor(n, l, q) for q in range(1, n + 1) if q != dropped)
+    return tuple((4 * c, 4 * e) for c, e in parts)
 
 
 def determinant_sequence(gammas: tuple[tuple[int, int], ...],
@@ -186,8 +180,10 @@ class RootSet(NamedTuple):
     complex_root_count: int = 0
 
 
-# the absolute bracket widths in t that root refinement accepts
+# the absolute bracket widths in t that root refinement accepts, and the
+# width it refines to when none is given
 PRECISION_RANGE = (1e-14, 1e-6)
+PRECISION = 1e-13
 
 
 def check_precision(precision: float) -> None:
@@ -198,7 +194,8 @@ def check_precision(precision: float) -> None:
                          f"got {precision:g}")
 
 
-def isolate_roots(p: ClearedPolynomial, precision: float = 1e-13) -> RootSet:
+def isolate_roots(p: ClearedPolynomial,
+                  precision: float = PRECISION) -> RootSet:
     """All positive real roots of the cleared determinant, certified brackets.
 
     The polynomial is made square-free once, if it has a repeated root, and
@@ -256,7 +253,7 @@ class TerminationResult(NamedTuple):
 
 def solve_termination(n: int, l: int,
                       convention: GammaConvention = GammaConvention.TABLE,
-                      precision: float = 1e-13) -> TerminationResult:
+                      precision: float = PRECISION) -> TerminationResult:
     """Build the gamma factors, run the recurrence, take the primitive part
     of D_n and isolate its roots in one call."""
     d_n = determinant_sequence(build_gamma_factors(n, l, convention))[n]

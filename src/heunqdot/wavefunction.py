@@ -257,16 +257,14 @@ def moment_quad(state: RadialState, k: int) -> float:
 # ODE residual of the closed-form u on a grid
 # ---------------------------------------------------------------------------
 
-def residual(state: RadialState, r_grid=None, coulomb_a: float = 0.5) -> float:
+def residual(state: RadialState, coulomb_on: bool = True) -> float:
     """max |u'' + (2 eta - 2a/r - w^2 r^2 - (l^2-1/4)/r^2) u| / max |u''|,
-    with the state's own eta.
+    with the state's own eta, and the bracket of effective_potential_term.
 
     u'' comes from 4th-order central differences of the closed-form u, so the
     returned number measures how well the assembled state actually solves the
-    radial equation (no threshold is imposed by this function). The default
-    grid is 8001 points on [0.1, 12/sqrt(omega)]; a grid passed in must be
-    uniform, each step within 1e-9 relative of the first, and must not
-    touch r = 0.
+    radial equation (no threshold is imposed by this function). The grid is
+    8001 uniform points on [0.1, 12/sqrt(omega)].
 
     One pass over the grid, in place: u is y by Horner's rule from its top
     coefficient, times r^(l+1/2) as sqrt(r) r^l, times the Gaussian. The
@@ -274,15 +272,7 @@ def residual(state: RadialState, r_grid=None, coulomb_a: float = 0.5) -> float:
     the bracket overwrites the potential's array.
     """
     sol = state.solution
-    if r_grid is None:
-        # uniform and positive by construction
-        r = np.linspace(0.1, 12.0 / math.sqrt(sol.omega), 8001)
-    else:
-        r = np.asarray(r_grid, dtype=float)
-        if r.min() <= 0:
-            raise ValueError("grid must not touch r = 0")
-        if not np.allclose(np.diff(r), r[1] - r[0], rtol=1e-9, atol=0.0):
-            raise ValueError("grid must be uniform")
+    r = np.linspace(0.1, 12.0 / math.sqrt(sol.omega), 8001)
     h = r[1] - r[0]
     u = np.full_like(r, sol.y_coeffs[-1])
     for c in reversed(sol.y_coeffs[:-1]):
@@ -307,7 +297,7 @@ def residual(state: RadialState, r_grid=None, coulomb_a: float = 0.5) -> float:
     upp /= 12 * h * h
     del work, term  # one grid-sized buffer fewer beside the potential's
     # minus the bracket (2 eta - V) u + u'', in the buffer of V
-    res = effective_potential_term(r[2:-2], sol.omega, sol.l, coulomb_a)
+    res = effective_potential_term(r[2:-2], sol.omega, sol.l, coulomb_on)
     res -= 2 * sol.eta
     res *= mid
     res -= upp

@@ -11,7 +11,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from heunqdot import oracle
-from heunqdot.model import RadialProblem
+from heunqdot.model import COULOMB_A, RadialProblem
 from heunqdot.oracle import (
     CONFIRMED,
     DISCREPANT,
@@ -181,7 +181,7 @@ def _galerkin_matrix(problem, n, coulomb_on=True):
     basis of its group as solve_eigen assembles it."""
     w, l = problem.omega, problem.l
     basis = oracle._basis(oracle._top(n), l)
-    coul_scale = problem.coulomb_a * math.sqrt(w) if coulomb_on else 0.0
+    coul_scale = COULOMB_A * math.sqrt(w) if coulomb_on else 0.0
     a = (0.5 * w) * basis.stiff[:n + 1, :n + 1]
     a += coul_scale * basis.coulomb[:n + 1, :n + 1]
     a.flat[::n + 2] += (l + 1) * w
@@ -896,21 +896,6 @@ class TestOracleRobustness:
                 for e_off, e_on in zip(off.etas, on.etas):
                     assert e_on > e_off
 
-    @pytest.mark.parametrize("a, omega, l, node_target", [
-        (10.0, 1.0, 0, 2), (25.0, 1.0, 1, 4), (50.0, 4.0, 2, 6),
-        (40.0, 1.0, 5, 6)])
-    def test_coulomb_strength_scaling(self, a, omega, l, node_target):
-        """eta depends on a and omega through a/sqrt(omega) alone, so
-        eta(omega, a) = 4 a^2 eta(omega/4a^2, 1/2): no eta window may assume
-        the a = 1/2 scale."""
-        config = ShootingConfig(node_target=node_target)
-        res = solve_eigen(RadialProblem(omega=omega, l=l, coulomb_a=a), config)
-        ref = solve_eigen(RadialProblem(omega=omega / (4 * a * a), l=l), config)
-        assert ([e.nodes for e in res.eigenvalues]
-                == list(range(node_target + 1)))
-        for eta, eta_half in zip(res.etas, ref.etas, strict=True):
-            assert abs(eta - 4 * a * a * eta_half) <= 1e-13 * eta
-
     def test_eigenvalues_bracketed(self):
         res = solve_eigen(RadialProblem(omega=1.0, l=2),
                           ShootingConfig(node_target=2), coulomb_on=False)
@@ -920,7 +905,7 @@ class TestOracleRobustness:
 class TestSyntheticOscillatorCheck:
     def test_polynomial_machinery_confirms_spectrum(self):
         for k, l in ((0, 0), (1, 0), (2, 1)):
-            rec = validate_oscillator(k, l, oscillator_spectrum(l, max(3, k)))
+            rec = validate_oscillator(k, l, oscillator_spectrum(l))
             assert rec.classification == CONFIRMED
             assert rec.residual < 1e-7
 

