@@ -29,9 +29,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .oracle import validate_root
-from .report import (build_report, build_tables, q6, render_text, solve_states,
-                     verdict_row)
+from .oracle import _ReachError, validate_root
+from .report import (PUBLISHED_L, PUBLISHED_N, build_report, build_tables, q6,
+                     render_text, solve_states, verdict_row)
 from .termination import PRECISION, GammaConvention, check_precision
 from .wavefunction import (FloatRangeError, PolynomialSolution,
                            assemble_polynomial, moment, normalize)
@@ -49,9 +49,12 @@ TABLES_HEADER = ["table_id", "row_key", "paper_value", "computed_value",
                  "abs_delta", "classification"]
 
 # the options a config file may set, keyed by their flags' dests, with the
-# values they take when neither a flag nor the config file gives them
+# values they take when neither a flag nor the config file gives them; the
+# grid is the published one, each range written as parse_range reads it
 DEFAULTS = {"convention": "table", "format": "csv", "out": ".",
-            "precision": repr(PRECISION), "n": "2..5", "l": "0..1"}
+            "precision": repr(PRECISION),
+            "n": f"{PUBLISHED_N[0]}..{PUBLISHED_N[-1]}",
+            "l": f"{PUBLISHED_L[0]}..{PUBLISHED_L[-1]}"}
 
 
 def parse_range(text: str) -> list[int]:
@@ -395,7 +398,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     try:
         args.run(args)
-    except FloatRangeError as exc:  # a state the floats cannot hold
+    # a state the floats cannot hold, or an l past the oracle's basis table
+    except (FloatRangeError, _ReachError) as exc:
         parser.error(str(exc))
     return 0
 

@@ -58,7 +58,8 @@ class _RadialProblem(NamedTuple):
 
 class RadialProblem(_RadialProblem):
     """One instance of the relative-motion radial equation; the confinement
-    enters through omega alone."""
+    enters through omega alone. l is kept as an int, whatever integral
+    type it is given as."""
 
     __slots__ = ()
 
@@ -67,7 +68,7 @@ class RadialProblem(_RadialProblem):
             raise ValueError("omega must be finite and positive")
         if l < 0 or int(l) != l:
             raise ValueError("l must be a non-negative integer")
-        return tuple.__new__(cls, (omega, l))
+        return tuple.__new__(cls, (omega, int(l)))
 
 
 def effective_potential_term(r, omega: float, l: int, coulomb_on: bool = True):

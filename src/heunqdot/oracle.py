@@ -31,26 +31,52 @@ matrix,
 
 so there is no wall and no truncated domain. With the Coulomb term off the
 functions g are Laguerre polynomials in x^2, which the basis holds exactly
-once n >= 2 node_target, so the solve is exact. The
-p_j have no closed form: their recurrence comes from the discretized
-Stieltjes procedure (Gautschi, Orthogonal Polynomials: Computation and
-Approximation, OUP 2004, 2.2) on a Gauss-Legendre rule mapped to an interval
-[0, X] that grows with the highest degree. The two rules, one per group
-top, are module constants: each node and weight is the float nearest a
-40-digit rule, so no process solves for them. The procedure runs the
-three-term recurrence itself, with no reorthogonalization: the p_j stay
-orthonormal under the discrete measure to 1.0e-14 for l <= 15. The same
-pass carries p_j and p_j' at the nodes of that measure, which integrates S
-and C from them, so the basis is built in one pass. The size n is chosen by
-self-convergence (n against 1.5n).
+once n >= 2 node_target, so the solve is exact.
+
+No integral is evaluated: in the polynomials q_j orthonormal under
+mu_l = x^(2l) e^(-x^2) the Galerkin problem is a tridiagonal pencil. With
+the monic recurrence P_(j+1) = (x - alpha_j) P_j - beta_j P_(j-1) of mu_l,
+whose Jacobi matrix J has diagonal alpha_j and off-diagonal sqrt(beta_j),
+the weight x mu_l gives the q_j the Gram matrix J, C gives them the
+identity, and S the tridiagonal
+
+    S^q_jj = 2 (j alpha_j + alpha_0 + ... + alpha_(j-1)),
+    S^q_(j+1,j) = 2 j sqrt(beta_(j+1)),
+
+because (x^(2l+1) e^(-x^2) q_j')' is x^(2l) e^(-x^2) times a polynomial of
+degree j + 1. With the Cholesky factor J = L L^T (L lower bidiagonal,
+diagonal d_j and subdiagonal e_j) the p_j are L^-1 q, so that
+
+    S = L^-1 S^q L^-T,  C = L^-1 L^-T,
+
+and L^-1 is lower triangular, so the p_j do not depend on where the basis
+is cut. S^q = D D^T, where D holds the coefficients of the q_j' in the p_i:
+D_(j,j-1) = j/e_(j-1) and D_(j,j-2) = 2 e_(j-2) e_(j-1) d_(j-1). S and C are
+therefore the Gram products of L^-1 D and L^-1. The inverse of a bidiagonal
+matrix is semiseparable, (L^-1)_ij = P_i/(P_j d_j) for i >= j, so both
+products reduce to prefix sums along the diagonal (see _basis): O(n^2) work,
+exactly symmetric, and no linalg or BLAS call, whose code a forked process
+would have to fault in.
+
+J has no closed form. The module table holds the first 200 coefficient
+pairs of the half-range Hermite weight e^(-x^2), each the float nearest the
+Chebyshev algorithm on its exact moments Gamma((k + 1)/2)/2 (Gautschi,
+Orthogonal Polynomials: Computation and Approximation, OUP 2004, 2.1). A
+zero-shift Christoffel step (Galant, Math. Comp. 25, 111 (1971); Gautschi
+2.4), J = L L^T -> L^T L, turns the recurrence of a weight into that of x
+times the weight, one pair shorter: 2l steps give mu_l, and one more
+factors mu_l's J into the L above and gives the recurrence of the p_j. A
+table of N pairs thus reaches l <= (N - top - 1)/2 at basis degree top:
+l <= 79 at degree 40 and l <= 32 at degree 135. A solve that needs a basis
+past that raises ValueError. The size n is chosen by self-convergence
+(n against 1.5n).
 
 The p_j do not depend on where the basis is cut, so the basis is nested:
 the matrices of size n are the leading (n+1) x (n+1) blocks of those of any
 larger size. The sizes therefore come in groups, each served by one basis
-per l built at the group's top (BASIS_TOPS): one tabulated Gauss rule, and
-one build of the recurrence with the pair (S, C). A solve forms one
-Galerkin matrix per group it reaches, at the group's top, and every size of
-the group solves its leading block. Within a group the eigenvalues can only
+per l built at the group's top (BASIS_TOPS). A solve forms one Galerkin
+matrix per group it reaches, at the group's top, and every size of the
+group solves its leading block. Within a group the eigenvalues can only
 fall from one size to the next (Cauchy interlacing), so the
 self-convergence gap is a one-sided bound.
 
@@ -75,12 +101,12 @@ constructed state is a genuine eigenstate.
 Checked range: l <= 15 with node_target <= 12, and node_target = 40 with
 the Coulomb term off. With the Coulomb term off, 4300 random cases with
 omega log-uniform in [1e-4, 1e2], l <= 10 and node_target <= 12, and 1500
-more with l <= 15, reproduce eta = omega (2k + l + 1) to 4.4e-13 relative,
+more with l <= 15, reproduce eta = omega (2k + l + 1) to 2.5e-13 relative,
 and none fails to self-converge; at node_target = 40, omega in
 {1e-4, 1e-2, 1, 1e2} and l in {0, 2, 5, 10, 15} give the exact levels to
-2.3e-12, all self-converged. The 168 exact Coulomb-on states of the radial
+3.9e-12, all self-converged. The 168 exact Coulomb-on states of the radial
 equation with l in {3, 6, 10, 15} and 1 <= N <= 12 (node_target = N) come
-out to 1.8e-14 at their Ritz indices. The index equals the sign changes of
+out to 1.1e-14 at their Ritz indices. The index equals the sign changes of
 the Ritz eigenfunctions of the accepted size on a uniform lattice in 1500
 random solves (omega log-uniform in [1e-4, 1e2], l <= 15, node_target
 <= 12 and one in three in 13..40, Coulomb term on and off), all
@@ -117,6 +143,10 @@ BASIS_TOPS = (40, 135)
 class NoEigenvalueError(RuntimeError):
     """The Galerkin sizes ran out before two consecutive ones agreed on the
     states asked for."""
+
+
+class _ReachError(ValueError):
+    """The basis table does not reach the l of a problem at a group top."""
 
 
 class _ShootingConfig(NamedTuple):
@@ -157,36 +187,18 @@ class OracleResult(NamedTuple):
 
 
 @functools.lru_cache
-def _measure(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and weights w of the discrete measure for the basis of degree
-    up to top: the m = 3 top + 80 point Gauss-Legendre rule on [0, X],
-    X = sqrt(4 top + 68) + 8, with the weights multiplied by e^(-x^2).
-
-    The rule on [-1, 1] is _GAUSS_HALVES[top] mirrored: its non-negative
-    nodes and their weights, each the float nearest a 40-digit rule
-    (tests/test_oracle.py pins them bit for bit), decoded here on first use.
-    Every integral the recurrence and matrices up to degree top need is
-    int_0^inf x^k e^(-x^2) times a constant, k <= 2 top + 2l + 1. For l <= 15
-    its integrand peaks at x = sqrt(k/2) < X - 8 and is below e^-100 of its
-    peak by X; the rule reproduces Gamma((k + 1)/2)/2 to roundoff. Read-only,
-    because the cache hands it to every caller.
-    """
-    m = 3 * top + 80
-    k = m - m // 2  # the non-negative nodes
-    # slices, and a dtype not parsed from a string such as "<f8": both
-    # keep a solve off C-library pages that nothing else in it touches
-    table = np.frombuffer(binascii.a2b_base64(_GAUSS_HALVES[top]),
-                          np.dtype(np.float64).newbyteorder("<"))
-    nodes, weights = table[:k], table[k:]
-    # for odd m the half starts at the node 0, which is not mirrored
-    x = np.concatenate((-nodes[m % 2:][::-1], nodes))
-    w = np.concatenate((weights[m % 2:][::-1], weights))
-    half = 0.5 * (math.sqrt(4.0 * top + 68.0) + 8.0)
-    x = half * (1.0 + x)
-    w *= half * np.exp(-x * x)
-    for v in (x, w):
-        v.setflags(write=False)
-    return x, w
+def _hermite() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """alpha_0..alpha_199 and beta_0..beta_199 of the monic recurrence
+    P_(k+1) = (x - alpha_k) P_k - beta_k P_(k-1) of e^(-x^2) on [0, inf),
+    beta_0 its mass sqrt(pi)/2, decoded from _HERMITE on first use. Tuples
+    of Python floats, for the scalar steps of _basis and because the cache
+    hands them to every caller."""
+    # a dtype not parsed from a string such as "<f8" keeps a solve off
+    # C-library pages that nothing else in it touches
+    table = np.frombuffer(binascii.a2b_base64(_HERMITE),
+                          np.dtype(np.float64).newbyteorder("<")).tolist()
+    half = len(table) // 2
+    return tuple(table[:half]), tuple(table[half:])
 
 
 class _Basis(NamedTuple):
@@ -209,55 +221,64 @@ def _basis(top: int, l: int) -> _Basis:
         S = int x^(2l+1) e^(-x^2) p_i' p_j',  C = int x^(2l) e^(-x^2) p_i p_j
         over [0, inf),
 
-    all from one pass over the discrete measure of _measure(top).
+    from the pencil of the module docstring.
 
-    The recurrence has no closed form. The discretized Stieltjes procedure
-    (Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP
-    2004, 2.2) computes it by the three-term recurrence itself,
-
-        b_{j+1} p_{j+1} = (x - a_j) p_j - b_j p_{j-1},
-        b_{j+1} p_{j+1}' = (x - a_j) p_j' + p_j - b_j p_{j-1}',
-
-    with a_j and b_{j+1} the inner products of x p_j p_j and of the new
-    p_{j+1} with itself under the weights lambda = w x^(2l+1) of the
-    measure. p_j and p_j' share one array, so that one step advances both,
-    and they stay unscaled. No vector is orthogonalized against the earlier
-    ones: the Gram matrix of the p_j under lambda is the identity to 1.0e-14
-    for every l <= 15 at both BASIS_TOPS (tests/test_oracle.py). At the end
-    the rows are scaled in place, p_j' by sqrt(lambda) and p_j by
-    sqrt(lambda/x), and S and C are their Gram products, so both are exactly
-    symmetric. The first n and n + 1 coefficients and the leading
-    (n+1) x (n+1) blocks of S and C are the basis of any size n <= top.
-    Read-only, because the cache hands it to every caller.
+    Each zero-shift Christoffel step factors the Jacobi matrix of the
+    current weight in squares, u_0 = alpha_0, v_k = beta_(k+1)/u_k and
+    u_(k+1) = alpha_(k+1) - v_k (u_k = d_k^2, v_k = e_k^2), and forms the
+    recurrence of x times the weight, alpha_k = u_k + v_k,
+    beta_(k+1) = v_k u_(k+1) and the mass beta_0 u_0. The first 2l steps
+    take _hermite() to mu_l; the last leaves mu_l's factor in u and v and
+    the recurrence of the p_j, a_k = alpha_k and b_k = sqrt(beta_k). Output
+    pair k of a step reads input pairs up to k + 1 only, and entry (i, j)
+    of S and C the factor up to max(i, j) only, so the first n and n + 1
+    coefficients and the leading (n+1) x (n+1) blocks of S and C are the
+    basis of any size n <= top, bit for bit, whichever top built them.
+    Raises ValueError when l is past the table's reach at top. Read-only,
+    because the cache hands it to every caller.
     """
-    x, w = _measure(top)
-    lam = w * x ** (2 * l + 1)
-    lam_x = lam * x
-    a = np.empty(top)
-    b = np.empty(top + 1)
-    # pp[j, 0] = p_j and pp[j, 1] = p_j' at the nodes
-    pp = np.empty((top + 1, 2, len(x)))
-    b[0] = math.sqrt(lam.sum())
-    pp[0, 0] = 1.0 / b[0]
-    pp[0, 1] = 0.0
-    for j in range(top):
-        p = pp[j, 0]
-        a[j] = lam_x @ (p * p)
-        z = pp[j + 1]
-        np.multiply(pp[j], x - a[j], out=z)
-        if j:
-            z -= b[j] * pp[j - 1]
-        z[1] += p
-        b[j + 1] = math.sqrt(lam @ (z[0] * z[0]))
-        z /= b[j + 1]
-    p, dp = pp[:, 0], pp[:, 1]
-    root = np.sqrt(lam)
-    dp *= root
-    root /= np.sqrt(x)
-    p *= root
-    basis = _Basis(a, b, dp @ dp.T, p @ p.T)
-    for v in basis:
-        v.setflags(write=False)
+    a, b = _hermite()
+    reach = (len(a) - top - 1) // 2
+    if l > reach:
+        raise _ReachError(
+            f"l = {l} is past the oracle's basis table at Galerkin size "
+            f"{top}: it reaches l <= {reach}")
+    a, b = a[:top + 2 * l + 1], b[:top + 2 * l + 1]
+    for _ in range(2 * l + 1):
+        u = [a[0]]
+        v = []
+        for ak, bk in zip(a[1:], b[1:]):
+            v.append(bk / u[-1])
+            u.append(ak - v[-1])
+        a = [uk + vk for uk, vk in zip(u, v)]
+        b = [b[0] * u[0], *(vk * uk for vk, uk in zip(v, u[1:]))]
+    # L^-1 is semiseparable: (L^-1)_ij = P_i/(P_j d_j) for i >= j, with
+    # P_0 = 1 and P_k = -P_(k-1) e_(k-1)/d_k. Column k - 1 of L^-1 D is
+    # g_k/P_k at row k and h_k/P_k below it, g_k = k/(d_k e_(k-1)) and
+    # h_k = g_k - 2 d_k e_(k-1). So, with m = min(i, j),
+    #   C_ij = P_i P_j W_m,  W_m = sum over k <= m of 1/(P_k^2 u_k),
+    #   S_ij = P_i P_j Y_m (i != j),  Y_m = V_m + g_m h_m/P_m^2,
+    #   S_mm = P_m^2 V_m + g_m^2,  V_m = sum over k < m of h_k^2/P_k^2
+    p, w, y, diag = [1.0], [1.0 / u[0]], [0.0], [0.0]
+    total = 0.0  # V_k
+    for k in range(1, top + 1):
+        de = math.sqrt(u[k] * v[k - 1])  # d_k e_(k-1)
+        p.append(-p[-1] * de / u[k])
+        p2 = p[k] * p[k]
+        g = k / de
+        h = g - 2.0 * de
+        w.append(w[-1] + 1.0 / (p2 * u[k]))
+        y.append(total + g * h / p2)
+        diag.append(total * p2 + g * g)
+        total += h * h / p2
+    index = np.arange(top + 1)
+    index = np.minimum.outer(index, index)
+    pp = np.multiply.outer(p, p)
+    stiff = pp * np.array(y)[index]
+    stiff.ravel()[::top + 2] = diag
+    basis = _Basis(np.array(a), np.sqrt(b), stiff, pp * np.array(w)[index])
+    for array in basis:
+        array.setflags(write=False)
     return basis
 
 
@@ -281,7 +302,9 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     k nodes (the Ritz index; see the module docstring). Raises
     NoEigenvalueError, with the count, the last size and its relative gap,
     when the last size is reached without two consecutive sizes agreeing;
-    more than 91 states can never agree, as size 135 is the last.
+    more than 91 states can never agree, as size 135 is the last. Raises
+    ValueError, naming the limit, when a group it reaches lies past the
+    basis table's reach in l: l <= 79 at size 40, l <= 32 at size 135.
 
     Checked range: l <= 15 with node_target <= 12, and node_target = 40
     with the Coulomb term off (see the module docstring).
@@ -439,131 +462,78 @@ def validate_oscillator(k: int, l: int,
 
 
 # ---------------------------------------------------------------------------
-# The Gauss-Legendre rules of _measure
+# The recurrence table of _hermite
 # ---------------------------------------------------------------------------
 
-# for each group top, the non-negative half of the 3 top + 80 point
-# Gauss-Legendre rule on [-1, 1] (ascending nodes, then their weights), each
-# value the float nearest a 40-digit one from Newton's method on P_m, as
-# little-endian float64 in base64
-_GAUSS_HALVES = {
-    40: (
-        "ecnywWwLgD9QbMEPohCYP8/2kkYFDaQ//++h6XYQrD/PWjGBEgmyP/2zRV/HCLY/"
-        "qe8luBkHuj9ABjJLyQO+Py7jDflK/8A/jHt30p/7wj8SyQs/w/bEP1jqMl+V8MY/"
-        "VfOHaPboyD/ua9inxt/KPz9ZIoPm1Mw/p7GQezbIzj/HDbuXy1zQP47rIq50VNE/"
-        "iVlF8AZL0j+g9u3eckDTP4XvZw2pNNQ/Vyt2Ipon1T8OP0rZNhnWPx8YegJwCdc/"
-        "/k70hDb41z8JEvNee+XYP66Z7aYv0dk/ixaIjES72j+KCoJZq6PbP+P9onJVitw/"
-        "RIGlWDRv3T82biCpOVLePzhXbh9XM98/dYzJSj8J4D/0vo8C0XfgP4ZzCcRZ5eA/"
-        "5nTdrNJR4T9pa8jrNL3hP1uNCsF5J+I/lTXUfpqQ4j96WbGJkPjiP5HX81hVX+M/"
-        "FJgcd+LE4z/TeEOCMSnkP/L9fSw8jOQ/9sBEPPzt5D/Wl9eMa07lP7htoA6EreU/"
-        "KseUxz8L5j+065XTmGfmP7muz2SJwuY/rNEVxAsc5z/F+T9RGnTnP2MzhIOvyuc/"
-        "e/3P6cUf6D9f1x8rWHPoP4VL1QZhxeg/t3ELVdsV6T+L4+kGwmTpP8Id9iYQsuk/"
-        "k0lj2cD96T/IaGBcz0fqP9DfZAg3kOo/61h7UPPW6j/M+4rC/xvrPwn1ngdYX+s/"
-        "3Ugs5Peg6z/f7FU42+DrP2ckLwD+Huw/axv8U1xb7D/Wu3Bo8pXsP1q57Y68zuw/"
-        "9s+7NbcF7T9oMUXo3jrtPw4eTU8wbu0/oKUlMaif7T9/jONxQ8/tP15SkBP//O0/"
-        "J1daNtgo7j84G8MYzFLuPzCYyxfYeu4/tK8er/mg7j/WrTl5LsXuPwLdki905+4/"
-        "2ym+qsgH7z/f1Y/iKSbvP9M4Pe6VQu8/YpJ7BAtd7z+B8Jx7h3XvP700q8kJjO8/"
-        "LE6BhJCg7z8i1+JhGrPvP5qAkjemw+8/+Uto+zLS7z8uPWrDv97vP42L78VL6e8/"
-        "6ebqWdbx7z/M2tz3XvjvP3Datz7l/O8/CLKQJ2n/7z9jYZ4+VwuQP63/ohlVCpA/"
-        "U6Xl31AIkD9tH9ixSgWQPxiVIsBCAZA/K/FAl3L4jz+U57hKXeyPP5+gFl1G3o8/"
-        "77YLsS7Ojz8yjYNJF7yPP0MIk0kBqI8/ykNm9O2Rjz+UQiyt3nmPP9ybAPfUX48/"
-        "6CbTdNJDjz+Xpk3p2CWPP2l2tzbqBY8/6TrXXgjkjj9Gl9KCNcCOPzPqC+Nzmo4/"
-        "LBT+3sVyjj9wSRb1LUmOPwjyi8KuHY4/dZo2A0vwjT+W92GRBcGNP5EAoGXhj40/"
-        "qyGZluFcjT/9itpYCSiNPzmeov5b8Yw/r36r99y4jD/vxvPQj36MP5JnhTR4Qow/"
-        "pbI66ZkEjD+Dl4HS+MSLP+cSHfCYg4s/IdfkXX5Aiz96MINTrfuKP/opMSQqtYo/"
-        "w/ZwPvlsij9upMYrHyOKP9oab5Cg14k/Dm4VK4KKiT/ehobUyDuJPxUnY39564g/"
-        "Fk7QN5mZiD/1AiYjLUaIPxeJnH868Yc/ngT4o8aahz/ckzL/1kKHP0jjJBhx6YY/"
-        "X0EtjZqOhj8XONUTWTKGP4yxdXiy1IU/rq3Znax1hT/Rjt98TRWFPw0DGSSbs4Q/"
-        "gJBpt5tQhD+JyqNvVeyDP0I2JZrOhoM/c+RwmA0ggz9sx8jfGLiCPzbLxfj2ToI/"
-        "rLbufq7kgT8R3E0gRnmBP9qfBZ3EDIE/fdzjxjCfgD8OKvSAkTCAP1EhIn7bgX8/"
-        "Q1noCpmgfj8/l4rQab19P4oTURZc2Hw/duyWQX7xez/3jOLU3gh7P8o//G6MHno/"
-        "gf4CypUyeT82jH+6CUV4PyXsdS73VXc/OkV1LG1ldj+URKbSenN1P7MS2FUvgHQ/"
-        "avGLAJqLcz+fnP8xypVyPz2ONl3PnnE/kVACCLmmcD+LORSULVtvPzVJpJfwZm0/"
-        "hEeGi9pwaz/Clmb+CnlpPwwN5Zqhf2c/uw68Jb6EZT8tvAZ8gIhjP1Uzy5EIi2E/"
-        "yupE4uwYXz+jDtd11BlbP6etllcIGVc/g97ZXckWUz/44B2XsiZOP3RY8+z6HUY/"
-        "6wUEOkYoPD+ZgBXd0DEoPw=="
-    ),
-    135: (
-        "AAAAAAAAAADnuEbAHYF6P7JCw2L5gIo/XwNglY3gkz/9x+DtZ4CaPwvIpsb8j6A/"
-        "1MVrI5jfoz/DrFT3/C6nPz5yDC0ifqo/lZ7sr/7MrT8IHAu2xI2wP/RVRafcNLI/"
-        "X1qiosLbsz9Dn6gfcoK1P7MjdJbmKLc/td7CfxvPuD9mLAFVDHW6PzQ5VpC0Grw/"
-        "H2uwrA/AvT/WyNElGWW/P0cvLjzmhMA/OVDvkBJXwT9G5W9QDynCPwIfdjra+sI/"
-        "xu1QD3HMwz90Ld6P0Z3EP6/PkH35bsU/egR3muY/xj8uYUCplhDHP7YFRG0H4cc/"
-        "/7+GqjaxyD+HLcElIoHJPwbbZaTHUMo/FGKn7CQgyz+/hH7FN+/LPwdHsPb9vcw/"
-        "IQbUSHWMzT+DjVmFm1rOP5Mpj3ZuKM8//ben5+v1zz/IWmDSiGHQP80kdL3ux9A/"
-        "WKcRnCYu0T9lrLlVL5TRP1pcbtIH+tE/Wj62+q5f0j8sN5+3I8XSP7GGwfJkKtM/"
-        "2cNClnGP0z8b19iMSPTTP17zzMHoWNQ/TI3+IFG91D8LUeaWgCHVP1EWmRB2hdU/"
-        "zNLKezDp1T/SitHGrkzWP1tAqODvr9Y/LuDxuPIS1z9LLfw/tnXXP3WqwmY52Nc/"
-        "5oHxHns62D8ia+haepzYP9GOvQ02/tg/tGhAK61f2T+Lp/yn3sDZPw0LPXnJIdo/"
-        "vD8OlWyC2j+5uEHyxuLaP26HcIjXQts/HDH+T52i2z87ghtCFwLcP6VfyVhEYdw/"
-        "ipXbjiPA3D8fpPvfsx7dPwCKq0j0fN0/RIxIxuPa3T82/A1XgTjeP676F/rLld4/"
-        "/Dhmr8Ly3j9nt953ZE/fPzaBUFWwq98/GjM7pdID4D/Y2HwtoTHgP3dvukVDX+A/"
-        "gSW7cLiM4D8JcsExALrgP/VqjAwa5+A/9RlZhQUU4T8k0OMgwkDhP0N4aWRPbeE/"
-        "mueo1ayZ4T9zLeT62cXhPy7h4VrW8eE/4W7ufKEd4j+aYt3oOkniPxmyCieidOI/"
-        "JgVcwNaf4j9i/EE+2MriP592uSqm9eI/t9RMEEAg4z/bOxV6pUrjP2HWu/PVdOM/"
-        "AxN7CdGe4z+M4h9IlsjjP/fzCj0l8uM//e4xdn0b5D/+rCCCnkTkP1pw+u+HbeQ/"
-        "JBp7TzmW5D80Xvgwsr7kP4/1YiXy5uQ/Ms9HvvgO5T8eP9GNxTblP8IryCZYXuU/"
-        "rzmVHLCF5T+S9UEDzazlP3b8eW+u0+U/SyKM9lP65T+tlmsuvSDmP+YHsa3pRuY/"
-        "KsSbC9ls5j8M2RLgipLmPyUxpsP+t+Y/7K+PTzTd5j+6S7QdKwLnP/4lpcjiJuc/"
-        "kKGg61pL5z8wd5Mik2/nPyTIGQqLk+c/8S6AP0K35z86zsRguNrnP6ldmAzt/ec/"
-        "/DRf4t8g6D8eVTKCkEPoP01v4Iz+Zeg/WeruoymI6D/f5ZppEaroP5s72oC1y+g/"
-        "r35cjRXt6D/7+IszMQ7pP22mjhgIL+k/TS5H4plP6T+I2lU35m/pP++MGb/sj+k/"
-        "a7KwIa2v6T8qNPoHJ8/pP61mlhta7uk/1/bnBkYN6j/T1BR16ivqP/QcBxJHSuo/"
-        "av5tilto6j/pn76LJ4bqPyYCNcSqo+o/OODU4uTA6j/VjWqX1d3qP2LTi5J8+uo/"
-        "5ceYhdkW6z/EqLwi7DLrP1Sv7hy0Tus/Q+TyJzFq6z/K8Fr4YoXrP6LthkNJoOs/"
-        "1S+mv+O66z9HE7gjMtXrPwvDjCc07+s/eP/Fg+kI7D8C4tfxUSLsP9CeCSxtO+w/"
-        "D0R27TpU7D/9dg3yumzsP7MulPbshOw/oGyluNCc7D+48rL2ZbTsP1/3BXCsy+w/"
-        "9da/5KPi7D8gw9oVTPnsP7xvKsWkD+0/db1cta0l7T8NYvqpZjvtP0qOZ2fPUO0/"
-        "hZHksudl7T/meo5Sr3rtPze4Xw0mj+0/YLIwq0uj7T+CZ7j0H7ftP6QCjbOiyu0/"
-        "DXEkstPd7T8p9dS7svDtPw+31Zw/A+4/mlI/InoV7j8bYwwaYifuP5cMGlP3OO4/"
-        "pIIonTlK7j/IjNvIKFvuP3cIu6fEa+4/kWgzDA187j93MpbJAYzuP6d4GrSim+4/"
-        "4VLdoO+q7j/ZU+Jl6LnuP278E9qMyO4/ZCxE1dzW7j+tkCww2OTuPyoPb8R+8u4/"
-        "+y+WbND/7j9ChBUEzQzvP3oKSmd0Ge8/OpB6c8Yl7z+FEdgGwzHvP5EVfgBqPe8/"
-        "DQlzQLtI7z/ilaintlPvP3L4+xdcXu8/TlI2dKto7z9n+gygpHLvP7zKIYBHfO8/"
-        "fmsD+pOF7z+smy30iY7vPy13CVYpl+8/YbrtB3Kf7z8uAx/zY6fvP4oP0AH/ru8/"
-        "i/khH0O27z/ycCQ3ML3vP1Hy1TbGw+8/yPsjDAXK7z9sP+ul7M/vP4jT9/N81e8/"
-        "3mAF57Xa7z9MT79wl9/vP2nxwIMh5O8/OrCVE1To7z8CObkUL+zvPzOxl3yy7+8/"
-        "xviNQd7y7z9HDepasvXvP6S568Au+O8/JwfGbFP67z9GzqJYIPzvP1VHrX+V/e8/"
-        "LJ053rL+7z/iB5lyeP/vP9Z76UXm/+8/EjJ53ymBej8fGuWBBYF6P62cjGmYgHo/"
-        "3Rebl+J/ej9XegMO5H56P+09gM+cfXo/JGCT3wx8ej+MWIZCNHp6PwYNav0SeHo/"
-        "1cMWFql1ej+YEyyT9nJ6Px3REHz7b3o/EPvy2Ldsej+Ko8eyK2l6P3zXShNXZXo/"
-        "+YP/BDphej9eWS+T1Fx6P1es6skmWHo/yFQItjBTej+LiiVl8k16PxvApeVrSHo/"
-        "FXuyRp1Cej+dKjuYhjx6P6P79OonNno/C6taUIEvej+3Vazakih6P3BG75xcIXo/"
-        "tcHtqt4Zej9tzzYZGRJ6P3wCHv0LCno/Pj67bLcBej/oeep+G/l5P8uBS0s48Hk/"
-        "gbZB6g3neT8CyvN0nN15P556SwXk03k/4kv1teTJeT9mPWCinr95P4Z/veYRtXk/"
-        "AiYAoD6qeT+T2NzrJJ95P2CByejEk3k/bfn8tR6IeT/0sm5zMnx5P6hh1kEAcHk/"
-        "76CrQohjeT8QmCWYylZ5P0mcOmXHSXk/4tCfzX48eT8uxcj18C55P4gQ5wIeIXk/"
-        "QezpGgYTeT+Gy31kqQR5P0HxCwcI9ng/9gO6KiLneD+Un2n499d4P0flt5mJyHg/"
-        "Sgn9ONe4eD+x3ksB4ah4PzhhcR6nmHg/ED30vCmIeD+zVBQKaXd4P7NEyjNlZng/"
-        "m+XGaB5VeD/Ky3LYlEN4P1zF7bLIMXg/HVYOKbofeD+DMWFsaQ14P7ayKK/W+nc/"
-        "qFJcJALodz81HKj/69R3P14ebHWUwXc/iNy7uvutdz/evF0FIpp3P750yosHhnc/"
-        "PHMshaxxdz/HSV8pEV13P90S77A1SHc/3tYXVRozdz8D78RPvx13P2pmkNskCHc/"
-        "RlnCM0vydj84UlCUMtx2P8Cl3DnbxXY/3Mu1YUWvdj/Pt9VJcZh2Pw4u4TBfgXY/"
-        "WRgnVg9qdj8B2J/5gVJ2P2GW7Fu3OnY/f5NWvq8idj/rcs5iawp2P8iG64vq8XU/"
-        "FRnrfC3ZdT8ks695NMB1P1ljwMb/pnU/GQFIqY+NdT/8bhRn5HN1P0XblUb+WXU/"
-        "lf7djt0/dT/kWJ+HgiV1P8ZsLHntCnU/9Ph2rB7wdD8eMA9rFtV0PxTvIv/UuXQ/"
-        "NPF8s1qedD8uA4TTp4J0Pxk0Oqu8ZnQ/5gQ8h5lKdD8flr+0Pi50PwzUk4GsEXQ/"
-        "LKEfPOP0cz8S/2Az49dzP6A17LasunM/q/jqFkCdcz8AjBuknX9zP87lz6/FYXM/"
-        "ic/si7hDcz8oBemKdiVzP99SzP//BnM/RbEuPlXocj/0XzeadslyP5n+m2hkqnI/"
-        "gKSf/h6Lcj+f9hGypmtyPxs8Ttn7S3I/UHE6yx4scj9cWUbfDwxyPy6Oam3P63E/"
-        "IY8nzl3LcT8hzoRau6pxP1q7D2zoiXE/gM/aXOVocT+clHyHskdxP3+tDkdQJnE/"
-        "v9ss974EcT9bBPTz/uJwP/EyAZoQwXA/nJtwRvSecD92m9xWqnxwP7m3XCkzWnA/"
-        "jZuEHI83cD+FFGOPvhRwP4EbAsOD428/ixPB5TKdbz8ZNvdHi1ZvP4a2hquND28/"
-        "i8I90zrIbj+ua9SCk4BuPzWO6n6YOG4/kLUFjUrwbT9c/o5zqqdtP+X10Pm4Xm0/"
-        "Tnf153YVbT9JhgMH5ctsP3Qn3SAEgmw/WTY9ANU3bD8nObVwWO1rPw0yqz6Poms/"
-        "Wm5XN3pXaz9YU8IoGgxrP+0owuFvwGo/BuL4MXx0aj/S4tHpPyhqP9nEf9q722k/"
-        "6Bj61fCOaT/sJvuu30FpP6yr/TiJ9Gg/dpQ6SO6maD/KuKaxD1loP/OR8EruCmg/"
-        "sPB96oq8Zz/dsGln5m1nPzFrgZkBH2c/DSVDWd3PZj9t/tp/eoBmP/DdIOfZMGY/"
-        "GRuWafzgZT+xJmPi4pBlP2QxVS2OQGU/nNDbJv/vZD+coQasNp9kP+Lqgpo1TmQ/"
-        "3juZ0Pz8Yz/8CistjatjPwhSsI/nWWM/+yg12AwIYz8uX1fn/bViP/8SRJ67Y2I/"
-        "60e13kYRYj8qe++KoL5hP8w2v4XJa2E/YqN2ssIYYT8/GOv0jMVgP0SqcjEpcmA/"
-        "YbnhTJgeYD9M+RBZtpVfPyoaYWzl7V4/Pd40oL9FXj+7NfbBRp1dPzEG85989Fw/"
-        "FzZYCWNLXD8LtizO+6FbP8eHTL9I+Fo/2MJjrktOWj8ul+ltBqRZP5lNG9F6+Vg/"
-        "Qkb3q6pOWD859TfTl6NXPzHdThxE+FY/fIhfXbFMVj97gDpt4aBVP5RDWCPW9FQ/"
-        "3znUV5FIVD/WqGfjFJxTPzumZJ9i71I/pAqxZXxCUj8sZMEQZJVRPwXqk3sb6FA/"
-        "33GrgaQ6UD8r0RT+ARpPP3+gW6Blvk0/XY0QpHdiTD9AMvrDOwZLP9HYtru1qUk/"
-        "hwqzR+lMSD9HhyAl2u9GPynh7RGMkkU/sim/zAI1RD+gcOgUQtdCP0h1a6pNeUE/"
-        "2y37TSkbQD/k2xSCsXk9Pxez4Yu/vDo/Opl+QIT/Nz/cdQErB0I1P0QOE95PhDI/"
-        "0iva+suMLz/0TDm0ohAqP3ONO640lCQ/itLt6i4vHj8IaA4D/jUTPyDNSp1/gQA/"
-    ),
-}
+# alpha_0..alpha_199, then beta_0..beta_199, of e^(-x^2) on [0, inf), each
+# the float nearest the Chebyshev algorithm on the exact moments at 900
+# digits, as little-endian float64 in base64
+_HERMITE = (
+    "bZtCUNcN4j/EAxpKLqHvPywhTshSk/Q/Y6gNr0Fl+D/mNh8Y3q77P0s28wKynf4/"
+    "bt9hRhylAEAl3spqv+EBQD+Us2DLCQNA/ehzDdIgBECoc3++dykFQIn4yr/BJQZA"
+    "Np/9UUYXB0BpUpN2S/8HQJK5Horb3ghAUlnzhdO2CUBrLnsm7YcKQDtBh1LGUgtA"
+    "Tagjn+YXDEA4grl+w9cMQJ4/8nrDkg1A1iC3ukBJDkDJiwICi/sOQKb2F0zpqQ9A"
+    "/MXgi00qEEA61Hu77H0QQKIEd/frzxBAcvQrmWIgEUAV0LLeZW8RQGYupSwJvRFA"
+    "J2LpRV4JEkCFqE97dVQSQMK7bNRdnhJAjf/UMiXnEkCMR6Nw2C4TQLAsCnuDdRNA"
+    "gRyMaTG7E0C/oVqS7P8TQM87R5y+QxRA5jyejrCGFEC3qTXfysgUQCpE7n4VChVA"
+    "mDnb5JdKFUAL8DwYWYoVQPfPdLlfyRVARWYSCrIHFkAwoBX0VUUWQIsFfhBRghZA"
+    "ZZQ7rai+FkAVIJPSYfoWQNS+BUiBNRdAD9PImAtwF0B3idoXBaoXQK0uveNx4xdA"
+    "y33i6VUcGEAi887ptFQYQGY+/HeSjBhA7R6BAPLDGEA2P4TJ1voYQLgGf/VDMRlA"
+    "os5UhTxnGUDqbEJaw5wZQIaeqTfb0RlA1Xu7xIYGGkCkzwSOyDoaQNjf3gajbhpA"
+    "OPbGihiiGkAdvp5eK9UaQMRY17HdBxtAYdyInzE6G0BkyXcvKWwbQCTdCVfGnRtA"
+    "Z4gr+grPG0BDMyfs+P8bQGldb/CRMBxAhJJcu9dgHEDqFODyy5AcQNENLC9wwBxA"
+    "0gBS+8XvHEDmMNjVzh4dQM2WRjGMTR1A7/urdP97HUAawRv8KaodQNLNJBkN2B1A"
+    "TBtCE6oFHkA9RUUoAjMeQL6Cu4wWYB5A82FNbOiMHkC6mhnqeLkeQBhGCyHJ5R5A"
+    "28IrJNoRH0BsivD+rD0fQDA0hbVCaR9AfeERRZyUH0AJSP6jur8fQBeNMcKe6h9A"
+    "HpCnxKQKIEC4YHju3R8gQJTtbk37NCBATCugTf1JIEDnhmtY5F4gQGn+ktSwcyBA"
+    "jShSJmOIIEBCOnSv+5wgQJIXac96sSBA4HxZ4+DFIEBsTDpGLtogQJIL31Bj7iBA"
+    "SpoLWoACIUD1LoW2hRYhQOafIrlzKiFAbwPcsko+IUDhrtnyClIhQEWcgsa0ZSFA"
+    "Sj6KeUh5IUBUyf1VxowhQFT4UKQuoCFAm1Nqq4GzIUCN/66wv8YhQMkYDvjo2SFA"
+    "AaMLxP3sIUCED8tV/v8hQChgGe3qEiJAHOt2yMMlIkDCwyAliTgiQKvMGT87SyJA"
+    "enYzUdpdIkBALxaVZnAiQNGFSUPggiJAOwQ8k0eVIkCLxEq7nKciQL3CyPDfuSJA"
+    "r+4FaBHMIkC1AFZUMd4iQFUTF+g/8CJAmwS4VD0CI0A8ob7KKRQjQMybzXkFJiNA"
+    "CVKqkNA3I0A8YkI9i0kjQJMSsaw1WyNAP4xEC9BsI0AP7IKEWn4jQCsqL0PVjyNA"
+    "fdpNcUChI0BKxyk4nLIjQGVnWMDowyNAXjG+MSbVI0DyzJKzVOYjQAskZWx09yNA"
+    "bFQfgoUIJEA+gwoaiBkkQJWT0lh8KiRA5sCJYmI7JECSHqxaOkwkQE79ImQEXSRA"
+    "fjdIocBtJEBNZekzb34kQFn5Sj0QjyRA1kYr3qOfJEDWccU2KrAkQIdK1GajwCRA"
+    "HRSVjQ/RJEAKOMrJbuEkQD3mvTnB8SRAB6NE+wYCJUA2w78rQBIlQArXH+hsIiVA"
+    "lgTnTI0yJUACUit2oUIlQE7gmH+pUiVABhd0hKViJUBmwZuflXIlQGYdi+t5giVA"
+    "Ht1bglKSJUD0Gsh9H6IlQPlALPfgsSVA3eOIB5fBJUDhkYTHQdElQBmWbU/h4CVA"
+    "bbA7t3XwJUCbwpEW//8lQJ1yv4R9DyZAyMLCGPEeJkDgn0npWS4mQIVlswy4PSZA"
+    "MlkSmQtNJkAXHC2kVFwmQBsUgEOTayZAQcw+jMd6JkCvTFWT8YkmQJlqaW0RmSZA"
+    "TRDcLieoJkCPfcrrMrcmQIuAD7g0xiZAhadEpyzVJkCMa8PMGuQmQE5Upjv/8iZA"
+    "TBXKBtoBJ0CXpM5AqxAnQGvvtJH4W+w/+25sJJ9Bxz/zwotaRdjVP4+jmWOmKOA/"
+    "rAV15c1y5T/lPomi6MHqP0budOadCfA/lq0FieCy8j++qQfpf1z1P32NtgRcBvg/"
+    "XZXUKGKw+j9sTS+ihlr9P+SUid1gAgBAModCFIdXAUADWV8UtKwCQPPw7X7mAQRA"
+    "xJ25TR1XBUBs7ty4V6wGQA/MQSWVAQhA7UG5GNVWCUDJca8xF6wKQOYlRCFbAQxA"
+    "RxkDp6BWDUC6SLyN56sOQAPMk9SXABBAdTcNajyrEEAA3pN34VURQKFNx++GABJA"
+    "/ewxxyyrEkCCB/Tz0lUTQJ/pf215ABRAKi5jLCCrFED5Vhoqx1UVQHB/7GBuABZA"
+    "Z3zNyxWrFkAzH0VmvVUXQCqbWixlABhA1kSDGg2rGEBTDJQttVUZQPs0tWJdABpA"
+    "2eVXtwWrGkDiQS0prlUbQI/GHrZWABxAk7tHXP+qHEAaiO8ZqFUdQNjJhO1QAB5A"
+    "TBCZ1fmqHkDDI93QolUfQNXhDu8lACBAiGUgfnpVIECWViEVz6ogQMUemrMjACFA"
+    "/1wcWXhVIUCtBkIFzaohQOShrLchACJAJZUEcHZVIkANivgty6oiQIzgPPEfACNA"
+    "vjCLuXRVI0CW2aGGyaojQNyaQ1geACRAQTk3LnNVJEBOK0cIyKokQEpOQeYcACVA"
+    "I6L2x3FVJUClCzutxqolQFMc5ZUbACZAP9/NgXBVJkByqtBwxaomQFr0ymIaACdA"
+    "5CycV29VJ0DXmSVPxKonQDU2SkkZAChAQ5TuRW5VKED9wfhEw6ooQMUvUEYYAClA"
+    "D5ndSW1VKUDf7opPwqopQOxDQ1cXACpAS7ryYGxVKkB0coZswaoqQJJ77HkWACtA"
+    "68QTiWtVK0BlEOyZwKorQPjlZawVACxACIhywGpVLECL6APWv6osQPOeDO0UAC1A"
+    "xd5/BWpVLUDTblEfv6otQA2hdToUAC5A3UrhVmlVLkD9vYl0vqouQMzBZJMTAC9A"
+    "B41os2hVL0Dyv4vUvaovQGmvYnsJADBAZWYGDbQqMEB/4yyfXlUwQAcw0jEJgDBA"
+    "5n3yxLOqMECZJYpYXtUwQFOklewIADFALJoRgbMqMUB7yPoVXlUxQD4QTqsIgDFA"
+    "mXAIQbOqMUBzBSfXXdUxQBoGp20IADJACMSFBLMqMkCtqcCbXVUyQFI5VTMIgDJA"
+    "CQxBy7KqMkCn0IFjXdUyQNNKFfwHADNAH1L5lLIqM0Ap0SsuXVUzQMvEqscHgDNA"
+    "WTt0YbKqM0DgU4b7XNUzQHc935UHADRAkzZ9MLIqNEBojF7LXFU0QE2agWYHgDRA"
+    "LcnkAbKqNED6joadXNU0QCduZTkHADVAL/V/1bEqNUAXvtRxXFU1QP9tYg4HgDVA"
+    "tLQnq7GqNUBITCNIXNU1QKv4U+UGADZAU4e4grEqNkDZzk8gXFU2QKiuGL4GgDZA"
+    "qA4SXLGqNkDu3jr6W9U2QHIXkpgGADdAxrcWN7EqN0DNxsfVW1U3QH5SpHQGgDdA"
+    "oW+rE7GqN0CSOdyyW9U3QAjSNVIGADhA2mC38bAqOEDOE2CRW1U4QGAeLzEGgDhA"
+    "lbkj0bCqOEDKIz1xW9U4QIOgehEGADlAR3jbsbAqOUBs+F5SW1U5QPhyBPMFgDlA"
+    "dD7Lk7CqOUDJtbI0W9U5QBw4utUFADpAqyjhdrAqOkCs7iYYW1U6QC71irkFgDpA"
+    "+KoMW7CqOkBtgqv8WtU6QHDxZp4FADtASHE+QLAqO0CDfjHiWlU7QOGYP4QFgDtA"
+    "OENoJrCqO0BfA6vIWtU7QBViB2sFADxA6+p8DbAqPEAvLAuwWlU8QNq2sVIFgDxA"
+    "eB5w9a+qPEAX+UWYWtU8QDffMjsFAD1As2s23q8qPUC0O1CBWlU9QJ7ufyQFgD1A"
+    "ASbFx6+qPUCJhR9rWtU9QPGyjg4FAD5A8VUSsq8qPkAxGKpVWlU+QEClVfkEgD5A"
+    "fqoUna+qPkAX1+ZAWtU+QPXby+QEAD9AsWvDiK8qP0CLOs0sWlU/QFz+6NAEgD9A"
+    "jm4Wda+qP0ARRFUZWtU/QKac0l4CAEBADwUDsVcVQEDjuTsDrSpAQHSafFUCQEBA"
+    "vIbFp1dVQEBeXxb6rGpAQJ4Fb0wCgEBAXlvPnleVQEA="
+)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from heunqdot.cli import build_parser, main, parse_grid, parse_range
+from heunqdot.cli import DEFAULTS, build_parser, main, parse_grid, parse_range
+from heunqdot.report import PUBLISHED_L, PUBLISHED_N
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -27,6 +28,12 @@ class TestParsers:
         assert parse_range("3") == [3]
         assert parse_range("2,4,4") == [2, 4]
         assert parse_range("5..2") == []
+
+    def test_default_grid_is_the_published_one(self):
+        """The default --n and --l are the published grid, written once."""
+        assert parse_range(DEFAULTS["n"]) == list(PUBLISHED_N)
+        assert parse_range(DEFAULTS["l"]) == list(PUBLISHED_L)
+        assert (DEFAULTS["n"], DEFAULTS["l"]) == ("2..5", "0..1")
 
     def test_grid(self):
         assert parse_grid("0:30:1000") == (0.0, 30.0, 1000)
@@ -368,6 +375,10 @@ class TestConfigPrecedence:
         ("format = json", ["wavefunction", "--n", "2", "--l", "0", "--grid",
                            "0:30:11", "--gnuplot"],
          "--gnuplot needs format csv, got json"),
+        # an l past the oracle's basis table
+        ("", ["validate", "--n", "2", "--l", "80"],
+         "l = 80 is past the oracle's basis table at Galerkin size 40: it "
+         "reaches l <= 79"),
     ], ids=["format = xml", "--grid foo", "--grid 0:inf:5",
             "--grid 0:1e400:5", "--precision 1e-3",
             "precision = 1e-15", "--n 0", "--l=-1", "--k=-1", "--nr=-1",
@@ -377,7 +388,8 @@ class TestConfigPrecedence:
             "wavefunction cancellation", "--n x", "--k a",
             "precision = abc", "convention = bogus", "--n 5..2",
             "--k ,", "--k ''",
-            "--gnuplot --format json", "--gnuplot format = json"])
+            "--gnuplot --format json", "--gnuplot format = json",
+            "validate --l 80"])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, line, args,
                                         message):
         conf = tmp_path / "run.conf"
@@ -481,9 +493,9 @@ def test_import_leaves_modules_unloaded(module, absent, then):
 
 
 def test_cli_import_builds_no_oracle_basis():
-    """Importing the CLI leaves every oracle cache empty: Gauss rules and
-    bases (recurrence and matrices, one build) are built by the first solve
-    that needs them, never at start-up."""
+    """Importing the CLI leaves every oracle cache empty: the recurrence
+    table is decoded, and the bases (recurrence and matrices, one build)
+    built, by the first solve that needs them, never at start-up."""
     code = ("import heunqdot.cli\n"
             "from heunqdot import oracle\n"
             "print(sorted((name, f.cache_info().currsize)\n"
@@ -496,7 +508,7 @@ def test_cli_import_builds_no_oracle_basis():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == str([(name, 0) for name in
-                               ("_basis", "_measure")])
+                               ("_basis", "_hermite")])
 
 _NO_SCIPY = """
 import sys

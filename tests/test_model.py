@@ -1,6 +1,7 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +22,13 @@ def test_rejects_bad_omega():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             RadialProblem(omega=bad, l=0)
+
+
+@pytest.mark.parametrize("l", [2.0, np.int64(2)], ids=["float", "int64"])
+def test_l_is_kept_as_an_int(l):
+    """An integral l of another type is stored as the int it equals."""
+    problem = RadialProblem(omega=1.0, l=l)
+    assert problem.l == 2 and type(problem.l) is int
 
 
 # the records that check their values, each with valid values for its fields

@@ -263,7 +263,7 @@ class TestEigenvectorStep:
         l = 1
         problem = RadialProblem(omega=0.1, l=l)
         config = ShootingConfig(node_target=4)
-        # with the matrices cached, no Gauss rule is built during the count
+        # with the matrices cached, no basis is built during the count
         solve_eigen(problem, config)
         counting = _CountingLinalg(oracle.linalg)
         monkeypatch.setattr(oracle, "linalg", counting)
@@ -334,8 +334,9 @@ def _mp_gauss(m):
     """The m-point Gauss-Legendre rule at 40 digits: Newton's method on P_m
     from Tricomi's initial guesses, rounded to the nearest floats.
 
-    oracle._GAUSS_HALVES holds it at m = 200 and 485: the non-negative
-    nodes, then their weights, as little-endian float64 bytes in base64.
+    The oracle integrates nothing; mapped by _gauss_measure, the rules at
+    m = 200 and 485 are the independent quadrature under which the tests
+    check its basis orthonormal.
     """
     with mpmath.workdps(40):
         half = []
@@ -360,6 +361,63 @@ def _mp_gauss(m):
 
 
 @functools.lru_cache
+def _gauss_measure(top):
+    """Nodes x and weights w of a discrete measure for polynomials of
+    degree up to top under e^(-x^2) on [0, inf): the m = 3 top + 80 point
+    rule of _mp_gauss on [0, X], X = sqrt(4 top + 68) + 8, with the weights
+    multiplied by e^(-x^2). For l <= 15 the integrand x^k e^(-x^2) of every
+    integral up to degree top, k <= 2 top + 2l + 1, peaks at
+    x = sqrt(k/2) < X - 8 and is below e^-100 of its peak by X."""
+    x, w = _mp_gauss(3 * top + 80)
+    half = 0.5 * (math.sqrt(4.0 * top + 68.0) + 8.0)
+    x = half * (1.0 + x)
+    return x, w * (half * np.exp(-x * x))
+
+
+def _mp_moments(shift, count):
+    """int_0^inf x^(k + shift) e^(-x^2) dx = Gamma((k + shift + 1)/2)/2 for
+    k < count, at the working precision."""
+    return [mpmath.gamma(mpmath.mpf(k + shift + 1) / 2) / 2
+            for k in range(count)]
+
+
+def _mp_inner(f, g, mom):
+    """The integral of f g under the weight of the moments mom, for
+    polynomials given by ascending coefficients."""
+    return mpmath.fsum(fi * gk * mom[i + k] for i, fi in enumerate(f)
+                       for k, gk in enumerate(g))
+
+
+def _mp_derivative(f):
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+@functools.lru_cache
+def _mp_chebyshev(n, shift):
+    """alpha_0..alpha_{n-1} and beta_0..beta_{n-1} of the monic recurrence
+    P_{k+1} = (x - alpha_k) P_k - beta_k P_{k-1} of x^shift e^(-x^2) on
+    [0, inf), as mpmath numbers: the Chebyshev algorithm (Gautschi,
+    Orthogonal Polynomials: Computation and Approximation, OUP 2004, 2.1)
+    on the exact moments Gamma((k + shift + 1)/2)/2. The map from the
+    moments is ill-conditioned, so it runs at 4.5 n digits: at n = 200,
+    700, 900 and 1 000 digits all round to the same floats."""
+    with mpmath.workdps(max(60, 9 * n // 2)):
+        mom = _mp_moments(shift, 2 * n)
+        alpha, beta = [mom[1] / mom[0]], [mom[0]]
+        # sigma_{k-2, m} and sigma_{k-1, m}, the mixed moments
+        prev, cur = [0] * (2 * n), mom
+        for k in range(1, n):
+            new = [0] * (2 * n)
+            for m in range(k, 2 * n - k):
+                new[m] = (cur[m + 1] - alpha[k - 1] * cur[m]
+                          - beta[k - 1] * prev[m])
+            alpha.append(new[k + 1] / new[k] - cur[k] / cur[k - 1])
+            beta.append(new[k] / cur[k - 1])
+            prev, cur = cur, new
+    return alpha, beta
+
+
+@functools.lru_cache
 def _mp_recurrence(n, l):
     """a_0..a_{n-1} and b_0..b_n (see _orthonormal) of the polynomials
     orthonormal under x^(2l+1) e^(-x^2) on [0, inf), rounded to float.
@@ -370,32 +428,26 @@ def _mp_recurrence(n, l):
     130 digits to leave more than 40.
     """
     with mpmath.workdps(130):
-        mu = [mpmath.gamma(mpmath.mpf(k + 2 * l + 2) / 2) / 2
-              for k in range(2 * n + 2)]
-
-        def inner(f, g):
-            return mpmath.fsum(fi * gk * mu[i + k] for i, fi in enumerate(f)
-                               for k, gk in enumerate(g))
-
+        mu = _mp_moments(2 * l + 1, 2 * n + 2)
         b = [mpmath.sqrt(mu[0])]
         a = []
         p = [[], [1 / b[0]]]  # p_-1 = 0 and p_0, ascending coefficients
         for j in range(n):
             z = [mpmath.mpf(0)] + p[-1]
-            a.append(inner(z, p[-1]))
+            a.append(_mp_inner(z, p[-1], mu))
             for c, q in ((a[j], p[-1]), (b[j], p[-2])):
                 for i, qi in enumerate(q):
                     z[i] -= c * qi
-            b.append(mpmath.sqrt(inner(z, z)))
+            b.append(mpmath.sqrt(_mp_inner(z, z, mu)))
             p.append([c / b[-1] for c in z])
         return (np.array([float(v) for v in a]),
                 np.array([float(v) for v in b]))
 
 
 class TestQuadrature:
-    """The tabulated Gauss-Legendre rules and the 40-digit rule they are
-    rounded from, the discrete measure mapped from them, the recurrence of
-    the basis computed on that measure, and the matrices it integrates."""
+    """The 40-digit Gauss-Legendre rules and the discrete measure mapped
+    from them, an independent quadrature of the oracle's basis, whose
+    recurrence and matrices are built with no quadrature at all."""
 
     @pytest.mark.parametrize("m", [43, 95, 140, 200])
     def test_gauss_against_mpmath(self, m):
@@ -432,25 +484,6 @@ class TestQuadrature:
             assert abs(w @ power * (2 * k + 1) / 2 - 1) <= 5e-14, k
             power *= x2
 
-    def test_tables_are_the_rounded_rules(self):
-        """One table per group top, holding the non-negative half of the
-        3 top + 80 point rule bit for bit as _mp_gauss rounds it, and the
-        measure of each top is that rule mirrored, mapped to [0, X] and
-        weighted by e^(-x^2), bit for bit."""
-        assert tuple(oracle._GAUSS_HALVES) == oracle.BASIS_TOPS
-        for top in oracle.BASIS_TOPS:
-            m = 3 * top + 80
-            x_ref, w_ref = _mp_gauss(m)
-            half = np.array([x_ref[m // 2:], w_ref[m // 2:]], dtype="<f8")
-            assert (base64.b64decode(oracle._GAUSS_HALVES[top])
-                    == half.tobytes()), top
-            scale = 0.5 * (math.sqrt(4.0 * top + 68.0) + 8.0)
-            x = scale * (1.0 + x_ref)
-            w = w_ref * (scale * np.exp(-x * x))
-            measure = oracle._measure(top)
-            assert np.array_equal(measure[0], x), top
-            assert np.array_equal(measure[1], w), top
-
     @pytest.mark.parametrize("m", [43, 95, 140])
     def test_legendre_orthonormal(self, m):
         x, w = _mp_gauss(m)
@@ -464,10 +497,10 @@ class TestQuadrature:
     def test_measure_moments(self, l):
         """At each group top n, the discrete measure integrates x^k e^(-x^2)
         for every k the matrices and recurrence up to degree n need: from 2l
-        (C_00) to 2l + 2n + 1 (the last Stieltjes step)."""
+        (C_00) to 2l + 2n + 1 (x p_n p_n)."""
         with mpmath.workdps(30):
             for n in oracle.BASIS_TOPS:
-                x, w = oracle._measure(n)
+                x, w = _gauss_measure(n)
                 for k in range(2 * l, 2 * l + 2 * n + 2):
                     # divide x by the power of two nearest the peak of the
                     # integrand, sqrt(k/2), exactly, so x^k cannot overflow
@@ -477,10 +510,12 @@ class TestQuadrature:
                     value = np.sum(w * (x / 2.0 ** e) ** k)
                     assert abs(value / float(exact) - 1) <= 1e-13, (n, k)
 
-    @pytest.mark.parametrize("l", [0, 3, 15])
+    @pytest.mark.parametrize("l", [0, 1, 3, 15])
     def test_stieltjes_against_mpmath(self, l):
-        """The recurrence of the first group's basis, whose leading
-        coefficients serve every size of the group."""
+        """The recurrence of the first group's basis, the end of a chain of
+        2l + 1 Christoffel steps from the tabulated half-range Hermite
+        recurrence, against the Stieltjes procedure on the exact moments
+        of its weight x^(2l+1) e^(-x^2)."""
         top = oracle.BASIS_TOPS[0]
         a_ref, b_ref = _mp_recurrence(top, l)
         a, b, *_ = oracle._basis(top, l)
@@ -490,12 +525,12 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("l", range(16))
     def test_mass_matrix_is_identity(self, l):
-        """The basis is orthonormal under the discrete measure of its group
-        top, which is what lets the eigenproblem drop the mass matrix. The
-        recurrence orthogonalizes no vector against the earlier ones, so
-        this is its guard at every l the oracle is checked for."""
+        """The polynomials of the basis recurrence are orthonormal under the
+        independent quadrature of each group top, which is what lets the
+        eigenproblem drop the mass matrix: the guard of the Christoffel
+        chain at every l the oracle is checked for."""
         for n in oracle.BASIS_TOPS:
-            x, w = oracle._measure(n)
+            x, w = _gauss_measure(n)
             basis = oracle._basis(n, l)
             p = _orthonormal(basis.a, basis.b, x)
             gram = (p * (w * x ** (2 * l + 1))) @ p.T
@@ -503,53 +538,22 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("l", [0, 2, 15])
     def test_galerkin_blocks_nest(self, l):
-        """The basis is hierarchical, so with an exact rule the matrices of a
-        smaller size are the leading blocks of those of a larger one. Within
-        a group they are by construction; across the two groups, whose
-        measures differ, the whole size-40 matrices agree to roundoff with
-        the leading blocks of the size-135 ones."""
+        """The basis is hierarchical, so the matrices of a smaller size are
+        the leading blocks of those of a larger one. Within a group they
+        are by construction; across the two groups, whose Christoffel
+        chains read the same leading table entries and whose entries are
+        prefix sums, the whole size-40 matrices are the leading blocks of
+        the size-135 ones, bit for bit."""
         small, large = (oracle._basis(top, l) for top in oracle.BASIS_TOPS)
         for a, b in ((small.stiff, large.stiff),
                      (small.coulomb, large.coulomb)):
             assert (np.max(np.abs(a - b[:41, :41]))
                     <= 2e-13 * np.max(np.abs(b))), l
-
-
-def _two_pass_matrices(top, l):
-    """S and C as the basis integrated them before the one-pass build: p and
-    p' evaluated afresh from the recurrence at the nodes of _measure(top),
-    p' by the derivative of the recurrence."""
-    x, w = oracle._measure(top)
-    a, b, *_ = oracle._basis(top, l)
-    p = np.empty((top + 1, len(x)))
-    dp = np.zeros_like(p)
-    p[0] = 1.0 / b[0]
-    for j in range(top):
-        p[j + 1] = (x - a[j]) * p[j]
-        dp[j + 1] = (x - a[j]) * dp[j] + p[j]
-        if j:
-            p[j + 1] -= b[j] * p[j - 1]
-            dp[j + 1] -= b[j] * dp[j - 1]
-        p[j + 1] /= b[j + 1]
-        dp[j + 1] /= b[j + 1]
-    w = w * x ** (2 * l)
-    return (dp * (w * x)) @ dp.T, (p * w) @ p.T
+            assert np.array_equal(a, b[:41, :41]), l
 
 
 class TestOnePassBasis:
-    """The Stieltjes pass that computes the recurrence also carries p_j and
-    p_j' at the measure nodes, and S and C come from those vectors."""
-
-    @pytest.mark.parametrize("l", [0, 2, 15])
-    @pytest.mark.parametrize("top", oracle.BASIS_TOPS)
-    def test_matrices_match_two_pass_quadrature(self, top, l):
-        basis = oracle._basis(top, l)
-        for v in basis:
-            assert not v.flags.writeable
-        for new, ref in zip((basis.stiff, basis.coulomb),
-                            _two_pass_matrices(top, l)):
-            assert np.array_equal(new, new.T)
-            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+    """Eigenfunctions rebuilt from the basis recurrence at small omega."""
 
     @pytest.mark.parametrize("N, l", [(9, 15), (12, 15)])
     def test_eigenfunction_signs_at_small_omega(self, N, l):
@@ -571,6 +575,165 @@ class TestOnePassBasis:
                  * np.polynomial.polynomial.polyval(x, b))
             u /= np.sqrt(np.trapezoid(u * u, r))
             assert np.max(np.abs(funcs[nodes] - u)) <= 1e-12
+
+
+def _mp_factor(alpha, beta, top):
+    """d_0..d_top and e_0..e_{top-1} of the Cholesky factor J = L L^T of
+    the Jacobi matrix of alpha, beta (diagonal d, subdiagonal e)."""
+    u, v = [+alpha[0]], []
+    for k in range(top):
+        v.append(beta[k + 1] / u[k])
+        u.append(alpha[k + 1] - v[k])
+    return [mpmath.sqrt(x) for x in u], [mpmath.sqrt(x) for x in v]
+
+
+def _mp_pencil(top, l):
+    """S and C of the basis of degree top at 60 digits, by the formulas of
+    the oracle's docstring from the recurrence of mu_l = x^(2l) e^(-x^2)
+    that _mp_chebyshev computes directly: L^-1 by forward substitution,
+    L^-1 D, and their Gram products exactly, in integers scaled by 2^220."""
+    n = top + 1
+    alpha, beta = _mp_chebyshev(n, 2 * l)
+    with mpmath.workdps(60):
+        d, e = _mp_factor(alpha, beta, top)
+        inv = [[mpmath.mpf(0)] * n for _ in range(n)]
+        for i in range(n):
+            inv[i][i] = 1 / d[i]
+            for j in range(i):
+                inv[i][j] = -e[i - 1] * inv[i - 1][j] / d[i]
+        # D_(c+1,c) = (c + 1)/e_c and D_(c+2,c) = 2 e_c e_(c+1) d_(c+1)
+        f = [[row[c + 1] * (c + 1) / e[c]
+              + (row[c + 2] * 2 * e[c] * e[c + 1] * d[c + 1]
+                 if c + 2 < n else 0)
+              for c in range(top)] for row in inv]
+        scale = mpmath.mpf(2) ** 220
+        out = []
+        for m in (f, inv):
+            ints = np.array([[int(mpmath.nint(x * scale)) for x in row]
+                             for row in m], dtype=object)
+            out.append(np.array([[float(x / scale ** 2) for x in row]
+                                 for row in ints @ ints.T]))
+        return out
+
+
+class TestPencilBasis:
+    """The basis from its tridiagonal Galerkin pencil: the tabulated
+    recurrence, the stiffness of the q_j, the matrices S and C against
+    references at 60 and more digits, and the reach of the table in l."""
+
+    def test_table_is_the_rounded_recurrence(self):
+        """The table is alpha_k, then beta_k, k < 200, of e^(-x^2) on
+        [0, inf), each the float nearest the Chebyshev algorithm on the
+        exact moments, bit for bit."""
+        alpha, beta = _mp_chebyshev(200, 0)
+        table = np.array([float(v) for v in alpha + beta], dtype="<f8")
+        assert base64.b64decode(oracle._HERMITE) == table.tobytes()
+        assert oracle._hermite() == (tuple(table[:200].tolist()),
+                                     tuple(table[200:].tolist()))
+
+    @pytest.mark.parametrize("l", [0, 2, 7])
+    def test_stiffness_is_tridiagonal(self, l):
+        """In the q_j orthonormal under mu_l, built from the exact moments
+        at a small size, the weight x mu_l has Gram matrix J, the stiffness
+        is the closed-form tridiagonal S^q, and S^q = D D^T."""
+        n = 9
+        alpha, beta = _mp_chebyshev(n + 1, 2 * l)
+        with mpmath.workdps(60):
+            root = [mpmath.sqrt(b) for b in beta]
+            q = [[], [1 / root[0]]]  # q_-1 = 0 and q_0
+            for j in range(n):
+                z = [mpmath.mpf(0)] + q[-1]
+                for c, p in ((alpha[j], q[-1]), (root[j], q[-2])):
+                    for i, pi in enumerate(p):
+                        z[i] -= c * pi
+                q.append([c / root[j + 1] for c in z])
+            q = q[1:]
+            mom = _mp_moments(2 * l + 1, 2 * n + 2)
+            gram = [[_mp_inner(f, g, mom) for g in q] for f in q]
+            dq = [_mp_derivative(f) for f in q]
+            stiff = [[_mp_inner(f, g, mom) for g in dq] for f in dq]
+            d, e = _mp_factor(alpha, beta, n)
+            # the coefficients of the q_j' in the p_c
+            dcoef = [[mpmath.mpf(0)] * n for _ in range(n + 1)]
+            for c in range(n):
+                dcoef[c + 1][c] = (c + 1) / e[c]
+                if c + 2 <= n:
+                    dcoef[c + 2][c] = 2 * e[c] * e[c + 1] * d[c + 1]
+            tol = mpmath.mpf(10) ** -40
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    jac = {0: alpha[i], 1: root[max(i, j)]}.get(abs(i - j), 0)
+                    closed = {0: 2 * (i * alpha[i] + mpmath.fsum(alpha[:i])),
+                              1: 2 * min(i, j) * root[max(i, j)]
+                              }.get(abs(i - j), 0)
+                    factor = mpmath.fsum(x * y for x, y in
+                                         zip(dcoef[i], dcoef[j]))
+                    assert abs(gram[i][j] - jac) <= tol, (i, j)
+                    assert abs(stiff[i][j] - closed) <= tol, (i, j)
+                    assert abs(factor - closed) <= tol, (i, j)
+
+    @pytest.mark.parametrize("l", [0, 2, 7])
+    def test_small_basis_against_moments(self, l):
+        """At degree 10, S and C against the Gram products of the p_j and
+        p_j' from Gram-Schmidt on the monomials under the exact moments."""
+        n = 10
+        basis = oracle._basis(n, l)
+        with mpmath.workdps(80):
+            weight = _mp_moments(2 * l + 1, 2 * n + 2)
+            p = []
+            for j in range(n + 1):
+                z = [mpmath.mpf(0)] * j + [mpmath.mpf(1)]
+                for f in p:
+                    c = _mp_inner(z, f, weight)
+                    z = [zi - c * (f[i] if i < len(f) else 0)
+                         for i, zi in enumerate(z)]
+                p.append([zi / mpmath.sqrt(_mp_inner(z, z, weight))
+                          for zi in z])
+            dp = [_mp_derivative(f) for f in p]
+            coul = _mp_moments(2 * l, 2 * n + 1)
+            stiff = np.array([[float(_mp_inner(f, g, weight)) for g in dp]
+                              for f in dp])
+            coulomb = np.array([[float(_mp_inner(f, g, coul)) for g in p]
+                                for f in p])
+        for new, ref in ((basis.stiff, stiff), (basis.coulomb, coulomb)):
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("l", [0, 2, 15])
+    @pytest.mark.parametrize("top", oracle.BASIS_TOPS)
+    def test_matrices_against_60_digits(self, top, l):
+        """S and C of each group top, read-only and exactly symmetric,
+        against _mp_pencil."""
+        basis = oracle._basis(top, l)
+        for v in basis:
+            assert not v.flags.writeable
+        for new, ref in zip((basis.stiff, basis.coulomb), _mp_pencil(top, l)):
+            assert np.array_equal(new, new.T)
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("top, reach", [(40, 79), (135, 32)])
+    def test_reach_of_the_table(self, top, reach):
+        """200 table pairs reach l <= (200 - top - 1)/2. At the reach the
+        basis is finite and its Coulomb-off levels are exact; one l past
+        it the build raises an error that names the limit."""
+        assert reach == (len(oracle._hermite()[0]) - top - 1) // 2
+        basis = oracle._basis(top, reach)
+        for v in basis:
+            assert np.all(np.isfinite(v))
+        levels = np.linalg.eigvalsh(basis.stiff / 2 + (reach + 1)
+                                    * np.eye(top + 1))[:top // 2 + 1]
+        exact = 2 * np.arange(top // 2 + 1) + reach + 1
+        assert np.max(np.abs(levels / exact - 1)) <= 1e-13
+        with pytest.raises(ValueError, match=f"it reaches l <= {reach}$"):
+            oracle._basis(top, reach + 1)
+
+    def test_solve_past_the_reach_raises(self):
+        """A solve one l past the first group's reach raises with the
+        limit; at the reach it returns the exact levels."""
+        with pytest.raises(ValueError, match="Galerkin size 40: it reaches "
+                                             "l <= 79$"):
+            solve_eigen(RadialProblem(omega=1.0, l=80), coulomb_on=False)
+        res = solve_eigen(RadialProblem(omega=1.0, l=79), coulomb_on=False)
+        assert res.etas == pytest.approx([80, 82, 84, 86], rel=1e-14)
 
 
 @functools.lru_cache
@@ -617,28 +780,45 @@ def _exact_solution(N, l, omega, eta):
         A_chain=())
 
 
+class _Numpy:
+    """The numpy module, with linalg replaced."""
+
+    def __init__(self, linalg):
+        self.linalg = linalg
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 def _count_builds(monkeypatch) -> _CountingLinalg:
-    """The linalg calls of the oracle from now on, with every oracle cache
-    emptied first, so that the builds of measures and bases are counted in
-    the caches' misses."""
+    """The linalg calls of the oracle from now on, through oracle.linalg or
+    oracle.np.linalg, with every oracle cache emptied first, so that the
+    table decodes and the basis builds are counted in the caches'
+    misses."""
     for f in vars(oracle).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
     counting = _CountingLinalg(oracle.linalg)
     monkeypatch.setattr(oracle, "linalg", counting)
+    monkeypatch.setattr(oracle, "np", _Numpy(counting))
     return counting
 
 
-def _assert_one_measure(top):
-    """The one measure built since the caches were emptied is top's."""
-    assert oracle._measure.cache_info().misses == 1
-    oracle._measure(top)
-    assert oracle._measure.cache_info().misses == 1
+def _assert_builds(ls):
+    """Since the caches were emptied, the table has been decoded once and
+    the basis of the first group top built once for each l in ls, and no
+    other basis."""
+    assert oracle._hermite.cache_info().misses == 1
+    assert oracle._basis.cache_info().misses == len(ls)
+    for l in ls:
+        oracle._basis(oracle.BASIS_TOPS[0], l)
+    assert oracle._basis.cache_info().misses == len(ls)
 
 
 def _assert_ladder_only(counting):
     """Every linalg call is an eigvalsh of a Galerkin size's leading block:
-    no Gauss rule is solved for."""
+    the builds call no LAPACK routine, such as inv or cholesky, whose code
+    a forked pass would have to fault in."""
     ladder = {(n + 1, n + 1) for n in oracle.GALERKIN_SIZES}
     assert counting.calls
     for name, (a,), _, _ in counting.calls:
@@ -674,8 +854,8 @@ class TestLattice:
 
     def test_one_basis_per_l(self, monkeypatch):
         """Over the 60 exact states with N <= 8 and l <= 2, which accept at
-        sizes 18 to 40, the measure of the first group top is built once,
-        from its table, and the basis once per l."""
+        sizes 18 to 40, the table is decoded once and the basis of the
+        first group top built once per l."""
         counting = _count_builds(monkeypatch)
         solves = 0
         for l in range(3):
@@ -685,17 +865,15 @@ class TestLattice:
                                 ShootingConfig(node_target=N))
                     solves += 1
         assert solves == 60
-        _assert_one_measure(oracle.BASIS_TOPS[0])
-        assert oracle._basis.cache_info().misses == 3
+        _assert_builds(range(3))
         _assert_ladder_only(counting)
 
-    def test_dossier_builds_one_gauss_rule(self, monkeypatch):
-        """The report, at l = 0 and 1, builds one measure, that of the first
-        group top from its tabulated rule, and two bases."""
+    def test_dossier_decodes_one_table(self, monkeypatch):
+        """The report, at l = 0 and 1, decodes the table once and builds
+        two bases, both of the first group top."""
         counting = _count_builds(monkeypatch)
         build_report()
-        _assert_one_measure(oracle.BASIS_TOPS[0])
-        assert oracle._basis.cache_info().misses == 2
+        _assert_builds(range(2))
         _assert_ladder_only(counting)
 
 
