@@ -223,7 +223,7 @@ def cmd_moments(args: argparse.Namespace) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> None:
-    rows = [{**verdict_row(validate_root(normalize(sol))),
+    rows = [{**verdict_row(validate_root(sol)),
              "convention": args.convention.value}
             for sol in _each_state(args)]
     out = _write(args, rows, VALIDATE_HEADER, "validate")

@@ -127,7 +127,7 @@ from numpy import linalg
 from .model import COULOMB_A, RadialProblem
 
 if TYPE_CHECKING:
-    from .wavefunction import RadialState
+    from .wavefunction import PolynomialSolution, RadialState
 
 # Galerkin sizes (highest degree n of p_j) tried in turn, each about 1.5
 # times the last; the eigenvalues are accepted once two consecutive sizes
@@ -382,10 +382,9 @@ def classify(eta_analytic: float, eta_oracle: float) -> str:
     return DISCREPANT
 
 
-def _record(state: RadialState, result: OracleResult,
+def _record(sol: PolynomialSolution, result: OracleResult,
             res: float) -> ValidationRecord:
     """The verdict on one analytic state against the oracle's nearest eta."""
-    sol = state.solution
     best = min(result.eigenvalues, key=lambda e: abs(e.eta - sol.eta))
     return ValidationRecord(
         n=sol.n, l=sol.l, t_star=sol.t_star,
@@ -399,22 +398,23 @@ def _record(state: RadialState, result: OracleResult,
     )
 
 
-def validate_root(state: RadialState) -> ValidationRecord:
-    """Compare a normalized analytic state at a determinant root with the oracle.
+def validate_root(sol: PolynomialSolution) -> ValidationRecord:
+    """Compare the chain state at a determinant root with the oracle.
 
     eta_analytic = (n+l+1)/t_star^2 is the state's own eta; the oracle solves
     the same (omega, l) problem with the Coulomb term on, for the states with
     up to max(6, n) nodes (a state of degree n has at most n), and reports
     its nearest eigenvalue. The classification thresholds (1e-6 / 1e-2 relative)
     separate machine-level agreement from structural disagreement; they are
-    solver policy, not physics.
+    solver policy, not physics. The verdict never reads a norm, so the state
+    is taken as assembled.
     """
     from .wavefunction import residual
 
-    result = solve_eigen(RadialProblem(omega=state.omega, l=state.l),
-                         ShootingConfig(node_target=max(6, state.solution.n)),
+    result = solve_eigen(RadialProblem(omega=sol.omega, l=sol.l),
+                         ShootingConfig(node_target=max(6, sol.n)),
                          coulomb_on=True)
-    return _record(state, result, residual(state))
+    return _record(sol, result, residual(sol))
 
 
 def oscillator_state(k: int, l: int) -> RadialState:
@@ -457,8 +457,8 @@ def validate_oscillator(k: int, l: int,
 
     if k >= len(spectrum.eigenvalues):
         raise ValueError(f"the spectrum holds no level with {k} nodes")
-    state = oscillator_state(k, l)
-    return _record(state, spectrum, residual(state, coulomb_on=False))
+    sol = oscillator_state(k, l).solution
+    return _record(sol, spectrum, residual(sol, coulomb_on=False))
 
 
 # ---------------------------------------------------------------------------

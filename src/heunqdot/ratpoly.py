@@ -9,18 +9,19 @@ if it has a repeated root, to its square-free part (squarefree_part). A gcd
 of p and p' modulo one prime proves most polynomials square-free, so the
 integer gcd runs only when that test cannot decide. The isolator takes
 that square-free IntPoly, scales it so that its Cauchy root bound B maps to
-1, and isolates its roots in (0, 1) by Descartes' rule of signs on dyadic
-subintervals (the Vincent-Collins-Akritas method in the integer form of
-Rouillier and Zimmermann, J. Comput. Appl. Math. 162, 33 (2004)). The tree
-starts at the deepest dyadic interval (0, 2^-k0) that Fujiwara's root bound
-still places every root inside, so it skips the empty top levels of the
-grid. Brackets are then refined on the same IntPoly to the cell of the grid
-that bisection would end in: a float Newton iteration names the cell and two
-integer Horner evaluations certify it. Where float roundoff put the seed in
-another cell, the secant through those two exact values names the next
-one, with bisection between the grid points certified on either side of
-the root as the last fallback. Every returned root carries a rational
-bracket certified by an exact sign change, or is an exact rational root. Unlike Fraction arithmetic, the integer
+1, and isolates its roots in (0, 1), the positive roots and no others, by
+Descartes' rule of signs on dyadic subintervals (the Vincent-Collins-Akritas
+method in the integer form of Rouillier and Zimmermann, J. Comput. Appl.
+Math. 162, 33 (2004)). The tree starts at the deepest dyadic interval
+(0, 2^-k0) that Fujiwara's root bound still places every root inside, so it
+skips the empty top levels of the grid. Brackets are then refined on the
+same IntPoly to the cell of the grid that bisection would end in: a float
+Newton iteration names the cell and two integer Horner evaluations certify
+it. Where float roundoff put the seed in another cell, the secant through
+those two exact values names the next one, with bisection between the grid
+points certified on either side of the root as the last fallback. Every
+returned root carries a rational bracket certified by an exact sign change,
+or is an exact rational root. Unlike Fraction arithmetic, the integer
 arithmetic takes no gcd after every operation.
 """
 
@@ -245,32 +246,26 @@ def _dyadic_isolation(q: IntPoly, start: int) -> list[tuple[int, int, int]]:
     return found
 
 
-def isolate_positive_roots(sf: IntPoly) -> tuple[list[tuple[Fraction, Fraction]], int]:
+def isolate_positive_roots(sf: IntPoly) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals for every positive real root of sf, a square-free
-    primitive polynomial with a nonzero constant term.
+    primitive polynomial with a nonzero constant term, in ascending order.
 
-    Returns (intervals, negative_root_count). Each interval (lo, hi) with
-    0 <= lo < hi contains exactly one root and sf changes sign across it; a
-    degenerate (r, r) interval marks an exact rational root. The endpoints
-    are B*m/2^k for the Cauchy bound B of sf, the points an interval
-    bisection of (0, B) visits. Both trees, for the positive roots and for
-    the negative-root count, start at the level _start_level gives, whose
-    interval still holds every root modulus.
+    Each interval (lo, hi) with 0 <= lo < hi contains exactly one root and
+    sf changes sign across it; a degenerate (r, r) interval marks an exact
+    rational root. The endpoints are B*m/2^k for the Cauchy bound B of sf,
+    the points an interval bisection of (0, B) visits. The tree starts at
+    the level _start_level gives, whose interval still holds every root
+    modulus. Negative and complex roots are not looked for.
     """
     if len(sf) == 1:
-        return [], 0
+        return []
     bound = cauchy_root_bound(sf)
     d = len(sf) - 1
     # q(x) = Q^d sf(B x) for B = P/Q: its roots in (0, 1) are sf's in (0, B)
     q = _primitive([c * bound.numerator ** i * bound.denominator ** (d - i)
                     for i, c in enumerate(sf)])
-    start = _start_level(q)
-    n_neg = len(_dyadic_isolation(
-        [-c if i % 2 else c for i, c in enumerate(q)], start))
-    intervals = sorted((bound * Fraction(c, 1 << k),
-                        bound * Fraction(c + w, 1 << k))
-                       for k, c, w in _dyadic_isolation(q, start))
-    return intervals, n_neg
+    return sorted((bound * Fraction(c, 1 << k), bound * Fraction(c + w, 1 << k))
+                  for k, c, w in _dyadic_isolation(q, _start_level(q)))
 
 
 def _value_at(p: IntPoly, m: int, den: int) -> int:

@@ -16,8 +16,9 @@ eigensolver's verdict per root.
 A report solves each (convention, n, l) once, at the report's precision, and
 assembles the chain state at each of its roots once (solve_states, which the
 command line shares). Every section reads those states: the roots section
-and the coefficient formulas their chains, and the table 4-5 readings and
-the oracle verdicts the report convention's states, each normalized once.
+and the coefficient formulas their chains, and the oracle verdicts the
+report convention's states as assembled. Only the table 4-5 readings print
+a norm, so only the states of the published grid are normalized.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .termination import (
     printed_series_coefficients,
     solve_termination,
 )
-from .wavefunction import (PolynomialSolution, RadialState, assemble_polynomial,
-                           moment, normalize)
+from .wavefunction import (PolynomialSolution, assemble_polynomial, moment,
+                           normalize)
 
 FIXED_OMEGA = 0.01          # Hartree; the alternative published reading
 ROOT_MATCH_RTOL = 5e-5      # four significant figures
@@ -87,7 +88,6 @@ class RootStates(NamedTuple):
 
 
 Solved = dict[tuple[GammaConvention, int, int], RootStates]
-States = dict[tuple[int, int], tuple[RadialState, ...]]  # normalized, per (n, l)
 
 
 def solve_states(keys, precision: float = PRECISION) -> Solved:
@@ -104,27 +104,24 @@ def solve_states(keys, precision: float = PRECISION) -> Solved:
     return solved
 
 
-def _normalized(solved: Solved, convention: GammaConvention) -> States:
-    """Per (n, l) of the convention: its root states, each normalized once."""
-    return {(n, l): tuple(map(normalize, states.solutions))
-            for (conv, n, l), states in solved.items() if conv == convention}
-
-
-Reading = tuple[float, float]  # (N, <r>) of one normalized state
+Reading = tuple[float, float]  # (N, <r>) of one state
 Readings = dict[tuple[int, int], tuple[list[tuple[float, Reading]], Reading]]
 
 
-def _read(state: RadialState) -> Reading:
+def _read(sol: PolynomialSolution) -> Reading:
+    """N and <r> of the state, which this normalizes."""
+    state = normalize(sol)
     return state.N, moment(state, 1)
 
 
-def _chain_readings(states: States, convention: GammaConvention) -> Readings:
+def _chain_readings(solved: Solved, convention: GammaConvention) -> Readings:
     """Per published (n, l): the chain state at each root, as (t*, reading)
     pairs, and the chain state at FIXED_OMEGA."""
     t_fixed = 1.0 / math.sqrt(FIXED_OMEGA)
-    return {(n, l): ([(st.solution.t_star, _read(st)) for st in states[(n, l)]],
-                     _read(normalize(assemble_polynomial(
-                         n, l, t_fixed, convention=convention))))
+    return {(n, l): ([(sol.t_star, _read(sol))
+                      for sol in solved[(convention, n, l)].solutions],
+                     _read(assemble_polynomial(n, l, t_fixed,
+                                               convention=convention)))
             for n, l in PUBLISHED_GRID}
 
 
@@ -133,7 +130,7 @@ def build_tables(convention: GammaConvention = GammaConvention.TABLE,
     """Side-by-side rows for every published table cell."""
     solved = solve_states(((convention, n, l) for n, l in PUBLISHED_GRID),
                           precision)
-    readings = _chain_readings(_normalized(solved, convention), convention)
+    readings = _chain_readings(solved, convention)
     return _table_rows(solved, readings, convention)
 
 
@@ -213,8 +210,8 @@ def _dual_reading_attempts(readings: Readings) -> tuple[list[dict], list[dict]]:
         pub_r = ref.r_mean(n, l)
         per_root_n, per_root_r = [], []
         for t, (N, r_mean) in at_roots:
-            N_printed, r_printed = _read(normalize(assemble_polynomial(
-                n, l, t, A_chain=printed_series_coefficients(l, t)[:n + 1])))
+            N_printed, r_printed = _read(assemble_polynomial(
+                n, l, t, A_chain=printed_series_coefficients(l, t)[:n + 1]))
             per_root_n.append(_attempt(t, N, N_printed, pub_n))
             per_root_r.append(_attempt(t, r_mean, r_printed, pub_r))
         norm_rows.append(_attempt_row(n, l, pub_n, per_root_n, N_fixed))
@@ -350,7 +347,6 @@ def build_report(n_values=PUBLISHED_N, l_values=PUBLISHED_L,
                            for l in l_values for n in n_values]
                           + [(convention, n, l) for n, l in PUBLISHED_GRID],
                           precision)
-    states = _normalized(solved, convention)
 
     roots_section = []
     for conv in CONVENTIONS:
@@ -375,8 +371,6 @@ def build_report(n_values=PUBLISHED_N, l_values=PUBLISHED_L,
                 roots_section.append({
                     "n": n, "l": l, "convention": conv.value,
                     ASYMPTOTIC_FLAG: ref.asymptotic(n, l),
-                    "negative_roots_discarded": rootset.negative_root_count,
-                    "complex_roots_discarded": rootset.complex_root_count,
                     "roots": entries,
                 })
 
@@ -393,8 +387,9 @@ def build_report(n_values=PUBLISHED_N, l_values=PUBLISHED_L,
                 "identical": t_table == t_literal,
             })
 
-    oracle_rows = [verdict_row(validate_root(st))
-                   for l in l_values for n in n_values for st in states[(n, l)]]
+    oracle_rows = [verdict_row(validate_root(sol))
+                   for l in l_values for n in n_values
+                   for sol in solved[(convention, n, l)].solutions]
     # one Coulomb-off solve per l, up to node_target 3, serves every k <= 3
     spectra = {l: oscillator_spectrum(l) for l in (0, 1)}
     calibration = [verdict_row(validate_oscillator(k, l, spectra[l]))
@@ -412,7 +407,7 @@ def build_report(n_values=PUBLISHED_N, l_values=PUBLISHED_L,
                                        for a, b in zip(sol.A_chain, printed))),
             })
 
-    readings = _chain_readings(states, convention)
+    readings = _chain_readings(solved, convention)
     norm_rows, mom_rows = _dual_reading_attempts(readings)
     r_all: list[float] = []
     r_paper_roots: list[float] = []

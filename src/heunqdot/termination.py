@@ -176,8 +176,6 @@ class Root(NamedTuple):
 
 class RootSet(NamedTuple):
     roots: tuple[Root, ...]
-    negative_root_count: int = 0
-    complex_root_count: int = 0
 
 
 # the absolute bracket widths in t that root refinement accepts, and the
@@ -196,12 +194,11 @@ def check_precision(precision: float) -> None:
 
 def isolate_roots(p: ClearedPolynomial,
                   precision: float = PRECISION) -> RootSet:
-    """All positive real roots of the cleared determinant, certified brackets.
+    """All positive real roots of the cleared determinant, in ascending
+    order, with certified brackets.
 
     The polynomial is made square-free once, if it has a repeated root, and
-    isolation and refinement both run on that square-free part. Negative and
-    complex roots are discarded and counted; every count is of distinct
-    roots.
+    isolation and refinement both run on that square-free part.
     """
     check_precision(precision)
     poly, multiple = rp.squarefree_part(list(p.coefficients))
@@ -209,17 +206,14 @@ def isolate_roots(p: ClearedPolynomial,
         # an even-multiplicity root changes no sign of the polynomial itself
         log.warning("determinant has a repeated root; brackets use the "
                     "square-free part")
-    intervals, n_neg = rp.isolate_positive_roots(poly)
     roots: list[Root] = []
-    for lo, hi in intervals:
+    for lo, hi in rp.isolate_positive_roots(poly):
         lo, hi = rp.refine_root_bisect(poly, lo, hi, precision)
         t_star = float((lo + hi) / 2)
         roots.append(Root(t_star=t_star,
                           refinement_width=float(hi - lo),
                           bracket=(float(lo), float(hi))))
-    roots.sort(key=lambda r: r.t_star)
-    return RootSet(roots=tuple(roots), negative_root_count=n_neg,
-                   complex_root_count=len(poly) - 1 - len(roots) - n_neg)
+    return RootSet(roots=tuple(roots))
 
 
 def coefficient_chain(n: int, l: int, t_star: float | Fraction,

@@ -257,9 +257,12 @@ def moment_quad(state: RadialState, k: int) -> float:
 # ODE residual of the closed-form u on a grid
 # ---------------------------------------------------------------------------
 
-def residual(state: RadialState, coulomb_on: bool = True) -> float:
+def residual(sol: PolynomialSolution, coulomb_on: bool = True) -> float:
     """max |u'' + (2 eta - 2a/r - w^2 r^2 - (l^2-1/4)/r^2) u| / max |u''|,
     with the state's own eta, and the bracket of effective_potential_term.
+
+    sol is the state as assembled, not normalized: the ratio does not depend
+    on the scale of u, so only y_coeffs, omega, l and eta are read.
 
     u'' comes from 4th-order central differences of the closed-form u, so the
     returned number measures how well the assembled state actually solves the
@@ -271,7 +274,6 @@ def residual(state: RadialState, coulomb_on: bool = True) -> float:
     root, the Gaussian and the stencil's terms share one scratch buffer, and
     the bracket overwrites the potential's array.
     """
-    sol = state.solution
     r = np.linspace(0.1, 12.0 / math.sqrt(sol.omega), 8001)
     h = r[1] - r[0]
     u = np.full_like(r, sol.y_coeffs[-1])

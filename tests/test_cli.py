@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from heunqdot.cli import DEFAULTS, build_parser, main, parse_grid, parse_range
-from heunqdot.report import PUBLISHED_L, PUBLISHED_N
+from heunqdot.report import PUBLISHED_L, PUBLISHED_N, q6
+from heunqdot.termination import solve_termination
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -207,6 +209,21 @@ class TestValidateCommand:
         lines = (tmp_path / "validate.csv").read_text().splitlines()
         assert lines[0].startswith("n,l,convention,t_star,eta_analytic")
         assert lines[1].split(",")[-1] in ("CONFIRMED", "NEAR", "DISCREPANT")
+
+    @pytest.mark.parametrize("convention, n_range, first, last", [
+        ("table", "9..11", 9, 11), ("literal", "20..22", 20, 22)])
+    def test_states_past_the_closed_form_norm(self, tmp_path, convention,
+                                              n_range, first, last):
+        # the Gamma sum refuses to normalize table n = 10 and literal n = 21
+        # at l = 0; the verdict reads no norm, so every root gets a row
+        run(["validate", "--convention", convention, "--n", n_range,
+             "--l", "0", "--format", "json", "--out", str(tmp_path)])
+        rows = json.loads((tmp_path / "validate.json").read_text())["rows"]
+        roots = [(n, r.t_star) for n in range(first, last + 1)
+                 for r in solve_termination(n, 0, convention).rootset.roots]
+        assert [(row["n"], row["t_star"]) for row in rows] == [
+            (n, q6(t)) for n, t in roots]
+        assert all(math.isfinite(row["residual"]) for row in rows)
 
 
 class TestReportCommand:

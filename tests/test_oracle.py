@@ -33,7 +33,6 @@ from heunqdot.termination import (
 from heunqdot.wavefunction import (
     PolynomialSolution,
     assemble_polynomial,
-    normalize,
     residual,
 )
 
@@ -1110,8 +1109,8 @@ class TestSyntheticOscillatorCheck:
 class TestValidateRoot:
     def test_record_fields_populated(self):
         root = solve_termination(2, 0).rootset.roots[0]
-        rec = validate_root(normalize(assemble_polynomial(2, 0, root.t_star,
-                                                          at_root=True)))
+        rec = validate_root(assemble_polynomial(2, 0, root.t_star,
+                                                at_root=True))
         omega = 1.0 / (root.t_star * root.t_star)
         assert rec.eta_analytic == pytest.approx(3 * omega)
         assert rec.classification in (CONFIRMED, NEAR, DISCREPANT)
@@ -1128,7 +1127,7 @@ class TestValidateRoot:
         assert sorted(nodes for *_, nodes in states) == list(range(8))
         for omega, eta, nodes in states:
             sol = _exact_solution(N, l, omega, eta)
-            rec = validate_root(normalize(sol))
+            rec = validate_root(sol)
             assert rec.classification == CONFIRMED, (nodes, rec)
             assert rec.oracle_nodes == nodes
 
@@ -1137,7 +1136,7 @@ class TestValidateRoot:
         {1, 2, 4, 8} and l <= 2 is finite-difference error, at most 1e-3;
         the dossier's rows, which are not exact states, read 0.6 to 1.6
         (test_report)."""
-        values = [residual(normalize(_exact_solution(N, l, omega, eta)))
+        values = [residual(_exact_solution(N, l, omega, eta))
                   for N in (1, 2, 4, 8) for l in range(3)
                   for omega, eta, _ in _exact_states(N, l)]
         assert len(values) == 24
@@ -1145,8 +1144,7 @@ class TestValidateRoot:
 
     def test_n4_large_root_classified(self):
         roots = solve_termination(4, 0).rootset.roots
-        rec = validate_root(normalize(assemble_polynomial(4, 0,
-                                                          roots[1].t_star)))
+        rec = validate_root(assemble_polynomial(4, 0, roots[1].t_star))
         assert rec.classification in (CONFIRMED, NEAR, DISCREPANT)
         assert rec.oracle_nodes >= 0
 

@@ -35,8 +35,8 @@ def test_descartes_counts_roots():
 def test_isolate_positive_roots_simple_cubic():
     # t^3 - 16: single positive root 16^(1/3)
     p = [-16, 0, 0, 1]
-    intervals, n_neg = rp.isolate_positive_roots(p)
-    assert len(intervals) == 1 and n_neg == 0
+    intervals = rp.isolate_positive_roots(p)
+    assert len(intervals) == 1
     lo, hi = rp.refine_root_bisect(p, *intervals[0], 1e-13)
     mid = float((lo + hi) / 2)
     assert abs(mid - 16 ** (1 / 3)) < 1e-12
@@ -47,7 +47,7 @@ def test_isolate_positive_roots_simple_cubic():
 def test_isolate_detects_exact_rational_root():
     # (t-1)(t-2)(t-3): the Cauchy bound is 12, so subdivision midpoints hit 3
     p = [-6, 11, -6, 1]
-    intervals, _ = rp.isolate_positive_roots(p)
+    intervals = rp.isolate_positive_roots(p)
     assert (F(3), F(3)) in intervals
     assert len(intervals) == 3
 
@@ -56,25 +56,26 @@ def test_isolate_strips_zero_roots():
     # t * (t - 2): primitive_part strips the factor t
     p = rp.primitive_part([F(0), F(-2), F(1)])
     assert p == [-2, 1]
-    intervals, _ = rp.isolate_positive_roots(p)
+    intervals = rp.isolate_positive_roots(p)
     assert len(intervals) == 1
     lo, hi = intervals[0]
     assert lo < 2 < hi
 
 
-def test_isolate_counts_negative_roots():
+def test_isolate_skips_negative_roots():
     # (t-1)(t+2)(t+3) = t^3 + 4t^2 + t - 6
     p = [-6, 1, 4, 1]
-    intervals, n_neg = rp.isolate_positive_roots(p)
+    intervals = rp.isolate_positive_roots(p)
     assert len(intervals) == 1
-    assert n_neg == 2
+    lo, hi = intervals[0]
+    assert lo < 1 < hi
 
 
 def test_repeated_root_flagged():
     # (t - 1)^2 (t - 3)
     sf, multiple = rp.squarefree_part([-3, 7, -5, 1])
     assert multiple and sf == [3, -4, 1]
-    intervals, _ = rp.isolate_positive_roots(sf)
+    intervals = rp.isolate_positive_roots(sf)
     assert len(intervals) == 2  # distinct roots 1 and 3
 
 
@@ -201,7 +202,7 @@ def assert_refinement_matches_bisection(coefficients):
     isolating interval of the polynomial, at every precision; returns the
     number of intervals."""
     sf = rp.squarefree_part(rp.primitive_part(coefficients))[0]
-    intervals = rp.isolate_positive_roots(sf)[0]
+    intervals = rp.isolate_positive_roots(sf)
     for lo, hi in intervals:
         refined = [rp.refine_root_bisect(sf, lo, hi, w) for w in PRECISIONS]
         assert refined == bisect_reference(sf, lo, hi, PRECISIONS), (sf, lo, hi)
@@ -236,7 +237,7 @@ def test_refinement_matches_bisection_on_random_polynomials(
 ])
 def test_exact_grid_roots_come_back_as_points(p, root, isolated):
     # a root on the grid is exact from isolation, or hit by refinement
-    (lo, hi), = [iv for iv in rp.isolate_positive_roots(p)[0]
+    (lo, hi), = [iv for iv in rp.isolate_positive_roots(p)
                  if iv[0] <= root <= iv[1]]
     assert (lo == hi) == isolated
     refined = [rp.refine_root_bisect(p, lo, hi, w) for w in PRECISIONS]
@@ -314,7 +315,7 @@ def test_a_seed_one_cell_off_costs_one_evaluation(monkeypatch, offset):
     for p in _determinants(range(2, 6)):
         sf = rp.squarefree_part(rp.primitive_part(p))[0]
         cases += [(sf, lo, hi, bisect_reference(sf, lo, hi, [1e-13])[0])
-                  for lo, hi in rp.isolate_positive_roots(sf)[0]]
+                  for lo, hi in rp.isolate_positive_roots(sf)]
     _seeding(monkeypatch,
              lambda j, cells: min(max(j + offset, 0), cells - 1))
     refine, counts = _counted_refine(monkeypatch), []
@@ -354,7 +355,7 @@ def test_evaluations_per_determinant_root(monkeypatch):
 def test_coefficients_past_the_float_range_take_bisection():
     # 10^400 t - (3 10^400 + 7): no coefficient is a float
     p = [-(3 * 10 ** 400 + 7), 10 ** 400]
-    (lo, hi), = rp.isolate_positive_roots(p)[0]
+    (lo, hi), = rp.isolate_positive_roots(p)
     assert rp._float_seed(p, lo, hi, True, 1 << 40) is None
     refined = [rp.refine_root_bisect(p, lo, hi, w) for w in PRECISIONS]
     assert refined == bisect_reference(p, lo, hi, PRECISIONS)
@@ -368,12 +369,12 @@ def test_without_a_seed_each_halving_costs_one_value(monkeypatch):
     refine = _counted_refine(monkeypatch)
     for p in _determinants(range(2, 9)):
         sf = rp.squarefree_part(rp.primitive_part(p))[0]
-        for lo, hi in rp.isolate_positive_roots(sf)[0]:
+        for lo, hi in rp.isolate_positive_roots(sf):
             for width in PRECISIONS:
                 assert refine(sf, lo, hi, width)[1] == 2 + _halvings(
                     lo, hi, width), (sf, lo, hi, width)
     for p, root in (([-7, 6, 1], F(1)), ([-15, 2, 1], F(3))):
-        (lo, hi), = [iv for iv in rp.isolate_positive_roots(p)[0]
+        (lo, hi), = [iv for iv in rp.isolate_positive_roots(p)
                      if iv[0] < root < iv[1]]
         bracket, count = refine(p, lo, hi, 1e-13)
         assert bracket == (root, root)
@@ -390,7 +391,7 @@ def test_the_one_determinant_whose_roots_reach_the_fallback(monkeypatch):
     sf = rp.squarefree_part(rp.primitive_part(p))[0]
     refine = _counted_refine(monkeypatch)
     counts = []
-    for lo, hi in rp.isolate_positive_roots(sf)[0]:
+    for lo, hi in rp.isolate_positive_roots(sf):
         reference, = bisect_reference(sf, lo, hi, [1e-13])
         bracket, count = refine(sf, lo, hi, 1e-13)
         assert bracket == reference, (lo, hi)

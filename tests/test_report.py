@@ -67,11 +67,13 @@ def test_tables_command_solves_at_its_precision(solve_calls, tmp_path):
 
 
 def test_dossier_root_isolation_work(solve_calls, monkeypatch):
-    """The Taylor shifts of the Descartes trees and the exact polynomial
+    """The Taylor shifts of the Descartes tree and the exact polynomial
     evaluations of refinement over the dossier's 16 solves. The tree used
-    626 shifts from the top of the Cauchy grid, bisection 1197 evaluations
-    and quadratic interval refinement alone 371. With the float seed every
-    root takes four: the two ends of its bracket and of its cell."""
+    626 shifts from the top of the Cauchy grid and 179 from its start level
+    beside the deleted negative-root tree; alone it takes 61. Bisection used
+    1197 evaluations and quadratic interval refinement alone 371. With the
+    float seed every root takes four: the two ends of its bracket and of its
+    cell."""
     report.build_report()
     assert len(solve_calls) == 16
     counts = {"shifts": 0, "evaluations": 0}
@@ -89,7 +91,7 @@ def test_dossier_root_isolation_work(solve_calls, monkeypatch):
     roots = sum(len(solve_termination(**call).rootset.roots)
                 for call in solve_calls)
     assert roots == 24
-    assert counts == {"shifts": 179, "evaluations": 96}
+    assert counts == {"shifts": 61, "evaluations": 96}
     assert 2 * counts["shifts"] <= 626 and counts["evaluations"] <= 5 * roots
 
 
@@ -117,6 +119,22 @@ def test_report_builds_and_normalizes_each_state_once(monkeypatch):
     # states (at n = 2 the printed and chain coefficients agree, so two
     # distinct solutions compare equal: count them by identity)
     assert len({id(s) for s in normalized}) == len(normalized) <= 35
+
+
+def test_report_gives_a_verdict_past_the_closed_form_norm():
+    """At table n = 10 and l = 0 the Gamma sum refuses to normalize. The
+    verdicts read no norm, and only the published grid's states are
+    normalized, so every root of the wider grid gets a verdict row and the
+    table sections read as on the default grid."""
+    rep = report.build_report(n_values=range(2, 12), l_values=(0, 1))
+    roots = [(n, l, r.t_star) for l in (0, 1) for n in range(2, 12)
+             for r in solve_termination(n, l).rootset.roots]
+    assert [(row["n"], row["l"], row["t_star"]) for row in rep["oracle"]] == [
+        (n, l, report.q6(t)) for n, l, t in roots]
+    default = report.build_report()
+    for section in ("tables", "normalization_attempts", "moment_attempts",
+                    "mean_r"):
+        assert rep[section] == default[section], section
 
 
 def test_report_solves_each_oracle_problem_once(monkeypatch):

@@ -199,17 +199,15 @@ class TestMoments:
 
 class TestResidual:
     def test_perturbed_eta_blows_up(self):
-        st_ = gaussian_state(l=0)
-        base = residual(st_, coulomb_on=False)
-        bumped_state = st_._replace(solution=st_.solution._replace(eta=1.1))
-        bumped = residual(bumped_state, coulomb_on=False)
+        sol = gaussian_state(l=0).solution
+        base = residual(sol, coulomb_on=False)
+        bumped = residual(sol._replace(eta=1.1), coulomb_on=False)
         assert bumped >= 10 * base
 
     def test_analytic_root_state_residual_recorded(self):
         # no threshold asserted: the value adjudicates solution quality
         root = solve_termination(2, 0).rootset.roots[0]
-        st_ = normalize(assemble_polynomial(2, 0, root.t_star))
-        value = residual(st_)
+        value = residual(assemble_polynomial(2, 0, root.t_star))
         assert np.isfinite(value) and value >= 0
 
 
