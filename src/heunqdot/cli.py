@@ -5,7 +5,13 @@ Output is deterministic (fixed %.6e float formatting, fixed row ordering), so
 identical invocations produce byte-identical files. Published-value
 mismatches are report content and exit 0; only internal errors exit nonzero.
 
-Each option is declared once, in build_parser. An option left off the command
+Each option is declared once, in OPTIONS; _commands lists each command's.
+main reads a plain command line (the command, then its flags spelled in
+full with values that convert) from those declarations itself, in
+parse_plain, and builds the argparse parser from them (build_parser) only
+when argparse has to answer: for help, --version, an abbreviated or
+unknown flag, a value that starts with '-', a '--', a missing or bad
+value, and to report a usage error. An option left off the command
 line takes its value from, in order: the environment variable HEUNQDOT_OUT
 (for --out only), the config file (plain key=value lines, --config or
 ./heunqdot.conf), the built-in DEFAULTS. The config file may set the options
@@ -255,10 +261,54 @@ def cmd_report(args: argparse.Namespace) -> None:
           f"({len(rep['oracle'])} oracle verdicts, {n_disc} discrepant)")
 
 
+# every option, declared once as the keywords of its argparse add_argument
+# call; the options of DEFAULTS stay None here, and resolve() fills them
+OPTIONS = {
+    "config": {"help": "key=value config file"},
+    "out": {"help": "output directory"},
+    "convention": {"choices": [c.value for c in GammaConvention]},
+    "format": {"choices": ["csv", "json"]},
+    "precision": {"type": float, "help": "root refinement width "
+                  f"(default {DEFAULTS['precision']})"},
+    "n": {"help": f"state labels, e.g. 2..5 (default {DEFAULTS['n']})"},
+    "l": {"help": f"angular momenta, e.g. 0..1 (default {DEFAULTS['l']})"},
+    "nr": {"type": int, "default": 0, "help": "CM quantum number n_R"},
+    "grid": {"default": "0:30:1000", "help": "r0:r1:steps"},
+    "k": {"default": "1,2", "help": "moment powers, e.g. 1..3"},
+    "omega": {"type": float, "help": "fixed omega instead of the roots"},
+    "gnuplot": {"action": "store_true", "default": False,
+                "help": "also emit a gnuplot script (format csv only)"},
+}
+
+
+def _commands() -> dict[str, tuple]:
+    """Each command's run, summary and options, in help order. The cmd_* are
+    looked up at each call, so that a rebound module attribute (as
+    perfbench's tracing makes) is what runs."""
+    common = ("config", "out", "convention", "format", "precision")
+    ranges = common + ("n", "l")
+    return {
+        "roots": (cmd_roots, "determinant roots per (n, l)", ranges),
+        "spectrum": (cmd_spectrum, "relative + center-of-mass energies",
+                     ranges + ("nr", "omega")),
+        "wavefunction": (cmd_wavefunction, "u(r), R(r) samples per root",
+                         ranges + ("grid", "omega", "gnuplot")),
+        "moments": (cmd_moments, "<r^k> for constructed states",
+                    ranges + ("k", "omega")),
+        "validate": (cmd_validate, "oracle verdict per root", ranges),
+        "tables": (cmd_tables, "published-table reproduction rows", common),
+        # the dossier is always json + text, so report takes no --format
+        "report": (cmd_report, "full validation dossier (json + text)",
+                   ("config", "out", "convention", "precision", "n", "l"))}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Each subcommand's namespace carries its cmd_* as run, looked up when
-    this is called, so that a rebound module attribute (as perfbench's
-    tracing makes) is what runs.
+    """The argparse parser, one add_argument per entry of OPTIONS that the
+    command takes. main builds it only for the command lines parse_plain
+    hands on (help, --version, an abbreviated or unknown flag, a value that
+    starts with '-', a '--', a missing value, or one that does not convert
+    or is not among its choices), and to report the errors of resolve() and
+    of the run. Each subcommand's namespace carries its cmd_* as run.
 
     Every subcommand is created, so the choices and the top-level help are
     whole; given a command, only that subcommand's options are declared,
@@ -270,61 +320,54 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "roots, spectra, wavefunctions, and the validation dossier.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def omega(p):
-        p.add_argument("--omega", type=float,
-                       help="fixed omega instead of the roots")
-
-    def spectrum(p):
-        p.add_argument("--nr", type=int, default=0,
-                       help="CM quantum number n_R")
-        omega(p)
-
-    def wavefunction(p):
-        p.add_argument("--grid", default="0:30:1000", help="r0:r1:steps")
-        omega(p)
-        p.add_argument("--gnuplot", action="store_true",
-                       help="also emit a gnuplot script (format csv only)")
-
-    def moments(p):
-        p.add_argument("--k", default="1,2", help="moment powers, e.g. 1..3")
-        omega(p)
-
-    # name, run, summary, whether it takes --n and --l, its own options
-    for name, run, summary, ranges, extra in (
-            ("roots", cmd_roots, "determinant roots per (n, l)", True, None),
-            ("spectrum", cmd_spectrum, "relative + center-of-mass energies",
-             True, spectrum),
-            ("wavefunction", cmd_wavefunction, "u(r), R(r) samples per root",
-             True, wavefunction),
-            ("moments", cmd_moments, "<r^k> for constructed states", True,
-             moments),
-            ("validate", cmd_validate, "oracle verdict per root", True, None),
-            ("tables", cmd_tables, "published-table reproduction rows", False,
-             None),
-            ("report", cmd_report, "full validation dossier (json + text)",
-             True, None)):
+    for name, (run, summary, options) in _commands().items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
-        if command not in (None, name):
-            continue
-        # the options of DEFAULTS stay None here; resolve() fills them
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--convention",
-                       choices=[c.value for c in GammaConvention])
-        if name != "report":  # the dossier is always json + text
-            p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--precision", type=float, help="root refinement "
-                       f"width (default {DEFAULTS['precision']})")
-        if ranges:
-            p.add_argument("--n", help="state labels, e.g. 2..5 "
-                           f"(default {DEFAULTS['n']})")
-            p.add_argument("--l", help="angular momenta, e.g. 0..1 "
-                           f"(default {DEFAULTS['l']})")
-        if extra:
-            extra(p)
+        if command in (None, name):
+            for option in options:
+                p.add_argument(f"--{option}", **OPTIONS[option])
     return parser
+
+
+def parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a plain command line, read from OPTIONS
+    without building a parser: a command, then that command's flags, each
+    spelled in full as --flag value or --flag=value (a store_true flag
+    bare), every value converted by its type and within its choices; a
+    repeated flag keeps its last value. Any other command line is None, for
+    build_parser to answer."""
+    commands = _commands()
+    if not argv or argv[0] not in commands:
+        return None
+    run, _, options = commands[argv[0]]
+    values = {"command": argv[0], "run": run,
+              **{option: OPTIONS[option].get("default") for option in options}}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        option = flag[2:]
+        if not flag.startswith("--") or option not in options:
+            return None
+        spec = OPTIONS[option]
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            values[option] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        if value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[option] = value
+    return argparse.Namespace(**values)
 
 
 def resolve(args: argparse.Namespace) -> None:
@@ -388,19 +431,20 @@ def resolve(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the first argument that is not an option names the command
-    parser = build_parser(next((a for a in argv if not a.startswith("-")),
-                               None))
-    args = parser.parse_args(argv)
+    args = parse_plain(argv)
+    if args is None:
+        # the first argument that is not an option names the command
+        args = build_parser(next((a for a in argv if not a.startswith("-")),
+                                 None)).parse_args(argv)
     try:
         resolve(args)
     except ValueError as exc:  # bad config, option value or output directory
-        parser.error(str(exc))
+        build_parser(args.command).error(str(exc))
     try:
         args.run(args)
     # a state the floats cannot hold, or an l past the oracle's basis table
     except (FloatRangeError, _ReachError) as exc:
-        parser.error(str(exc))
+        build_parser(args.command).error(str(exc))
     return 0
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from heunqdot.cli import DEFAULTS, build_parser, main, parse_grid, parse_range
+from heunqdot import cli
+from heunqdot.cli import (DEFAULTS, build_parser, main, parse_grid, parse_plain,
+                          parse_range)
 from heunqdot.report import PUBLISHED_L, PUBLISHED_N, q6
 from heunqdot.termination import solve_termination
 
@@ -287,6 +290,87 @@ class TestCommandParser:
             parser.parse_args(["roots", "--n", "3"])
 
 
+# a value each flag takes, as a command line spells it
+SAMPLE = {"config": "run.conf", "out": "outdir", "convention": "literal",
+          "format": "json", "precision": "1e-10", "n": "2..5", "l": "0,1",
+          "nr": "2", "grid": "0:10:5", "k": "1..3", "omega": "0.25"}
+
+
+def _plain_lines(command):
+    """The bare command, each of its flags in both spellings (--gnuplot
+    bare), all of its flags together, and one flag given twice."""
+    flags = sorted(set(vars(build_parser(command).parse_args([command])))
+                   - {"command", "run"})
+    spelled = {flag: ["--gnuplot"] if flag == "gnuplot"
+               else [f"--{flag}", SAMPLE[flag]] for flag in flags}
+    lines = [[command]]
+    for flag in flags:
+        lines.append([command] + spelled[flag])
+        if flag != "gnuplot":
+            lines.append([command, f"--{flag}={SAMPLE[flag]}"])
+    lines.append([command] + [tok for flag in flags for tok in spelled[flag]])
+    lines.append([command, "--out", "first", "--out", "second"])
+    return lines
+
+
+class TestPlainParse:
+    """main reads a plain command line without argparse; what it reads is
+    what argparse reads, and whatever it cannot be sure of goes to argparse."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_same_namespace_as_argparse(self, command):
+        full, own = build_parser(), build_parser(command)
+        for argv in _plain_lines(command):
+            plain = parse_plain(argv)
+            assert plain is not None, argv
+            assert vars(plain) == vars(full.parse_args(argv)), argv
+            assert vars(plain) == vars(own.parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--version"], ["bogus"], ["report", "--help"], ["report", "-h"],
+        ["roots", "--conv", "literal"], ["roots", "--n", "2", "--l=-1"],
+        ["spectrum", "--omega", "-1"], ["roots", "--", "--n", "2"],
+        ["roots", "--bogus", "1"], ["roots", "--n"], ["roots", "extra"],
+        ["roots", "--convention", "bogus"], ["moments", "--omega", "x"],
+        ["report", "--format", "csv"], ["tables", "--n", "2"],
+        ["wavefunction", "--gnuplot=1"]])
+    def test_declines_what_argparse_must_answer(self, argv):
+        assert parse_plain(argv) is None
+
+    def test_plain_run_builds_no_parser(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        run(["report", "--n", "2", "--l", "0", "--out", str(tmp_path)])
+        assert built == []
+        assert (tmp_path / "report.json").exists()
+
+        # a flag report does not take is argparse's usage error, as before
+        with pytest.raises(SystemExit) as stop:
+            main(["report", "--n", "2", "--l", "0", "--format", "csv",
+                  "--out", str(tmp_path / "refused")])
+        assert stop.value.code == 2
+        assert built.count("heunqdot") == 1
+        assert capsys.readouterr().err.endswith(
+            "heunqdot: error: unrecognized arguments: --format csv\n")
+        assert not (tmp_path / "refused").exists()
+
+    def test_runs_the_rebound_command(self, tmp_path, monkeypatch):
+        """cmd_report is looked up when the line is parsed, so a rebound
+        module attribute (as perfbench's tracing makes) is what runs."""
+        ran = []
+        monkeypatch.setattr(cli, "cmd_report", ran.append)
+        run(["report", "--n", "2", "--l", "0", "--out", str(tmp_path)])
+        assert [(args.command, args.n, args.l) for args in ran] == [
+            ("report", [2], [0])]
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -472,8 +556,10 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.mark.parametrize("module, absent, then", [
     # scipy.special and scipy.integrate would add to every command's start-up,
-    # and so would dataclasses, whose generated methods cost about 1 ms a class
-    ("heunqdot.cli", ("scipy.special", "scipy.integrate", "dataclasses"), ""),
+    # and so would dataclasses, whose generated methods cost about 1 ms a
+    # class, and locale, which a built argparse parser imports through gettext
+    ("heunqdot.cli", ("scipy.special", "scipy.integrate", "dataclasses",
+                      "locale"), ""),
     # the eigensolve needs numpy and the model only; the verdict layer imports
     # the rest when it is called
     ("heunqdot.oracle",
