@@ -16,9 +16,10 @@ line takes its value from, in order: the environment variable HEUNQDOT_OUT
 (for --out only), the config file (plain key=value lines, --config or
 ./heunqdot.conf), the built-in DEFAULTS. The config file may set the options
 in DEFAULTS, each under its flag's long name (convention, format, out,
-precision, n, l); any other key, or an empty value, is an error. A
+n, l); any other key, or an empty value, is an error. A
 command ignores the keys it has no flag for: report, which always writes
-json and text, takes no --format, as tables takes no --n or --l.
+json and text, takes no --format, as tables takes no --n or --l. Every root
+is refined to the fixed width termination.PRECISION.
 wavefunction --gnuplot plots the csv files, so it needs format csv. The
 oracle's eigenvalues come from a self-converged Galerkin solve in a
 Gaussian-weighted half-range polynomial basis; the node count of each is its
@@ -35,10 +36,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .oracle import _ReachError, validate_root
+from .oracle import NoEigenvalueError, validate_root
 from .report import (PUBLISHED_L, PUBLISHED_N, build_report, build_tables, q6,
                      render_text, solve_states, verdict_row)
-from .termination import PRECISION, GammaConvention, check_precision
+from .termination import PRECISION, GammaConvention
 from .wavefunction import (FloatRangeError, PolynomialSolution,
                            assemble_polynomial, moment, normalize)
 
@@ -58,7 +59,6 @@ TABLES_HEADER = ["table_id", "row_key", "paper_value", "computed_value",
 # values they take when neither a flag nor the config file gives them; the
 # grid is the published one, each range written as parse_range reads it
 DEFAULTS = {"convention": "table", "format": "csv", "out": ".",
-            "precision": repr(PRECISION),
             "n": f"{PUBLISHED_N[0]}..{PUBLISHED_N[-1]}",
             "l": f"{PUBLISHED_L[0]}..{PUBLISHED_L[-1]}"}
 
@@ -129,7 +129,7 @@ def _write(args: argparse.Namespace, rows: list[dict], header: list[str],
         out.write_text("\n".join(lines) + "\n")
     else:
         meta = {"version": __version__, "convention": args.convention.value,
-                "precision": args.precision}
+                "precision": PRECISION}
         payload = {"meta": meta,
                    "rows": [{h: row[h] for h in header} for row in rows]}
         out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -147,8 +147,7 @@ def _states(args: argparse.Namespace) -> dict[tuple[int, int],
         return {(n, l): (assemble_polynomial(n, l, t,
                                              convention=args.convention),)
                 for n, l in grid}
-    solved = solve_states(((args.convention, n, l) for n, l in grid),
-                          args.precision)
+    solved = solve_states((args.convention, n, l) for n, l in grid)
     return {(n, l): solved[(args.convention, n, l)].solutions
             for n, l in grid}
 
@@ -240,7 +239,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
 
 
 def cmd_tables(args: argparse.Namespace) -> None:
-    rows = build_tables(args.convention, args.precision)
+    rows = build_tables(args.convention)
     out = _write(args, rows, TABLES_HEADER, "tables")
     n_mismatch = sum(1 for r in rows if r["classification"] == "mismatch")
     print(f"{len(rows)} table rows -> {out} ({n_mismatch} mismatches; "
@@ -248,8 +247,7 @@ def cmd_tables(args: argparse.Namespace) -> None:
 
 
 def cmd_report(args: argparse.Namespace) -> None:
-    rep = build_report(args.n, args.l, args.convention,
-                       precision=args.precision)
+    rep = build_report(args.n, args.l, args.convention)
     outdir = Path(args.out)
     jpath = outdir / "report.json"
     tpath = outdir / "report.txt"
@@ -268,8 +266,6 @@ OPTIONS = {
     "out": {"help": "output directory"},
     "convention": {"choices": [c.value for c in GammaConvention]},
     "format": {"choices": ["csv", "json"]},
-    "precision": {"type": float, "help": "root refinement width "
-                  f"(default {DEFAULTS['precision']})"},
     "n": {"help": f"state labels, e.g. 2..5 (default {DEFAULTS['n']})"},
     "l": {"help": f"angular momenta, e.g. 0..1 (default {DEFAULTS['l']})"},
     "nr": {"type": int, "default": 0, "help": "CM quantum number n_R"},
@@ -285,7 +281,7 @@ def _commands() -> dict[str, tuple]:
     """Each command's run, summary and options, in help order. The cmd_* are
     looked up at each call, so that a rebound module attribute (as
     perfbench's tracing makes) is what runs."""
-    common = ("config", "out", "convention", "format", "precision")
+    common = ("config", "out", "convention", "format")
     ranges = common + ("n", "l")
     return {
         "roots": (cmd_roots, "determinant roots per (n, l)", ranges),
@@ -299,20 +295,16 @@ def _commands() -> dict[str, tuple]:
         "tables": (cmd_tables, "published-table reproduction rows", common),
         # the dossier is always json + text, so report takes no --format
         "report": (cmd_report, "full validation dossier (json + text)",
-                   ("config", "out", "convention", "precision", "n", "l"))}
+                   ("config", "out", "convention", "n", "l"))}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argparse parser, one add_argument per entry of OPTIONS that the
-    command takes. main builds it only for the command lines parse_plain
-    hands on (help, --version, an abbreviated or unknown flag, a value that
-    starts with '-', a '--', a missing value, or one that does not convert
-    or is not among its choices), and to report the errors of resolve() and
-    of the run. Each subcommand's namespace carries its cmd_* as run.
-
-    Every subcommand is created, so the choices and the top-level help are
-    whole; given a command, only that subcommand's options are declared,
-    the only ones a command line that names it can reach.
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser, one add_argument per option of each command.
+    main builds it only for the command lines parse_plain hands on (help,
+    --version, an abbreviated or unknown flag, a value that starts with '-',
+    a '--', a missing value, or one that does not convert or is not among
+    its choices), and to report the errors of resolve() and of the run.
+    Each subcommand's namespace carries its cmd_* as run.
     """
     parser = argparse.ArgumentParser(
         prog="heunqdot",
@@ -323,9 +315,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, (run, summary, options) in _commands().items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
-        if command in (None, name):
-            for option in options:
-                p.add_argument(f"--{option}", **OPTIONS[option])
+        for option in options:
+            p.add_argument(f"--{option}", **OPTIONS[option])
     return parser
 
 
@@ -389,9 +380,8 @@ def resolve(args: argparse.Namespace) -> None:
     for key in DEFAULTS.keys() & options.keys():
         if options[key] is None:
             options[key] = env.get(key) or config.get(key) or DEFAULTS[key]
-    for key, convert in (("precision", float), ("convention", GammaConvention),
-                         ("n", parse_range), ("l", parse_range),
-                         ("k", parse_range)):
+    for key, convert in (("convention", GammaConvention), ("n", parse_range),
+                         ("l", parse_range), ("k", parse_range)):
         if key in options:
             try:
                 options[key] = convert(options[key])
@@ -409,7 +399,6 @@ def resolve(args: argparse.Namespace) -> None:
         raise ValueError("format must be csv or json")
     if options.get("gnuplot") and fmt != "csv":
         raise ValueError(f"--gnuplot needs format csv, got {fmt}")
-    check_precision(args.precision)
     if args.command not in ("tables", "report") and (not args.n or not args.l):
         raise ValueError(f"{args.command} requires non-empty n and l ranges")
     if options.get("k") == []:
@@ -433,18 +422,17 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parse_plain(argv)
     if args is None:
-        # the first argument that is not an option names the command
-        args = build_parser(next((a for a in argv if not a.startswith("-")),
-                                 None)).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         resolve(args)
     except ValueError as exc:  # bad config, option value or output directory
-        build_parser(args.command).error(str(exc))
+        build_parser().error(str(exc))
     try:
         args.run(args)
-    # a state the floats cannot hold, or an l past the oracle's basis table
-    except (FloatRangeError, _ReachError) as exc:
-        build_parser(args.command).error(str(exc))
+    # a state the floats cannot hold, or an oracle solve that the Galerkin
+    # sizes or the basis table's reach in l refuse
+    except (FloatRangeError, NoEigenvalueError) as exc:
+        build_parser().error(str(exc))
     return 0
 
 

@@ -68,7 +68,7 @@ times the weight, one pair shorter: 2l steps give mu_l, and one more
 factors mu_l's J into the L above and gives the recurrence of the p_j. A
 table of N pairs thus reaches l <= (N - top - 1)/2 at basis degree top:
 l <= 79 at degree 40 and l <= 32 at degree 135. A solve that needs a basis
-past that raises ValueError. The size n is chosen by self-convergence
+past that raises NoEigenvalueError. The size n is chosen by self-convergence
 (n against 1.5n).
 
 The p_j do not depend on where the basis is cut, so the basis is nested:
@@ -140,13 +140,10 @@ SELF_CONVERGENCE_RTOL = 1e-11
 BASIS_TOPS = (40, 135)
 
 
-class NoEigenvalueError(RuntimeError):
-    """The Galerkin sizes ran out before two consecutive ones agreed on the
-    states asked for."""
-
-
-class _ReachError(ValueError):
-    """The basis table does not reach the l of a problem at a group top."""
+class NoEigenvalueError(ValueError):
+    """The oracle cannot give the states asked for: the Galerkin sizes ran
+    out before two consecutive ones agreed on them, or the basis table does
+    not reach the problem's l at a group top."""
 
 
 class _ShootingConfig(NamedTuple):
@@ -234,13 +231,13 @@ def _basis(top: int, l: int) -> _Basis:
     of S and C the factor up to max(i, j) only, so the first n and n + 1
     coefficients and the leading (n+1) x (n+1) blocks of S and C are the
     basis of any size n <= top, bit for bit, whichever top built them.
-    Raises ValueError when l is past the table's reach at top. Read-only,
-    because the cache hands it to every caller.
+    Raises NoEigenvalueError when l is past the table's reach at top.
+    Read-only, because the cache hands it to every caller.
     """
     a, b = _hermite()
     reach = (len(a) - top - 1) // 2
     if l > reach:
-        raise _ReachError(
+        raise NoEigenvalueError(
             f"l = {l} is past the oracle's basis table at Galerkin size "
             f"{top}: it reaches l <= {reach}")
     a, b = a[:top + 2 * l + 1], b[:top + 2 * l + 1]
@@ -300,11 +297,12 @@ def solve_eigen(problem: RadialProblem, config: ShootingConfig | None = None,
     at the group's top, from the basis built there, and each size solves
     its leading (n+1) x (n+1) block. The k-th lowest value has
     k nodes (the Ritz index; see the module docstring). Raises
-    NoEigenvalueError, with the count, the last size and its relative gap,
-    when the last size is reached without two consecutive sizes agreeing;
-    more than 91 states can never agree, as size 135 is the last. Raises
-    ValueError, naming the limit, when a group it reaches lies past the
-    basis table's reach in l: l <= 79 at size 40, l <= 32 at size 135.
+    NoEigenvalueError, a ValueError, in two cases: with the count, the last
+    size and its relative gap, when the last size is reached without two
+    consecutive sizes agreeing (more than 91 states can never agree, as
+    size 135 is the last); and naming the limit, when a group it reaches
+    lies past the basis table's reach in l: l <= 79 at size 40, l <= 32 at
+    size 135.
 
     Checked range: l <= 15 with node_target <= 12, and node_target = 40
     with the Coulomb term off (see the module docstring).

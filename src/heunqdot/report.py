@@ -13,12 +13,13 @@ chain and the explicitly printed closed-form coefficients, records which
 published entries each reading reproduces, and attaches the independent
 eigensolver's verdict per root.
 
-A report solves each (convention, n, l) once, at the report's precision, and
-assembles the chain state at each of its roots once (solve_states, which the
-command line shares). Every section reads those states: the roots section
-and the coefficient formulas their chains, and the oracle verdicts the
-report convention's states as assembled. Only the table 4-5 readings print
-a norm, so only the states of the published grid are normalized.
+A report solves each (convention, n, l) once, refining every root to the
+width termination.PRECISION, and assembles the chain state at each of its
+roots once (solve_states, which the command line shares). Every section
+reads those states: the roots section and the coefficient formulas their
+chains, and the oracle verdicts the report convention's states as
+assembled. Only the table 4-5 readings print a norm, so only the states of
+the published grid are normalized.
 """
 
 from __future__ import annotations
@@ -90,13 +91,13 @@ class RootStates(NamedTuple):
 Solved = dict[tuple[GammaConvention, int, int], RootStates]
 
 
-def solve_states(keys, precision: float = PRECISION) -> Solved:
+def solve_states(keys) -> Solved:
     """Solve every distinct (convention, n, l) of keys once, in first-seen
     order, and assemble the chain state at each of its roots, of degree
     n - 1."""
     solved: Solved = {}
     for conv, n, l in dict.fromkeys(keys):
-        rootset = solve_termination(n, l, conv, precision=precision).rootset
+        rootset = solve_termination(n, l, conv).rootset
         solved[(conv, n, l)] = RootStates(rootset, tuple(
             assemble_polynomial(n, l, root.t_star, convention=conv,
                                 at_root=True)
@@ -126,10 +127,9 @@ def _chain_readings(solved: Solved, convention: GammaConvention) -> Readings:
 
 
 def build_tables(convention: GammaConvention = GammaConvention.TABLE,
-                 precision: float = PRECISION) -> list[dict]:
+                 ) -> list[dict]:
     """Side-by-side rows for every published table cell."""
-    solved = solve_states(((convention, n, l) for n, l in PUBLISHED_GRID),
-                          precision)
+    solved = solve_states((convention, n, l) for n, l in PUBLISHED_GRID)
     readings = _chain_readings(solved, convention)
     return _table_rows(solved, readings, convention)
 
@@ -338,15 +338,14 @@ CAVEATS = [
 
 def build_report(n_values=PUBLISHED_N, l_values=PUBLISHED_L,
                  convention: GammaConvention = GammaConvention.TABLE,
-                 precision: float = PRECISION) -> dict:
+                 ) -> dict:
     """The full validation dossier as one JSON-ready dict."""
     ref = load_reference()
     n_values = list(n_values)
     l_values = list(l_values)
     solved = solve_states([(conv, n, l) for conv in CONVENTIONS
                            for l in l_values for n in n_values]
-                          + [(convention, n, l) for n, l in PUBLISHED_GRID],
-                          precision)
+                          + [(convention, n, l) for n, l in PUBLISHED_GRID])
 
     roots_section = []
     for conv in CONVENTIONS:
@@ -438,7 +437,7 @@ def build_report(n_values=PUBLISHED_N, l_values=PUBLISHED_L,
 
     return {
         "meta": {"version": __version__, "convention": convention.value,
-                 "precision": precision},
+                 "precision": PRECISION},
         "roots": roots_section,
         "convention_differences": convention_differences,
         "oracle": oracle_rows,

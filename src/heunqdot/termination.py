@@ -178,29 +178,17 @@ class RootSet(NamedTuple):
     roots: tuple[Root, ...]
 
 
-# the absolute bracket widths in t that root refinement accepts, and the
-# width it refines to when none is given
-PRECISION_RANGE = (1e-14, 1e-6)
+# the absolute bracket width in t that every root is refined to
 PRECISION = 1e-13
 
 
-def check_precision(precision: float) -> None:
-    """Raise ValueError unless precision lies in PRECISION_RANGE."""
-    lo, hi = PRECISION_RANGE
-    if not lo <= precision <= hi:
-        raise ValueError(f"precision must lie in [{lo:g}, {hi:g}], "
-                         f"got {precision:g}")
-
-
-def isolate_roots(p: ClearedPolynomial,
-                  precision: float = PRECISION) -> RootSet:
+def isolate_roots(p: ClearedPolynomial) -> RootSet:
     """All positive real roots of the cleared determinant, in ascending
-    order, with certified brackets.
+    order, with certified brackets of width at most PRECISION.
 
     The polynomial is made square-free once, if it has a repeated root, and
     isolation and refinement both run on that square-free part.
     """
-    check_precision(precision)
     poly, multiple = rp.squarefree_part(list(p.coefficients))
     if multiple:
         # an even-multiplicity root changes no sign of the polynomial itself
@@ -208,7 +196,7 @@ def isolate_roots(p: ClearedPolynomial,
                     "square-free part")
     roots: list[Root] = []
     for lo, hi in rp.isolate_positive_roots(poly):
-        lo, hi = rp.refine_root_bisect(poly, lo, hi, precision)
+        lo, hi = rp.refine_root_bisect(poly, lo, hi, PRECISION)
         t_star = float((lo + hi) / 2)
         roots.append(Root(t_star=t_star,
                           refinement_width=float(hi - lo),
@@ -247,12 +235,12 @@ class TerminationResult(NamedTuple):
 
 def solve_termination(n: int, l: int,
                       convention: GammaConvention = GammaConvention.TABLE,
-                      precision: float = PRECISION) -> TerminationResult:
+                      ) -> TerminationResult:
     """Build the gamma factors, run the recurrence, take the primitive part
     of D_n and isolate its roots in one call."""
     d_n = determinant_sequence(build_gamma_factors(n, l, convention))[n]
     cleared = ClearedPolynomial(tuple(rp.primitive_part(d_n)))
-    rootset = isolate_roots(cleared, precision=precision)
+    rootset = isolate_roots(cleared)
     return TerminationResult(cleared=cleared, rootset=rootset)
 
 

@@ -427,7 +427,7 @@ def _root_moduli(p):
 def assert_start_level_is_strict(sf):
     """Every root modulus of sf lies below B/2^k0, k0 is the largest level
     Fujiwara's bound allows, and the trees started at k0 and at 0 give the
-    same roots and the same negative count."""
+    same positive roots."""
     bound, q = _cauchy_scaled(sf)
     k0 = rp._start_level(q)
     assert k0 == 0 or _fujiwara_within(q, k0)
@@ -440,12 +440,7 @@ def assert_start_level_is_strict(sf):
             sf, bound * F(c, 1 << k), bound * F(c + w, 1 << k), 1e-13)
             for k, c, w in rp._dyadic_isolation(q, start))
 
-    def negative_count(start):
-        mirrored = [-c if i % 2 else c for i, c in enumerate(q)]
-        return len(rp._dyadic_isolation(mirrored, start))
-
     assert roots(k0) == roots(0)
-    assert negative_count(k0) == negative_count(0)
     return k0
 
 

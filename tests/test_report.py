@@ -1,5 +1,5 @@
-"""The dossier solves each (convention, n, l) state once, at its precision,
-and builds and normalizes each state it reads once."""
+"""The dossier solves each (convention, n, l) state once, and builds and
+normalizes each state it reads once."""
 
 import inspect
 
@@ -35,12 +35,11 @@ def _keys(calls):
     return [(c["convention"], c["n"], c["l"]) for c in calls]
 
 
-def test_report_solves_each_state_once_at_its_precision(solve_calls):
-    report.build_report(precision=1e-9)
+def test_report_solves_each_state_once(solve_calls):
+    report.build_report()
     keys = _keys(solve_calls)
     assert len(keys) == 16                       # 2 conventions x 4 n x 2 l
     assert len(set(keys)) == len(keys)
-    assert {c["precision"] for c in solve_calls} == {1e-9}
 
 
 def test_report_joins_its_grid_with_the_published_one(solve_calls):
@@ -60,10 +59,9 @@ def test_tables_solve_the_published_grid_once(solve_calls):
         (GammaConvention.LITERAL, n, l) for n in (2, 3, 4, 5) for l in (0, 1))
 
 
-def test_tables_command_solves_at_its_precision(solve_calls, tmp_path):
-    cli.main(["tables", "--precision", "1e-9", "--out", str(tmp_path)])
+def test_tables_command_solves_the_published_grid_once(solve_calls, tmp_path):
+    cli.main(["tables", "--out", str(tmp_path)])
     assert len(solve_calls) == 8
-    assert {c["precision"] for c in solve_calls} == {1e-9}
 
 
 def test_dossier_root_isolation_work(solve_calls, monkeypatch):

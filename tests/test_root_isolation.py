@@ -7,10 +7,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from heunqdot import ratpoly as rp
-from heunqdot.termination import ClearedPolynomial, isolate_roots, solve_termination
+from heunqdot.termination import (PRECISION, ClearedPolynomial, isolate_roots,
+                                  solve_termination)
 
 T = sympy.Symbol("t")
-PRECISION = 1e-13
 
 
 def check_against_sympy(coefficients):
@@ -24,8 +24,7 @@ def check_against_sympy(coefficients):
     positive = [r for r in real if r.is_positive]
 
     primitive = rp.primitive_part(coefficients)
-    rootset = isolate_roots(ClearedPolynomial(tuple(primitive)),
-                            precision=PRECISION)
+    rootset = isolate_roots(ClearedPolynomial(tuple(primitive)))
     assert len(rootset.roots) == len(positive)
 
     # the exact brackets behind the float ones: the same ratpoly steps

@@ -9,6 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from heunqdot import ratpoly as rp
 from heunqdot.termination import (
+    PRECISION,
     ClearedPolynomial,
     GammaConvention,
     build_gamma_factors,
@@ -218,13 +219,6 @@ class TestRootIsolation:
                 assert sol.omega * root.t_star ** 2 == pytest.approx(1, rel=1e-14)
                 assert sol.eta * root.t_star ** 2 == pytest.approx(n + l + 1, rel=1e-14)
 
-    def test_precision_domain(self):
-        cleared = solve_termination(2, 0).cleared
-        with pytest.raises(ValueError):
-            isolate_roots(cleared, precision=1e-20)
-        with pytest.raises(ValueError):
-            isolate_roots(cleared, precision=1e-3)
-
     def test_no_positive_roots_for_n1(self):
         res = solve_termination(1, 0)
         assert res.rootset.roots == ()
@@ -255,15 +249,14 @@ class TestRepeatedRoots:
         ((-18, 21, -8, 1), [2, 3]),      # (t - 3)^2 (t - 2)
     ])
     def test_roots_and_certified_brackets(self, coeffs, expected):
-        precision = 1e-13
-        rootset = isolate_roots(ClearedPolynomial(coeffs), precision=precision)
+        rootset = isolate_roots(ClearedPolynomial(coeffs))
         assert [r.t_star for r in rootset.roots] == pytest.approx(
-            expected, abs=precision)
+            expected, abs=PRECISION)
         sf, multiple = rp.squarefree_part(list(coeffs))
         assert multiple
         for root in rootset.roots:
             lo, hi = (F(v) for v in root.bracket)
-            assert hi - lo <= precision
+            assert hi - lo <= PRECISION
             assert lo == hi or rp.poly_eval(sf, lo) * rp.poly_eval(sf, hi) < 0
             assert lo <= F(root.t_star) <= hi
 
