@@ -1,7 +1,7 @@
 """Exact polynomial arithmetic and certified root isolation.
 
-Dense polynomials in a single variable t are coefficient lists in ascending
-powers of t, of ints or Fractions; an IntPoly holds ints only.
+Polynomials in a single variable t are lists of ints (IntPoly) in ascending
+powers of t.
 
 Roots are isolated in plain Python integers. A polynomial is reduced once to
 its primitive integer part without the factor t**k (primitive_part) and then,
@@ -31,31 +31,22 @@ import functools
 import math
 from fractions import Fraction
 
-Dense = list[Fraction]  # or list[int]
 IntPoly = list[int]
 
-ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
-# Dense polynomials (ascending coefficients)
+# Evaluation and derivative
 # ---------------------------------------------------------------------------
 
-def poly_trim(p: Dense) -> Dense:
-    while p and not p[-1]:
-        p = p[:-1]
-    return p
-
-
-def poly_eval(p: Dense, x) -> Fraction | float:
-    """Horner evaluation; exact for Fraction x."""
-    acc = Fraction(0) if isinstance(x, Fraction) else 0.0
+def poly_eval(p: IntPoly, x) -> Fraction | float:
+    """Horner evaluation; exact for Fraction x, a float for float x."""
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
-def poly_deriv(p: Dense) -> Dense:
+def poly_deriv(p: IntPoly) -> IntPoly:
     return [c * k for k, c in enumerate(p)][1:]
 
 
@@ -69,20 +60,20 @@ def _primitive(p: IntPoly) -> IntPoly:
     return [c // (-g if p[-1] < 0 else g) for c in p]
 
 
-def primitive_part(p: Dense) -> IntPoly:
+def primitive_part(p: IntPoly) -> IntPoly:
     """The primitive integer polynomial with the nonzero roots of p.
 
-    Clears denominators, strips the factor t**k (t = 0 is never reported as a
-    root) and divides by the content; the leading coefficient is positive.
-    Every other root keeps its multiplicity.
+    Strips the factor t**k (t = 0 is never reported as a root) and divides
+    by the content; the leading coefficient is positive. Every other root
+    keeps its multiplicity. Raises ValueError on a zero leading coefficient,
+    which covers the zero polynomial. The program never hits it: every D_n is
+    monic, because D_k = t^(1+[k even]) D_{k-1} - (c t + e) D_{k-2} and the
+    second term has the lower degree.
     """
-    p = poly_trim(list(p))
-    if not p:
-        raise ValueError("the zero polynomial has no primitive part")
-    while not p[0]:
-        p = p[1:]
-    den = math.lcm(*(Fraction(c).denominator for c in p))
-    return _primitive([int(c * den) for c in p])
+    if not p[-1]:
+        raise ValueError("the leading coefficient is zero")
+    k = next(i for i, c in enumerate(p) if c)
+    return _primitive(p[k:])
 
 
 def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -163,10 +154,10 @@ def squarefree_part(p: IntPoly) -> tuple[IntPoly, bool]:
     return _divide_exact(p, g), True
 
 
-def cauchy_root_bound(p: Dense) -> Fraction:
+def cauchy_root_bound(p: IntPoly) -> Fraction:
     """All real roots of p (degree >= 1, no trailing zero) lie in (-B, B)
-    with B = 1 + max |a_i / a_n|."""
-    return ONE + max(abs(c) for c in p[:-1]) / Fraction(abs(p[-1]))
+    with B = 1 + max |a_i| / |a_n|."""
+    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ part of D_n, without its factor t^k, is reduced once to its square-free part
 and its positive real roots are isolated and refined on that part in integer
 arithmetic (ratpoly: Descartes' rule on dyadic intervals, then refinement
 to the bracket bisection would end in: a float seed certified by exact
-values, with exact bisection as the fallback), each with a rational bracket
-certified by an exact sign change.
+values, with exact bisection as the fallback). Each root keeps that exact
+bracket: two Fractions B*m/2^k, dyadic because D_n is monic and so its
+Cauchy bound B is an integer, certified by an exact sign change.
 
 Two gamma-factor conventions are implemented. The published closed form for
 the factors and the published recurrence disagree by an index shift, so:
@@ -169,9 +170,13 @@ class ClearedPolynomial(NamedTuple):
 
 
 class Root(NamedTuple):
+    """A positive root: the midpoint and width of its exact bracket (lo, hi),
+    across which the square-free cleared determinant changes sign, or
+    lo == hi at an exact rational root."""
+
     t_star: float
     refinement_width: float
-    bracket: tuple[float, float]
+    bracket: tuple[Fraction, Fraction]
 
 
 class RootSet(NamedTuple):
@@ -187,7 +192,8 @@ def isolate_roots(p: ClearedPolynomial) -> RootSet:
     order, with certified brackets of width at most PRECISION.
 
     The polynomial is made square-free once, if it has a repeated root, and
-    isolation and refinement both run on that square-free part.
+    isolation and refinement both run on that square-free part. Each Root
+    keeps the exact Fraction bracket that refine_root_bisect returned.
     """
     poly, multiple = rp.squarefree_part(list(p.coefficients))
     if multiple:
@@ -200,7 +206,7 @@ def isolate_roots(p: ClearedPolynomial) -> RootSet:
         t_star = float((lo + hi) / 2)
         roots.append(Root(t_star=t_star,
                           refinement_width=float(hi - lo),
-                          bracket=(float(lo), float(hi))))
+                          bracket=(lo, hi)))
     return RootSet(roots=tuple(roots))
 
 

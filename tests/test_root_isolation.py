@@ -16,9 +16,8 @@ T = sympy.Symbol("t")
 def check_against_sympy(coefficients):
     """Positive roots, brackets and certificates of isolate_roots against
     sympy."""
-    coefficients = [Fraction(c) for c in coefficients]
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(coefficients)], T, domain="QQ")
+    coefficients = list(coefficients)
+    poly = sympy.Poly(coefficients[::-1], T, domain="QQ")
     squarefree = poly.sqf_part()
     real = squarefree.real_roots()  # distinct, ascending, exact
     positive = [r for r in real if r.is_positive]
@@ -27,12 +26,12 @@ def check_against_sympy(coefficients):
     rootset = isolate_roots(ClearedPolynomial(tuple(primitive)))
     assert len(rootset.roots) == len(positive)
 
-    # the exact brackets behind the float ones: the same ratpoly steps
+    # each root keeps the exact bracket of the same ratpoly steps
     sf = rp.squarefree_part(primitive)[0]
     intervals = rp.isolate_positive_roots(sf)
     for root, exact, (lo, hi) in zip(rootset.roots, positive, intervals):
         lo, hi = rp.refine_root_bisect(sf, lo, hi, PRECISION)
-        assert root.bracket == (float(lo), float(hi))
+        assert root.bracket == (lo, hi)
         assert hi - lo <= Fraction(PRECISION).limit_denominator(10 ** 18)
         if lo == hi:
             assert rp.poly_eval(sf, lo) == 0 and exact == sympy.Rational(
@@ -47,8 +46,7 @@ def _expand(factors, zero_power, scale):
     expr = scale * T ** zero_power
     for factor, multiplicity in factors:
         expr *= factor ** multiplicity
-    return [Fraction(int(c.p), int(c.q))
-            for c in reversed(sympy.Poly(expr, T).all_coeffs())]
+    return [int(c) for c in reversed(sympy.Poly(expr, T).all_coeffs())]
 
 
 def _is_square(n):
@@ -68,7 +66,7 @@ factor_lists = st.lists(st.tuples(st.one_of(linear, quadratic),
 
 @settings(max_examples=60, deadline=None)
 @given(factor_lists, st.integers(0, 2),
-       st.sampled_from([Fraction(1), Fraction(-3, 7), Fraction(5, 2)]))
+       st.sampled_from([1, -3, 5]))
 def test_random_polynomials_match_sympy(factors, zero_power, scale):
     coefficients = _expand(factors, zero_power, scale)
     if len(coefficients) - 1 > zero_power:  # something beside t**k

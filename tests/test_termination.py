@@ -198,12 +198,26 @@ class TestRootIsolation:
                 assert abs(val) <= 1e-10 * cmax * root.t_star ** res.cleared.degree
 
     def test_bracket_certified_by_exact_sign_change(self):
-        res = solve_termination(5, 0)
-        dense = list(res.cleared.coefficients)
-        for root in res.rootset.roots:
-            lo = F(root.bracket[0]).limit_denominator(10 ** 17)
-            hi = F(root.bracket[1]).limit_denominator(10 ** 17)
-            assert rp.poly_eval(dense, lo) * rp.poly_eval(dense, hi) < 0
+        # each bracket, taken as it is kept, spans a sign change of the
+        # square-free cleared determinant in exact integer values, or is an
+        # exact root
+        def sign(sf, x):
+            v = rp._value_at(sf, x.numerator, x.denominator)
+            return (v > 0) - (v < 0)
+
+        for convention in GammaConvention:
+            for n in range(2, 17):
+                for l in range(4):
+                    res = solve_termination(n, l, convention)
+                    sf = rp.squarefree_part(list(res.cleared.coefficients))[0]
+                    for root in res.rootset.roots:
+                        lo, hi = (F(v) for v in root.bracket)
+                        if lo == hi:
+                            assert sign(sf, lo) == 0, (convention, n, l)
+                        else:
+                            assert lo < hi, (convention, n, l)
+                            assert sign(sf, lo) * sign(sf, hi) == -1, (
+                                convention, n, l)
 
     def test_n2_family_closed_form_all_l(self):
         # delta'^2 = gamma_1 gives t^3 = 16(2l+1)
@@ -224,13 +238,13 @@ class TestRootIsolation:
         assert res.rootset.roots == ()
 
     def test_zero_constant_term_is_stripped(self):
-        # t^3/8 - 3t/2 = t (t^2 - 12) / 8: isolation and refinement both run
-        # on the polynomial without its factor t
+        # t^3 - 12t = t (t^2 - 12): isolation and refinement both run on the
+        # polynomial without its factor t
         rootset = isolate_roots(ClearedPolynomial(tuple(rp.primitive_part(
-            [F(0), F(-3, 2), F(0), F(1, 8)]))))
+            [0, -12, 0, 1]))))
         (root,) = rootset.roots
         assert root.t_star == pytest.approx(12 ** 0.5, abs=1e-13)
-        lo, hi = (F(v) for v in root.bracket)
+        lo, hi = root.bracket
         assert lo < F(root.t_star) < hi and hi - lo <= 1e-13
 
     def test_asymptotic_flag_is_metadata_only(self):
@@ -255,7 +269,7 @@ class TestRepeatedRoots:
         sf, multiple = rp.squarefree_part(list(coeffs))
         assert multiple
         for root in rootset.roots:
-            lo, hi = (F(v) for v in root.bracket)
+            lo, hi = root.bracket
             assert hi - lo <= PRECISION
             assert lo == hi or rp.poly_eval(sf, lo) * rp.poly_eval(sf, hi) < 0
             assert lo <= F(root.t_star) <= hi
